@@ -175,7 +175,6 @@ def run_experiment(config: ExperimentConfig,
                 "lambda": result.cost_estimates[-1],
                 "gain_error": float(np.linalg.norm(result.gains[-1] - gain_ref)),
                 "rel_cost_error": abs(result.cost_estimates[-1] - lam_ref) / abs(lam_ref),
-                "skipped_updates": int(sum(result.skipped_updates)),
             }
         summary["model_free"] = {
             "cost_mode": learner.cost_mode,

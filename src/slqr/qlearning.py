@@ -10,9 +10,17 @@ where z_k stacks the state with the input actually applied, zbar_{k+1} uses
 the unprobed feedback input at the next state, and lambda is the policy's
 average cost. With the additive-noise covariance D known, lambda is
 eliminated exactly through lambda = tr(H kappa) with kappa = [I; L] D [I; L]^T;
-without D it is replaced by the empirical average cost. The fit runs either
-as one batch solve or as the equivalent recursive update that never stores
-the data matrix. The improved gain then comes from the uu/ux blocks of H.
+without D it is replaced by the empirical average cost. With instruments
+Phi (rows phi(z_k)), regressors G (rows phi(z_k) - phi(zbar_{k+1}), plus the
+noise correction in known_d mode) and targets c, the learner's fit is one
+regularised solve
+
+    (I / rls_init_scale + Phi^T G) vecs(H) = Phi^T c,
+
+which is exactly what the recursive least-squares update (rls_update) reaches
+after folding in every sample from the inverse-Gram start rls_init_scale * I;
+rls_update is kept as that streaming form. The improved gain then comes from
+the uu/ux blocks of H.
 
 The learner sees only a rollout sampler, stage costs, and optionally D; the
 plant matrices stay out of reach by construction.
@@ -20,7 +28,7 @@ plant matrices stay out of reach by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,9 +59,13 @@ def features(z: np.ndarray) -> np.ndarray:
 def feature_matrix(states: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Rows of quadratic features for a batch of stacked (state, input) pairs."""
     z = np.hstack([states, inputs])              # (N, r)
-    outer = np.einsum("ki,kj->kij", z, z)        # (N, r, r)
-    rows, cols = np.triu_indices(z.shape[1])
-    return outer[:, rows, cols]
+    r = z.shape[1]
+    out = np.empty((z.shape[0], packed_length(r)))
+    start = 0
+    for i in range(r):   # row i of the upper triangle, written in place
+        np.multiply(z[:, i:i + 1], z[:, i:], out=out[:, start:start + r - i])
+        start += r - i
+    return out
 
 
 def noise_shape_kernel(gain: np.ndarray, additive_cov: np.ndarray) -> np.ndarray:
@@ -97,8 +109,7 @@ def rls_update(state: RlsState, feats: np.ndarray, next_feats: np.ndarray,
 
     The rank-one inverse update for the regressor g = feats - next_feats +
     noise_correction against the instrument feats. Raises
-    IllConditionedUpdateError when the update denominator is numerically zero;
-    the sample can be skipped and learning continued.
+    IllConditionedUpdateError when the update denominator is numerically zero.
     """
     g = feats - next_feats + noise_correction
     gram_feats = state.gram_inv @ feats
@@ -123,8 +134,16 @@ def rls_kernel(state: RlsState, state_dim: int) -> QKernel:
     return QKernel(matrix=unvecs(vec), state_dim=state_dim)
 
 
-def _regression_parts(traj: Trajectory, gain: np.ndarray):
-    """Instrument features, next-state features, and aligned costs of a rollout."""
+def _normal_equations(traj: Trajectory, gain: np.ndarray,
+                      noise_cov: np.ndarray | None):
+    """Instrumental-variable normal equations Phi^T G h = Phi^T c of a rollout.
+
+    Returns (gram, rhs, correction, mean_cost). With noise_cov given, the
+    regressors carry the noise correction vech(kappa) and the targets are the
+    raw costs; with noise_cov None, correction is None and the targets are the
+    costs minus their mean. Raises UnreliableKernelError when the data are not
+    finite (a diverged rollout).
+    """
     gain = np.asarray(gain, dtype=float)
     n = traj.states.shape[1]
     if gain.shape != (traj.inputs.shape[1], n):
@@ -134,34 +153,38 @@ def _regression_parts(traj: Trajectory, gain: np.ndarray):
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     next_inputs = traj.states[1:] @ gain.T      # unprobed feedback at x_{k+1}
     phi_next = feature_matrix(traj.states[1:], next_inputs)
-    return phi, phi_next, traj.costs
-
-
-def bls_estimate(traj: Trajectory, gain: np.ndarray,
-                 noise_cov: np.ndarray | None = None) -> QKernel:
-    """Batch least-squares kernel fit over one rollout.
-
-    With noise_cov given, the average cost is eliminated through the noise
-    shape kernel; with noise_cov None the empirical mean cost is subtracted
-    from the targets instead.
-    """
-    phi, phi_next, costs = _regression_parts(traj, gain)
-    n = traj.states.shape[1]
+    costs = traj.costs
     n_samples, s = phi.shape
     if n_samples < s:
         raise InsufficientExcitationError(
             f"{n_samples} samples cannot identify {s} kernel coefficients; "
             f"use a longer rollout"
         )
+    mean_cost = float(costs.mean())
+    # Phi^T G without forming G: Phi - Phi_next overwrites Phi_next, and the
+    # constant correction enters as the rank-one term (Phi^T 1) correction^T.
+    gram = phi.T @ np.subtract(phi, phi_next, out=phi_next)
     if noise_cov is not None:
         correction = vech(noise_shape_kernel(gain, noise_cov))
-        regressors = phi - phi_next + correction
-        targets = costs
+        gram += np.outer(phi.sum(axis=0), correction)
+        rhs = phi.T @ costs
     else:
-        regressors = phi - phi_next
-        targets = costs - costs.mean()
-    gram = phi.T @ regressors
-    rhs = phi.T @ targets
+        correction = None
+        rhs = phi.T @ (costs - mean_cost)
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise UnreliableKernelError("normal equations contain non-finite entries")
+    return gram, rhs, correction, mean_cost
+
+
+def bls_estimate(traj: Trajectory, gain: np.ndarray,
+                 noise_cov: np.ndarray | None = None) -> QKernel:
+    """Batch least-squares kernel fit over one rollout, unregularised.
+
+    With noise_cov given, the average cost is eliminated through the noise
+    shape kernel; with noise_cov None the empirical mean cost is subtracted
+    from the targets instead.
+    """
+    gram, rhs, _, _ = _normal_equations(traj, gain, noise_cov)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:
         raise InsufficientExcitationError(
@@ -169,11 +192,13 @@ def bls_estimate(traj: Trajectory, gain: np.ndarray,
             f"or a larger probe variance"
         )
     vec = np.linalg.solve(gram, rhs)
-    return QKernel(matrix=unvecs(vec), state_dim=n)
+    return QKernel(matrix=unvecs(vec), state_dim=traj.states.shape[1])
 
 
 def policy_from_h(kernel: QKernel) -> np.ndarray:
     """Greedy gain encoded by a state-input kernel: L = -H_uu^-1 H_ux."""
+    if not np.isfinite(kernel.matrix).all():
+        raise UnreliableKernelError("kernel contains non-finite entries")
     w = kernel.uu
     eigs = np.linalg.eigvalsh(w)
     if eigs.min() <= 0:
@@ -241,7 +266,6 @@ class LearningResult:
     cost_estimates: list[float]
     converged: bool
     iterations: int
-    skipped_updates: list[int] = field(default_factory=list)
 
 
 def iteration_seed(base_seed: int, iteration: int) -> int:
@@ -251,37 +275,19 @@ def iteration_seed(base_seed: int, iteration: int) -> int:
 
 def _fit_iteration(traj: Trajectory, gain: np.ndarray,
                    noise_cov: np.ndarray | None,
-                   init_scale: float) -> tuple[QKernel, float, int]:
-    """One recursive pass over a rollout. Returns (kernel, cost estimate, skips)."""
-    phi, phi_next, costs = _regression_parts(traj, gain)
-    n = traj.states.shape[1]
-    n_samples, s = phi.shape
-    if n_samples < s:
-        raise InsufficientExcitationError(
-            f"{n_samples} samples cannot identify {s} kernel coefficients; "
-            f"use a longer rollout"
-        )
-    if noise_cov is not None:
-        correction = vech(noise_shape_kernel(gain, noise_cov))
-        targets = costs
-    else:
-        correction = np.zeros(s)
-        targets = costs - costs.mean()
-
-    state = initial_rls_state(s, init_scale)
-    skipped = 0
-    for k in range(n_samples):
-        try:
-            state = rls_update(state, phi[k], phi_next[k], correction, targets[k])
-        except IllConditionedUpdateError:
-            skipped += 1
-    kernel = rls_kernel(state, n)
-    if noise_cov is not None:
-        from .packing import vecs
-        cost_estimate = float(correction @ vecs(kernel.matrix))
-    else:
-        cost_estimate = float(costs.mean())
-    return kernel, cost_estimate, skipped
+                   init_scale: float) -> tuple[QKernel, float]:
+    """The regularised solve over a rollout. Returns (kernel, cost estimate)."""
+    gram, rhs, correction, mean_cost = _normal_equations(traj, gain, noise_cov)
+    gram[np.diag_indices_from(gram)] += 1.0 / init_scale
+    try:
+        vec = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise UnreliableKernelError(f"normal equations cannot be solved: {exc}") from None
+    if not np.isfinite(vec).all():
+        raise UnreliableKernelError("kernel estimate contains non-finite entries")
+    kernel = QKernel(matrix=unvecs(vec), state_dim=traj.states.shape[1])
+    cost_estimate = mean_cost if correction is None else float(correction @ vec)
+    return kernel, cost_estimate
 
 
 def learn_from_rollouts(sampler: Callable[[np.ndarray, int], Trajectory],
@@ -302,20 +308,18 @@ def learn_from_rollouts(sampler: Callable[[np.ndarray, int], Trajectory],
     gains = [config.initial_gain]
     kernels: list[QKernel] = []
     cost_estimates: list[float] = []
-    skipped: list[int] = []
     converged = False
     iterations = 0
     for tau in range(config.max_iterations):
         try:
             traj = sampler(gains[-1], iteration_seed(config.seed, tau))
-            kernel, cost_estimate, skips = _fit_iteration(
+            kernel, cost_estimate = _fit_iteration(
                 traj, gains[-1], noise_cov, config.rls_init_scale)
             gain_next = policy_from_h(kernel)
         except SolverFailure as exc:
             raise type(exc)(f"iteration {tau}: {exc}") from exc
         kernels.append(kernel)
         cost_estimates.append(cost_estimate)
-        skipped.append(skips)
         gains.append(gain_next)
         iterations += 1
         if np.linalg.norm(gain_next - gains[-2]) < config.gain_tol:
@@ -323,7 +327,7 @@ def learn_from_rollouts(sampler: Callable[[np.ndarray, int], Trajectory],
             break
     return LearningResult(gains=gains, kernels=kernels,
                           cost_estimates=cost_estimates, converged=converged,
-                          iterations=iterations, skipped_updates=skipped)
+                          iterations=iterations)
 
 
 def run_online_learning(model: SystemModel, cost: CostModel,

@@ -7,6 +7,14 @@ matrices and additive Gaussian noise:
 
 with alpha_ik ~ N(0, var_i), beta_jk ~ N(0, var_j), d_k ~ N(0, D), all
 mutually independent across channels and time, and x_0 ~ N(0, X0).
+
+Under feedback u_k = L x_k + e_k a step is x_{k+1} = M_k x_k + b_k with
+M_k = A_eff,k + B_eff,k L and b_k = B_eff,k e_k + d_k. The rollout works in
+blocks of ROLLOUT_BLOCK steps: it draws a block's noise at once, forms every
+M_k and b_k of the block with one einsum each, and leaves the matrix-vector
+step as the only per-step work. Inputs and stage costs are formed from the
+block's states afterwards, so working memory beyond the returned arrays is
+O(ROLLOUT_BLOCK * n^2) whatever the rollout length.
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ from .errors import ValidationError
 
 # Definiteness margin: smallest eigenvalue must exceed this for a PD check.
 PD_EIG_FLOOR = 1e-12
+
+# Steps per block of a closed-loop rollout (see the module docstring).
+ROLLOUT_BLOCK = 1024
 
 
 def _as_matrix(mat, name: str) -> np.ndarray:
@@ -203,6 +214,11 @@ def stage_cost(cost: CostModel, x: np.ndarray, u: np.ndarray) -> float:
     return float(x @ cost.Q @ x + u @ cost.R @ u)
 
 
+def _quadratic_forms(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """row @ weight @ row for every row, bit-identical to the one-row product."""
+    return ((rows @ weight)[:, None, :] @ rows[:, :, None])[:, 0, 0]
+
+
 def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
                          n_steps: int, probe_var: float, seed) -> Trajectory:
     """Roll out u_k = gain @ x_k + e_k with e_k ~ N(0, probe_var * I).
@@ -211,6 +227,8 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     m-vector probe (drawn even when probe_var == 0, so the noise stream does
     not depend on the probe setting), p + q channel scalars, and the n-vector
     for the additive noise. Costs are charged on the input actually applied.
+    The block size does not change the draws: each block takes the next rows
+    of the same stream.
     """
     gain = np.asarray(gain, dtype=float)
     n, m = model.state_dim, model.input_dim
@@ -227,31 +245,37 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     p, q = len(model.state_noise), len(model.input_noise)
     sqrt_vars = np.sqrt([var for _, var in model.state_noise]
                         + [var for _, var in model.input_noise])
+    # Each channel's direction in closed loop: A_i for a state channel, B_j L
+    # for an input channel; B_j alone carries the probe.
+    loop_dirs = np.array([mat for mat, _ in model.state_noise]
+                         + [mat @ gain for mat, _ in model.input_noise])
+    loop_dirs = loop_dirs.reshape(p + q, n, n)
+    probe_dirs = np.array([mat for mat, _ in model.input_noise]).reshape(q, n, m)
+    mean_loop = model.A + model.B @ gain
 
     states = np.empty((n_steps + 1, n))
     inputs = np.empty((n_steps + 1, m))
     costs = np.empty(n_steps)
 
     states[0] = x0_factor @ rng.standard_normal(n)
-    # One block of draws per step, consumed in the documented order.
-    draws = rng.standard_normal((n_steps, m + p + q + n))
-    probes = np.sqrt(probe_var) * draws[:, :m]
-    channels = sqrt_vars * draws[:, m:m + p + q] if p + q else draws[:, m:m]
-    additive = draws[:, m + p + q:] @ d_factor.T
-
     x = states[0]
-    for k in range(n_steps):
-        u = gain @ x + probes[k]
-        inputs[k] = u
-        costs[k] = x @ cost.Q @ x + u @ cost.R @ u
-        A_eff = model.A
-        for i in range(p):
-            A_eff = A_eff + channels[k, i] * model.state_noise[i][0]
-        B_eff = model.B
-        for j in range(q):
-            B_eff = B_eff + channels[k, p + j] * model.input_noise[j][0]
-        x = A_eff @ x + B_eff @ u + additive[k]
-        states[k + 1] = x
+    for start in range(0, n_steps, ROLLOUT_BLOCK):
+        stop = min(start + ROLLOUT_BLOCK, n_steps)
+        draws = rng.standard_normal((stop - start, m + p + q + n))
+        probes = np.sqrt(probe_var) * draws[:, :m]
+        channels = sqrt_vars * draws[:, m:m + p + q]
+        loop = mean_loop + np.einsum("kc,cij->kij", channels, loop_dirs)
+        drive = (probes @ model.B.T + draws[:, m + p + q:] @ d_factor.T
+                 + np.einsum("kj,jab,kb->ka", channels[:, p:], probe_dirs, probes))
+        # x_{k+1} = M_k x_k + b_k, written straight into its row of states.
+        for loop_k, drive_k, row in zip(loop, drive, states[start + 1:stop + 1]):
+            np.add(np.dot(loop_k, x), drive_k, out=row)
+            x = row
+        block_states = states[start:stop]
+        block_inputs = block_states @ gain.T + probes
+        inputs[start:stop] = block_inputs
+        costs[start:stop] = (_quadratic_forms(block_states, cost.Q)
+                             + _quadratic_forms(block_inputs, cost.R))
 
     inputs[n_steps] = gain @ x
     seed_int = seed if isinstance(seed, (int, np.integer)) else -1

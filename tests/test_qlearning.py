@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from slqr import qlearning
 from slqr.analysis import policy_improvement, solve_value_kernel
 from slqr.errors import (
     IllConditionedUpdateError,
@@ -11,6 +14,7 @@ from slqr.errors import (
 from slqr.packing import vech, vecs
 from slqr.policy_iteration import QKernel, policy_iteration, q_kernel_from_value
 from slqr.qlearning import (
+    COST_MODES,
     LearnerConfig,
     bls_estimate,
     feature_matrix,
@@ -136,6 +140,53 @@ def test_recursive_matches_batch_on_one_rollout(sec6):
     assert rel <= 1e-6
 
 
+@pytest.mark.parametrize("cost_mode", COST_MODES)
+def test_learner_kernel_equals_a_fold_of_rls_update(sec6, sec6_config, monkeypatch,
+                                                    cost_mode):
+    # The learner's one regularised solve is the recursive estimator started
+    # from rls_init_scale * I, folded over every sample of the same rollout.
+    model, cost = sec6
+    config = replace(sec6_config.learner, max_iterations=1, seed=3, cost_mode=cost_mode)
+    rollouts = []
+
+    def sampler(gain, seed):
+        rollouts.append(simulate_closed_loop(model, cost, gain, config.rollout_len,
+                                             config.probe_var, seed))
+        return rollouts[-1]
+
+    # Take whatever kernel the fit produces, even one without a usable gain.
+    monkeypatch.setattr(qlearning, "policy_from_h", lambda kernel: L0_3)
+    noise_cov = model.D if cost_mode == "known_d" else None
+    learned = learn_from_rollouts(sampler, config, noise_cov).kernels[0]
+
+    (traj,) = rollouts
+    phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
+    phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ L0_3.T)
+    if noise_cov is None:
+        correction = np.zeros(phi.shape[1])
+        targets = traj.costs - traj.costs.mean()
+    else:
+        correction = vech(noise_shape_kernel(L0_3, noise_cov))
+        targets = traj.costs
+    state = initial_rls_state(phi.shape[1], config.rls_init_scale)
+    for k in range(phi.shape[0]):
+        state = rls_update(state, phi[k], phi_next[k], correction, targets[k])
+    folded = rls_kernel(state, 3).matrix
+    assert np.linalg.norm(learned.matrix - folded) <= 1e-8 * np.linalg.norm(folded)
+
+
+@pytest.mark.parametrize("cost_mode", COST_MODES)
+def test_inadmissible_gain_raises_a_typed_error(sec6, sec6_config, cost_mode):
+    # 0.3 I destabilises the loop, so the rollout overflows: the fit must
+    # report it as UnreliableKernelError, not as a raw numpy error or a NaN gain.
+    model, cost = sec6
+    config = replace(sec6_config.learner, initial_gain=0.3 * np.eye(3),
+                     cost_mode=cost_mode)
+    with np.errstate(all="ignore"), pytest.raises(UnreliableKernelError,
+                                                  match="iteration 0: .*non-finite"):
+        run_online_learning(model, cost, config)
+
+
 def test_bls_recovers_kernel_from_synthetic_costs(sec6):
     # Costs manufactured from a known kernel through the exact regression
     # identity must reproduce that kernel to solver precision.
@@ -236,6 +287,9 @@ def test_policy_from_h_guards():
     stretched = QKernel(matrix=np.diag([1.0, 1e-6, 1e6]), state_dim=1)
     with pytest.raises(UnreliableKernelError, match="condition number"):
         policy_from_h(stretched)
+    nan = QKernel(matrix=np.full((2, 2), np.nan), state_dim=1)
+    with pytest.raises(UnreliableKernelError, match="non-finite"):
+        policy_from_h(nan)
 
 
 def test_learner_config_validation():
@@ -324,9 +378,8 @@ def test_deterministic_limit_batch_step_equals_exact_iteration(sec6):
 
 
 def test_deterministic_limit_recursive_run_tracks_exact_iteration(sec6):
-    # The recursive estimator carries an extra init_scale^-1 regularization
-    # plus rank-one roundoff, so the full online run is held to a looser
-    # bound than the batch path above.
+    # The learner's solve carries an extra init_scale^-1 regularization, so
+    # the full online run is held to a looser bound than the batch path above.
     model, cost = sec6
     twin = det_model(model)
     exact = policy_iteration(twin, cost, L0_3, tol=1e-12, max_iter=50)

@@ -4,6 +4,7 @@ import pytest
 from slqr.analysis import moment_operator, solve_value_kernel, stationary_covariance
 from slqr.errors import ValidationError
 from slqr.system import (
+    ROLLOUT_BLOCK,
     CostModel,
     SystemModel,
     noise_factor,
@@ -152,6 +153,40 @@ def test_simulate_costs_charge_the_applied_input(sec6):
         x, u = traj.states[k], traj.inputs[k]
         assert traj.costs[k] == x @ cost.Q @ x + u @ cost.R @ u
     assert np.abs(traj.inputs[:-1]).max() > 0  # probes actually applied
+
+
+def replay_closed_loop(model, cost, gain, n_steps, probe_var, seed):
+    # One step at a time, in the documented draw order: n normals for x0, then
+    # per step m probes, p + q channel scalars and n additive normals.
+    rng = np.random.default_rng(seed)
+    n, m = model.state_dim, model.input_dim
+    d_factor = noise_factor(model.D)
+    x = noise_factor(model.X0) @ rng.standard_normal(n)
+    states, inputs, costs = [x], [], []
+    for _ in range(n_steps):
+        u = gain @ x + np.sqrt(probe_var) * rng.standard_normal(m)
+        inputs.append(u)
+        costs.append(x @ cost.Q @ x + u @ cost.R @ u)
+        a_eff = model.A + sum(np.sqrt(var) * rng.standard_normal() * mat
+                              for mat, var in model.state_noise)
+        b_eff = model.B + sum(np.sqrt(var) * rng.standard_normal() * mat
+                              for mat, var in model.input_noise)
+        x = a_eff @ x + b_eff @ u + d_factor @ rng.standard_normal(n)
+        states.append(x)
+    inputs.append(gain @ x)
+    return np.array(states), np.array(inputs), np.array(costs)
+
+
+def test_simulate_matches_per_step_replay(sec6, sec6_reference):
+    model, cost = sec6
+    _, l_star, _ = sec6_reference
+    n_steps = 2 * ROLLOUT_BLOCK + 37
+    for gain in (np.zeros((3, 3)), l_star):
+        traj = simulate_closed_loop(model, cost, gain, n_steps, 0.64, 8)
+        for got, want in zip((traj.states, traj.inputs, traj.costs),
+                             replay_closed_loop(model, cost, gain, n_steps, 0.64, 8)):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_probe_setting_does_not_shift_the_noise_stream():
