@@ -1,29 +1,10 @@
 """Average-cost linear-quadratic regulation under multiplicative and additive
-noise: exact model-based policy iteration and an online model-free learner."""
+noise: exact model-based policy iteration and an online model-free learner.
 
-from .config import (
-    ExperimentConfig,
-    from_dict,
-    load_config,
-    save_config,
-    to_dict,
-)
-from .experiment import (
-    ConvergenceRecord,
-    emit_convergence_csv,
-    reference_solution,
-    run_experiment,
-)
-from .analysis import (
-    MomentOperator,
-    average_cost,
-    is_admissible,
-    moment_operator,
-    policy_improvement,
-    riccati_residual,
-    solve_value_kernel,
-    stationary_covariance,
-)
+The top level holds the README's library surface and the error classes; the
+rest is reached through its submodule, e.g. slqr.analysis."""
+
+from .config import ExperimentConfig, load_config
 from .errors import (
     ConfigError,
     IllConditionedUpdateError,
@@ -35,54 +16,16 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import kron, symmetrize, unvecs, vech, vecs
-from .policy_iteration import (
-    PolicyIterationTrace,
-    QKernel,
-    policy_iteration,
-    q_kernel_from_value,
-)
-from .qlearning import (
-    LearnerConfig,
-    LearningResult,
-    RlsState,
-    bls_estimate,
-    features,
-    learn_from_rollouts,
-    noise_shape_kernel,
-    policy_from_h,
-    rls_update,
-    run_online_learning,
-)
-from .system import (
-    CostModel,
-    SystemModel,
-    Trajectory,
-    simulate_closed_loop,
-    stage_cost,
-    step,
-)
+from .experiment import run_experiment
+from .policy_iteration import PolicyIterationTrace, policy_iteration
+from .qlearning import LearnerConfig, LearningResult, run_online_learning
+from .system import CostModel, SystemModel
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ExperimentConfig",
-    "from_dict",
     "load_config",
-    "save_config",
-    "to_dict",
-    "ConvergenceRecord",
-    "emit_convergence_csv",
-    "reference_solution",
-    "run_experiment",
-    "MomentOperator",
-    "average_cost",
-    "is_admissible",
-    "moment_operator",
-    "policy_improvement",
-    "riccati_residual",
-    "solve_value_kernel",
-    "stationary_covariance",
     "ConfigError",
     "IllConditionedUpdateError",
     "InsufficientExcitationError",
@@ -92,29 +35,12 @@ __all__ = [
     "SolverFailure",
     "UnreliableKernelError",
     "ValidationError",
-    "kron",
-    "symmetrize",
-    "unvecs",
-    "vech",
-    "vecs",
+    "run_experiment",
     "PolicyIterationTrace",
-    "QKernel",
     "policy_iteration",
-    "q_kernel_from_value",
     "LearnerConfig",
     "LearningResult",
-    "RlsState",
-    "bls_estimate",
-    "features",
-    "learn_from_rollouts",
-    "noise_shape_kernel",
-    "policy_from_h",
-    "rls_update",
     "run_online_learning",
     "CostModel",
     "SystemModel",
-    "Trajectory",
-    "simulate_closed_loop",
-    "stage_cost",
-    "step",
 ]

@@ -23,7 +23,7 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import kron, symmetrize
+from .packing import symmetrize
 from .system import CostModel, SystemModel
 
 # A gain is admissible when rho(M) < 1 - ADMISSIBILITY_MARGIN.
@@ -54,7 +54,7 @@ def closed_loop_factors(model: SystemModel, gain: np.ndarray) -> list[np.ndarray
 
 def moment_operator(model: SystemModel, gain: np.ndarray) -> MomentOperator:
     factors = closed_loop_factors(model, gain)
-    mat = sum(kron(f, f) for f in factors)
+    mat = sum(np.kron(f, f) for f in factors)
     return MomentOperator(matrix=mat, offset=model.D.ravel())
 
 
@@ -66,8 +66,10 @@ def is_admissible(model: SystemModel, gain: np.ndarray,
     return rho < 1.0 - margin, rho
 
 
-def stationary_covariance(model: SystemModel, gain: np.ndarray) -> np.ndarray:
-    """Fixed point X = T(X) + D of the covariance propagation."""
+def _fixed_point(model: SystemModel, gain: np.ndarray, rhs: np.ndarray,
+                 dual: bool, name: str) -> tuple[np.ndarray, float]:
+    """Solve (I - M) vec(X) = rhs, or (I - M^T) vec(X) = rhs when dual, for
+    an admissible gain. Returns (symmetric X, spectral radius of M)."""
     op = moment_operator(model, gain)
     admissible, rho = is_admissible(model, gain)
     if not admissible:
@@ -78,12 +80,17 @@ def stationary_covariance(model: SystemModel, gain: np.ndarray) -> np.ndarray:
     n = model.state_dim
     eye = np.eye(n * n)
     try:
-        x_vec = np.linalg.solve(eye - op.matrix, op.offset)
+        x_vec = np.linalg.solve(eye - (op.matrix.T if dual else op.matrix), rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
-            f"covariance equation is singular (spectral radius {rho:.6f})"
+            f"{name} equation is singular (spectral radius {rho:.6f})"
         ) from exc
-    x = symmetrize(x_vec.reshape(n, n), rtol=1e-6)
+    return symmetrize(x_vec.reshape(n, n), rtol=1e-6), rho
+
+
+def stationary_covariance(model: SystemModel, gain: np.ndarray) -> np.ndarray:
+    """Fixed point X = T(X) + D of the covariance propagation."""
+    x, _ = _fixed_point(model, gain, model.D.ravel(), dual=False, name="covariance")
     eigs = np.linalg.eigvalsh(x)
     if eigs.min() < -1e-10 * max(1.0, eigs.max()):
         raise SingularSystemError(
@@ -101,23 +108,8 @@ def solve_value_kernel(model: SystemModel, cost: CostModel,
     (I - M^T) vec(P) = vec(Q + L^T R L).
     """
     gain = np.asarray(gain, dtype=float)
-    op = moment_operator(model, gain)
-    admissible, rho = is_admissible(model, gain)
-    if not admissible:
-        raise NotAdmissibleError(
-            f"gain is not admissible: moment spectral radius {rho:.6f} >= 1",
-            spectral_radius=rho,
-        )
-    n = model.state_dim
     rhs = cost.Q + gain.T @ cost.R @ gain
-    eye = np.eye(n * n)
-    try:
-        p_vec = np.linalg.solve(eye - op.matrix.T, rhs.ravel())
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"value-kernel equation is singular (spectral radius {rho:.6f})"
-        ) from exc
-    p = symmetrize(p_vec.reshape(n, n), rtol=1e-6)
+    p, rho = _fixed_point(model, gain, rhs.ravel(), dual=True, name="value-kernel")
 
     # Residual guard: the solve must reproduce the defining equation.
     recon = sum(f.T @ p @ f for f in closed_loop_factors(model, gain)) + rhs
@@ -151,21 +143,36 @@ def input_weight(model: SystemModel, cost: CostModel, value_kernel: np.ndarray) 
     return w
 
 
-def policy_improvement(model: SystemModel, cost: CostModel,
-                       value_kernel: np.ndarray) -> np.ndarray:
-    """One-step greedy gain for a value kernel P.
+def greedy_gain(curvature: np.ndarray, cross: np.ndarray,
+                max_condition: float = np.inf) -> np.ndarray:
+    """Minimiser L = -W^-1 C of u^T W u + 2 u^T C x over u = L x.
 
-    L = -(R + B^T P B + sum_j var_j B_j^T P B_j)^-1 B^T P A. The curvature
-    matrix must be PD; anything else means the kernel is not trustworthy.
+    The curvature W must be positive definite, with condition number at most
+    max_condition; anything else means the kernel it came from is not
+    trustworthy, and raises UnreliableKernelError.
     """
-    p = symmetrize(np.asarray(value_kernel, dtype=float), rtol=1e-6)
-    w = input_weight(model, cost, p)
-    eigs = np.linalg.eigvalsh(w)
+    eigs = np.linalg.eigvalsh(curvature)
     if eigs.min() <= 0:
         raise UnreliableKernelError(
             f"input curvature is not positive definite (min eig {eigs.min():.3e})"
         )
-    return -np.linalg.solve(w, model.B.T @ p @ model.A)
+    if eigs.max() / eigs.min() > max_condition:
+        raise UnreliableKernelError(
+            f"input curvature condition number {eigs.max() / eigs.min():.3e} "
+            f"exceeds {max_condition:.1e}"
+        )
+    return -np.linalg.solve(curvature, cross)
+
+
+def policy_improvement(model: SystemModel, cost: CostModel,
+                       value_kernel: np.ndarray) -> np.ndarray:
+    """One-step greedy gain for a value kernel P.
+
+    L = -(R + B^T P B + sum_j var_j B_j^T P B_j)^-1 B^T P A, through
+    greedy_gain.
+    """
+    p = symmetrize(np.asarray(value_kernel, dtype=float), rtol=1e-6)
+    return greedy_gain(input_weight(model, cost, p), model.B.T @ p @ model.A)
 
 
 def riccati_residual(model: SystemModel, cost: CostModel,
@@ -173,18 +180,12 @@ def riccati_residual(model: SystemModel, cost: CostModel,
     """Fixed-point defect of the optimality equation at a candidate kernel.
 
     Zero exactly at the optimal kernel:
-    P - [Q + A^T P A + sum_i var_i A_i^T P A_i - A^T P B W^-1 B^T P A]
-    with W the input-side curvature.
+    P - [Q + A^T P A + sum_i var_i A_i^T P A_i + A^T P B L]
+    with L = -W^-1 B^T P A the greedy gain of P and W the input-side curvature.
     """
     p = symmetrize(np.asarray(value_kernel, dtype=float), rtol=1e-6)
-    w = input_weight(model, cost, p)
-    eigs = np.linalg.eigvalsh(w)
-    if eigs.min() <= 0:
-        raise UnreliableKernelError(
-            f"input curvature is not positive definite (min eig {eigs.min():.3e})"
-        )
+    gain = policy_improvement(model, cost, p)
     open_loop = cost.Q + model.A.T @ p @ model.A
     for mat, var in model.state_noise:
         open_loop = open_loop + var * (mat.T @ p @ mat)
-    gain_term = model.A.T @ p @ model.B @ np.linalg.solve(w, model.B.T @ p @ model.A)
-    return p - (open_loop - gain_term)
+    return p - (open_loop + model.A.T @ p @ model.B @ gain)

@@ -113,13 +113,14 @@ def _cmd_fixtures(_args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    np.seterr(over="ignore", invalid="ignore")  # diverging rollouts surface as errors
     try:
-        if args.verb == "run":
-            return _cmd_run(args)
-        if args.verb == "check":
-            return _cmd_check(args)
-        return _cmd_fixtures(args)
+        # Diverging rollouts surface as errors, not as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.verb == "run":
+                return _cmd_run(args)
+            if args.verb == "check":
+                return _cmd_check(args)
+            return _cmd_fixtures(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

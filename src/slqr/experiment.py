@@ -19,8 +19,8 @@ import numpy as np
 from .analysis import average_cost, is_admissible, solve_value_kernel
 from .config import ExperimentConfig
 from .errors import NotAdmissibleError, SolverFailure
-from .policy_iteration import PolicyIterationTrace, policy_iteration
-from .qlearning import LearningResult, run_online_learning
+from .policy_iteration import policy_iteration
+from .qlearning import run_online_learning
 from .system import CostModel, SystemModel
 
 # The reference optimum is solved tighter than any configured run.
@@ -52,39 +52,18 @@ def reference_solution(model: SystemModel, cost: CostModel):
     return trace.kernels[-1], trace.gains[-1], trace.costs[-1]
 
 
-def _records_from_pi(trace: PolicyIterationTrace, model: SystemModel,
-                     cost: CostModel, gain_ref: np.ndarray,
-                     lam_ref: float) -> list[ConvergenceRecord]:
-    records = []
-    lams = list(trace.costs)
-    # Give the final improved gain its own row, with its exactly evaluated cost.
-    lams.append(average_cost(solve_value_kernel(model, cost, trace.gains[-1]), model.D))
-    for tau, (gain, lam) in enumerate(zip(trace.gains, lams)):
-        records.append(ConvergenceRecord(
-            method="model_based", seed=0, tau=tau,
+def _records(method: str, seed: int, gains: list[np.ndarray], lams: list[float],
+             gain_ref: np.ndarray, lam_ref: float) -> list[ConvergenceRecord]:
+    """One row per gain of a run, lams[tau] being the cost given for gains[tau]."""
+    return [
+        ConvergenceRecord(
+            method=method, seed=seed, tau=tau,
             gain_error=float(np.linalg.norm(gain - gain_ref)),
             rel_cost_error=abs(lam - lam_ref) / abs(lam_ref),
             lam=lam,
-        ))
-    return records
-
-
-def _records_from_learning(result: LearningResult, seed: int,
-                           gain_ref: np.ndarray,
-                           lam_ref: float) -> list[ConvergenceRecord]:
-    records = []
-    lams = list(result.cost_estimates)
-    # The returned gain never gets its own evaluation pass; repeat the last
-    # estimate so the trace ends at the gain the learner actually returns.
-    lams.append(result.cost_estimates[-1])
-    for tau, (gain, lam) in enumerate(zip(result.gains, lams)):
-        records.append(ConvergenceRecord(
-            method="model_free", seed=seed, tau=tau,
-            gain_error=float(np.linalg.norm(gain - gain_ref)),
-            rel_cost_error=abs(lam - lam_ref) / abs(lam_ref),
-            lam=lam,
-        ))
-    return records
+        )
+        for tau, (gain, lam) in enumerate(zip(gains, lams))
+    ]
 
 
 def emit_convergence_csv(records: list[ConvergenceRecord], path: str | Path) -> None:
@@ -138,8 +117,13 @@ def run_experiment(config: ExperimentConfig,
                                      tol=config.pi_tol, max_iter=config.pi_max_iter)
         except SolverFailure as exc:
             flush(partial=True)
-            raise type(exc)(f"method model_based: {exc}") from exc
-        records.extend(_records_from_pi(trace, model, cost, gain_ref, lam_ref))
+            exc.args = (f"method model_based: {exc}",)
+            raise
+        # Give the final improved gain its own row, with its exactly evaluated cost.
+        final_cost = average_cost(solve_value_kernel(model, cost, trace.gains[-1]),
+                                  model.D)
+        records.extend(_records("model_based", 0, trace.gains,
+                                trace.costs + [final_cost], gain_ref, lam_ref))
         summary["model_based"] = {
             "converged": trace.converged,
             "iterations": trace.iterations,
@@ -166,8 +150,13 @@ def run_experiment(config: ExperimentConfig,
                                              replace(learner, seed=seed))
             except SolverFailure as exc:
                 flush(partial=True)
-                raise type(exc)(f"method model_free, seed {seed}: {exc}") from exc
-            records.extend(_records_from_learning(result, seed, gain_ref, lam_ref))
+                exc.args = (f"method model_free, seed {seed}: {exc}",)
+                raise
+            # The returned gain never gets its own evaluation pass; repeat the
+            # last estimate so the trace ends at the gain the learner returns.
+            lams = result.cost_estimates + result.cost_estimates[-1:]
+            records.extend(_records("model_free", seed, result.gains, lams,
+                                    gain_ref, lam_ref))
             per_seed[str(seed)] = {
                 "converged": result.converged,
                 "iterations": result.iterations,

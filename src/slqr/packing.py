@@ -85,7 +85,3 @@ def unvecs(vec: np.ndarray) -> np.ndarray:
     mat[cols, rows] = vals
     return mat
 
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (thin wrapper so callers stay on one surface)."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))

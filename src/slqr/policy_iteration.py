@@ -1,14 +1,18 @@
-"""Model-based policy iteration for the average-cost problem.
+"""Policy iteration for the average-cost problem.
 
-Alternates exact policy evaluation (the value-kernel linear solve) with the
-greedy improvement step. Starting from any admissible gain the kernels
-decrease monotonically in the semidefinite order down to the optimal kernel,
-so the iteration is also the reference solver for the optimality equation.
+evaluate_improve is the loop both solvers share: evaluate the gain, improve
+it greedily, stop when the gain stops moving. policy_iteration evaluates
+exactly (the value-kernel linear solve); the learner,
+qlearning.learn_from_rollouts, fits a kernel to one rollout. From any
+admissible gain the exact kernels decrease monotonically in the semidefinite
+order down to the optimal kernel, so policy_iteration is also the reference
+solver for the optimality equation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +23,7 @@ from .analysis import (
     policy_improvement,
     solve_value_kernel,
 )
-from .errors import NotAdmissibleError, ValidationError
+from .errors import NotAdmissibleError, SolverFailure, ValidationError
 from .packing import symmetrize
 from .system import CostModel, SystemModel
 
@@ -95,7 +99,8 @@ def q_kernel_from_value(model: SystemModel, cost: CostModel,
 @dataclass
 class PolicyIterationTrace:
     """Per-iteration history. gains has one more entry than kernels/costs
-    (the initial gain), and costs[t] = tr(kernels[t] @ D)."""
+    (the initial gain), and costs[t] is the cost of gains[t]; policy_iteration
+    gives tr(kernels[t] @ D)."""
 
     gains: list[np.ndarray]
     kernels: list[np.ndarray]
@@ -104,12 +109,42 @@ class PolicyIterationTrace:
     iterations: int
 
 
-def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarray,
-                     tol: float = 1e-9, max_iter: int = 100) -> PolicyIterationTrace:
-    """Iterate evaluate/improve from an admissible initial gain.
+def evaluate_improve(initial_gain: np.ndarray,
+                     step: Callable[[int, np.ndarray], tuple],
+                     tol: float, max_iter: int) -> PolicyIterationTrace:
+    """Iterate step(tau, gain) -> (kernel, cost, next gain) from initial_gain.
 
     Stops when successive gains agree to tol in Frobenius norm. Hitting
-    max_iter is reported via converged=False, not an exception.
+    max_iter is reported via converged=False, not an exception. A
+    SolverFailure raised in iteration tau propagates with the same type and
+    attributes, its message prefixed with "iteration {tau}: ".
+    """
+    gains = [initial_gain]
+    kernels = []
+    costs: list[float] = []
+    converged = False
+    for tau in range(max_iter):
+        try:
+            kernel, cost, gain_next = step(tau, gains[-1])
+        except SolverFailure as exc:
+            exc.args = (f"iteration {tau}: {exc}",)
+            raise
+        kernels.append(kernel)
+        costs.append(cost)
+        gains.append(gain_next)
+        if np.linalg.norm(gain_next - gains[-2]) < tol:
+            converged = True
+            break
+    return PolicyIterationTrace(gains=gains, kernels=kernels, costs=costs,
+                                converged=converged, iterations=len(kernels))
+
+
+def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarray,
+                     tol: float = 1e-9, max_iter: int = 100) -> PolicyIterationTrace:
+    """Exact policy iteration from an admissible initial gain.
+
+    Each evaluate_improve step solves the gain's value kernel P, records
+    tr(P D) as its cost and takes the greedy gain of P.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
@@ -123,20 +158,8 @@ def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarr
             spectral_radius=rho,
         )
 
-    gains = [gain]
-    kernels: list[np.ndarray] = []
-    costs: list[float] = []
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        p = solve_value_kernel(model, cost, gains[-1])
-        kernels.append(p)
-        costs.append(average_cost(p, model.D))
-        gain_next = policy_improvement(model, cost, p)
-        gains.append(gain_next)
-        iterations += 1
-        if np.linalg.norm(gain_next - gains[-2]) < tol:
-            converged = True
-            break
-    return PolicyIterationTrace(gains=gains, kernels=kernels, costs=costs,
-                                converged=converged, iterations=iterations)
+    def step(tau: int, gain: np.ndarray):
+        p = solve_value_kernel(model, cost, gain)
+        return p, average_cost(p, model.D), policy_improvement(model, cost, p)
+
+    return evaluate_improve(gain, step, tol, max_iter)

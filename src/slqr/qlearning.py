@@ -40,15 +40,15 @@ from typing import Callable
 
 import numpy as np
 
+from .analysis import greedy_gain
 from .errors import (
     IllConditionedUpdateError,
     InsufficientExcitationError,
-    SolverFailure,
     UnreliableKernelError,
     ValidationError,
 )
 from .packing import packed_length, side_from_packed_length, unvecs, vech
-from .policy_iteration import QKernel
+from .policy_iteration import QKernel, evaluate_improve
 from .system import CostModel, SystemModel, Trajectory, simulate_closed_loop
 
 # Conditioning ceiling for the uu block when extracting a gain.
@@ -235,22 +235,11 @@ def bls_estimate(traj: Trajectory, gain: np.ndarray,
 
 
 def policy_from_h(kernel: QKernel) -> np.ndarray:
-    """Greedy gain encoded by a state-input kernel: L = -H_uu^-1 H_ux."""
+    """Greedy gain encoded by a state-input kernel: L = -H_uu^-1 H_ux, with
+    the condition number of H_uu capped at MAX_KERNEL_CONDITION."""
     if not np.isfinite(kernel.matrix).all():
         raise UnreliableKernelError("kernel contains non-finite entries")
-    w = kernel.uu
-    eigs = np.linalg.eigvalsh(w)
-    if eigs.min() <= 0:
-        raise UnreliableKernelError(
-            f"input block of the kernel is not positive definite "
-            f"(min eig {eigs.min():.3e})"
-        )
-    if eigs.max() / eigs.min() > MAX_KERNEL_CONDITION:
-        raise UnreliableKernelError(
-            f"input block condition number {eigs.max() / eigs.min():.3e} "
-            f"exceeds {MAX_KERNEL_CONDITION:.1e}"
-        )
-    return -np.linalg.solve(w, kernel.ux)
+    return greedy_gain(kernel.uu, kernel.ux, MAX_KERNEL_CONDITION)
 
 
 @dataclass(frozen=True)
@@ -347,36 +336,27 @@ def learn_from_rollouts(sampler: Callable[[np.ndarray, int], Trajectory],
     sampler(gain, seed) must return a Trajectory rolled out under that gain
     with the configured probe. This function is the whole model-free surface:
     it touches nothing of the plant beyond sampled data (plus noise_cov in
-    known_d mode).
+    known_d mode). Each iteration of the shared evaluate_improve loop rolls
+    the gain out once, at seed iteration_seed(config.seed, tau), fits its
+    kernel with _fit_iteration and improves it with policy_from_h; a
+    SolverFailure names the iteration it happened in.
     """
     if config.cost_mode == "known_d" and noise_cov is None:
         raise ValidationError("cost_mode 'known_d' requires the additive covariance")
     if config.cost_mode == "empirical":
         noise_cov = None
 
-    gains = [config.initial_gain]
-    kernels: list[QKernel] = []
-    cost_estimates: list[float] = []
-    converged = False
-    iterations = 0
-    for tau in range(config.max_iterations):
-        try:
-            traj = sampler(gains[-1], iteration_seed(config.seed, tau))
-            kernel, cost_estimate = _fit_iteration(
-                traj, gains[-1], noise_cov, config.rls_init_scale)
-            gain_next = policy_from_h(kernel)
-        except SolverFailure as exc:
-            raise type(exc)(f"iteration {tau}: {exc}") from exc
-        kernels.append(kernel)
-        cost_estimates.append(cost_estimate)
-        gains.append(gain_next)
-        iterations += 1
-        if np.linalg.norm(gain_next - gains[-2]) < config.gain_tol:
-            converged = True
-            break
-    return LearningResult(gains=gains, kernels=kernels,
-                          cost_estimates=cost_estimates, converged=converged,
-                          iterations=iterations)
+    def step(tau: int, gain: np.ndarray):
+        traj = sampler(gain, iteration_seed(config.seed, tau))
+        kernel, cost_estimate = _fit_iteration(traj, gain, noise_cov,
+                                               config.rls_init_scale)
+        return kernel, cost_estimate, policy_from_h(kernel)
+
+    trace = evaluate_improve(config.initial_gain, step, config.gain_tol,
+                             config.max_iterations)
+    return LearningResult(gains=trace.gains, kernels=trace.kernels,
+                          cost_estimates=trace.costs, converged=trace.converged,
+                          iterations=trace.iterations)
 
 
 def run_online_learning(model: SystemModel, cost: CostModel,

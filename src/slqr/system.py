@@ -193,27 +193,6 @@ def noise_factor(cov: np.ndarray) -> np.ndarray:
         return vecs_ * np.sqrt(np.clip(eigs, 0.0, None))
 
 
-def step(model: SystemModel, x: np.ndarray, u: np.ndarray,
-         rng: np.random.Generator) -> np.ndarray:
-    """One plant transition. Consumes p + q scalar draws then n draws for d."""
-    return _step(model, x, u, rng, noise_factor(model.D))
-
-
-def _step(model, x, u, rng, d_factor):
-    A_eff = model.A
-    for mat, var in model.state_noise:
-        A_eff = A_eff + (np.sqrt(var) * rng.standard_normal()) * mat
-    B_eff = model.B
-    for mat, var in model.input_noise:
-        B_eff = B_eff + (np.sqrt(var) * rng.standard_normal()) * mat
-    d = d_factor @ rng.standard_normal(model.state_dim)
-    return A_eff @ x + B_eff @ u + d
-
-
-def stage_cost(cost: CostModel, x: np.ndarray, u: np.ndarray) -> float:
-    return float(x @ cost.Q @ x + u @ cost.R @ u)
-
-
 def _quadratic_forms(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """row @ weight @ row for every row, bit-identical to the one-row product."""
     return ((rows @ weight)[:, None, :] @ rows[:, :, None])[:, 0, 0]

@@ -149,9 +149,11 @@ def test_policy_improvement_zero_kernel_gives_zero_gain(sec6):
 
 
 def test_policy_improvement_rejects_corrupt_kernel(sec6):
+    # Both callers of the greedy-gain check reject an indefinite curvature.
     model, cost = sec6
-    with pytest.raises(UnreliableKernelError):
-        policy_improvement(model, cost, -10.0 * np.eye(3))
+    for solver in (policy_improvement, riccati_residual):
+        with pytest.raises(UnreliableKernelError, match="not positive definite"):
+            solver(model, cost, -10.0 * np.eye(3))
 
 
 def test_input_weight_includes_input_channels(sec6):

@@ -142,6 +142,18 @@ def test_cli_fixtures_and_check(capsys):
     assert "ok" in out and "n=1" in out
 
 
+def test_cli_leaves_the_numpy_error_state_unchanged(tmp_path, capsys):
+    # Start from a state that is not numpy's default, so that a setting leaked
+    # by an earlier main() call cannot match it by chance.
+    with np.errstate(over="print", invalid="print"):
+        before = np.geterr()
+        assert main(["fixtures"]) == 0
+        assert main(["run", "--config", "scalar_smoke", "--mode", "model_based",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["check", "--config", str(tmp_path / "missing.json")]) == 1
+        assert np.geterr() == before
+
+
 def test_cli_run_model_based(tmp_path, capsys):
     code = main(["run", "--config", "example_sec6", "--mode", "model_based",
                  "--out", str(tmp_path / "mb")])

@@ -1,0 +1,24 @@
+import inspect
+import re
+from pathlib import Path
+
+import slqr
+from slqr import errors
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_top_level_surface_matches_the_readme():
+    for name in slqr.__all__:
+        assert getattr(slqr, name) is not None, name
+    library = README.read_text().split("## Library", 1)[1]
+    imported = re.search(r"from slqr import \(([^)]*)\)", library).group(1)
+    names = {name.strip() for name in imported.split(",")} - {""}
+    assert names and names <= set(slqr.__all__)
+
+
+def test_every_error_class_is_exported():
+    classes = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and issubclass(obj, Exception)}
+    assert {"ConfigError", "ValidationError", "SolverFailure"} <= classes
+    assert classes <= set(slqr.__all__)

@@ -3,7 +3,6 @@ import pytest
 
 from slqr.errors import MalformedVectorError, ValidationError
 from slqr.packing import (
-    kron,
     packed_length,
     side_from_packed_length,
     symmetrize,
@@ -56,12 +55,6 @@ def test_unvecs_inverts_vecs_exactly():
         s = rng.normal(size=(n, n))
         s = s + s.T
         assert np.array_equal(unvecs(vecs(s)), s)
-
-
-def test_kron_examples():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.array_equal(kron([[2]], np.eye(2)), 2 * np.eye(2))
-    assert np.array_equal(kron([[1, 1], [0, 1]], [[2]]), [[2, 2], [0, 2]])
 
 
 def test_quadratic_form_identity():

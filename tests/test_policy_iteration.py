@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,13 @@ from slqr.analysis import (
     riccati_residual,
     solve_value_kernel,
 )
-from slqr.errors import NotAdmissibleError, ValidationError
-from slqr.policy_iteration import QKernel, policy_iteration, q_kernel_from_value
+from slqr.errors import NotAdmissibleError, SingularSystemError, ValidationError
+from slqr.policy_iteration import (
+    QKernel,
+    evaluate_improve,
+    policy_iteration,
+    q_kernel_from_value,
+)
 from slqr.system import CostModel, SystemModel
 from slqr.testing import random_admissible_gain, random_admissible_system
 
@@ -80,6 +87,52 @@ def test_argument_validation(sec6):
         policy_iteration(model, cost, np.zeros((3, 3)), tol=0.0)
     with pytest.raises(ValidationError, match="max_iter"):
         policy_iteration(model, cost, np.zeros((3, 3)), max_iter=0)
+
+
+def scripted_step(next_gains, fail_at=None):
+    # step(tau, gain) that hands out next_gains[tau] with kernel "k{tau}" and
+    # cost tau, and raises a NotAdmissibleError at iteration fail_at.
+    def step(tau, gain):
+        if tau == fail_at:
+            raise NotAdmissibleError("scripted failure", spectral_radius=1.2)
+        return f"k{tau}", float(tau), np.array([[next_gains[tau]]])
+    return step
+
+
+def test_driver_stops_at_the_first_gain_step_below_tol():
+    step = scripted_step([1.0, 0.5, 0.5 + 1e-3, 0.5 + 1.1e-3])
+    trace = evaluate_improve(np.array([[2.0]]), step, tol=1e-2, max_iter=10)
+    assert trace.converged and trace.iterations == 3
+    assert [g[0, 0] for g in trace.gains] == [2.0, 1.0, 0.5, 0.5 + 1e-3]
+    assert trace.kernels == ["k0", "k1", "k2"]
+    assert trace.costs == [0.0, 1.0, 2.0]
+
+
+def test_driver_reports_max_iter_exhaustion():
+    trace = evaluate_improve(np.array([[0.0]]), scripted_step([1.0, 2.0, 3.0, 4.0]),
+                             tol=1e-2, max_iter=3)
+    assert not trace.converged and trace.iterations == 3
+    assert len(trace.gains) == 4 and len(trace.kernels) == len(trace.costs) == 3
+
+
+def test_driver_names_the_iteration_and_keeps_the_error():
+    step = scripted_step([1.0, 2.0, 3.0], fail_at=2)
+    with pytest.raises(NotAdmissibleError, match="^iteration 2: scripted failure$") as err:
+        evaluate_improve(np.array([[0.0]]), step, tol=1e-2, max_iter=10)
+    assert err.value.spectral_radius == 1.2
+
+
+def test_model_based_failure_names_its_iteration(sec6, monkeypatch):
+    model, cost = sec6
+
+    def failing_solve(*args):
+        raise SingularSystemError("scripted failure")
+
+    # slqr.policy_iteration names the function, so fetch the module itself.
+    module = importlib.import_module("slqr.policy_iteration")
+    monkeypatch.setattr(module, "solve_value_kernel", failing_solve)
+    with pytest.raises(SingularSystemError, match="^iteration 0: scripted failure$"):
+        policy_iteration(model, cost, np.zeros((3, 3)))
 
 
 def test_monotone_convergence_on_random_systems():

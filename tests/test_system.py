@@ -9,8 +9,6 @@ from slqr.system import (
     SystemModel,
     noise_factor,
     simulate_closed_loop,
-    stage_cost,
-    step,
 )
 
 
@@ -70,13 +68,6 @@ def test_validate_rejects_wrong_channel_shape():
         model.validate()
 
 
-def test_stage_cost_examples():
-    cost = CostModel(Q=np.eye(3), R=np.eye(3))
-    assert stage_cost(cost, np.array([1.0, 0, 0]), np.array([0, 2.0, 0])) == 5.0
-    assert stage_cost(cost, np.zeros(3), np.zeros(3)) == 0.0
-    assert stage_cost(cost, np.ones(3), np.ones(3)) == 6.0
-
-
 def test_noise_factor_reproduces_covariance():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -90,25 +81,6 @@ def test_noise_factor_reproduces_covariance():
     np.testing.assert_allclose(fac @ fac.T, cov, atol=1e-12)
     with pytest.raises(ValidationError):
         noise_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-def test_step_deterministic_limit_is_exact():
-    model = det_model([[0.9, 0.1], [0.0, 0.8]], [[1.0], [0.5]])
-    x = np.array([1.0, -2.0])
-    u = np.array([0.3])
-    out = step(model, x, u, np.random.default_rng(0))
-    np.testing.assert_array_equal(out, model.A @ x + model.B @ u)
-
-
-def test_step_is_seed_deterministic(sec6):
-    model, _ = sec6
-    x = np.ones(3)
-    u = np.full(3, 0.5)
-    a = step(model, x, u, np.random.default_rng(9))
-    b = step(model, x, u, np.random.default_rng(9))
-    np.testing.assert_array_equal(a, b)
-    c = step(model, x, u, np.random.default_rng(10))
-    assert not np.array_equal(a, c)
 
 
 def test_simulate_length_contract(sec6):
