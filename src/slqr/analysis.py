@@ -9,6 +9,15 @@ channels, B_j L for input channels). Its matrix form M = sum_c F_c kron F_c
 acting on row-major vec(X) decides mean-square stability (rho(M) < 1), gives
 the stationary state covariance, and, through its transpose, solves the
 cost-side linear equation for the value kernel P of a fixed gain.
+
+is_admissible decides stability exactly, from the eigenvalues of M: O(n^6)
+work. stationary_covariance and solve_value_kernel solve first, and accept
+the gain when their solution X is a Lyapunov certificate of
+rho(M) < 1 - ADMISSIBILITY_MARGIN, which is is_admissible's own rule (see
+_certified); no eigenvalue problem runs then. Otherwise (X not positive
+definite, e.g. P = 0 for Q = 0 at the zero gain; a bound inside the margin;
+a singular or non-finite solve) they fall back to is_admissible, and an
+inadmissible gain raises NotAdmissibleError with the exact spectral radius.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ def closed_loop_factors(model: SystemModel, gain: np.ndarray) -> list[np.ndarray
     n, m = model.state_dim, model.input_dim
     if gain.shape != (m, n):
         raise ValidationError(f"gain must have shape {(m, n)}, got {gain.shape}")
+    if not np.isfinite(gain).all():
+        raise ValidationError("gain has non-finite entries")
     factors = [model.A + model.B @ gain]
     for mat, var in model.state_noise:
         factors.append(np.sqrt(var) * mat)
@@ -60,37 +71,76 @@ def moment_operator(model: SystemModel, gain: np.ndarray) -> MomentOperator:
 
 def is_admissible(model: SystemModel, gain: np.ndarray,
                   margin: float = ADMISSIBILITY_MARGIN) -> tuple[bool, float]:
-    """Mean-square stability check. Returns (flag, spectral radius of M)."""
-    op = moment_operator(model, gain)
+    """Mean-square stability check. Returns (flag, spectral radius of M).
+
+    Exact: the eigenvalues of the n^2 x n^2 matrix M. A finite gain so large
+    that M overflows gives (False, inf).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = moment_operator(model, gain)
+    if not np.isfinite(op.matrix).all():
+        return False, np.inf
     rho = float(np.abs(np.linalg.eigvals(op.matrix)).max())
     return rho < 1.0 - margin, rho
 
 
-def _fixed_point(model: SystemModel, gain: np.ndarray, rhs: np.ndarray,
-                 dual: bool, name: str) -> tuple[np.ndarray, float]:
-    """Solve (I - M) vec(X) = rhs, or (I - M^T) vec(X) = rhs when dual, for
-    an admissible gain. Returns (symmetric X, spectral radius of M)."""
-    op = moment_operator(model, gain)
+def _exact_radius(model: SystemModel, gain: np.ndarray) -> float:
+    """Spectral radius of M from is_admissible; NotAdmissibleError if too large."""
     admissible, rho = is_admissible(model, gain)
     if not admissible:
         raise NotAdmissibleError(
             f"gain is not admissible: moment spectral radius {rho:.6f} >= 1",
             spectral_radius=rho,
         )
+    return rho
+
+
+def _certified(factors: list[np.ndarray], x: np.ndarray, dual: bool) -> bool:
+    """Whether the solution x of X = T(X) + C certifies rho(M) < 1 - margin.
+
+    T(X) = sum_c F_c X F_c^T, or T*(X) = sum_c F_c^T X F_c when dual, is a
+    positive map with spectral radius rho(M). If X > 0 and Y = X - T(X) > 0,
+    then T(X) <= (1 - lmin(Y)/lmax(X)) X, so rho(M) <= 1 - lmin(Y)/lmax(X).
+    Y is formed from the X that is returned, not from C, so the bound holds
+    for the computed X.
+    """
+    if not np.isfinite(x).all():
+        return False
+    x = (x + x.T) / 2.0   # what symmetrize returns
+    x_eigs = np.linalg.eigvalsh(x)
+    if x_eigs[0] <= 0:
+        return False
+    mapped = sum(f.T @ x @ f if dual else f @ x @ f.T for f in factors)
+    return np.linalg.eigvalsh(x - mapped)[0] > ADMISSIBILITY_MARGIN * x_eigs[-1]
+
+
+def _fixed_point(model: SystemModel, gain: np.ndarray, rhs: np.ndarray,
+                 dual: bool, name: str) -> np.ndarray:
+    """Solve (I - M) vec(X) = rhs, or (I - M^T) vec(X) = rhs when dual, for
+    an admissible gain, and return the symmetric X.
+
+    The gain's admissibility is certified from X itself (_certified); only
+    when that fails does the exact eigenvalue check of is_admissible run.
+    """
+    op = moment_operator(model, gain)
     n = model.state_dim
     eye = np.eye(n * n)
     try:
         x_vec = np.linalg.solve(eye - (op.matrix.T if dual else op.matrix), rhs)
     except np.linalg.LinAlgError as exc:
+        rho = _exact_radius(model, gain)
         raise SingularSystemError(
             f"{name} equation is singular (spectral radius {rho:.6f})"
         ) from exc
-    return symmetrize(x_vec.reshape(n, n), rtol=1e-6), rho
+    x = x_vec.reshape(n, n)
+    if not _certified(closed_loop_factors(model, gain), x, dual):
+        _exact_radius(model, gain)
+    return symmetrize(x, rtol=1e-6)
 
 
 def stationary_covariance(model: SystemModel, gain: np.ndarray) -> np.ndarray:
     """Fixed point X = T(X) + D of the covariance propagation."""
-    x, _ = _fixed_point(model, gain, model.D.ravel(), dual=False, name="covariance")
+    x = _fixed_point(model, gain, model.D.ravel(), dual=False, name="covariance")
     eigs = np.linalg.eigvalsh(x)
     if eigs.min() < -1e-10 * max(1.0, eigs.max()):
         raise SingularSystemError(
@@ -108,13 +158,15 @@ def solve_value_kernel(model: SystemModel, cost: CostModel,
     (I - M^T) vec(P) = vec(Q + L^T R L).
     """
     gain = np.asarray(gain, dtype=float)
+    factors = closed_loop_factors(model, gain)   # checks the gain first
     rhs = cost.Q + gain.T @ cost.R @ gain
-    p, rho = _fixed_point(model, gain, rhs.ravel(), dual=True, name="value-kernel")
+    p = _fixed_point(model, gain, rhs.ravel(), dual=True, name="value-kernel")
 
     # Residual guard: the solve must reproduce the defining equation.
-    recon = sum(f.T @ p @ f for f in closed_loop_factors(model, gain)) + rhs
+    recon = sum(f.T @ p @ f for f in factors) + rhs
     rel = np.linalg.norm(recon - p) / max(np.linalg.norm(p), 1.0)
     if rel > 1e-8:
+        _, rho = is_admissible(model, gain)
         raise SingularSystemError(
             f"value-kernel solve residual {rel:.3e} too large "
             f"(spectral radius {rho:.6f})"

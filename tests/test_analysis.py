@@ -1,7 +1,13 @@
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slqr.analysis import (
+    ADMISSIBILITY_MARGIN,
     average_cost,
     closed_loop_factors,
     input_weight,
@@ -13,6 +19,7 @@ from slqr.analysis import (
     stationary_covariance,
 )
 from slqr.errors import NotAdmissibleError, UnreliableKernelError, ValidationError
+from slqr.policy_iteration import policy_iteration
 from slqr.system import CostModel, SystemModel
 from slqr.testing import random_admissible_gain, random_admissible_system
 
@@ -202,3 +209,129 @@ def test_solvers_agree_on_random_instances():
                 break
             pfp = p_next
         assert np.linalg.norm(p - pfp) / np.linalg.norm(p) <= 1e-10
+
+
+# Entry points that take a gain, called as entry(model, cost, gain).
+GAIN_ENTRY_POINTS = {
+    "is_admissible": lambda model, cost, gain: is_admissible(model, gain),
+    "stationary_covariance": lambda model, cost, gain: stationary_covariance(model, gain),
+    "solve_value_kernel": solve_value_kernel,
+    "policy_iteration": policy_iteration,
+}
+FIXED_POINT_SOLVERS = ("stationary_covariance", "solve_value_kernel")
+
+
+@pytest.mark.parametrize("entry", sorted(GAIN_ENTRY_POINTS))
+@pytest.mark.parametrize("gain, message", [
+    (np.where(np.eye(3) > 0, np.nan, 0.0), "non-finite"),
+    (np.where(np.eye(3) > 0, np.inf, 0.0), "non-finite"),
+    (np.zeros((3, 2)), "shape"),
+], ids=["nan", "inf", "shape"])
+def test_malformed_gain_is_a_validation_error(sec6, entry, gain, message):
+    model, cost = sec6
+    with pytest.raises(ValidationError, match=message):
+        GAIN_ENTRY_POINTS[entry](model, cost, gain)
+
+
+def test_overflowing_gain_is_not_admissible(sec6):
+    # Finite, but the Kronecker products of the moment operator overflow.
+    model, cost = sec6
+    assert is_admissible(model, 1e200 * np.eye(3)) == (False, np.inf)
+    for entry in FIXED_POINT_SOLVERS:
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NotAdmissibleError) as err:
+            GAIN_ENTRY_POINTS[entry](model, cost, 1e200 * np.eye(3))
+        assert err.value.spectral_radius == np.inf
+
+
+@pytest.mark.parametrize("entry", FIXED_POINT_SOLVERS)
+def test_bound_inside_the_margin_falls_back_to_the_exact_check(entry):
+    # rho = 1 - 1e-12: the solve succeeds (X ~ 1e12), but its certificate
+    # only bounds rho by about 1 - 1e-12, inside the margin, so the exact
+    # check decides, and rejects.
+    model = scalar_model(0.0, state_noise=[([[1.0]], 1.0 - 1e-12)])
+    _, rho = is_admissible(model, L0_1)
+    assert 1.0 - ADMISSIBILITY_MARGIN < rho < 1.0
+    with pytest.raises(NotAdmissibleError) as err:
+        GAIN_ENTRY_POINTS[entry](model, SCALAR_COST, L0_1)
+    assert err.value.spectral_radius == rho
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       log_scale=st.one_of(st.none(), st.floats(-1.5, 1.0)),
+       zero_q=st.booleans())
+@example(seed=0, log_scale=None, zero_q=True)   # P = 0: no certificate
+def test_fixed_point_solvers_reject_exactly_the_inadmissible_gains(seed, log_scale, zero_q):
+    # Gains scaled across the stability boundary: a solver raises
+    # NotAdmissibleError iff is_admissible rejects the gain, and a solution
+    # X > 0 brackets the exact radius with its Lyapunov gap Y = X - T(X):
+    # 1 - lmax(Y)/lmin(X) <= rho <= 1 - lmin(Y)/lmax(X).
+    rng = np.random.default_rng(seed)
+    model, cost = random_admissible_system(rng)
+    if zero_q:
+        cost = CostModel(Q=np.zeros_like(cost.Q), R=cost.R)
+    gain = np.zeros((model.input_dim, model.state_dim))
+    if log_scale is not None:
+        direction = rng.normal(size=gain.shape)
+        gain = 10.0 ** log_scale * direction / np.linalg.norm(direction)
+    admissible, rho = is_admissible(model, gain)
+    for entry, dual in (("stationary_covariance", False), ("solve_value_kernel", True)):
+        if not admissible:
+            with pytest.raises(NotAdmissibleError) as err:
+                GAIN_ENTRY_POINTS[entry](model, cost, gain)
+            assert err.value.spectral_radius == rho
+            continue
+        x = GAIN_ENTRY_POINTS[entry](model, cost, gain)
+        x_eigs = np.linalg.eigvalsh(x)
+        if x_eigs[0] <= 0:
+            continue
+        factors = closed_loop_factors(model, gain)
+        y = x - sum(f.T @ x @ f if dual else f @ x @ f.T for f in factors)
+        y_eigs = np.linalg.eigvalsh(y)
+        tol = 1e-9
+        assert 1.0 - y_eigs[-1] / x_eigs[0] - tol <= rho <= 1.0 - y_eigs[0] / x_eigs[-1] + tol
+
+
+def test_admissibility_work_counts(sec6, monkeypatch):
+    # A certified solve runs no eigenvalue problem and builds M once;
+    # policy_iteration keeps one exact check, for its initial gain.
+    analysis = importlib.import_module("slqr.analysis")
+    pi_module = importlib.import_module("slqr.policy_iteration")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "moment_operator",
+                        counted("moment_operator", analysis.moment_operator))
+    checked = counted("is_admissible", analysis.is_admissible)
+    monkeypatch.setattr(analysis, "is_admissible", checked)
+    monkeypatch.setattr(pi_module, "is_admissible", checked)
+    model, cost = sec6
+
+    solve_value_kernel(model, cost, L0_3)
+    assert (calls["is_admissible"], calls["moment_operator"]) == (0, 1)
+
+    calls.clear()
+    trace = policy_iteration(model, cost, L0_3)
+    assert calls["is_admissible"] == 1
+    assert calls["moment_operator"] == 1 + trace.iterations
+
+    # On a non-normal loop only each equation's own map certifies: the
+    # transposed one leaves X - A^T X A (X - A X A^T for P) indefinite.
+    calls.clear()
+    shear = SystemModel(A=[[0.0, 2.0], [0.0, 0.0]], B=np.eye(2), D=np.eye(2),
+                        X0=np.eye(2))
+    stationary_covariance(shear, np.zeros((2, 2)))
+    solve_value_kernel(shear, CostModel(Q=np.eye(2), R=np.eye(2)), np.zeros((2, 2)))
+    assert calls["is_admissible"] == 0
+
+    # Q = 0 at the zero gain gives P = 0, which certifies nothing.
+    calls.clear()
+    p = solve_value_kernel(model, CostModel(Q=np.zeros((3, 3)), R=cost.R), L0_3)
+    assert not p.any()
+    assert (calls["is_admissible"], calls["moment_operator"]) == (1, 2)
