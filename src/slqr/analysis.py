@@ -89,7 +89,7 @@ def _exact_radius(model: SystemModel, gain: np.ndarray) -> float:
     admissible, rho = is_admissible(model, gain)
     if not admissible:
         raise NotAdmissibleError(
-            f"gain is not admissible: moment spectral radius {rho:.6f} >= 1",
+            f"gain is not admissible: moment spectral radius {rho:.6g} >= 1",
             spectral_radius=rho,
         )
     return rho
@@ -122,7 +122,10 @@ def _fixed_point(model: SystemModel, gain: np.ndarray, rhs: np.ndarray,
     The gain's admissibility is certified from X itself (_certified); only
     when that fails does the exact eigenvalue check of is_admissible run.
     """
-    op = moment_operator(model, gain)
+    # A finite gain whose operator overflows fails the certificate below, and
+    # is_admissible rejects it with rho = inf; numpy need not warn on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = moment_operator(model, gain)
     n = model.state_dim
     eye = np.eye(n * n)
     try:
@@ -130,7 +133,7 @@ def _fixed_point(model: SystemModel, gain: np.ndarray, rhs: np.ndarray,
     except np.linalg.LinAlgError as exc:
         rho = _exact_radius(model, gain)
         raise SingularSystemError(
-            f"{name} equation is singular (spectral radius {rho:.6f})"
+            f"{name} equation is singular (spectral radius {rho:.6g})"
         ) from exc
     x = x_vec.reshape(n, n)
     if not _certified(closed_loop_factors(model, gain), x, dual):
@@ -159,7 +162,8 @@ def solve_value_kernel(model: SystemModel, cost: CostModel,
     """
     gain = np.asarray(gain, dtype=float)
     factors = closed_loop_factors(model, gain)   # checks the gain first
-    rhs = cost.Q + gain.T @ cost.R @ gain
+    with np.errstate(over="ignore", invalid="ignore"):   # as in _fixed_point
+        rhs = cost.Q + gain.T @ cost.R @ gain
     p = _fixed_point(model, gain, rhs.ravel(), dual=True, name="value-kernel")
 
     # Residual guard: the solve must reproduce the defining equation.
@@ -169,7 +173,7 @@ def solve_value_kernel(model: SystemModel, cost: CostModel,
         _, rho = is_admissible(model, gain)
         raise SingularSystemError(
             f"value-kernel solve residual {rel:.3e} too large "
-            f"(spectral radius {rho:.6f})"
+            f"(spectral radius {rho:.6g})"
         )
     return p
 

@@ -140,7 +140,7 @@ def run_experiment(config: ExperimentConfig,
             flush(partial=True)
             raise NotAdmissibleError(
                 f"method model_free: initial gain is not admissible "
-                f"(moment spectral radius {rho:.6f})",
+                f"(moment spectral radius {rho:.6g})",
                 spectral_radius=rho,
             )
         per_seed: dict = {}

@@ -154,7 +154,7 @@ def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarr
     admissible, rho = is_admissible(model, gain)
     if not admissible:
         raise NotAdmissibleError(
-            f"initial gain is not admissible: moment spectral radius {rho:.6f} >= 1",
+            f"initial gain is not admissible: moment spectral radius {rho:.6g} >= 1",
             spectral_radius=rho,
         )
 

@@ -64,15 +64,20 @@ def features(z: np.ndarray) -> np.ndarray:
 
 
 def feature_matrix(states: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Rows of quadratic features for a batch of stacked (state, input) pairs."""
-    z = np.hstack([states, inputs])              # (N, r)
-    r = z.shape[1]
-    out = np.empty((z.shape[0], packed_length(r)))
+    """Rows of quadratic features for a batch of stacked (state, input) pairs.
+
+    Returns the (N, s) matrix whose row k is features(z_k), as the transpose
+    view of an (s, N) array: each feature z_i z_j is written as one
+    contiguous run along the sample axis.
+    """
+    z = np.vstack([states.T, inputs.T])          # (r, N), rows contiguous
+    r = z.shape[0]
+    out = np.empty((packed_length(r), z.shape[1]))
     start = 0
-    for i in range(r):   # row i of the upper triangle, written in place
-        np.multiply(z[:, i:i + 1], z[:, i:], out=out[:, start:start + r - i])
+    for i in range(r):   # row i of the upper triangle: z_i z_j for j >= i
+        np.multiply(z[i], z[i:], out=out[start:start + r - i])
         start += r - i
-    return out
+    return out.T
 
 
 def noise_shape_kernel(gain: np.ndarray, additive_cov: np.ndarray) -> np.ndarray:

@@ -10,15 +10,31 @@ mutually independent across channels and time, and x_0 ~ N(0, X0).
 
 Under feedback u_k = L x_k + e_k a step is x_{k+1} = M_k x_k + b_k with
 M_k = A_eff,k + B_eff,k L and b_k = B_eff,k e_k + d_k. The rollout works in
-blocks of ROLLOUT_BLOCK steps: it draws a block's noise at once, forms every
-M_k and b_k of the block with one einsum each, and leaves the matrix-vector
-step as the only per-step work. Inputs and stage costs are formed from the
-block's states afterwards, so working memory beyond the returned arrays is
-O(ROLLOUT_BLOCK * n^2) whatever the rollout length.
+windows of ROLLOUT_BLOCK steps: it draws a window's noise at once and forms
+every M_k and b_k of the window with a few matrix products. The affine
+recurrence is then solved by a two-level scan (the blocked prefix scan of
+affine maps; Blelloch, "Prefix sums and their applications", 1990): the
+window is split into lanes of about sqrt(ROLLOUT_BLOCK) steps, all lanes
+compose their step maps at once in batched n x (n+1) products, the lane-start
+states follow serially, and one batched product turns every lane's maps into
+states (see _lane_scan). That is about 2 sqrt(ROLLOUT_BLOCK) Python-level
+steps per window instead of ROLLOUT_BLOCK. Inputs and stage costs are formed
+from the window's states afterwards, so working memory beyond the returned
+arrays is O(ROLLOUT_BLOCK * n^2) whatever the rollout length.
+
+The scan does O(n^3) work per step where a step-by-step loop does O(n^2).
+On 42000-step rollouts (m = n/2; a 2-core Intel Xeon, one BLAS thread) it
+is still faster up to n of about 15 (n = 10: 112-129 ms against 182-236 ms
+for the loop), level at n = 20 (347-372 against 378-385 ms) and about 1.2
+times slower at n = 30. At n = 30 the learner's fit over
+s = (n+m)(n+m+1)/2 = 1035 features costs s^2 N = 4.5e10 multiply-adds per
+rollout, which dwarfs the rollout, so there is one rollout path and no
+size-dependent switch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +44,8 @@ from .errors import ValidationError
 # Definiteness margin: smallest eigenvalue must exceed this for a PD check.
 PD_EIG_FLOOR = 1e-12
 
-# Steps per block of a closed-loop rollout (see the module docstring).
-ROLLOUT_BLOCK = 1024
+# Steps per window of a closed-loop rollout (see the module docstring).
+ROLLOUT_BLOCK = 4096
 
 
 def _as_matrix(mat, name: str) -> np.ndarray:
@@ -198,6 +214,40 @@ def _quadratic_forms(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return ((rows @ weight)[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
+def _lane_scan(loop: np.ndarray, drive: np.ndarray, x: np.ndarray,
+               out: np.ndarray) -> None:
+    """Write x_{k+1} = M_k x_k + b_k into out[k] for every k, from x_0 = x.
+
+    The w steps are split into lanes of c = isqrt(w) steps, the last lane
+    padded with M = 0, b = 0. Every lane starts from the identity map and
+    advances its c steps in lock-step with the others, carrying the affine
+    map [P | y] from its start state to its current state, so that a step is
+    one batched matmul by [M_k | b_k]. The lane-start states then follow
+    serially, one step per lane, and every state is P x_start + y. That is
+    about 2 sqrt(w) Python-level steps in place of w.
+    """
+    steps, n = drive.shape
+    width = math.isqrt(steps)
+    lanes = -(-steps // width)
+    step_maps = np.zeros((lanes * width, n, n + 1))
+    step_maps[:steps, :, :n] = loop
+    step_maps[:steps, :, n] = drive
+    step_maps = step_maps.reshape(lanes, width, n, n + 1)
+    # maps[l, j] = [[P, y], [0, 1]] takes lane l's start state to its state
+    # after step j + 1; the bottom row keeps it affine.
+    maps = np.zeros((lanes, width, n + 1, n + 1))
+    maps[:, :, n, n] = 1.0
+    maps[:, 0, :n] = step_maps[:, 0]
+    for j in range(1, width):
+        np.matmul(step_maps[:, j], maps[:, j - 1], out=maps[:, j, :n])
+    starts = np.ones((lanes, n + 1))
+    starts[0, :n] = x
+    for lane in range(1, lanes):
+        np.dot(maps[lane - 1, -1], starts[lane - 1], out=starts[lane])
+    rows = np.matmul(maps[:, :, :n], starts[:, None, :, None])
+    out[...] = rows.reshape(lanes * width, n)[:steps]
+
+
 def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
                          n_steps: int, probe_var: float, seed) -> Trajectory:
     """Roll out u_k = gain @ x_k + e_k with e_k ~ N(0, probe_var * I).
@@ -206,8 +256,8 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     m-vector probe (drawn even when probe_var == 0, so the noise stream does
     not depend on the probe setting), p + q channel scalars, and the n-vector
     for the additive noise. Costs are charged on the input actually applied.
-    The block size does not change the draws: each block takes the next rows
-    of the same stream.
+    The window size does not change the draws: each window takes the next
+    rows of the same stream.
     """
     gain = np.asarray(gain, dtype=float)
     n, m = model.state_dim, model.input_dim
@@ -228,8 +278,10 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     # for an input channel; B_j alone carries the probe.
     loop_dirs = np.array([mat for mat, _ in model.state_noise]
                          + [mat @ gain for mat, _ in model.input_noise])
-    loop_dirs = loop_dirs.reshape(p + q, n, n)
-    probe_dirs = np.array([mat for mat, _ in model.input_noise]).reshape(q, n, m)
+    loop_dirs = loop_dirs.reshape(p + q, n * n)
+    # The B_j^T side by side, (m, q*n), so that one matmul gives every B_j e_k.
+    probe_dirs_t = np.array([mat.T for mat, _ in model.input_noise]).reshape(q, m, n)
+    probe_dirs_t = probe_dirs_t.transpose(1, 0, 2).reshape(m, q * n)
     mean_loop = model.A + model.B @ gain
 
     states = np.empty((n_steps + 1, n))
@@ -237,25 +289,22 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     costs = np.empty(n_steps)
 
     states[0] = x0_factor @ rng.standard_normal(n)
-    x = states[0]
     for start in range(0, n_steps, ROLLOUT_BLOCK):
         stop = min(start + ROLLOUT_BLOCK, n_steps)
         draws = rng.standard_normal((stop - start, m + p + q + n))
         probes = np.sqrt(probe_var) * draws[:, :m]
         channels = sqrt_vars * draws[:, m:m + p + q]
-        loop = mean_loop + np.einsum("kc,cij->kij", channels, loop_dirs)
+        loop = mean_loop + (channels @ loop_dirs).reshape(stop - start, n, n)
+        probe_terms = (probes @ probe_dirs_t).reshape(stop - start, q, n)
         drive = (probes @ model.B.T + draws[:, m + p + q:] @ d_factor.T
-                 + np.einsum("kj,jab,kb->ka", channels[:, p:], probe_dirs, probes))
-        # x_{k+1} = M_k x_k + b_k, written straight into its row of states.
-        for loop_k, drive_k, row in zip(loop, drive, states[start + 1:stop + 1]):
-            np.add(np.dot(loop_k, x), drive_k, out=row)
-            x = row
+                 + np.einsum("kj,kja->ka", channels[:, p:], probe_terms))
         block_states = states[start:stop]
+        _lane_scan(loop, drive, block_states[0], out=states[start + 1:stop + 1])
         block_inputs = block_states @ gain.T + probes
         inputs[start:stop] = block_inputs
         costs[start:stop] = (_quadratic_forms(block_states, cost.Q)
                              + _quadratic_forms(block_inputs, cost.R))
 
-    inputs[n_steps] = gain @ x
+    inputs[n_steps] = gain @ states[n_steps]
     seed_int = seed if isinstance(seed, (int, np.integer)) else -1
     return Trajectory(states=states, inputs=inputs, costs=costs, seed=int(seed_int))

@@ -1,4 +1,5 @@
 import importlib
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -242,6 +243,30 @@ def test_overflowing_gain_is_not_admissible(sec6):
                 pytest.raises(NotAdmissibleError) as err:
             GAIN_ENTRY_POINTS[entry](model, cost, 1e200 * np.eye(3))
         assert err.value.spectral_radius == np.inf
+
+
+def test_overflowing_gain_raises_without_numpy_warnings(sec6):
+    model, cost = sec6
+    for entry in FIXED_POINT_SOLVERS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAdmissibleError) as err:
+                GAIN_ENTRY_POINTS[entry](model, cost, 1e200 * np.eye(3))
+        assert err.value.spectral_radius == np.inf
+
+
+def test_huge_radius_gives_a_short_message(sec6):
+    # rho ~ 1e100 and 1e200: the message must not spell out every digit.
+    model, cost = sec6
+    for scale in (1e50, 1e100):
+        gain = scale * np.eye(3)
+        _, rho = is_admissible(model, gain)
+        assert np.isfinite(rho) and rho > 1e99
+        for entry in ("stationary_covariance", "solve_value_kernel", "policy_iteration"):
+            with pytest.raises(NotAdmissibleError) as err:
+                GAIN_ENTRY_POINTS[entry](model, cost, gain)
+            assert len(str(err.value)) < 100
+            assert err.value.spectral_radius == rho
 
 
 @pytest.mark.parametrize("entry", FIXED_POINT_SOLVERS)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from slqr.analysis import moment_operator, solve_value_kernel, stationary_covariance
+from slqr.config import fixture_path, load_config
 from slqr.errors import ValidationError
 from slqr.system import (
     ROLLOUT_BLOCK,
@@ -10,6 +13,7 @@ from slqr.system import (
     noise_factor,
     simulate_closed_loop,
 )
+from slqr.testing import random_admissible_gain, random_admissible_system
 
 
 def scalar_model(a=0.5, b=1.0, d=1.0, state_noise=(), input_noise=()):
@@ -152,13 +156,32 @@ def replay_closed_loop(model, cost, gain, n_steps, probe_var, seed):
 def test_simulate_matches_per_step_replay(sec6, sec6_reference):
     model, cost = sec6
     _, l_star, _ = sec6_reference
-    n_steps = 2 * ROLLOUT_BLOCK + 37
-    for gain in (np.zeros((3, 3)), l_star):
-        traj = simulate_closed_loop(model, cost, gain, n_steps, 0.64, 8)
+    lane = math.isqrt(ROLLOUT_BLOCK)
+    long_run = 2 * ROLLOUT_BLOCK + 37
+    # Larger n with both channel kinds, and a plant without input channels.
+    rng = np.random.default_rng(0)
+    wide, wide_cost = random_admissible_system(rng, max_state_dim=6)
+    assert wide.state_dim >= 4 and wide.state_noise and wide.input_noise
+    smoke = load_config(fixture_path("scalar_smoke"))
+    assert not smoke.model.input_noise
+    cases = [(model, cost, gain, n_steps)
+             for gain in (np.zeros((3, 3)), l_star)
+             for n_steps in (1, 2, lane - 1, lane + 1, long_run)]
+    cases += [(wide, wide_cost, random_admissible_gain(wide, rng), n_steps)
+              for n_steps in (lane + 1, long_run)]
+    cases += [(smoke.model, smoke.cost, np.array([[-0.2]]), long_run)]
+    for plant, plant_cost, gain, n_steps in cases:
+        traj = simulate_closed_loop(plant, plant_cost, gain, n_steps, 0.64, 8)
         for got, want in zip((traj.states, traj.inputs, traj.costs),
-                             replay_closed_loop(model, cost, gain, n_steps, 0.64, 8)):
+                             replay_closed_loop(plant, plant_cost, gain, n_steps, 0.64, 8)):
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # A gain that is not mean-square stable overflows both ways.
+    with np.errstate(all="ignore"):
+        traj = simulate_closed_loop(model, cost, 0.3 * np.eye(3), long_run, 0.64, 8)
+        replayed, _, _ = replay_closed_loop(model, cost, 0.3 * np.eye(3), long_run, 0.64, 8)
+    assert not np.isfinite(traj.states[-1]).any()
+    assert not np.isfinite(replayed[-1]).any()
 
 
 def test_probe_setting_does_not_shift_the_noise_stream():
