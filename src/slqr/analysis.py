@@ -5,24 +5,33 @@ Everything here rests on one object: the closed-loop second-moment operator
     T(X) = F0 X F0^T + sum_i var_i F_i X F_i^T,    F0 = A + B L,
 
 with one scaled factor per multiplicative noise channel (A_i for state
-channels, B_j L for input channels). Its matrix form M = sum_c F_c kron F_c
-acting on row-major vec(X) decides mean-square stability (rho(M) < 1), gives
-the stationary state covariance, and, through its transpose, solves the
-cost-side linear equation for the value kernel P of a fixed gain.
+channels, B_j L for input channels). Its spectral radius decides mean-square
+stability (rho < 1); its fixed point with the additive covariance is the
+stationary state covariance, and its adjoint T*(P) = sum_c F_c^T P F_c gives
+the cost-side linear equation for the value kernel P of a fixed gain.
 
-is_admissible decides stability exactly, from the eigenvalues of M: O(n^6)
-work. stationary_covariance and solve_value_kernel solve first, and accept
-the gain when their solution X is a Lyapunov certificate of
-rho(M) < 1 - ADMISSIBILITY_MARGIN, which is is_admissible's own rule (see
-_certified); no eigenvalue problem runs then. Otherwise (X not positive
-definite, e.g. P = 0 for Q = 0 at the zero gain; a bound inside the margin;
-a singular or non-finite solve) they fall back to is_admissible, and an
-inadmissible gain raises NotAdmissibleError with the exact spectral radius.
+T maps symmetric matrices to symmetric matrices, so the solvers work in the
+s = n(n+1)/2 coordinates vech(X) (MomentOperator.packed), never with the
+n^2 x n^2 Kronecker form. This loses nothing: T commutes with transposition,
+so its spectrum is that of the symmetric block plus that of the skew block,
+and a positive map attains its spectral radius at a PSD eigenvector
+(Krein-Rutman), which lies in the symmetric block.
+
+is_admissible decides stability exactly, from the eigenvalues of the s x s
+packed matrix: O(s^3) = O(n^6/8) work, an eighth of the n^2 x n^2 form's.
+stationary_covariance and solve_value_kernel solve first, and accept the gain
+when their solution X is a Lyapunov certificate of rho < 1 -
+ADMISSIBILITY_MARGIN, which is is_admissible's own rule (see _certified); no
+eigenvalue problem runs then. Otherwise (X not positive definite, e.g. P = 0
+for Q = 0 at the zero gain; a bound inside the margin; a singular or
+non-finite solve) they fall back to is_admissible, and an inadmissible gain
+raises NotAdmissibleError with the exact spectral radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,16 +44,45 @@ from .errors import (
 from .packing import symmetrize
 from .system import CostModel, SystemModel
 
-# A gain is admissible when rho(M) < 1 - ADMISSIBILITY_MARGIN.
+# A gain is admissible when rho(T) < 1 - ADMISSIBILITY_MARGIN.
 ADMISSIBILITY_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
 class MomentOperator:
-    """Matrix of the covariance propagation X -> unvec(matrix @ vec(X)) + offset."""
+    """The covariance propagation X -> T(X) + unvec(offset), held as its factors."""
 
-    matrix: np.ndarray   # (n*n, n*n)
-    offset: np.ndarray   # (n*n,) row-major vec of the additive covariance
+    factors: list[np.ndarray]   # F_c of T(X) = sum_c F_c X F_c^T
+    offset: np.ndarray          # (n*n,) row-major vec of the additive covariance
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The defining (n*n, n*n) form sum_c F_c kron F_c on row-major vec(X).
+
+        Formed on first read only; the solvers use packed instead.
+        """
+        return sum(np.kron(f, f) for f in self.factors)
+
+    def packed(self, dual: bool = False) -> np.ndarray:
+        """T, or its adjoint T*(P) = sum_c F_c^T P F_c when dual, on symmetric
+        matrices in vech coordinates: an s x s matrix, s = n(n+1)/2.
+
+        Row (i, j) and column (a, b), i <= j and a <= b in np.triu_indices
+        order, hold sum_c F_c[i,a] F_c[j,b] + F_c[i,b] F_c[j,a], halved on the
+        diagonal columns a = b, where X[a,b] and X[b,a] are one coordinate.
+        The products are summed factor by factor, as in matrix, so at n = 1
+        the two forms agree bit for bit.
+        """
+        n = self.factors[0].shape[0]
+        rows, cols = np.triu_indices(n)
+        # terms[(i, j), a, b] = sum_c F_c[i,a] F_c[j,b]: the rows i <= j of matrix
+        terms = 0.0
+        for f in self.factors:
+            f = f.T if dual else f
+            terms = terms + np.einsum("sa,sb->sab", f[rows], f[cols])
+        packed = terms[:, rows, cols] + terms[:, cols, rows]
+        packed[:, rows == cols] *= 0.5
+        return packed
 
 
 def closed_loop_factors(model: SystemModel, gain: np.ndarray) -> list[np.ndarray]:
@@ -64,28 +102,29 @@ def closed_loop_factors(model: SystemModel, gain: np.ndarray) -> list[np.ndarray
 
 
 def moment_operator(model: SystemModel, gain: np.ndarray) -> MomentOperator:
-    factors = closed_loop_factors(model, gain)
-    mat = sum(np.kron(f, f) for f in factors)
-    return MomentOperator(matrix=mat, offset=model.D.ravel())
+    return MomentOperator(factors=closed_loop_factors(model, gain),
+                          offset=model.D.ravel())
 
 
 def is_admissible(model: SystemModel, gain: np.ndarray,
                   margin: float = ADMISSIBILITY_MARGIN) -> tuple[bool, float]:
-    """Mean-square stability check. Returns (flag, spectral radius of M).
+    """Mean-square stability check. Returns (flag, spectral radius of T).
 
-    Exact: the eigenvalues of the n^2 x n^2 matrix M. A finite gain so large
-    that M overflows gives (False, inf).
+    Exact: the eigenvalues of the s x s packed matrix of T, s = n(n+1)/2,
+    whose spectral radius is that of the n^2 x n^2 matrix (module docstring).
+    A finite gain so large that the packed matrix overflows gives
+    (False, inf).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        op = moment_operator(model, gain)
-    if not np.isfinite(op.matrix).all():
+        mat = moment_operator(model, gain).packed()
+    if not np.isfinite(mat).all():
         return False, np.inf
-    rho = float(np.abs(np.linalg.eigvals(op.matrix)).max())
+    rho = float(np.abs(np.linalg.eigvals(mat)).max())
     return rho < 1.0 - margin, rho
 
 
 def _exact_radius(model: SystemModel, gain: np.ndarray) -> float:
-    """Spectral radius of M from is_admissible; NotAdmissibleError if too large."""
+    """Spectral radius of T from is_admissible; NotAdmissibleError if too large."""
     admissible, rho = is_admissible(model, gain)
     if not admissible:
         raise NotAdmissibleError(
@@ -96,17 +135,17 @@ def _exact_radius(model: SystemModel, gain: np.ndarray) -> float:
 
 
 def _certified(factors: list[np.ndarray], x: np.ndarray, dual: bool) -> bool:
-    """Whether the solution x of X = T(X) + C certifies rho(M) < 1 - margin.
+    """Whether the symmetric solution x of X = T(X) + C certifies
+    rho(T) < 1 - margin.
 
     T(X) = sum_c F_c X F_c^T, or T*(X) = sum_c F_c^T X F_c when dual, is a
-    positive map with spectral radius rho(M). If X > 0 and Y = X - T(X) > 0,
-    then T(X) <= (1 - lmin(Y)/lmax(X)) X, so rho(M) <= 1 - lmin(Y)/lmax(X).
+    positive map with spectral radius rho(T). If X > 0 and Y = X - T(X) > 0,
+    then T(X) <= (1 - lmin(Y)/lmax(X)) X, so rho(T) <= 1 - lmin(Y)/lmax(X).
     Y is formed from the X that is returned, not from C, so the bound holds
     for the computed X.
     """
     if not np.isfinite(x).all():
         return False
-    x = (x + x.T) / 2.0   # what symmetrize returns
     x_eigs = np.linalg.eigvalsh(x)
     if x_eigs[0] <= 0:
         return False
@@ -114,36 +153,42 @@ def _certified(factors: list[np.ndarray], x: np.ndarray, dual: bool) -> bool:
     return np.linalg.eigvalsh(x - mapped)[0] > ADMISSIBILITY_MARGIN * x_eigs[-1]
 
 
-def _fixed_point(model: SystemModel, gain: np.ndarray, rhs: np.ndarray,
-                 dual: bool, name: str) -> np.ndarray:
-    """Solve (I - M) vec(X) = rhs, or (I - M^T) vec(X) = rhs when dual, for
-    an admissible gain, and return the symmetric X.
+def _fixed_point(model: SystemModel, gain: np.ndarray, op: MomentOperator,
+                 rhs: np.ndarray, dual: bool, name: str) -> np.ndarray:
+    """Solve X = T(X) + C, or X = T*(X) + C when dual, for an admissible
+    gain and a symmetric n x n C, and return the symmetric X.
 
-    The gain's admissibility is certified from X itself (_certified); only
-    when that fails does the exact eigenvalue check of is_admissible run.
+    The solve is (I - op.packed(dual)) vech(X) = vech(C) on the symmetric
+    subspace; only the upper triangle of C is read. The gain's admissibility
+    is certified from X itself (_certified); only when that fails does the
+    exact eigenvalue check of is_admissible run.
     """
-    # A finite gain whose operator overflows fails the certificate below, and
-    # is_admissible rejects it with rho = inf; numpy need not warn on the way.
+    rows, cols = np.triu_indices(model.state_dim)
+    # A finite gain whose operator overflows fails the solve or the
+    # certificate below, and is_admissible rejects it with rho = inf; numpy
+    # need not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        op = moment_operator(model, gain)
-    n = model.state_dim
-    eye = np.eye(n * n)
+        mat = op.packed(dual)
     try:
-        x_vec = np.linalg.solve(eye - (op.matrix.T if dual else op.matrix), rhs)
+        x_vech = np.linalg.solve(np.eye(len(rows)) - mat, rhs[rows, cols])
     except np.linalg.LinAlgError as exc:
         rho = _exact_radius(model, gain)
         raise SingularSystemError(
             f"{name} equation is singular (spectral radius {rho:.6g})"
         ) from exc
-    x = x_vec.reshape(n, n)
-    if not _certified(closed_loop_factors(model, gain), x, dual):
+    x = np.empty_like(rhs)
+    x[rows, cols] = x_vech
+    x[cols, rows] = x_vech
+    if not _certified(op.factors, x, dual):
         _exact_radius(model, gain)
-    return symmetrize(x, rtol=1e-6)
+    return x
 
 
 def stationary_covariance(model: SystemModel, gain: np.ndarray) -> np.ndarray:
     """Fixed point X = T(X) + D of the covariance propagation."""
-    x = _fixed_point(model, gain, model.D.ravel(), dual=False, name="covariance")
+    with np.errstate(over="ignore", invalid="ignore"):   # as in is_admissible
+        op = moment_operator(model, gain)
+    x = _fixed_point(model, gain, op, model.D, dual=False, name="covariance")
     eigs = np.linalg.eigvalsh(x)
     if eigs.min() < -1e-10 * max(1.0, eigs.max()):
         raise SingularSystemError(
@@ -157,17 +202,17 @@ def solve_value_kernel(model: SystemModel, cost: CostModel,
     """Value kernel P of a fixed admissible gain.
 
     P solves P = F0^T P F0 + sum_c F_c^T P F_c + Q + L^T R L, the cost-side
-    (dual) equation of the moment operator. Solved exactly in vec form:
-    (I - M^T) vec(P) = vec(Q + L^T R L).
+    (dual) equation of the moment operator. Solved exactly on the symmetric
+    subspace: (I - T*) vech(P) = vech(Q + L^T R L) in packed coordinates.
     """
     gain = np.asarray(gain, dtype=float)
-    factors = closed_loop_factors(model, gain)   # checks the gain first
-    with np.errstate(over="ignore", invalid="ignore"):   # as in _fixed_point
+    with np.errstate(over="ignore", invalid="ignore"):   # as in is_admissible
+        op = moment_operator(model, gain)   # checks the gain first
         rhs = cost.Q + gain.T @ cost.R @ gain
-    p = _fixed_point(model, gain, rhs.ravel(), dual=True, name="value-kernel")
+    p = _fixed_point(model, gain, op, rhs, dual=True, name="value-kernel")
 
     # Residual guard: the solve must reproduce the defining equation.
-    recon = sum(f.T @ p @ f for f in factors) + rhs
+    recon = sum(f.T @ p @ f for f in op.factors) + rhs
     rel = np.linalg.norm(recon - p) / max(np.linalg.norm(p), 1.0)
     if rel > 1e-8:
         _, rho = is_admissible(model, gain)

@@ -20,6 +20,7 @@ from slqr.analysis import (
     stationary_covariance,
 )
 from slqr.errors import NotAdmissibleError, UnreliableKernelError, ValidationError
+from slqr.packing import vech
 from slqr.policy_iteration import policy_iteration
 from slqr.system import CostModel, SystemModel
 from slqr.testing import random_admissible_gain, random_admissible_system
@@ -56,6 +57,86 @@ def test_moment_operator_application_matches_direct_products(sec6):
     applied = (op.matrix @ np.eye(3).ravel()).reshape(3, 3)
     direct = sum(f @ f.T for f in closed_loop_factors(model, L0_3))
     np.testing.assert_allclose(applied, direct, atol=1e-12)
+
+
+SHEAR = SystemModel(A=[[0.0, 2.0], [0.0, 0.0]], B=np.eye(2), D=np.eye(2), X0=np.eye(2))
+
+
+def test_packed_operator_matches_its_definition():
+    # packed(dual) @ vech(X) == vech(unvec(matrix @ vec(X))), with matrix^T
+    # for the adjoint, on symmetric X; the shear tells T from T*.
+    rng = np.random.default_rng(7)
+    cases = [(SHEAR, np.zeros((2, 2))), (SHEAR, np.array([[0.3, -0.1], [0.2, 0.4]]))]
+    for _ in range(20):
+        model, _ = random_admissible_system(rng, 5, 4, 3)
+        cases.append((model, random_admissible_gain(model, rng)))
+    for model, gain in cases:
+        op = moment_operator(model, gain)
+        n = model.state_dim
+        g = rng.normal(size=(n, n))
+        x = g + g.T
+        for dual in (False, True):
+            full = op.matrix.T if dual else op.matrix
+            expected = vech((full @ x.ravel()).reshape(n, n))
+            got = op.packed(dual) @ vech(x)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_packed_operator_is_the_matrix_at_n1():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        model = SystemModel(
+            A=[[rng.normal()]], B=[[rng.normal()]], D=[[1.0]], X0=[[1.0]],
+            state_noise=[([[rng.normal()]], rng.uniform(0.01, 1.0)) for _ in range(2)],
+            input_noise=[([[rng.normal()]], rng.uniform(0.01, 1.0)) for _ in range(2)])
+        op = moment_operator(model, rng.normal(size=(1, 1)))
+        for dual in (False, True):
+            np.testing.assert_array_equal(op.packed(dual), op.matrix)
+
+
+def _edge_scale(model, direction):
+    """Gain scale t at which rho(M(t * direction)) crosses 1, bisected on the
+    eigenvalues of the n^2 x n^2 matrix; None if it stays below 1."""
+    def rho(t):
+        return np.abs(np.linalg.eigvals(moment_operator(model, t * direction).matrix)).max()
+    hi = 1.0
+    while rho(hi) < 1.0:
+        hi *= 2.0
+        if hi > 1e6:
+            return None
+    lo = 0.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if rho(mid) < 1.0 else (lo, mid)
+    return lo
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       side=st.sampled_from([-1.0, 1.0]),
+       log_gap=st.floats(-7.0, 0.0))
+@example(seed=0, side=-1.0, log_gap=0.0)   # the zero gain
+def test_packed_radius_is_the_matrix_radius(seed, side, log_gap):
+    # Gains from zero to the stability edge and past it: the packed matrix
+    # and the n^2 x n^2 matrix have the same spectral radius, so
+    # is_admissible decides as the defining matrix would.
+    rng = np.random.default_rng(seed)
+    model, _ = random_admissible_system(rng)
+    direction = rng.normal(size=(model.input_dim, model.state_dim))
+    edge = _edge_scale(model, direction)
+    if edge is None:
+        return
+    gain = edge * (1.0 + side * 10.0 ** log_gap) * direction
+    op = moment_operator(model, gain)
+    rho_full = np.abs(np.linalg.eigvals(op.matrix)).max()
+    for dual in (False, True):
+        rho_packed = np.abs(np.linalg.eigvals(op.packed(dual))).max()
+        assert abs(rho_packed - rho_full) <= 1e-10 * rho_full
+    admissible, rho = is_admissible(model, gain)
+    assert abs(rho - rho_full) <= 1e-10 * rho_full
+    assert admissible == (rho_full < 1.0 - ADMISSIBILITY_MARGIN)
 
 
 def test_admissibility_scalar_fixtures_exact():
@@ -360,3 +441,39 @@ def test_admissibility_work_counts(sec6, monkeypatch):
     p = solve_value_kernel(model, CostModel(Q=np.zeros((3, 3)), R=cost.R), L0_3)
     assert not p.any()
     assert (calls["is_admissible"], calls["moment_operator"]) == (1, 2)
+
+
+def test_solvers_never_form_the_kronecker_matrix(sec6, monkeypatch):
+    # The solvers and the exact check work on the packed matrix only: no
+    # read of MomentOperator.matrix and no np.kron, on the certified path,
+    # on the fallback paths and on rejection.
+    analysis = importlib.import_module("slqr.analysis")
+    calls = Counter()
+    kron = np.kron
+    defining = analysis.MomentOperator.matrix.func
+
+    def counted_kron(*args):
+        calls["kron"] += 1
+        return kron(*args)
+
+    def counted_matrix(op):
+        calls["matrix"] += 1
+        return defining(op)
+
+    monkeypatch.setattr(np, "kron", counted_kron)
+    monkeypatch.setattr(analysis.MomentOperator, "matrix", property(counted_matrix))
+    model, cost = sec6
+    zero_q = CostModel(Q=np.zeros((3, 3)), R=cost.R)
+
+    is_admissible(model, L0_3)
+    stationary_covariance(model, L0_3)
+    solve_value_kernel(model, cost, L0_3)
+    solve_value_kernel(model, zero_q, L0_3)   # P = 0: falls back
+    policy_iteration(model, cost, L0_3)
+    for entry in FIXED_POINT_SOLVERS:
+        with pytest.raises(NotAdmissibleError):
+            GAIN_ENTRY_POINTS[entry](model, cost, 10.0 * np.eye(3))
+    assert calls == Counter()
+
+    moment_operator(model, L0_3).matrix   # the counters do see a read
+    assert calls == Counter(matrix=1, kron=len(closed_loop_factors(model, L0_3)))
