@@ -13,6 +13,8 @@ over the upper triangle (the np.triu_indices order).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import MalformedVectorError, ValidationError
@@ -21,6 +23,19 @@ from .errors import MalformedVectorError, ValidationError
 def packed_length(n: int) -> int:
     """Length of the packed upper triangle of an n x n matrix."""
     return n * (n + 1) // 2
+
+
+@functools.lru_cache(maxsize=None)
+def packed_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the packed entries in scan order, np.triu_indices(n).
+
+    Built once per size and returned read-only, because every pack and unpack
+    of a kernel needs them.
+    """
+    indices = np.triu_indices(n)
+    for index in indices:
+        index.setflags(write=False)
+    return indices
 
 
 def side_from_packed_length(s: int) -> int:
@@ -56,7 +71,7 @@ def vech(mat: np.ndarray) -> np.ndarray:
     """Pack the upper triangle of a symmetric matrix, row-major scan."""
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
-    rows, cols = np.triu_indices(n)
+    rows, cols = packed_indices(n)
     return mat[rows, cols]
 
 
@@ -64,7 +79,7 @@ def vecs(mat: np.ndarray) -> np.ndarray:
     """Pack the upper triangle with off-diagonal entries doubled."""
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
-    rows, cols = np.triu_indices(n)
+    rows, cols = packed_indices(n)
     out = mat[rows, cols].copy()
     out[rows != cols] *= 2.0
     return out
@@ -76,7 +91,7 @@ def unvecs(vec: np.ndarray) -> np.ndarray:
     if vec.ndim != 1:
         raise MalformedVectorError(f"expected a 1-d packed vector, got shape {vec.shape}")
     n = side_from_packed_length(vec.shape[0])
-    rows, cols = np.triu_indices(n)
+    rows, cols = packed_indices(n)
     mat = np.zeros((n, n))
     off = rows != cols
     vals = vec.copy()

@@ -29,6 +29,18 @@ z_k, and tame the heavy tails of the plain instruments phi(z_k) near the edge
 of fourth-moment stability. The improved gain then comes from the uu/ux blocks
 of H.
 
+The normal equations come from one pass over the rollout in windows of
+ROLLOUT_BLOCK samples. Each window builds its features once, over its rows
+and the next one, and adds to statistics that do not depend on the gain:
+sum psi phi^T, sum psi vech(x_{k+1} x_{k+1}^T)^T, sum psi and sum psi c,
+where psi stacks the instrument w phi with w itself (w = 1 for the plain
+fit). The next-state features are a linear image of the state-only ones,
+phi(x, L x) = K_L vech(x x^T) with K_L from _gain_map, so the gain enters
+once after the pass: sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) K_L^T.
+Working memory is O(ROLLOUT_BLOCK * s) whatever the rollout length, and the
+statistics of several rollouts add up, so a refit for any gain on pooled
+data is their sum and one _gain_map product.
+
 The learner sees only a rollout sampler, stage costs, and optionally D; the
 plant matrices stay out of reach by construction.
 """
@@ -47,9 +59,15 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import packed_length, side_from_packed_length, unvecs, vech
+from .packing import packed_indices, packed_length, unvecs, vech
 from .policy_iteration import QKernel, evaluate_improve
-from .system import CostModel, SystemModel, Trajectory, simulate_closed_loop
+from .system import (
+    ROLLOUT_BLOCK,
+    CostModel,
+    SystemModel,
+    Trajectory,
+    simulate_closed_loop,
+)
 
 # Conditioning ceiling for the uu block when extracting a gain.
 MAX_KERNEL_CONDITION = 1e8
@@ -149,6 +167,24 @@ def rls_kernel(state: RlsState, state_dim: int) -> QKernel:
     return QKernel(matrix=unvecs(vec), state_dim=state_dim)
 
 
+def _gain_map(gain: np.ndarray) -> np.ndarray:
+    """The s x n(n+1)/2 matrix K with vech(E X E^T) = K vech(X), E = [I; L].
+
+    For symmetric X, entry (a, b) of E X E^T is the sum over i <= j of
+    X_ij (E_ai E_bj + E_aj E_bi), with the i = j term counted once. With
+    X = x x^T this gives the features of the on-policy pair:
+    features(np.r_[x, L @ x]) = K @ vech(x x^T).
+    """
+    m, n = gain.shape
+    basis = np.vstack([np.eye(n), gain])
+    a, b = packed_indices(n + m)
+    i, j = packed_indices(n)
+    rows_a, rows_b = basis[a], basis[b]
+    kmap = rows_a[:, i] * rows_b[:, j] + rows_a[:, j] * rows_b[:, i]
+    kmap[:, i == j] /= 2.0
+    return kmap
+
+
 def _normal_equations(traj: Trajectory, gain: np.ndarray,
                       noise_cov: np.ndarray | None, weighted: bool):
     """Instrumental-variable normal equations Psi^T G h = Psi^T c of a rollout.
@@ -159,65 +195,94 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
 
     weighted=False is the paper's plain fit: the instruments Psi are the rows
     phi(z_k), and with noise_cov None the targets are the costs minus their
-    mean. weighted=True is the learner's fit: the instruments are
-    w_k phi(z_k) with w_k = (1 + |z_k|^2)^-2, and with noise_cov None the
-    average cost is one extra coefficient, h = [vecs(H); lambda], with
-    regressor 1, instrument w_k and the raw costs as targets.
+    mean over the whole rollout. weighted=True is the learner's fit: the
+    instruments are w_k phi(z_k) with w_k = (1 + |z_k|^2)^-2, and with
+    noise_cov None the average cost is one extra coefficient,
+    h = [vecs(H); lambda], with regressor 1, instrument w_k and the raw costs
+    as targets.
+
+    One pass over windows of ROLLOUT_BLOCK samples builds each window's
+    features once, over samples k0..k1 and the row after, and adds to
+    gain-free sums over psi_k = [w_k phi(z_k); w_k]: psi phi^T,
+    psi vech(x_{k+1} x_{k+1}^T)^T (the state-only columns of the next row's
+    features), psi and psi c. After the pass the gain enters once, through
+    sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) _gain_map(gain)^T, so
+    no N x s array is formed.
 
     Returns (gram, rhs, correction), where correction is vech(kappa) or None.
     Raises UnreliableKernelError when the data are not finite (a diverged
-    rollout).
+    rollout), at the first window that holds a non-finite state, input or
+    cost, or when the sums overflow.
     """
     gain = np.asarray(gain, dtype=float)
     n = traj.states.shape[1]
-    if gain.shape != (traj.inputs.shape[1], n):
+    m = traj.inputs.shape[1]
+    if gain.shape != (m, n):
         raise ValidationError(
             f"gain shape {gain.shape} does not match trajectory dimensions"
         )
-    phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
-    next_inputs = traj.states[1:] @ gain.T      # unprobed feedback at x_{k+1}
-    phi_next = feature_matrix(traj.states[1:], next_inputs)
-    costs = traj.costs
-    n_samples, s = phi.shape
+    n_samples, s = traj.n_steps, packed_length(n + m)
     if n_samples < s:
         raise InsufficientExcitationError(
             f"{n_samples} samples cannot identify {s} kernel coefficients; "
             f"use a longer rollout"
         )
-    # G without its constant correction overwrites Phi_next, and the
-    # instruments overwrite Phi, so the fit makes no further N x s copies.
-    regressors = np.subtract(phi, phi_next, out=phi_next)
-    if weighted:
-        weights = _instrument_weights(phi)
-        phi *= weights[:, None]
-    gram = phi.T @ regressors
-    if noise_cov is not None:
-        # The constant correction enters as the rank-one term (Psi^T 1) corr^T.
-        correction = vech(noise_shape_kernel(gain, noise_cov))
-        gram += np.outer(phi.sum(axis=0), correction)
-        rhs = phi.T @ costs
-    elif weighted:
-        correction = None
-        gram = np.block([[gram, phi.sum(axis=0)[:, None]],
-                         [weights @ regressors, weights.sum()]])
-        rhs = np.append(phi.T @ costs, weights @ costs)
-    else:
-        correction = None
-        rhs = phi.T @ (costs - costs.mean())
+    rows, cols = packed_indices(n + m)
+    diagonal = rows == cols                       # the z_i^2 features
+    state_block = cols < n                        # vech(x x^T) inside features(z)
+    cross = np.zeros((s + 1, s))                  # sum psi phi^T
+    next_cross = np.zeros((s + 1, packed_length(n)))
+    totals = np.zeros(s + 1)                      # sum psi
+    targets = np.zeros(s + 1)                     # sum psi c
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = traj.costs.mean() if not weighted and noise_cov is None else 0.0
+        for k0 in range(0, n_samples, ROLLOUT_BLOCK):
+            k1 = min(k0 + ROLLOUT_BLOCK, n_samples)
+            states, inputs = traj.states[k0:k1 + 1], traj.inputs[k0:k1 + 1]
+            costs = traj.costs[k0:k1]
+            if not (np.isfinite(states).all() and np.isfinite(inputs).all()
+                    and np.isfinite(costs).all()):
+                raise UnreliableKernelError(
+                    f"rollout holds non-finite data in rows {k0}..{k1}"
+                )
+            feats = feature_matrix(states, inputs).T   # (s, k1 - k0 + 1)
+            phi = feats[:, :-1]
+            psi = np.empty((s + 1, k1 - k0))
+            if weighted:
+                _instrument_weights(phi[diagonal], out=psi[s])
+            else:
+                psi[s] = 1.0
+            np.multiply(phi, psi[s], out=psi[:s])
+            cross += psi @ phi.T
+            next_cross += psi @ feats[state_block, 1:].T
+            totals += psi.sum(axis=1)
+            targets += psi @ (costs - centre)
+        # Rows psi^T G of the regressors phi(z_k) - phi(zbar_{k+1}).
+        gram = cross - next_cross @ _gain_map(gain).T
+        if noise_cov is not None:
+            # The constant correction enters as the rank-one term (Psi^T 1) corr^T.
+            correction = vech(noise_shape_kernel(gain, noise_cov))
+            gram = gram[:s] + np.outer(totals[:s], correction)
+            rhs = targets[:s]
+        elif weighted:
+            # lambda's column: regressor 1 against the instruments [w phi; w].
+            correction = None
+            gram = np.column_stack([gram, totals])
+            rhs = targets
+        else:
+            correction = None
+            gram, rhs = gram[:s], targets[:s]
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise UnreliableKernelError("normal equations contain non-finite entries")
     return gram, rhs, correction
 
 
-def _instrument_weights(phi: np.ndarray) -> np.ndarray:
-    """w_k = (1 + |z_k|^2)^-2, read off the z_i^2 columns of the features."""
-    r = side_from_packed_length(phi.shape[1])
-    # Row i of the packed upper triangle starts with z_i^2.
-    diagonal = np.cumsum([0] + [r - i for i in range(r - 1)])
-    weights = phi[:, diagonal].sum(axis=1)
-    weights += 1.0
-    np.square(weights, out=weights)
-    return np.reciprocal(weights, out=weights)
+def _instrument_weights(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """w_k = (1 + |z_k|^2)^-2 from the rows z_i^2 of the features, into out."""
+    np.sum(squares, axis=0, out=out)
+    out += 1.0
+    np.square(out, out=out)
+    return np.reciprocal(out, out=out)
 
 
 def bls_estimate(traj: Trajectory, gain: np.ndarray,

@@ -3,6 +3,7 @@ import pytest
 
 from slqr.errors import MalformedVectorError, ValidationError
 from slqr.packing import (
+    packed_indices,
     packed_length,
     side_from_packed_length,
     symmetrize,
@@ -15,6 +16,17 @@ from slqr.packing import (
 def test_packed_length_round_trip():
     for n in range(1, 12):
         assert side_from_packed_length(packed_length(n)) == n
+
+
+def test_packed_indices_are_the_shared_read_only_scan_order():
+    for n in range(1, 8):
+        rows, cols = packed_indices(n)
+        expected = np.triu_indices(n)
+        np.testing.assert_array_equal(rows, expected[0])
+        np.testing.assert_array_equal(cols, expected[1])
+        assert packed_indices(n)[0] is rows
+        with pytest.raises(ValueError):
+            rows[0] = 1
 
 
 def test_side_from_packed_length_rejects_non_triangular():

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +31,13 @@ from slqr.qlearning import (
     rls_update,
     run_online_learning,
 )
-from slqr.system import CostModel, SystemModel, Trajectory, simulate_closed_loop
+from slqr.system import (
+    ROLLOUT_BLOCK,
+    CostModel,
+    SystemModel,
+    Trajectory,
+    simulate_closed_loop,
+)
 
 L0_3 = np.zeros((3, 3))
 
@@ -65,6 +74,137 @@ def test_feature_matrix_matches_per_row_features():
     for k in range(9):
         np.testing.assert_array_equal(
             batch[k], features(np.concatenate([states[k], inputs[k]])))
+
+
+def test_gain_map_gives_the_on_policy_features():
+    # K_L maps vech(x x^T) to the features of (x, L x), for every shape.
+    rng = np.random.default_rng(14)
+    shapes = [(1, 1)] + [(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+                         for _ in range(30)]
+    for n, m in shapes:
+        gain = rng.normal(size=(m, n))
+        kmap = qlearning._gain_map(gain)
+        assert kmap.shape == ((n + m) * (n + m + 1) // 2, n * (n + 1) // 2)
+        for _ in range(5):
+            x = rng.normal(size=n)
+            expected = features(np.r_[x, gain @ x])
+            got = kmap @ vech(np.outer(x, x))
+            assert np.abs(got - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
+
+
+def _dense_normal_equations(traj, gain, noise_cov, weighted):
+    # The textbook form Psi^T G h = Psi^T c from whole-rollout feature arrays.
+    phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
+    phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ gain.T)
+    regressors = phi - phi_next
+    costs = traj.costs
+    z = np.hstack([traj.states[:-1], traj.inputs[:-1]])
+    weights = (1.0 + (z ** 2).sum(axis=1)) ** -2 if weighted else np.ones(len(costs))
+    psi = weights[:, None] * phi
+    if noise_cov is not None:
+        regressors = regressors + vech(noise_shape_kernel(gain, noise_cov))
+    elif weighted:
+        psi = np.hstack([psi, weights[:, None]])
+        regressors = np.hstack([regressors, np.ones((len(costs), 1))])
+    else:
+        costs = costs - costs.mean()
+    return psi.T @ regressors, psi.T @ costs
+
+
+@pytest.fixture
+def feature_builds(monkeypatch):
+    """Row counts of every feature_matrix call the fit makes."""
+    builds = []
+    original = qlearning.feature_matrix
+
+    def counted(states, inputs):
+        builds.append(len(states))
+        return original(states, inputs)
+
+    monkeypatch.setattr(qlearning, "feature_matrix", counted)
+    return builds
+
+
+FIT_MODES = {"known_d": (True, True), "empirical": (True, False),
+             "plain_known_d": (False, True), "plain": (False, False)}
+
+
+@pytest.mark.parametrize("mode", sorted(FIT_MODES))
+@pytest.mark.parametrize("n_steps", [21, ROLLOUT_BLOCK - 1, ROLLOUT_BLOCK, ROLLOUT_BLOCK + 1,
+                                     2 * ROLLOUT_BLOCK + 37])
+def test_streamed_normal_equations_match_the_dense_form(sec6, feature_builds, mode,
+                                                        n_steps):
+    # The windowed pass must equal the whole-rollout form at every window
+    # boundary, building each window's features once. 21 = s at n = m = 3 is
+    # the shortest rollout the fit accepts.
+    model, cost = sec6
+    weighted, known_d = FIT_MODES[mode]
+    gain = -0.3 * np.eye(3)
+    traj = simulate_closed_loop(model, cost, gain, n_steps, 0.64, 31)
+    noise_cov = model.D if known_d else None
+    gram, rhs, correction = qlearning._normal_equations(traj, gain, noise_cov, weighted)
+    dense_gram, dense_rhs = _dense_normal_equations(traj, gain, noise_cov, weighted)
+    assert np.linalg.norm(gram - dense_gram) <= 1e-12 * np.linalg.norm(dense_gram)
+    assert np.linalg.norm(rhs - dense_rhs) <= 1e-12 * np.linalg.norm(dense_rhs)
+    assert (correction is None) == (not known_d)
+    windows = math.ceil(n_steps / ROLLOUT_BLOCK)
+    assert len(feature_builds) == windows
+    assert sum(feature_builds) == n_steps + windows     # each window reads one row more
+
+
+def _corrupt(traj, kind):
+    states, costs = traj.states.copy(), traj.costs.copy()
+    if kind == "inf_last_state":
+        states[-1] = np.inf
+    elif kind == "huge_state":
+        states[ROLLOUT_BLOCK + 5] = 1e200
+    else:
+        costs[ROLLOUT_BLOCK + 5] = np.nan
+    return Trajectory(states=states, inputs=traj.inputs, costs=costs, seed=traj.seed)
+
+
+FITS = {
+    "known_d": lambda traj, d: qlearning._fit_iteration(traj, L0_3, d, 1e8),
+    "empirical": lambda traj, d: qlearning._fit_iteration(traj, L0_3, None, 1e8),
+    "bls_known_d": lambda traj, d: bls_estimate(traj, L0_3, d),
+    "bls_centred": lambda traj, d: bls_estimate(traj, L0_3, None),
+}
+
+
+@pytest.mark.parametrize("fit", sorted(FITS))
+@pytest.mark.parametrize("kind", ["inf_last_state", "huge_state", "nan_cost"])
+def test_diverged_data_raise_a_typed_error_without_warnings(sec6, feature_builds, fit,
+                                                           kind):
+    # No errstate here: a numpy warning fails the test. Non-finite data stop
+    # the pass at their window; an overflowing state is caught at the end.
+    model, cost = sec6
+    traj = _corrupt(simulate_closed_loop(model, cost, L0_3, 2 * ROLLOUT_BLOCK + 37,
+                                         0.64, 7), kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnreliableKernelError, match="non-finite"):
+            FITS[fit](traj, model.D)
+    assert len(feature_builds) == {"inf_last_state": 2, "huge_state": 3, "nan_cost": 1}[kind]
+
+
+@pytest.mark.parametrize("cost_mode", COST_MODES)
+def test_fit_working_memory_does_not_grow_with_the_rollout(sec6, cost_mode):
+    # The fit holds one window of features at a time: its traced peak is the
+    # same for a 4x longer rollout and stays far below the N x s arrays
+    # (6.7 MiB each at 42000 samples).
+    model, cost = sec6
+    noise_cov = model.D if cost_mode == "known_d" else None
+    peaks = []
+    for n_steps in (42000, 168000):
+        traj = simulate_closed_loop(model, cost, L0_3, n_steps, 0.64, 3)
+        tracemalloc.start()
+        try:
+            qlearning._fit_iteration(traj, L0_3, noise_cov, 1e8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4 * 2 ** 20
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 def test_noise_shape_kernel_examples(sec6):
