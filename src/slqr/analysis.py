@@ -26,6 +26,17 @@ eigenvalue problem runs then. Otherwise (X not positive definite, e.g. P = 0
 for Q = 0 at the zero gain; a bound inside the margin; a singular or
 non-finite solve) they fall back to is_admissible, and an inadmissible gain
 raises NotAdmissibleError with the exact spectral radius.
+
+Their solve (_fixed_point) has two paths. The packed LU of the s x s matrix
+costs O(n^6) and is the only path below MATRIX_FREE_MIN_N states, where it
+is the faster one. From there on a matrix-free splitting runs first
+(_splitting_solve): each sweep solves the Stein equation of the mean loop F0
+by Smith doubling and adds the noise channels' terms, O(n^3) work in n x n
+products. Its X is used only when the sweeps converged within
+SPLITTING_MAX_SWEEPS, X meets the equation to RESIDUAL_RTOL and X certifies
+the gain. In every other case (the splitting capped near the stability edge,
+F0 not Schur-stable, an overflow, no certificate) the packed LU runs exactly
+as it does below the crossover.
 """
 
 from __future__ import annotations
@@ -41,11 +52,25 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import symmetrize
+from .packing import packed_indices, symmetrize
 from .system import CostModel, SystemModel
 
 # A gain is admissible when rho(T) < 1 - ADMISSIBILITY_MARGIN.
 ADMISSIBILITY_MARGIN = 1e-9
+
+# _fixed_point tries the matrix-free splitting first from this state
+# dimension on; below it the packed LU is faster (crossover table in README).
+MATRIX_FREE_MIN_N = 14
+# The splitting stops when its a-posteriori error bound falls to
+# SPLITTING_RTOL of |X|, and gives up after SPLITTING_MAX_SWEEPS sweeps or
+# when F0^(2^j) is not below STEIN_POWER_TOL after STEIN_MAX_SQUARINGS
+# squarings; a capped attempt costs about one packed solve at the crossover.
+SPLITTING_RTOL = 1e-14
+SPLITTING_MAX_SWEEPS = 20
+STEIN_POWER_TOL = 1e-8
+STEIN_MAX_SQUARINGS = 8
+# The defining equation must hold to this relative residual (_residual).
+RESIDUAL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,8 +98,7 @@ class MomentOperator:
         The products are summed factor by factor, as in matrix, so at n = 1
         the two forms agree bit for bit.
         """
-        n = self.factors[0].shape[0]
-        rows, cols = np.triu_indices(n)
+        rows, cols = packed_indices(self.factors[0].shape[0])
         # terms[(i, j), a, b] = sum_c F_c[i,a] F_c[j,b]: the rows i <= j of matrix
         terms = 0.0
         for f in self.factors:
@@ -134,6 +158,14 @@ def _exact_radius(model: SystemModel, gain: np.ndarray) -> float:
     return rho
 
 
+def _apply(factors, x: np.ndarray, dual: bool) -> np.ndarray:
+    """T(X) = sum_c F_c X F_c^T, or T*(X) = sum_c F_c^T X F_c when dual, for
+    factors given as a list or stacked along the first axis."""
+    stack = np.asarray(factors)
+    flipped = stack.transpose(0, 2, 1)
+    return (flipped @ x @ stack if dual else stack @ x @ flipped).sum(axis=0)
+
+
 def _certified(factors: list[np.ndarray], x: np.ndarray, dual: bool) -> bool:
     """Whether the symmetric solution x of X = T(X) + C certifies
     rho(T) < 1 - margin.
@@ -149,8 +181,62 @@ def _certified(factors: list[np.ndarray], x: np.ndarray, dual: bool) -> bool:
     x_eigs = np.linalg.eigvalsh(x)
     if x_eigs[0] <= 0:
         return False
-    mapped = sum(f.T @ x @ f if dual else f @ x @ f.T for f in factors)
-    return np.linalg.eigvalsh(x - mapped)[0] > ADMISSIBILITY_MARGIN * x_eigs[-1]
+    return (np.linalg.eigvalsh(x - _apply(factors, x, dual))[0]
+            > ADMISSIBILITY_MARGIN * x_eigs[-1])
+
+
+def _residual(factors: list[np.ndarray], x: np.ndarray, rhs: np.ndarray,
+              dual: bool) -> float:
+    """Relative defect |T(X) + C - X| / max(|X|, 1) of X = T(X) + C, with
+    T* in place of T when dual (Frobenius norms)."""
+    recon = _apply(factors, x, dual) + rhs
+    return np.linalg.norm(recon - x) / max(np.linalg.norm(x), 1.0)
+
+
+def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
+                     dual: bool) -> np.ndarray | None:
+    """Solve X = sum_c H_c^T X H_c + C in O(n^3) work per sweep, with
+    H_c = F_c when dual and F_c^T otherwise, or return None when the
+    iteration does not settle within its caps.
+
+    The sweeps X <- S(C + sum_{c>=1} H_c^T X H_c) split off the mean loop
+    H_0: S(Z) = sum_k (H_0^T)^k Z H_0^k solves the Stein equation
+    Y - H_0^T Y H_0 = Z by Smith doubling, Y <- Y + G^T Y G over
+    G = H_0^(2^j), j < J. The powers are squared once per solve until
+    |H_0^(2^J)|_F <= STEIN_POWER_TOL, so the dropped tail
+    (H_0^(2^J))^T S(Z) H_0^(2^J) is below STEIN_POWER_TOL^2 of S(Z). Powers
+    that do not get there within STEIN_MAX_SQUARINGS squarings (H_0 not
+    Schur-stable, or overflow) give None. S and the noise sum are both
+    positive maps (a regular splitting), so the sweeps converge exactly when
+    rho(T) < 1, at a rate q that tends to 1 at the stability edge. The
+    iteration stops when the error bound step q/(1 - q), with q the ratio
+    of the last two steps, is at most SPLITTING_RTOL |X|; after
+    SPLITTING_MAX_SWEEPS sweeps it gives None.
+    """
+    powers = [factors[0] if dual else factors[0].T]
+    while not np.linalg.norm(powers[-1]) <= STEIN_POWER_TOL:
+        if len(powers) > STEIN_MAX_SQUARINGS:
+            return None
+        powers.append(powers[-1] @ powers[-1])
+    powers.pop()
+    noise = np.array(factors)[1:]
+
+    def stein(z):
+        for g in powers:
+            z = z + g.T @ z @ g
+        return z
+
+    x = stein(rhs)
+    step = np.linalg.norm(x)   # the step from X = 0
+    for _ in range(SPLITTING_MAX_SWEEPS):
+        x_next = stein(rhs + _apply(noise, x, dual))
+        prev, step = step, np.linalg.norm(x_next - x)
+        x = x_next
+        ratio = step / prev
+        if step == 0 or (ratio < 1 and step * ratio
+                         <= SPLITTING_RTOL * (1 - ratio) * np.linalg.norm(x)):
+            return (x + x.T) / 2
+    return None
 
 
 def _fixed_point(model: SystemModel, gain: np.ndarray, op: MomentOperator,
@@ -158,17 +244,27 @@ def _fixed_point(model: SystemModel, gain: np.ndarray, op: MomentOperator,
     """Solve X = T(X) + C, or X = T*(X) + C when dual, for an admissible
     gain and a symmetric n x n C, and return the symmetric X.
 
-    The solve is (I - op.packed(dual)) vech(X) = vech(C) on the symmetric
-    subspace; only the upper triangle of C is read. The gain's admissibility
-    is certified from X itself (_certified); only when that fails does the
-    exact eigenvalue check of is_admissible run.
+    From MATRIX_FREE_MIN_N on, the matrix-free splitting (_splitting_solve)
+    runs first, and its X is returned when it meets the defining equation
+    to RESIDUAL_RTOL and certifies the gain (_certified). Otherwise, and
+    always below MATRIX_FREE_MIN_N, the solve is
+    (I - op.packed(dual)) vech(X) = vech(C) on the symmetric subspace; only
+    the upper triangle of C is read. The gain's admissibility is certified
+    from X itself; only when that fails does the exact eigenvalue check of
+    is_admissible run.
     """
-    rows, cols = np.triu_indices(model.state_dim)
     # A finite gain whose operator overflows fails the solve or the
     # certificate below, and is_admissible rejects it with rho = inf; numpy
     # need not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
+        if model.state_dim >= MATRIX_FREE_MIN_N:
+            x = _splitting_solve(op.factors, rhs, dual)
+            if (x is not None
+                    and _residual(op.factors, x, rhs, dual) <= RESIDUAL_RTOL
+                    and _certified(op.factors, x, dual)):
+                return x
         mat = op.packed(dual)
+    rows, cols = packed_indices(model.state_dim)
     try:
         x_vech = np.linalg.solve(np.eye(len(rows)) - mat, rhs[rows, cols])
     except np.linalg.LinAlgError as exc:
@@ -202,8 +298,9 @@ def solve_value_kernel(model: SystemModel, cost: CostModel,
     """Value kernel P of a fixed admissible gain.
 
     P solves P = F0^T P F0 + sum_c F_c^T P F_c + Q + L^T R L, the cost-side
-    (dual) equation of the moment operator. Solved exactly on the symmetric
-    subspace: (I - T*) vech(P) = vech(Q + L^T R L) in packed coordinates.
+    (dual) equation of the moment operator, by _fixed_point: matrix-free
+    from MATRIX_FREE_MIN_N states on, else (I - T*) vech(P) = vech(Q + L^T R L)
+    in packed coordinates.
     """
     gain = np.asarray(gain, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):   # as in is_admissible
@@ -212,9 +309,8 @@ def solve_value_kernel(model: SystemModel, cost: CostModel,
     p = _fixed_point(model, gain, op, rhs, dual=True, name="value-kernel")
 
     # Residual guard: the solve must reproduce the defining equation.
-    recon = sum(f.T @ p @ f for f in op.factors) + rhs
-    rel = np.linalg.norm(recon - p) / max(np.linalg.norm(p), 1.0)
-    if rel > 1e-8:
+    rel = _residual(op.factors, p, rhs, dual=True)
+    if rel > RESIDUAL_RTOL:
         _, rho = is_admissible(model, gain)
         raise SingularSystemError(
             f"value-kernel solve residual {rel:.3e} too large "

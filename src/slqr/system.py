@@ -289,22 +289,25 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     costs = np.empty(n_steps)
 
     states[0] = x0_factor @ rng.standard_normal(n)
-    for start in range(0, n_steps, ROLLOUT_BLOCK):
-        stop = min(start + ROLLOUT_BLOCK, n_steps)
-        draws = rng.standard_normal((stop - start, m + p + q + n))
-        probes = np.sqrt(probe_var) * draws[:, :m]
-        channels = sqrt_vars * draws[:, m:m + p + q]
-        loop = mean_loop + (channels @ loop_dirs).reshape(stop - start, n, n)
-        probe_terms = (probes @ probe_dirs_t).reshape(stop - start, q, n)
-        drive = (probes @ model.B.T + draws[:, m + p + q:] @ d_factor.T
-                 + np.einsum("kj,kja->ka", channels[:, p:], probe_terms))
-        block_states = states[start:stop]
-        _lane_scan(loop, drive, block_states[0], out=states[start + 1:stop + 1])
-        block_inputs = block_states @ gain.T + probes
-        inputs[start:stop] = block_inputs
-        costs[start:stop] = (_quadratic_forms(block_states, cost.Q)
-                             + _quadratic_forms(block_inputs, cost.R))
+    # A gain that is not mean-square stable overflows the states; they come
+    # back non-finite, for the fit to reject, without numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, ROLLOUT_BLOCK):
+            stop = min(start + ROLLOUT_BLOCK, n_steps)
+            draws = rng.standard_normal((stop - start, m + p + q + n))
+            probes = np.sqrt(probe_var) * draws[:, :m]
+            channels = sqrt_vars * draws[:, m:m + p + q]
+            loop = mean_loop + (channels @ loop_dirs).reshape(stop - start, n, n)
+            probe_terms = (probes @ probe_dirs_t).reshape(stop - start, q, n)
+            drive = (probes @ model.B.T + draws[:, m + p + q:] @ d_factor.T
+                     + np.einsum("kj,kja->ka", channels[:, p:], probe_terms))
+            block_states = states[start:stop]
+            _lane_scan(loop, drive, block_states[0], out=states[start + 1:stop + 1])
+            block_inputs = block_states @ gain.T + probes
+            inputs[start:stop] = block_inputs
+            costs[start:stop] = (_quadratic_forms(block_states, cost.Q)
+                                 + _quadratic_forms(block_inputs, cost.R))
 
-    inputs[n_steps] = gain @ states[n_steps]
+        inputs[n_steps] = gain @ states[n_steps]
     seed_int = seed if isinstance(seed, (int, np.integer)) else -1
     return Trajectory(states=states, inputs=inputs, costs=costs, seed=int(seed_int))

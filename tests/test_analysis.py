@@ -25,6 +25,8 @@ from slqr.policy_iteration import policy_iteration
 from slqr.system import CostModel, SystemModel
 from slqr.testing import random_admissible_gain, random_admissible_system
 
+analysis_module = importlib.import_module("slqr.analysis")
+
 
 def scalar_model(a, d=1.0, state_noise=()):
     return SystemModel(A=[[a]], B=[[1.0]], D=[[d]], X0=[[1.0]],
@@ -369,6 +371,23 @@ def test_bound_inside_the_margin_falls_back_to_the_exact_check(entry):
        zero_q=st.booleans())
 @example(seed=0, log_scale=None, zero_q=True)   # P = 0: no certificate
 def test_fixed_point_solvers_reject_exactly_the_inadmissible_gains(seed, log_scale, zero_q):
+    check_exact_rejection(seed, log_scale, zero_q)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       log_scale=st.one_of(st.none(), st.floats(-1.5, 1.0)),
+       zero_q=st.booleans())
+@example(seed=0, log_scale=None, zero_q=True)
+def test_matrix_free_solvers_reject_exactly_the_inadmissible_gains(seed, log_scale, zero_q):
+    # The same rule with the splitting tried first at every size, on the
+    # small non-normal systems where gains near the edge are easy to draw.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis_module, "MATRIX_FREE_MIN_N", 1)
+        check_exact_rejection(seed, log_scale, zero_q)
+
+
+def check_exact_rejection(seed, log_scale, zero_q):
     # Gains scaled across the stability boundary: a solver raises
     # NotAdmissibleError iff is_admissible rejects the gain, and a solution
     # X > 0 brackets the exact radius with its Lyapunov gap Y = X - T(X):
@@ -477,3 +496,163 @@ def test_solvers_never_form_the_kronecker_matrix(sec6, monkeypatch):
 
     moment_operator(model, L0_3).matrix   # the counters do see a read
     assert calls == Counter(matrix=1, kron=len(closed_loop_factors(model, L0_3)))
+
+
+# --- The matrix-free splitting solve, from MATRIX_FREE_MIN_N states on ---
+WIDE_N = analysis_module.MATRIX_FREE_MIN_N
+
+
+def wide_system(rng, n=WIDE_N):
+    """An n-state, n//2-input system with two noise channels per side whose
+    zero gain is admissible by a norm bound (as in the pi_n20 benchmark)."""
+    def unit(shape):
+        mat = rng.normal(size=shape)
+        return mat / np.linalg.norm(mat, 2)
+
+    m = n // 2
+    a = rng.uniform(0.6, 0.85)
+    budget = 0.25 * (1.0 - a * a)
+    g = rng.normal(size=(n, n))
+    model = SystemModel(A=a * unit((n, n)), B=rng.normal(size=(n, m)) / np.sqrt(n),
+                        D=g @ g.T / n + 0.2 * np.eye(n), X0=np.eye(n),
+                        state_noise=[(unit((n, n)), budget * rng.uniform(0.5, 1.0))
+                                     for _ in range(2)],
+                        input_noise=[(unit((n, m)), rng.uniform(0.01, 0.05))
+                                     for _ in range(2)])
+    cost = CostModel(Q=np.diag(rng.uniform(0.5, 2.0, size=n)),
+                     R=np.diag(rng.uniform(0.5, 2.0, size=m)))
+    return model, cost
+
+
+def scaled_noise_system(rng, splitting_rate, n=WIDE_N):
+    """rho(A) = 0.6 and one state channel in the direction I with variance v:
+    at the zero gain T = T_A + v I exactly, so rho(T) = 0.36 + v, and the
+    splitting's rate is v / (1 - 0.36), here splitting_rate."""
+    a = rng.normal(size=(n, n))
+    a *= 0.6 / np.abs(np.linalg.eigvals(a)).max()
+    model = SystemModel(A=a, B=rng.normal(size=(n, n // 2)), D=np.eye(n), X0=np.eye(n),
+                        state_noise=[(np.eye(n), splitting_rate * 0.64)])
+    return model, CostModel(Q=np.eye(n), R=np.eye(n // 2))
+
+
+def packed_solve(monkeypatch, call):
+    """call() with the packed LU as the only path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis_module, "MATRIX_FREE_MIN_N", np.inf)
+        return call()
+
+
+def count_packed_builds(monkeypatch):
+    calls = Counter()
+    packed = analysis_module.MomentOperator.packed
+
+    def counted(op, dual=False):
+        calls["packed"] += 1
+        return packed(op, dual)
+
+    monkeypatch.setattr(analysis_module.MomentOperator, "packed", counted)
+    return calls
+
+
+def test_matrix_free_solves_agree_with_the_packed_solve(monkeypatch):
+    rng = np.random.default_rng(3)
+    calls = count_packed_builds(monkeypatch)
+    for _ in range(2):
+        model, cost = wide_system(rng)
+        for gain in (np.zeros((model.input_dim, model.state_dim)),
+                     random_admissible_gain(model, rng)):
+            for entry in FIXED_POINT_SOLVERS:
+                solve = lambda: GAIN_ENTRY_POINTS[entry](model, cost, gain)  # noqa: E731
+                calls.clear()
+                x = solve()
+                assert calls["packed"] == 0   # converged and certified
+                dense = packed_solve(monkeypatch, solve)
+                assert calls["packed"] == 1
+                assert np.array_equal(x, x.T)
+                assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
+    # One state fewer, the packed solve is the only path.
+    model, cost = wide_system(rng, WIDE_N - 1)
+    calls.clear()
+    solve_value_kernel(model, cost, np.zeros((model.input_dim, model.state_dim)))
+    assert calls["packed"] == 1
+
+
+def test_capped_splitting_returns_the_packed_answer(monkeypatch):
+    # Near the edge the splitting contracts at 0.95 a sweep: the cap stops it
+    # and the packed solve answers; with the cap lifted it converges to the
+    # same X.
+    model, cost = scaled_noise_system(np.random.default_rng(4), splitting_rate=0.95)
+    gain = np.zeros((model.input_dim, model.state_dim))
+    admissible, rho = is_admissible(model, gain)
+    assert admissible and rho == pytest.approx(0.36 + 0.95 * 0.64)
+    calls = count_packed_builds(monkeypatch)
+    for entry in FIXED_POINT_SOLVERS:
+        solve = lambda: GAIN_ENTRY_POINTS[entry](model, cost, gain)  # noqa: E731
+        calls.clear()
+        x = solve()
+        assert calls["packed"] == 1
+        assert np.array_equal(x, packed_solve(monkeypatch, solve))
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis_module, "SPLITTING_MAX_SWEEPS", 10_000)
+            calls.clear()
+            lifted = solve()
+        assert calls["packed"] == 0
+        assert np.linalg.norm(lifted - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_inexact_splitting_falls_back_to_the_packed_solve(monkeypatch):
+    # A coarse Stein truncation converges to a certified X that misses the
+    # equation by about 2e-4: the residual guard rejects it and the packed
+    # solve answers.
+    model, cost = wide_system(np.random.default_rng(3))
+    gain = np.zeros((model.input_dim, model.state_dim))
+    monkeypatch.setattr(analysis_module, "STEIN_POWER_TOL", 0.1)
+    calls = count_packed_builds(monkeypatch)
+    for entry in FIXED_POINT_SOLVERS:
+        solve = lambda: GAIN_ENTRY_POINTS[entry](model, cost, gain)  # noqa: E731
+        calls.clear()
+        x = solve()
+        assert calls["packed"] == 1
+        assert np.array_equal(x, packed_solve(monkeypatch, solve))
+
+
+def test_matrix_free_rejections_report_the_exact_radius():
+    # Noise-driven instability with a Schur-stable mean loop (also with
+    # Q = 0, where the splitting settles at once on P = 0, which certifies
+    # nothing), a mean loop that is not Schur-stable, and a gain whose powers
+    # overflow: each raises NotAdmissibleError with is_admissible's radius,
+    # without a numpy warning on the way.
+    rng = np.random.default_rng(5)
+    noisy, noisy_cost = scaled_noise_system(rng, splitting_rate=1.05)
+    zero_q = CostModel(Q=np.zeros_like(noisy_cost.Q), R=noisy_cost.R)
+    wide, wide_cost = wide_system(rng)
+    unstable = 3.0 * np.linalg.pinv(wide.B)
+    assert np.abs(np.linalg.eigvals(wide.A + wide.B @ unstable)).max() > 1.0
+    noisy_zero = np.zeros((noisy.input_dim, noisy.state_dim))
+    cases = [(noisy, noisy_cost, noisy_zero), (noisy, zero_q, noisy_zero),
+             (wide, wide_cost, unstable),
+             (wide, wide_cost, 1e200 * np.eye(wide.input_dim, wide.state_dim))]
+    for model, cost, gain in cases:
+        admissible, rho = is_admissible(model, gain)
+        assert not admissible
+        for entry in FIXED_POINT_SOLVERS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotAdmissibleError) as err:
+                    GAIN_ENTRY_POINTS[entry](model, cost, gain)
+            assert err.value.spectral_radius == rho
+
+
+def test_policy_iteration_on_the_matrix_free_path(monkeypatch):
+    # A pi_n20-style run: only the initial exact check builds a packed
+    # matrix, and the path matches the packed solver's.
+    model, cost = wide_system(np.random.default_rng(6), n=20)
+    gain = np.zeros((model.input_dim, model.state_dim))
+    calls = count_packed_builds(monkeypatch)
+    trace = policy_iteration(model, cost, gain)
+    assert trace.converged and calls["packed"] == 1
+    dense = packed_solve(monkeypatch, lambda: policy_iteration(model, cost, gain))
+    assert trace.iterations == dense.iterations
+    p = trace.kernels[-1]
+    assert np.linalg.norm(riccati_residual(model, cost, p)) < 1e-9 * np.linalg.norm(p)
+    assert np.linalg.norm(p - dense.kernels[-1]) <= 1e-12 * np.linalg.norm(p)

@@ -333,8 +333,7 @@ def test_inadmissible_gain_raises_a_typed_error(sec6, sec6_config, cost_mode):
     model, cost = sec6
     config = replace(sec6_config.learner, initial_gain=0.3 * np.eye(3),
                      cost_mode=cost_mode)
-    with np.errstate(all="ignore"), pytest.raises(UnreliableKernelError,
-                                                  match="iteration 0: .*non-finite"):
+    with pytest.raises(UnreliableKernelError, match="iteration 0: .*non-finite"):
         run_online_learning(model, cost, config)
 
 
