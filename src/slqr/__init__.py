@@ -17,7 +17,7 @@ from .errors import (
     ValidationError,
 )
 from .experiment import run_experiment
-from .policy_iteration import PolicyIterationTrace, policy_iteration
+from .policy_iteration import PolicyIterationTrace
 from .qlearning import LearnerConfig, LearningResult, run_online_learning
 from .system import CostModel, SystemModel
 
@@ -37,7 +37,6 @@ __all__ = [
     "ValidationError",
     "run_experiment",
     "PolicyIterationTrace",
-    "policy_iteration",
     "LearnerConfig",
     "LearningResult",
     "run_online_learning",

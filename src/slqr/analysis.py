@@ -17,8 +17,18 @@ so its spectrum is that of the symmetric block plus that of the skew block,
 and a positive map attains its spectral radius at a PSD eigenvector
 (Krein-Rutman), which lies in the symmetric block.
 
-is_admissible decides stability exactly, from the eigenvalues of the s x s
-packed matrix: O(s^3) = O(n^6/8) work, an eighth of the n^2 x n^2 form's.
+is_admissible decides stability exactly, from the spectral radius of the
+s x s packed matrix M. Below PERRON_MIN_N states it takes every eigenvalue of
+M: O(s^3) = O(n^6/8) work, an eighth of the n^2 x n^2 form's. From there on
+it brackets the Perron root instead (_perron_radius): T is a positive map, so
+an X > 0 with lo X <= T(X) <= hi X puts rho in [lo, hi] (Collatz-Wielandt).
+X comes from a few dozen power steps with M, O(s^2) each, then a few shifted
+inverse steps, one LU solve of M each. The bracket is accepted when it is
+finite, at most PERRON_RTOL wide and clear of 1 - margin; in every other case
+(X not positive definite, e.g. a reducible T whose Perron vector is singular;
+a singular shift; the step cap reached) the eigenvalues decide as below the
+crossover.
+
 stationary_covariance and solve_value_kernel solve first, and accept the gain
 when their solution X is a Lyapunov certificate of rho < 1 -
 ADMISSIBILITY_MARGIN, which is is_admissible's own rule (see _certified); no
@@ -57,6 +67,16 @@ from .system import CostModel, SystemModel
 
 # A gain is admissible when rho(T) < 1 - ADMISSIBILITY_MARGIN.
 ADMISSIBILITY_MARGIN = 1e-9
+
+# is_admissible brackets the Perron root from this state dimension on; below
+# it the eigenvalues of the packed matrix are faster (table in README).
+PERRON_MIN_N = 10
+# _perron_radius takes PERRON_POWER_STEPS power steps, then at most
+# PERRON_INVERSE_STEPS shifted inverse steps, and accepts a bracket on rho at
+# most PERRON_RTOL * rho wide.
+PERRON_POWER_STEPS = 48
+PERRON_INVERSE_STEPS = 8
+PERRON_RTOL = 1e-12
 
 # _fixed_point tries the matrix-free splitting first from this state
 # dimension on; below it the packed LU is faster (crossover table in README).
@@ -134,17 +154,80 @@ def is_admissible(model: SystemModel, gain: np.ndarray,
                   margin: float = ADMISSIBILITY_MARGIN) -> tuple[bool, float]:
     """Mean-square stability check. Returns (flag, spectral radius of T).
 
-    Exact: the eigenvalues of the s x s packed matrix of T, s = n(n+1)/2,
-    whose spectral radius is that of the n^2 x n^2 matrix (module docstring).
-    A finite gain so large that the packed matrix overflows gives
-    (False, inf).
+    Exact: the spectral radius of the s x s packed matrix of T,
+    s = n(n+1)/2, which is that of the n^2 x n^2 matrix (module docstring).
+    From PERRON_MIN_N states on it is the midpoint of a closed Perron
+    bracket (_perron_radius); when the bracket does not close, and always
+    below PERRON_MIN_N, it is the largest eigenvalue modulus. A finite gain
+    so large that the packed matrix overflows gives (False, inf).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mat = moment_operator(model, gain).packed()
     if not np.isfinite(mat).all():
         return False, np.inf
-    rho = float(np.abs(np.linalg.eigvals(mat)).max())
+    rho = None
+    if model.state_dim >= PERRON_MIN_N:
+        rho = _perron_radius(mat, model.state_dim, 1.0 - margin)
+    if rho is None:
+        rho = float(np.abs(np.linalg.eigvals(mat)).max())
     return rho < 1.0 - margin, rho
+
+
+def _perron_radius(mat: np.ndarray, n: int, edge: float) -> float | None:
+    """Spectral radius of the packed matrix mat of T from a closed
+    Collatz-Wielandt bracket, or None when the bracket does not close.
+
+    For X = C C^T > 0, the extreme eigenvalues lo, hi of C^-1 T(X) C^-T give
+    lo X <= T(X) <= hi X, and since T is a positive map, lo <= rho <= hi.
+    X is the Perron vector's estimate: PERRON_POWER_STEPS power steps from
+    vech(I), then shifted inverse steps v <- (hi I - mat)^-1 v with the
+    current upper bound hi as the shift. As hi >= rho, rho is the eigenvalue
+    nearest the shift and (hi I - T)^-1 is again a positive map. The
+    bracket is accepted when it is finite, at most PERRON_RTOL * hi wide and
+    does not straddle edge, so that its midpoint decides rho < edge as rho
+    itself does. None when X is not positive definite (e.g. a reducible T,
+    whose Perron vector can be singular), when the shifted matrix is
+    singular, and after PERRON_INVERSE_STEPS inverse steps.
+    """
+    diag = np.equal(*packed_indices(n))
+    v = diag.astype(float)   # vech(I)
+    # Overflowing iterates, and iterates that vanish (0/0 for a nilpotent T),
+    # end as a non-finite v or bracket, which gives None; numpy need not warn
+    # on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(PERRON_POWER_STEPS):
+            v = mat @ v
+            v /= v[diag].sum()   # tr(X)
+        for step in range(PERRON_INVERSE_STEPS + 1):
+            if not np.isfinite(v).all():
+                return None
+            try:
+                c_inv = np.linalg.inv(np.linalg.cholesky(_unvech(v, n)))
+                eigs = np.linalg.eigvalsh(c_inv @ _unvech(mat @ v, n) @ c_inv.T)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.isfinite(eigs).all():
+                return None
+            lo, hi = eigs[0], eigs[-1]
+            if hi - lo <= PERRON_RTOL * hi:
+                return None if lo < edge <= hi else float((lo + hi) / 2)
+            if step == PERRON_INVERSE_STEPS:
+                break
+            try:
+                v = np.linalg.solve(hi * np.eye(len(v)) - mat, v)
+            except np.linalg.LinAlgError:
+                return None
+            v /= v[diag].sum()
+    return None
+
+
+def _unvech(v: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix whose upper triangle is packed in v."""
+    rows, cols = packed_indices(n)
+    x = np.empty((n, n))
+    x[rows, cols] = v
+    x[cols, rows] = v
+    return x
 
 
 def _exact_radius(model: SystemModel, gain: np.ndarray) -> float:
@@ -272,9 +355,7 @@ def _fixed_point(model: SystemModel, gain: np.ndarray, op: MomentOperator,
         raise SingularSystemError(
             f"{name} equation is singular (spectral radius {rho:.6g})"
         ) from exc
-    x = np.empty_like(rhs)
-    x[rows, cols] = x_vech
-    x[cols, rows] = x_vech
+    x = _unvech(x_vech, model.state_dim)
     if not _certified(op.factors, x, dual):
         _exact_radius(model, gain)
     return x

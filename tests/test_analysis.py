@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import warnings
 from collections import Counter
@@ -26,6 +27,16 @@ from slqr.system import CostModel, SystemModel
 from slqr.testing import random_admissible_gain, random_admissible_system
 
 analysis_module = importlib.import_module("slqr.analysis")
+# is_admissible's size gate as shipped, and the Perron bracket tried at every
+# size; both must give the same flag and radius.
+RADIUS_GATES = (analysis_module.PERRON_MIN_N, 1)
+
+
+@contextlib.contextmanager
+def perron_min_n(value):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis_module, "PERRON_MIN_N", value)
+        yield
 
 
 def scalar_model(a, d=1.0, state_noise=()):
@@ -136,9 +147,11 @@ def test_packed_radius_is_the_matrix_radius(seed, side, log_gap):
     for dual in (False, True):
         rho_packed = np.abs(np.linalg.eigvals(op.packed(dual))).max()
         assert abs(rho_packed - rho_full) <= 1e-10 * rho_full
-    admissible, rho = is_admissible(model, gain)
-    assert abs(rho - rho_full) <= 1e-10 * rho_full
-    assert admissible == (rho_full < 1.0 - ADMISSIBILITY_MARGIN)
+    for gate in RADIUS_GATES:
+        with perron_min_n(gate):
+            admissible, rho = is_admissible(model, gain)
+        assert abs(rho - rho_full) <= 1e-10 * rho_full
+        assert admissible == (rho_full < 1.0 - ADMISSIBILITY_MARGIN)
 
 
 def test_admissibility_scalar_fixtures_exact():
@@ -320,22 +333,25 @@ def test_malformed_gain_is_a_validation_error(sec6, entry, gain, message):
 def test_overflowing_gain_is_not_admissible(sec6):
     # Finite, but the Kronecker products of the moment operator overflow.
     model, cost = sec6
-    assert is_admissible(model, 1e200 * np.eye(3)) == (False, np.inf)
-    for entry in FIXED_POINT_SOLVERS:
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NotAdmissibleError) as err:
-            GAIN_ENTRY_POINTS[entry](model, cost, 1e200 * np.eye(3))
-        assert err.value.spectral_radius == np.inf
+    for gate in RADIUS_GATES:
+        with perron_min_n(gate):
+            assert is_admissible(model, 1e200 * np.eye(3)) == (False, np.inf)
+            for entry in FIXED_POINT_SOLVERS:
+                with np.errstate(over="ignore", invalid="ignore"), \
+                        pytest.raises(NotAdmissibleError) as err:
+                    GAIN_ENTRY_POINTS[entry](model, cost, 1e200 * np.eye(3))
+                assert err.value.spectral_radius == np.inf
 
 
 def test_overflowing_gain_raises_without_numpy_warnings(sec6):
     model, cost = sec6
-    for entry in FIXED_POINT_SOLVERS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NotAdmissibleError) as err:
-                GAIN_ENTRY_POINTS[entry](model, cost, 1e200 * np.eye(3))
-        assert err.value.spectral_radius == np.inf
+    for gate in RADIUS_GATES:
+        for entry in FIXED_POINT_SOLVERS:
+            with perron_min_n(gate), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotAdmissibleError) as err:
+                    GAIN_ENTRY_POINTS[entry](model, cost, 1e200 * np.eye(3))
+            assert err.value.spectral_radius == np.inf
 
 
 def test_huge_radius_gives_a_short_message(sec6):
@@ -343,13 +359,19 @@ def test_huge_radius_gives_a_short_message(sec6):
     model, cost = sec6
     for scale in (1e50, 1e100):
         gain = scale * np.eye(3)
-        _, rho = is_admissible(model, gain)
-        assert np.isfinite(rho) and rho > 1e99
-        for entry in ("stationary_covariance", "solve_value_kernel", "policy_iteration"):
-            with pytest.raises(NotAdmissibleError) as err:
-                GAIN_ENTRY_POINTS[entry](model, cost, gain)
-            assert len(str(err.value)) < 100
-            assert err.value.spectral_radius == rho
+        rho_eig = packed_radius(model, gain)
+        for gate in RADIUS_GATES:
+            with perron_min_n(gate), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, rho = is_admissible(model, gain)
+                assert np.isfinite(rho) and rho > 1e99
+                assert abs(rho - rho_eig) <= 1e-10 * rho_eig
+                for entry in ("stationary_covariance", "solve_value_kernel",
+                              "policy_iteration"):
+                    with pytest.raises(NotAdmissibleError) as err:
+                        GAIN_ENTRY_POINTS[entry](model, cost, gain)
+                    assert len(str(err.value)) < 100
+                    assert err.value.spectral_radius == rho
 
 
 @pytest.mark.parametrize("entry", FIXED_POINT_SOLVERS)
@@ -656,3 +678,127 @@ def test_policy_iteration_on_the_matrix_free_path(monkeypatch):
     p = trace.kernels[-1]
     assert np.linalg.norm(riccati_residual(model, cost, p)) < 1e-9 * np.linalg.norm(p)
     assert np.linalg.norm(p - dense.kernels[-1]) <= 1e-12 * np.linalg.norm(p)
+
+
+# --- The Perron bracket of is_admissible, from PERRON_MIN_N states on ---
+def count_eigvals(monkeypatch):
+    calls = Counter()
+    eigvals = np.linalg.eigvals
+
+    def counted(mat):
+        calls["eigvals"] += 1
+        return eigvals(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+def packed_radius(model, gain):
+    return float(np.abs(np.linalg.eigvals(moment_operator(model, gain).packed())).max())
+
+
+def test_perron_bracket_replaces_the_eigenvalues_from_the_size_gate(monkeypatch):
+    # A pi_n20-style system, at the zero gain and at a random admissible one:
+    # no eigenvalue problem, and the radius of the packed matrix to 1e-10.
+    # One state below the gate, the eigenvalues decide.
+    rng = np.random.default_rng(8)
+    model, _ = wide_system(rng, n=20)
+    expected = []
+    for gain in (np.zeros((model.input_dim, 20)), random_admissible_gain(model, rng)):
+        expected.append((gain, packed_radius(model, gain)))
+    calls = count_eigvals(monkeypatch)
+    for gain, rho_eig in expected:
+        admissible, rho = is_admissible(model, gain)
+        assert admissible and abs(rho - rho_eig) <= 1e-10 * rho_eig
+    assert calls["eigvals"] == 0
+    small, _ = wide_system(rng, n=analysis_module.PERRON_MIN_N - 1)
+    is_admissible(small, np.zeros((small.input_dim, small.state_dim)))
+    assert calls["eigvals"] == 1
+
+
+def test_loops_without_a_positive_definite_perron_vector_fall_back(monkeypatch):
+    # A block-diagonal loop: T's Perron vector lives on the slower-decaying
+    # block and is singular, so the bracket cannot close. A deadbeat loop
+    # (A nilpotent) has T^n(I) = 0, and the power steps end at 0/0. Both
+    # times the eigenvalues of the packed matrix decide, without a numpy
+    # warning.
+    rng = np.random.default_rng(9)
+    n = analysis_module.PERRON_MIN_N
+    blocks = []
+    for radius in (0.9, 0.5):
+        a = rng.normal(size=(n // 2, n // 2))
+        blocks.append(a * radius / np.abs(np.linalg.eigvals(a)).max())
+    zero = np.zeros((n // 2, n // 2))
+    cases = [(np.block([[blocks[0], zero], [zero, blocks[1]]]), 0.81),
+             (np.triu(rng.normal(size=(n, n)), 1), 0.0)]
+    gain = np.zeros((2, n))
+    calls = count_eigvals(monkeypatch)
+    for a, rho_exact in cases:
+        model = SystemModel(A=a, B=np.eye(n, 2), D=np.eye(n), X0=np.eye(n))
+        rho_eig = packed_radius(model, gain)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_admissible(model, gain) == (True, rho_eig)
+        assert calls["eigvals"] == 1
+        assert rho_eig == pytest.approx(rho_exact, abs=1e-12)
+
+
+def test_overflowing_power_steps_fall_back_without_warnings(monkeypatch):
+    # The packed matrix is finite (entries near 1e307), but a power step
+    # overflows: the eigenvalues decide, and numpy does not warn.
+    model, _ = wide_system(np.random.default_rng(3))
+    gain = 10.0 ** 153.75 * np.eye(model.input_dim, model.state_dim)
+    rho_eig = packed_radius(model, gain)
+    assert np.isfinite(rho_eig)
+    calls = count_eigvals(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_admissible(model, gain) == (False, rho_eig)
+    assert calls["eigvals"] == 1
+
+
+def test_periodic_loop_gets_the_perron_root(monkeypatch):
+    # A weighted cyclic shift: A's eigenvalues are r times the n-th roots of
+    # unity, so T has every r^2 w (w^n = 1) on its spectral circle, -r^2
+    # among them, and power steps alone cycle. The shifted inverse steps
+    # still close the bracket, on both sides of the stability edge.
+    rng = np.random.default_rng(10)
+    n = analysis_module.PERRON_MIN_N
+    weights = rng.uniform(0.5, 1.5, size=n)
+    cycle = np.roll(np.eye(n), 1, axis=0) * weights / np.prod(weights) ** (1.0 / n)
+    cases = []
+    for r in (0.9, 1.1):
+        model = SystemModel(A=r * cycle, B=np.eye(n, 2), D=np.eye(n), X0=np.eye(n))
+        cases.append((model, r * r))
+    gain = np.zeros((2, n))
+    assert np.isclose(np.linalg.eigvals(moment_operator(cases[0][0], gain).packed()),
+                      -0.81).any()
+    calls = count_eigvals(monkeypatch)
+    for model, rho_exact in cases:
+        admissible, rho = is_admissible(model, gain)
+        assert admissible == (rho_exact < 1.0)
+        assert abs(rho - rho_exact) <= 1e-12
+    assert calls["eigvals"] == 0
+
+
+def test_a_bracket_across_the_margin_leaves_the_decision_to_the_eigenvalues(monkeypatch):
+    # With the width rule lifted, any bracket is accepted except one that
+    # holds 1 - margin: there its midpoint could fall on the wrong side.
+    # Scaling A by c and every variance by c^2 scales T by c^2.
+    monkeypatch.setattr(analysis_module, "PERRON_RTOL", 1.0)
+    edge = 1.0 - ADMISSIBILITY_MARGIN
+    base, _ = wide_system(np.random.default_rng(11))
+    gain = np.zeros((base.input_dim, base.state_dim))
+    rho_base = packed_radius(base, gain)
+    calls = count_eigvals(monkeypatch)
+    for rho_target, fallbacks in ((0.5, 0), (edge - 1e-12, 1), (edge + 1e-12, 1)):
+        c2 = rho_target / rho_base
+        model = SystemModel(A=np.sqrt(c2) * base.A, B=base.B, D=base.D, X0=base.X0,
+                            state_noise=[(a, c2 * v) for a, v in base.state_noise])
+        rho_eig = packed_radius(model, gain)
+        calls.clear()
+        admissible, rho = is_admissible(model, gain)
+        assert calls["eigvals"] == fallbacks
+        if fallbacks:
+            assert (admissible, rho) == (rho_eig < edge, rho_eig)

@@ -1,4 +1,5 @@
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -22,3 +23,12 @@ def test_every_error_class_is_exported():
                if inspect.isclass(obj) and issubclass(obj, Exception)}
     assert {"ConfigError", "ValidationError", "SolverFailure"} <= classes
     assert classes <= set(slqr.__all__)
+
+
+def test_submodules_are_not_shadowed_by_top_level_names():
+    import slqr.policy_iteration as module
+    assert inspect.ismodule(module)
+    assert module.policy_iteration.__module__ == "slqr.policy_iteration"
+    for info in pkgutil.iter_modules(slqr.__path__):
+        if hasattr(slqr, info.name):
+            assert inspect.ismodule(getattr(slqr, info.name)), info.name

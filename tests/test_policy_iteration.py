@@ -1,8 +1,7 @@
-import importlib
-
 import numpy as np
 import pytest
 
+import slqr.policy_iteration as pi_module
 from slqr.analysis import (
     average_cost,
     input_weight,
@@ -128,9 +127,7 @@ def test_model_based_failure_names_its_iteration(sec6, monkeypatch):
     def failing_solve(*args):
         raise SingularSystemError("scripted failure")
 
-    # slqr.policy_iteration names the function, so fetch the module itself.
-    module = importlib.import_module("slqr.policy_iteration")
-    monkeypatch.setattr(module, "solve_value_kernel", failing_solve)
+    monkeypatch.setattr(pi_module, "solve_value_kernel", failing_solve)
     with pytest.raises(SingularSystemError, match="^iteration 0: scripted failure$"):
         policy_iteration(model, cost, np.zeros((3, 3)))
 
