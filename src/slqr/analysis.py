@@ -24,29 +24,30 @@ it brackets the Perron root instead (_perron_radius): T is a positive map, so
 an X > 0 with lo X <= T(X) <= hi X puts rho in [lo, hi] (Collatz-Wielandt).
 X comes from a few dozen power steps with M, O(s^2) each, then a few shifted
 inverse steps, one LU solve of M each. The bracket is accepted when it is
-finite, at most PERRON_RTOL wide and clear of 1 - margin; in every other case
-(X not positive definite, e.g. a reducible T whose Perron vector is singular;
-a singular shift; the step cap reached) the eigenvalues decide as below the
+finite, at most PERRON_RTOL wide and clear of 1 - ADMISSIBILITY_MARGIN; in
+every other case (X not positive definite, e.g. a reducible T whose Perron
+vector is singular; a singular shift; an inverse step that does not narrow
+the bracket; the step cap reached) the eigenvalues decide as below the
 crossover.
 
-stationary_covariance and solve_value_kernel solve first, and accept the gain
-when their solution X is a Lyapunov certificate of rho < 1 -
-ADMISSIBILITY_MARGIN, which is is_admissible's own rule (see _certified); no
-eigenvalue problem runs then. Otherwise (X not positive definite, e.g. P = 0
-for Q = 0 at the zero gain; a bound inside the margin; a singular or
-non-finite solve) they fall back to is_admissible, and an inadmissible gain
-raises NotAdmissibleError with the exact spectral radius.
-
-Their solve (_fixed_point) has two paths. The packed LU of the s x s matrix
-costs O(n^6) and is the only path below MATRIX_FREE_MIN_N states, where it
-is the faster one. From there on a matrix-free splitting runs first
+stationary_covariance and solve_value_kernel are one solve, _fixed_point,
+with one acceptance rule: its solvers run in turn, and the first solution X
+that meets its defining equation to RESIDUAL_RTOL and is a Lyapunov
+certificate of rho < 1 - ADMISSIBILITY_MARGIN (X > 0 and X - T(X) > 0, see
+_certified; is_admissible's own threshold) is returned, with no eigenvalue
+problem. There are two solvers. The packed LU of the s x s matrix costs
+O(n^6) and is the only one below MATRIX_FREE_MIN_N states, where it is the
+faster one. From there on a matrix-free splitting runs first
 (_splitting_solve): each sweep solves the Stein equation of the mean loop F0
 by Smith doubling and adds the noise channels' terms, O(n^3) work in n x n
-products. Its X is used only when the sweeps converged within
-SPLITTING_MAX_SWEEPS, X meets the equation to RESIDUAL_RTOL and X certifies
-the gain. In every other case (the splitting capped near the stability edge,
-F0 not Schur-stable, an overflow, no certificate) the packed LU runs exactly
-as it does below the crossover.
+products; it gives up near the stability edge, when F0 is not Schur-stable
+and on overflow, and then the packed LU runs as below the crossover.
+
+When no X is accepted there is one exit, through the exact check of
+is_admissible: an inadmissible gain raises NotAdmissibleError with the exact
+spectral radius. For an admissible gain, an X that meets its equation but
+certifies nothing (e.g. P = 0 for Q = 0 at the zero gain, or a bound inside
+the margin) is returned; with no such X the solve raises SingularSystemError.
 """
 
 from __future__ import annotations
@@ -95,10 +96,9 @@ RESIDUAL_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class MomentOperator:
-    """The covariance propagation X -> T(X) + unvec(offset), held as its factors."""
+    """The second-moment operator T(X) = sum_c F_c X F_c^T, held as its factors."""
 
-    factors: list[np.ndarray]   # F_c of T(X) = sum_c F_c X F_c^T
-    offset: np.ndarray          # (n*n,) row-major vec of the additive covariance
+    factors: list[np.ndarray]
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -146,12 +146,10 @@ def closed_loop_factors(model: SystemModel, gain: np.ndarray) -> list[np.ndarray
 
 
 def moment_operator(model: SystemModel, gain: np.ndarray) -> MomentOperator:
-    return MomentOperator(factors=closed_loop_factors(model, gain),
-                          offset=model.D.ravel())
+    return MomentOperator(factors=closed_loop_factors(model, gain))
 
 
-def is_admissible(model: SystemModel, gain: np.ndarray,
-                  margin: float = ADMISSIBILITY_MARGIN) -> tuple[bool, float]:
+def is_admissible(model: SystemModel, gain: np.ndarray) -> tuple[bool, float]:
     """Mean-square stability check. Returns (flag, spectral radius of T).
 
     Exact: the spectral radius of the s x s packed matrix of T,
@@ -167,10 +165,10 @@ def is_admissible(model: SystemModel, gain: np.ndarray,
         return False, np.inf
     rho = None
     if model.state_dim >= PERRON_MIN_N:
-        rho = _perron_radius(mat, model.state_dim, 1.0 - margin)
+        rho = _perron_radius(mat, model.state_dim, 1.0 - ADMISSIBILITY_MARGIN)
     if rho is None:
         rho = float(np.abs(np.linalg.eigvals(mat)).max())
-    return rho < 1.0 - margin, rho
+    return rho < 1.0 - ADMISSIBILITY_MARGIN, rho
 
 
 def _perron_radius(mat: np.ndarray, n: int, edge: float) -> float | None:
@@ -187,7 +185,11 @@ def _perron_radius(mat: np.ndarray, n: int, edge: float) -> float | None:
     does not straddle edge, so that its midpoint decides rho < edge as rho
     itself does. None when X is not positive definite (e.g. a reducible T,
     whose Perron vector can be singular), when the shifted matrix is
-    singular, and after PERRON_INVERSE_STEPS inverse steps.
+    singular, when an inverse step does not raise lo and lower hi (in exact
+    arithmetic each step nests the new bracket in the old one, as
+    (hi I - T)^-1 is a positive map commuting with T, so such a step has hit
+    the rounding floor, which grows with cond(X)), and after
+    PERRON_INVERSE_STEPS inverse steps.
     """
     diag = np.equal(*packed_indices(n))
     v = diag.astype(float)   # vech(I)
@@ -198,6 +200,7 @@ def _perron_radius(mat: np.ndarray, n: int, edge: float) -> float | None:
         for _ in range(PERRON_POWER_STEPS):
             v = mat @ v
             v /= v[diag].sum()   # tr(X)
+        prev_lo, prev_hi = -np.inf, np.inf
         for step in range(PERRON_INVERSE_STEPS + 1):
             if not np.isfinite(v).all():
                 return None
@@ -211,8 +214,9 @@ def _perron_radius(mat: np.ndarray, n: int, edge: float) -> float | None:
             lo, hi = eigs[0], eigs[-1]
             if hi - lo <= PERRON_RTOL * hi:
                 return None if lo < edge <= hi else float((lo + hi) / 2)
-            if step == PERRON_INVERSE_STEPS:
+            if step == PERRON_INVERSE_STEPS or lo <= prev_lo or hi >= prev_hi:
                 break
+            prev_lo, prev_hi = lo, hi
             try:
                 v = np.linalg.solve(hi * np.eye(len(v)) - mat, v)
             except np.linalg.LinAlgError:
@@ -230,17 +234,6 @@ def _unvech(v: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _exact_radius(model: SystemModel, gain: np.ndarray) -> float:
-    """Spectral radius of T from is_admissible; NotAdmissibleError if too large."""
-    admissible, rho = is_admissible(model, gain)
-    if not admissible:
-        raise NotAdmissibleError(
-            f"gain is not admissible: moment spectral radius {rho:.6g} >= 1",
-            spectral_radius=rho,
-        )
-    return rho
-
-
 def _apply(factors, x: np.ndarray, dual: bool) -> np.ndarray:
     """T(X) = sum_c F_c X F_c^T, or T*(X) = sum_c F_c^T X F_c when dual, for
     factors given as a list or stacked along the first axis."""
@@ -251,7 +244,7 @@ def _apply(factors, x: np.ndarray, dual: bool) -> np.ndarray:
 
 def _certified(factors: list[np.ndarray], x: np.ndarray, dual: bool) -> bool:
     """Whether the symmetric solution x of X = T(X) + C certifies
-    rho(T) < 1 - margin.
+    rho(T) < 1 - ADMISSIBILITY_MARGIN.
 
     T(X) = sum_c F_c X F_c^T, or T*(X) = sum_c F_c^T X F_c when dual, is a
     positive map with spectral radius rho(T). If X > 0 and Y = X - T(X) > 0,
@@ -322,50 +315,66 @@ def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
     return None
 
 
-def _fixed_point(model: SystemModel, gain: np.ndarray, op: MomentOperator,
-                 rhs: np.ndarray, dual: bool, name: str) -> np.ndarray:
-    """Solve X = T(X) + C, or X = T*(X) + C when dual, for an admissible
-    gain and a symmetric n x n C, and return the symmetric X.
+def _packed_solve(factors: list[np.ndarray], rhs: np.ndarray,
+                  dual: bool) -> np.ndarray | None:
+    """Solve (I - T) vech(X) = vech(C), or with T* when dual, on the packed
+    s x s matrix by LU, or return None when it is singular. Only the upper
+    triangle of C is read."""
+    rows, cols = packed_indices(len(rhs))
+    mat = MomentOperator(factors).packed(dual)
+    try:
+        x_vech = np.linalg.solve(np.eye(len(rows)) - mat, rhs[rows, cols])
+    except np.linalg.LinAlgError:
+        return None
+    return _unvech(x_vech, len(rhs))
 
-    From MATRIX_FREE_MIN_N on, the matrix-free splitting (_splitting_solve)
-    runs first, and its X is returned when it meets the defining equation
-    to RESIDUAL_RTOL and certifies the gain (_certified). Otherwise, and
-    always below MATRIX_FREE_MIN_N, the solve is
-    (I - op.packed(dual)) vech(X) = vech(C) on the symmetric subspace; only
-    the upper triangle of C is read. The gain's admissibility is certified
-    from X itself; only when that fails does the exact eigenvalue check of
-    is_admissible run.
+
+def _fixed_point(model: SystemModel, gain: np.ndarray, make_rhs, dual: bool,
+                 name: str) -> np.ndarray:
+    """Solve X = T(X) + C, or X = T*(X) + C when dual, for an admissible
+    gain, with C = make_rhs() a symmetric n x n matrix, and return the
+    symmetric X.
+
+    The solvers run in turn: from MATRIX_FREE_MIN_N states on the
+    matrix-free splitting (_splitting_solve), then the packed LU
+    (_packed_solve). The first X that meets the defining equation to
+    RESIDUAL_RTOL and certifies the gain (_certified) is returned. Otherwise
+    the exact check of is_admissible decides: NotAdmissibleError with its
+    spectral radius, else the last X if it meets the equation (its
+    certificate fell inside the margin, e.g. P = 0 for Q = 0), else
+    SingularSystemError.
     """
-    # A finite gain whose operator overflows fails the solve or the
+    # A finite gain whose operator overflows fails the solves or the
     # certificate below, and is_admissible rejects it with rho = inf; numpy
     # need not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
+        factors = moment_operator(model, gain).factors   # checks the gain first
+        rhs = make_rhs()
+        solvers = [_packed_solve]
         if model.state_dim >= MATRIX_FREE_MIN_N:
-            x = _splitting_solve(op.factors, rhs, dual)
-            if (x is not None
-                    and _residual(op.factors, x, rhs, dual) <= RESIDUAL_RTOL
-                    and _certified(op.factors, x, dual)):
+            solvers.insert(0, _splitting_solve)
+        for solve in solvers:
+            x = solve(factors, rhs, dual)
+            if x is None:
+                continue
+            rel = _residual(factors, x, rhs, dual)
+            if rel <= RESIDUAL_RTOL and _certified(factors, x, dual):
                 return x
-        mat = op.packed(dual)
-    rows, cols = packed_indices(model.state_dim)
-    try:
-        x_vech = np.linalg.solve(np.eye(len(rows)) - mat, rhs[rows, cols])
-    except np.linalg.LinAlgError as exc:
-        rho = _exact_radius(model, gain)
-        raise SingularSystemError(
-            f"{name} equation is singular (spectral radius {rho:.6g})"
-        ) from exc
-    x = _unvech(x_vech, model.state_dim)
-    if not _certified(op.factors, x, dual):
-        _exact_radius(model, gain)
-    return x
+    admissible, rho = is_admissible(model, gain)
+    if not admissible:
+        raise NotAdmissibleError(
+            f"gain is not admissible: moment spectral radius {rho:.6g} >= 1",
+            spectral_radius=rho,
+        )
+    if x is not None and rel <= RESIDUAL_RTOL:
+        return x
+    failure = "is singular" if x is None else f"residual {rel:.3e} is too large"
+    raise SingularSystemError(f"{name} equation {failure} (spectral radius {rho:.6g})")
 
 
 def stationary_covariance(model: SystemModel, gain: np.ndarray) -> np.ndarray:
     """Fixed point X = T(X) + D of the covariance propagation."""
-    with np.errstate(over="ignore", invalid="ignore"):   # as in is_admissible
-        op = moment_operator(model, gain)
-    x = _fixed_point(model, gain, op, model.D, dual=False, name="covariance")
+    x = _fixed_point(model, gain, lambda: model.D, dual=False, name="covariance")
     eigs = np.linalg.eigvalsh(x)
     if eigs.min() < -1e-10 * max(1.0, eigs.max()):
         raise SingularSystemError(
@@ -384,20 +393,8 @@ def solve_value_kernel(model: SystemModel, cost: CostModel,
     in packed coordinates.
     """
     gain = np.asarray(gain, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):   # as in is_admissible
-        op = moment_operator(model, gain)   # checks the gain first
-        rhs = cost.Q + gain.T @ cost.R @ gain
-    p = _fixed_point(model, gain, op, rhs, dual=True, name="value-kernel")
-
-    # Residual guard: the solve must reproduce the defining equation.
-    rel = _residual(op.factors, p, rhs, dual=True)
-    if rel > RESIDUAL_RTOL:
-        _, rho = is_admissible(model, gain)
-        raise SingularSystemError(
-            f"value-kernel solve residual {rel:.3e} too large "
-            f"(spectral radius {rho:.6g})"
-        )
-    return p
+    return _fixed_point(model, gain, lambda: cost.Q + gain.T @ cost.R @ gain,
+                        dual=True, name="value-kernel")
 
 
 def average_cost(value_kernel: np.ndarray, additive_cov: np.ndarray) -> float:

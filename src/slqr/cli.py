@@ -16,8 +16,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .config import (
     MODES,
     fixture_names,
@@ -63,15 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(resolve_config(args.config))
+    overrides = {}
     if args.mode:
-        config = replace(config, mode=args.mode)
+        overrides["mode"] = args.mode
     if args.seeds is not None:
-        config = replace(config, seeds=_parse_seeds(args.seeds))
-    if config.runs_model_free():
-        if config.learner is None:
-            raise ConfigError("mode requires a learner section in the config")
-        if not config.seeds:
-            raise ConfigError("seeds must be non-empty when mode runs the learner")
+        overrides["seeds"] = _parse_seeds(args.seeds)
+    config = replace(config, **overrides)   # ExperimentConfig checks the result
     out = args.out or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir
 
     summary = run_experiment(config, output_dir=out)
@@ -114,13 +109,11 @@ def _cmd_fixtures(_args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # Diverging rollouts surface as errors, not as numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if args.verb == "run":
-                return _cmd_run(args)
-            if args.verb == "check":
-                return _cmd_check(args)
-            return _cmd_fixtures(args)
+        if args.verb == "run":
+            return _cmd_run(args)
+        if args.verb == "check":
+            return _cmd_check(args)
+        return _cmd_fixtures(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,9 @@ Schema (matrices are row-major nested arrays):
     }
 
 "pi" is required for model_based/both, "learner" and non-empty "seeds" for
-model_free/both. load_config(save_config(cfg)) reproduces the config exactly.
+model_free/both. ExperimentConfig itself checks the mode and the latter rule,
+so a config changed with dataclasses.replace is held to them too.
+load_config(save_config(cfg)) reproduces the config exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .qlearning import COST_MODES, LearnerConfig
+from .qlearning import LearnerConfig
 from .system import CostModel, SystemModel
 
 MODES = ("model_based", "model_free", "both")
@@ -57,6 +59,15 @@ class ExperimentConfig:
     learner: LearnerConfig | None
     seeds: list[int]
     output_dir: str
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.runs_model_free():
+            if self.learner is None:
+                raise ConfigError("mode requires a learner section in the config")
+            if not self.seeds:
+                raise ConfigError("seeds must be non-empty when mode runs the learner")
 
     def runs_model_based(self) -> bool:
         return self.mode in ("model_based", "both")
@@ -127,8 +138,6 @@ def from_dict(doc: dict) -> ExperimentConfig:
     _reject_unknown(doc, _TOP_KEYS, "")
 
     mode = _require(doc, "mode", "")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
     model_doc = _require(doc, "model", "")
     if not isinstance(model_doc, dict):
@@ -159,10 +168,7 @@ def from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"cost: {exc}") from None
 
     pi_tol, pi_max_iter = 1e-9, 200
-    if mode in ("model_based", "both"):
-        pi_doc = _require(doc, "pi", "")
-    else:
-        pi_doc = doc.get("pi")
+    pi_doc = doc.get("pi")
     if pi_doc is not None:
         if not isinstance(pi_doc, dict):
             raise ConfigError("pi must be an object")
@@ -175,19 +181,11 @@ def from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"pi.max_iter must be >= 1, got {pi_max_iter}")
 
     learner = None
-    if mode in ("model_free", "both"):
-        learner_doc = _require(doc, "learner", "")
-    else:
-        learner_doc = doc.get("learner")
+    learner_doc = doc.get("learner")
     if learner_doc is not None:
         if not isinstance(learner_doc, dict):
             raise ConfigError("learner must be an object")
         _reject_unknown(learner_doc, _LEARNER_KEYS, "learner.")
-        cost_mode = learner_doc.get("cost_mode", "known_d")
-        if cost_mode not in COST_MODES:
-            raise ConfigError(
-                f"learner.cost_mode must be one of {COST_MODES}, got {cost_mode!r}"
-            )
         try:
             learner = LearnerConfig(
                 initial_gain=_matrix(learner_doc, "initial_gain", "learner."),
@@ -197,7 +195,7 @@ def from_dict(doc: dict) -> ExperimentConfig:
                 max_iterations=_integer(learner_doc, "max_iterations", "learner."),
                 gain_tol=_number(learner_doc, "gain_tol", "learner."),
                 seed=0,  # replaced per run by the seed sweep
-                cost_mode=cost_mode,
+                cost_mode=learner_doc.get("cost_mode", "known_d"),
             )
         except ValidationError as exc:
             raise ConfigError(f"learner: {exc}") from None
@@ -212,16 +210,17 @@ def from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(seeds_raw, list) or not all(
             isinstance(s, int) and not isinstance(s, bool) for s in seeds_raw):
         raise ConfigError("seeds must be a list of integers")
-    if mode in ("model_free", "both") and not seeds_raw:
-        raise ConfigError("seeds must be non-empty when mode runs the learner")
 
     output_dir = doc.get("output_dir", "results")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir must be a non-empty string")
 
-    return ExperimentConfig(mode=mode, model=model, cost=cost, pi_tol=pi_tol,
-                            pi_max_iter=pi_max_iter, learner=learner,
-                            seeds=list(seeds_raw), output_dir=output_dir)
+    config = ExperimentConfig(mode=mode, model=model, cost=cost, pi_tol=pi_tol,
+                              pi_max_iter=pi_max_iter, learner=learner,
+                              seeds=list(seeds_raw), output_dir=output_dir)
+    if config.runs_model_based():
+        _require(doc, "pi", "")
+    return config
 
 
 def to_dict(config: ExperimentConfig) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -110,15 +111,21 @@ def run_experiment(config: ExperimentConfig,
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    if config.runs_model_based():
-        n, m = model.state_dim, model.input_dim
+    @contextmanager
+    def aborting(method: str):
+        """Flush the partial outputs on a SolverFailure and name the method."""
         try:
-            trace = policy_iteration(model, cost, np.zeros((m, n)),
-                                     tol=config.pi_tol, max_iter=config.pi_max_iter)
+            yield
         except SolverFailure as exc:
             flush(partial=True)
-            exc.args = (f"method model_based: {exc}",)
+            exc.args = (f"method {method}: {exc}",)
             raise
+
+    if config.runs_model_based():
+        n, m = model.state_dim, model.input_dim
+        with aborting("model_based"):
+            trace = policy_iteration(model, cost, np.zeros((m, n)),
+                                     tol=config.pi_tol, max_iter=config.pi_max_iter)
         # Give the final improved gain its own row, with its exactly evaluated cost.
         final_cost = average_cost(solve_value_kernel(model, cost, trace.gains[-1]),
                                   model.D)
@@ -135,23 +142,18 @@ def run_experiment(config: ExperimentConfig,
 
     if config.runs_model_free():
         learner = config.learner
-        admissible, rho = is_admissible(model, learner.initial_gain)
-        if not admissible:
-            flush(partial=True)
-            raise NotAdmissibleError(
-                f"method model_free: initial gain is not admissible "
-                f"(moment spectral radius {rho:.6g})",
-                spectral_radius=rho,
-            )
+        with aborting("model_free"):
+            admissible, rho = is_admissible(model, learner.initial_gain)
+            if not admissible:
+                raise NotAdmissibleError(
+                    f"initial gain is not admissible (moment spectral radius {rho:.6g})",
+                    spectral_radius=rho,
+                )
         per_seed: dict = {}
         for seed in config.seeds:
-            try:
+            with aborting(f"model_free, seed {seed}"):
                 result = run_online_learning(model, cost,
                                              replace(learner, seed=seed))
-            except SolverFailure as exc:
-                flush(partial=True)
-                exc.args = (f"method model_free, seed {seed}: {exc}",)
-                raise
             # The returned gain never gets its own evaluation pass; repeat the
             # last estimate so the trace ends at the gain the learner returns.
             lams = result.cost_estimates + result.cost_estimates[-1:]

@@ -76,9 +76,7 @@ class SystemModel:
     """Plant description.
 
     state_noise / input_noise are lists of (matrix, variance) pairs: the
-    direction each scalar noise channel acts in, and its variance. Set
-    allow_degenerate_noise=True only in deterministic unit tests; it relaxes
-    the D > 0 requirement to D >= 0 (and X0 may be zero as always).
+    direction each scalar noise channel acts in, and its variance.
     """
 
     A: np.ndarray
@@ -87,7 +85,6 @@ class SystemModel:
     X0: np.ndarray
     state_noise: list[tuple[np.ndarray, float]] = field(default_factory=list)
     input_noise: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    allow_degenerate_noise: bool = False
 
     def __post_init__(self):
         from .packing import symmetrize
@@ -144,10 +141,7 @@ class SystemModel:
             raise ValidationError(f"D must have shape {(n, n)}, got {self.D.shape}")
         if self.X0.shape != (n, n):
             raise ValidationError(f"X0 must have shape {(n, n)}, got {self.X0.shape}")
-        if self.allow_degenerate_noise:
-            _check_psd(self.D, "D")
-        else:
-            _check_pd(self.D, "D")
+        _check_pd(self.D, "D")
         _check_psd(self.X0, "X0")
 
 

@@ -188,10 +188,7 @@ def _learning_outcomes(model, cost, learner, seeds, gain_ref, lam_ref):
     iteration_counts = []
     for seed in seeds:
         try:
-            # Diverging seeds overflow before the kernel guard trips.
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = run_online_learning(model, cost,
-                                             replace(learner, seed=seed))
+            result = run_online_learning(model, cost, replace(learner, seed=seed))
         except SolverFailure:
             iteration_counts.append(learner.max_iterations)
             continue

@@ -20,7 +20,12 @@ from slqr.analysis import (
     solve_value_kernel,
     stationary_covariance,
 )
-from slqr.errors import NotAdmissibleError, UnreliableKernelError, ValidationError
+from slqr.errors import (
+    NotAdmissibleError,
+    SingularSystemError,
+    UnreliableKernelError,
+    ValidationError,
+)
 from slqr.packing import vech
 from slqr.policy_iteration import policy_iteration
 from slqr.system import CostModel, SystemModel
@@ -53,7 +58,6 @@ def test_moment_operator_scalar_with_state_noise():
     model = scalar_model(0.9, state_noise=[([[1.0]], 0.1)])
     op = moment_operator(model, L0_1)
     np.testing.assert_allclose(op.matrix, [[0.91]], atol=1e-15)
-    np.testing.assert_array_equal(op.offset, [1.0])
 
 
 def test_moment_operator_without_noise_is_kron_of_closed_loop():
@@ -387,6 +391,20 @@ def test_bound_inside_the_margin_falls_back_to_the_exact_check(entry):
     assert err.value.spectral_radius == rho
 
 
+@pytest.mark.parametrize("entry, name", [("stationary_covariance", "covariance"),
+                                         ("solve_value_kernel", "value-kernel")])
+def test_a_solution_that_misses_its_equation_is_rejected(sec6, monkeypatch, entry, name):
+    # An LU answer off by a relative 1e-6 still certifies the gain, but misses
+    # its defining equation: both solvers raise SingularSystemError with the
+    # residual instead of returning it.
+    model, cost = sec6
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: (1.0 + 1e-6) * solve(a, b))
+    with pytest.raises(SingularSystemError,
+                       match=rf"^{name} equation residual \S+ is too large \(spectral"):
+        GAIN_ENTRY_POINTS[entry](model, cost, L0_3)
+
+
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1),
        log_scale=st.one_of(st.none(), st.floats(-1.5, 1.0)),
@@ -638,6 +656,25 @@ def test_inexact_splitting_falls_back_to_the_packed_solve(monkeypatch):
         assert np.array_equal(x, packed_solve(monkeypatch, solve))
 
 
+def test_an_accepted_matrix_free_solve_checks_its_residual_once(monkeypatch):
+    # The gate's one rule checks the splitting's X once, and no packed
+    # matrix is built.
+    model, cost = wide_system(np.random.default_rng(3))
+    gain = np.zeros((model.input_dim, model.state_dim))
+    calls = count_packed_builds(monkeypatch)
+    residual = analysis_module._residual
+
+    def counted(*args, **kwargs):
+        calls["residual"] += 1
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "_residual", counted)
+    for entry in FIXED_POINT_SOLVERS:
+        calls.clear()
+        GAIN_ENTRY_POINTS[entry](model, cost, gain)
+        assert calls == Counter(residual=1)
+
+
 def test_matrix_free_rejections_report_the_exact_radius():
     # Noise-driven instability with a Schur-stable mean loop (also with
     # Q = 0, where the splitting settles at once on P = 0, which certifies
@@ -802,3 +839,29 @@ def test_a_bracket_across_the_margin_leaves_the_decision_to_the_eigenvalues(monk
         assert calls["eigvals"] == fallbacks
         if fallbacks:
             assert (admissible, rho) == (rho_eig < edge, rho_eig)
+
+
+def test_a_stalled_bracket_stops_the_inverse_steps(monkeypatch):
+    # A graded loop, A = diag(0.9 ... 0.09) with one weak noise channel: the
+    # Perron vector is ill-conditioned, and the bracket's rounding floor
+    # (about 1e-11 wide) lies above PERRON_RTOL. The first inverse step that
+    # does not nest its bracket in the last one hands over to the
+    # eigenvalues, instead of running all PERRON_INVERSE_STEPS.
+    rng = np.random.default_rng(0)
+    n = analysis_module.PERRON_MIN_N
+    noise = rng.normal(size=(n, n))
+    model = SystemModel(A=np.diag(np.geomspace(0.9, 0.09, n)), B=np.eye(n, 2),
+                        D=np.eye(n), X0=np.eye(n),
+                        state_noise=[(noise / np.linalg.norm(noise, 2), 1e-2)])
+    gain = np.zeros((2, n))
+    rho_eig = packed_radius(model, gain)
+    calls = count_eigvals(monkeypatch)
+    solve = np.linalg.solve
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    assert is_admissible(model, gain) == (True, rho_eig)
+    assert calls["eigvals"] == 1 and 1 <= calls["solve"] <= 3

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,9 @@ def test_model_free_requires_seeds_and_learner():
     del doc["learner"]
     with pytest.raises(ConfigError, match="learner"):
         from_dict(doc)
+    # The rule holds for a config changed after loading, as by the CLI's --mode.
+    with pytest.raises(ConfigError, match="learner"):
+        replace(from_dict(minimal_doc()), mode="both")
 
 
 def test_model_based_requires_pi_section():

@@ -45,8 +45,7 @@ L0_3 = np.zeros((3, 3))
 def det_model(model):
     # Deterministic-limit twin of a plant: same A, B, no noise.
     n = model.state_dim
-    return SystemModel(A=model.A, B=model.B, D=np.zeros((n, n)), X0=np.eye(n),
-                       allow_degenerate_noise=True)
+    return SystemModel(A=model.A, B=model.B, D=np.zeros((n, n)), X0=np.eye(n))
 
 
 def test_features_examples():
@@ -438,8 +437,7 @@ def test_bls_needs_enough_samples(sec6):
 
 def test_bls_rejects_unexcited_data():
     # Zero initial state, zero probe, zero gain: the rollout never moves.
-    model = SystemModel(A=[[0.5]], B=[[1.0]], D=[[0.0]], X0=[[0.0]],
-                        allow_degenerate_noise=True)
+    model = SystemModel(A=[[0.5]], B=[[1.0]], D=[[0.0]], X0=[[0.0]])
     cost = CostModel(Q=[[1.0]], R=[[1.0]])
     traj = simulate_closed_loop(model, cost, np.zeros((1, 1)), 10, 0.0, 0)
     with pytest.raises(InsufficientExcitationError):

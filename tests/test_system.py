@@ -24,8 +24,7 @@ def scalar_model(a=0.5, b=1.0, d=1.0, state_noise=(), input_noise=()):
 def det_model(A, B):
     # Deterministic-limit plant: no noise channels, D = 0.
     n = np.asarray(A).shape[0]
-    return SystemModel(A=A, B=B, D=np.zeros((n, n)), X0=np.eye(n),
-                       allow_degenerate_noise=True)
+    return SystemModel(A=A, B=B, D=np.zeros((n, n)), X0=np.eye(n))
 
 
 def test_validate_accepts_example_system(sec6):
@@ -57,7 +56,6 @@ def test_validate_rejects_degenerate_d_without_flag():
     model = SystemModel(A=[[0.5]], B=[[1.0]], D=[[0.0]], X0=[[1.0]])
     with pytest.raises(ValidationError, match="D must be positive definite"):
         model.validate()
-    det_model([[0.5]], [[1.0]]).validate()  # flag relaxes D to PSD
 
 
 def test_validate_rejects_negative_variance():
