@@ -8,7 +8,9 @@ with one scaled factor per multiplicative noise channel (A_i for state
 channels, B_j L for input channels). Its spectral radius decides mean-square
 stability (rho < 1); its fixed point with the additive covariance is the
 stationary state covariance, and its adjoint T*(P) = sum_c F_c^T P F_c gives
-the cost-side linear equation for the value kernel P of a fixed gain.
+the cost-side linear equation for the value kernel P of a fixed gain. T* is
+the map of the same form built from the transposed factors F_c^T (Damm,
+LNCIS 297, 2004), so the solves below only ever solve X = T(X) + C.
 
 T maps symmetric matrices to symmetric matrices, so the solvers work in the
 s = n(n+1)/2 coordinates vech(X) (MomentOperator.packed), never with the
@@ -63,7 +65,7 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import packed_indices, symmetrize
+from .packing import packed_indices, symmetrize, unvech
 from .system import CostModel, SystemModel
 
 # A gain is admissible when rho(T) < 1 - ADMISSIBILITY_MARGIN.
@@ -108,9 +110,9 @@ class MomentOperator:
         """
         return sum(np.kron(f, f) for f in self.factors)
 
-    def packed(self, dual: bool = False) -> np.ndarray:
-        """T, or its adjoint T*(P) = sum_c F_c^T P F_c when dual, on symmetric
-        matrices in vech coordinates: an s x s matrix, s = n(n+1)/2.
+    def packed(self) -> np.ndarray:
+        """T on symmetric matrices in vech coordinates: an s x s matrix,
+        s = n(n+1)/2.
 
         Row (i, j) and column (a, b), i <= j and a <= b in np.triu_indices
         order, hold sum_c F_c[i,a] F_c[j,b] + F_c[i,b] F_c[j,a], halved on the
@@ -122,7 +124,6 @@ class MomentOperator:
         # terms[(i, j), a, b] = sum_c F_c[i,a] F_c[j,b]: the rows i <= j of matrix
         terms = 0.0
         for f in self.factors:
-            f = f.T if dual else f
             terms = terms + np.einsum("sa,sb->sab", f[rows], f[cols])
         packed = terms[:, rows, cols] + terms[:, cols, rows]
         packed[:, rows == cols] *= 0.5
@@ -165,13 +166,13 @@ def is_admissible(model: SystemModel, gain: np.ndarray) -> tuple[bool, float]:
         return False, np.inf
     rho = None
     if model.state_dim >= PERRON_MIN_N:
-        rho = _perron_radius(mat, model.state_dim, 1.0 - ADMISSIBILITY_MARGIN)
+        rho = _perron_radius(mat, model.state_dim)
     if rho is None:
         rho = float(np.abs(np.linalg.eigvals(mat)).max())
     return rho < 1.0 - ADMISSIBILITY_MARGIN, rho
 
 
-def _perron_radius(mat: np.ndarray, n: int, edge: float) -> float | None:
+def _perron_radius(mat: np.ndarray, n: int) -> float | None:
     """Spectral radius of the packed matrix mat of T from a closed
     Collatz-Wielandt bracket, or None when the bracket does not close.
 
@@ -182,15 +183,16 @@ def _perron_radius(mat: np.ndarray, n: int, edge: float) -> float | None:
     current upper bound hi as the shift. As hi >= rho, rho is the eigenvalue
     nearest the shift and (hi I - T)^-1 is again a positive map. The
     bracket is accepted when it is finite, at most PERRON_RTOL * hi wide and
-    does not straddle edge, so that its midpoint decides rho < edge as rho
-    itself does. None when X is not positive definite (e.g. a reducible T,
-    whose Perron vector can be singular), when the shifted matrix is
-    singular, when an inverse step does not raise lo and lower hi (in exact
-    arithmetic each step nests the new bracket in the old one, as
-    (hi I - T)^-1 is a positive map commuting with T, so such a step has hit
-    the rounding floor, which grows with cond(X)), and after
+    does not straddle edge = 1 - ADMISSIBILITY_MARGIN, so that its midpoint
+    decides rho < edge as rho itself does. None when X is not positive
+    definite (e.g. a reducible T, whose Perron vector can be singular), when
+    the shifted matrix is singular, when an inverse step does not raise lo
+    and lower hi (in exact arithmetic each step nests the new bracket in the
+    old one, as (hi I - T)^-1 is a positive map commuting with T, so such a
+    step has hit the rounding floor, which grows with cond(X)), and after
     PERRON_INVERSE_STEPS inverse steps.
     """
+    edge = 1.0 - ADMISSIBILITY_MARGIN
     diag = np.equal(*packed_indices(n))
     v = diag.astype(float)   # vech(I)
     # Overflowing iterates, and iterates that vanish (0/0 for a nilpotent T),
@@ -205,8 +207,8 @@ def _perron_radius(mat: np.ndarray, n: int, edge: float) -> float | None:
             if not np.isfinite(v).all():
                 return None
             try:
-                c_inv = np.linalg.inv(np.linalg.cholesky(_unvech(v, n)))
-                eigs = np.linalg.eigvalsh(c_inv @ _unvech(mat @ v, n) @ c_inv.T)
+                c_inv = np.linalg.inv(np.linalg.cholesky(unvech(v)))
+                eigs = np.linalg.eigvalsh(c_inv @ unvech(mat @ v) @ c_inv.T)
             except np.linalg.LinAlgError:
                 return None
             if not np.isfinite(eigs).all():
@@ -225,30 +227,19 @@ def _perron_radius(mat: np.ndarray, n: int, edge: float) -> float | None:
     return None
 
 
-def _unvech(v: np.ndarray, n: int) -> np.ndarray:
-    """The symmetric n x n matrix whose upper triangle is packed in v."""
-    rows, cols = packed_indices(n)
-    x = np.empty((n, n))
-    x[rows, cols] = v
-    x[cols, rows] = v
-    return x
-
-
-def _apply(factors, x: np.ndarray, dual: bool) -> np.ndarray:
-    """T(X) = sum_c F_c X F_c^T, or T*(X) = sum_c F_c^T X F_c when dual, for
-    factors given as a list or stacked along the first axis."""
+def _apply(factors, x: np.ndarray) -> np.ndarray:
+    """T(X) = sum_c F_c X F_c^T, for factors given as a list or stacked along
+    the first axis."""
     stack = np.asarray(factors)
-    flipped = stack.transpose(0, 2, 1)
-    return (flipped @ x @ stack if dual else stack @ x @ flipped).sum(axis=0)
+    return (stack @ x @ stack.transpose(0, 2, 1)).sum(axis=0)
 
 
-def _certified(factors: list[np.ndarray], x: np.ndarray, dual: bool) -> bool:
-    """Whether the symmetric solution x of X = T(X) + C certifies
-    rho(T) < 1 - ADMISSIBILITY_MARGIN.
+def _certified(x: np.ndarray, tx: np.ndarray) -> bool:
+    """Whether the symmetric solution x of X = T(X) + C, with tx = T(x),
+    certifies rho(T) < 1 - ADMISSIBILITY_MARGIN.
 
-    T(X) = sum_c F_c X F_c^T, or T*(X) = sum_c F_c^T X F_c when dual, is a
-    positive map with spectral radius rho(T). If X > 0 and Y = X - T(X) > 0,
-    then T(X) <= (1 - lmin(Y)/lmax(X)) X, so rho(T) <= 1 - lmin(Y)/lmax(X).
+    T is a positive map. If X > 0 and Y = X - T(X) > 0, then
+    T(X) <= (1 - lmin(Y)/lmax(X)) X, so rho(T) <= 1 - lmin(Y)/lmax(X).
     Y is formed from the X that is returned, not from C, so the bound holds
     for the computed X.
     """
@@ -257,31 +248,26 @@ def _certified(factors: list[np.ndarray], x: np.ndarray, dual: bool) -> bool:
     x_eigs = np.linalg.eigvalsh(x)
     if x_eigs[0] <= 0:
         return False
-    return (np.linalg.eigvalsh(x - _apply(factors, x, dual))[0]
-            > ADMISSIBILITY_MARGIN * x_eigs[-1])
+    return np.linalg.eigvalsh(x - tx)[0] > ADMISSIBILITY_MARGIN * x_eigs[-1]
 
 
-def _residual(factors: list[np.ndarray], x: np.ndarray, rhs: np.ndarray,
-              dual: bool) -> float:
+def _residual(x: np.ndarray, tx: np.ndarray, rhs: np.ndarray) -> float:
     """Relative defect |T(X) + C - X| / max(|X|, 1) of X = T(X) + C, with
-    T* in place of T when dual (Frobenius norms)."""
-    recon = _apply(factors, x, dual) + rhs
-    return np.linalg.norm(recon - x) / max(np.linalg.norm(x), 1.0)
+    tx = T(x) (Frobenius norms)."""
+    return np.linalg.norm(tx + rhs - x) / max(np.linalg.norm(x), 1.0)
 
 
-def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
-                     dual: bool) -> np.ndarray | None:
-    """Solve X = sum_c H_c^T X H_c + C in O(n^3) work per sweep, with
-    H_c = F_c when dual and F_c^T otherwise, or return None when the
-    iteration does not settle within its caps.
+def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray) -> np.ndarray | None:
+    """Solve X = sum_c F_c X F_c^T + C in O(n^3) work per sweep, or return
+    None when the iteration does not settle within its caps.
 
-    The sweeps X <- S(C + sum_{c>=1} H_c^T X H_c) split off the mean loop
-    H_0: S(Z) = sum_k (H_0^T)^k Z H_0^k solves the Stein equation
-    Y - H_0^T Y H_0 = Z by Smith doubling, Y <- Y + G^T Y G over
-    G = H_0^(2^j), j < J. The powers are squared once per solve until
-    |H_0^(2^J)|_F <= STEIN_POWER_TOL, so the dropped tail
-    (H_0^(2^J))^T S(Z) H_0^(2^J) is below STEIN_POWER_TOL^2 of S(Z). Powers
-    that do not get there within STEIN_MAX_SQUARINGS squarings (H_0 not
+    The sweeps X <- S(C + sum_{c>=1} F_c X F_c^T) split off the mean loop
+    F_0: S(Z) = sum_k F_0^k Z (F_0^T)^k solves the Stein equation
+    Y - F_0 Y F_0^T = Z by Smith doubling, Y <- Y + G Y G^T over
+    G = F_0^(2^j), j < J. The powers are squared once per solve until
+    |F_0^(2^J)|_F <= STEIN_POWER_TOL, so the dropped tail
+    F_0^(2^J) S(Z) (F_0^(2^J))^T is below STEIN_POWER_TOL^2 of S(Z). Powers
+    that do not get there within STEIN_MAX_SQUARINGS squarings (F_0 not
     Schur-stable, or overflow) give None. S and the noise sum are both
     positive maps (a regular splitting), so the sweeps converge exactly when
     rho(T) < 1, at a rate q that tends to 1 at the stability edge. The
@@ -289,7 +275,7 @@ def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
     of the last two steps, is at most SPLITTING_RTOL |X|; after
     SPLITTING_MAX_SWEEPS sweeps it gives None.
     """
-    powers = [factors[0] if dual else factors[0].T]
+    powers = [factors[0]]
     while not np.linalg.norm(powers[-1]) <= STEIN_POWER_TOL:
         if len(powers) > STEIN_MAX_SQUARINGS:
             return None
@@ -299,13 +285,13 @@ def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
 
     def stein(z):
         for g in powers:
-            z = z + g.T @ z @ g
+            z = z + g @ z @ g.T
         return z
 
     x = stein(rhs)
     step = np.linalg.norm(x)   # the step from X = 0
     for _ in range(SPLITTING_MAX_SWEEPS):
-        x_next = stein(rhs + _apply(noise, x, dual))
+        x_next = stein(rhs + _apply(noise, x))
         prev, step = step, np.linalg.norm(x_next - x)
         x = x_next
         ratio = step / prev
@@ -315,50 +301,47 @@ def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
     return None
 
 
-def _packed_solve(factors: list[np.ndarray], rhs: np.ndarray,
-                  dual: bool) -> np.ndarray | None:
-    """Solve (I - T) vech(X) = vech(C), or with T* when dual, on the packed
-    s x s matrix by LU, or return None when it is singular. Only the upper
-    triangle of C is read."""
+def _packed_solve(factors: list[np.ndarray], rhs: np.ndarray) -> np.ndarray | None:
+    """Solve (I - T) vech(X) = vech(C) on the packed s x s matrix by LU, or
+    return None when it is singular. Only the upper triangle of C is read."""
     rows, cols = packed_indices(len(rhs))
-    mat = MomentOperator(factors).packed(dual)
+    mat = MomentOperator(factors).packed()
     try:
-        x_vech = np.linalg.solve(np.eye(len(rows)) - mat, rhs[rows, cols])
+        return unvech(np.linalg.solve(np.eye(len(rows)) - mat, rhs[rows, cols]))
     except np.linalg.LinAlgError:
         return None
-    return _unvech(x_vech, len(rhs))
 
 
-def _fixed_point(model: SystemModel, gain: np.ndarray, make_rhs, dual: bool,
-                 name: str) -> np.ndarray:
-    """Solve X = T(X) + C, or X = T*(X) + C when dual, for an admissible
-    gain, with C = make_rhs() a symmetric n x n matrix, and return the
-    symmetric X.
+def _fixed_point(model: SystemModel, gain: np.ndarray, equation, name: str) -> np.ndarray:
+    """Solve X = sum_c F_c X F_c^T + C for an admissible gain and return the
+    symmetric X, with (F, C) = equation(moment_operator(model, gain).factors):
+    the factors to solve with and a symmetric n x n matrix.
 
     The solvers run in turn: from MATRIX_FREE_MIN_N states on the
     matrix-free splitting (_splitting_solve), then the packed LU
     (_packed_solve). The first X that meets the defining equation to
-    RESIDUAL_RTOL and certifies the gain (_certified) is returned. Otherwise
-    the exact check of is_admissible decides: NotAdmissibleError with its
-    spectral radius, else the last X if it meets the equation (its
-    certificate fell inside the margin, e.g. P = 0 for Q = 0), else
-    SingularSystemError.
+    RESIDUAL_RTOL and certifies the gain (_certified) is returned; T(X) is
+    formed once for both checks. Otherwise the exact check of is_admissible
+    decides: NotAdmissibleError with its spectral radius, else the last X if
+    it meets the equation (its certificate fell inside the margin, e.g. P = 0
+    for Q = 0), else SingularSystemError.
     """
     # A finite gain whose operator overflows fails the solves or the
     # certificate below, and is_admissible rejects it with rho = inf; numpy
     # need not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = moment_operator(model, gain).factors   # checks the gain first
-        rhs = make_rhs()
+        # moment_operator checks the gain before equation reads it.
+        factors, rhs = equation(moment_operator(model, gain).factors)
         solvers = [_packed_solve]
         if model.state_dim >= MATRIX_FREE_MIN_N:
             solvers.insert(0, _splitting_solve)
         for solve in solvers:
-            x = solve(factors, rhs, dual)
+            x = solve(factors, rhs)
             if x is None:
                 continue
-            rel = _residual(factors, x, rhs, dual)
-            if rel <= RESIDUAL_RTOL and _certified(factors, x, dual):
+            tx = _apply(factors, x)
+            rel = _residual(x, tx, rhs)
+            if rel <= RESIDUAL_RTOL and _certified(x, tx):
                 return x
     admissible, rho = is_admissible(model, gain)
     if not admissible:
@@ -374,7 +357,7 @@ def _fixed_point(model: SystemModel, gain: np.ndarray, make_rhs, dual: bool,
 
 def stationary_covariance(model: SystemModel, gain: np.ndarray) -> np.ndarray:
     """Fixed point X = T(X) + D of the covariance propagation."""
-    x = _fixed_point(model, gain, lambda: model.D, dual=False, name="covariance")
+    x = _fixed_point(model, gain, lambda factors: (factors, model.D), "covariance")
     eigs = np.linalg.eigvalsh(x)
     if eigs.min() < -1e-10 * max(1.0, eigs.max()):
         raise SingularSystemError(
@@ -387,14 +370,17 @@ def solve_value_kernel(model: SystemModel, cost: CostModel,
                        gain: np.ndarray) -> np.ndarray:
     """Value kernel P of a fixed admissible gain.
 
-    P solves P = F0^T P F0 + sum_c F_c^T P F_c + Q + L^T R L, the cost-side
-    (dual) equation of the moment operator, by _fixed_point: matrix-free
-    from MATRIX_FREE_MIN_N states on, else (I - T*) vech(P) = vech(Q + L^T R L)
-    in packed coordinates.
+    P solves P = sum_c F_c^T P F_c + Q + L^T R L, the cost-side (adjoint)
+    equation of the moment operator. That is the covariance-form equation
+    of the map built from the transposed factors F_c^T, and _fixed_point
+    solves it as such: matrix-free from MATRIX_FREE_MIN_N states on, else
+    by LU in packed coordinates.
     """
     gain = np.asarray(gain, dtype=float)
-    return _fixed_point(model, gain, lambda: cost.Q + gain.T @ cost.R @ gain,
-                        dual=True, name="value-kernel")
+    return _fixed_point(
+        model, gain,
+        lambda factors: ([f.T for f in factors], cost.Q + gain.T @ cost.R @ gain),
+        "value-kernel")
 
 
 def average_cost(value_kernel: np.ndarray, additive_cov: np.ndarray) -> float:

@@ -23,14 +23,16 @@ Schema (matrices are row-major nested arrays):
     }
 
 "pi" is required for model_based/both, "learner" and non-empty "seeds" for
-model_free/both. ExperimentConfig itself checks the mode and the latter rule,
-so a config changed with dataclasses.replace is held to them too.
+model_free/both. ExperimentConfig itself checks the mode and these rules, so
+a config changed with dataclasses.replace is held to them too. Every number
+in the document must be finite (json accepts NaN and Infinity).
 load_config(save_config(cfg)) reproduces the config exactly.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -54,8 +56,8 @@ class ExperimentConfig:
     mode: str
     model: SystemModel
     cost: CostModel
-    pi_tol: float
-    pi_max_iter: int
+    pi_tol: float | None   # None when the config has no pi section
+    pi_max_iter: int | None
     learner: LearnerConfig | None
     seeds: list[int]
     output_dir: str
@@ -68,6 +70,8 @@ class ExperimentConfig:
                 raise ConfigError("mode requires a learner section in the config")
             if not self.seeds:
                 raise ConfigError("seeds must be non-empty when mode runs the learner")
+        if self.runs_model_based() and None in (self.pi_tol, self.pi_max_iter):
+            raise ConfigError("mode requires a pi section in the config")
 
     def runs_model_based(self) -> bool:
         return self.mode in ("model_based", "both")
@@ -86,10 +90,12 @@ def _matrix(doc: dict, key: str, where: str) -> np.ndarray:
     raw = _require(doc, key, where)
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}{key} is not a numeric matrix: {exc}") from None
     if arr.ndim != 2:
         raise ConfigError(f"{where}{key} must be a 2-d nested array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{where}{key} has non-finite entries")
     return arr
 
 
@@ -97,6 +103,8 @@ def _number(doc: dict, key: str, where: str) -> float:
     raw = _require(doc, key, where)
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{where}{key} must be a number, got {type(raw).__name__}")
+    if not abs(raw) <= sys.float_info.max:   # NaN, Infinity or too large a float
+        raise ConfigError(f"{where}{key} must be finite, got {raw}")
     return float(raw)
 
 
@@ -125,7 +133,7 @@ def _noise_list(doc: dict, key: str, where: str) -> list[tuple[np.ndarray, float
         _reject_unknown(entry, {"matrix", "variance"}, here)
         mat = _matrix(entry, "matrix", here)
         var = _number(entry, "variance", here)
-        if var < 0:
+        if not var >= 0:
             raise ConfigError(f"{here}variance must be >= 0, got {var}")
         channels.append((mat, var))
     return channels
@@ -167,7 +175,7 @@ def from_dict(doc: dict) -> ExperimentConfig:
     except ValidationError as exc:
         raise ConfigError(f"cost: {exc}") from None
 
-    pi_tol, pi_max_iter = 1e-9, 200
+    pi_tol = pi_max_iter = None
     pi_doc = doc.get("pi")
     if pi_doc is not None:
         if not isinstance(pi_doc, dict):
@@ -175,9 +183,9 @@ def from_dict(doc: dict) -> ExperimentConfig:
         _reject_unknown(pi_doc, {"tol", "max_iter"}, "pi.")
         pi_tol = _number(pi_doc, "tol", "pi.")
         pi_max_iter = _integer(pi_doc, "max_iter", "pi.")
-        if pi_tol <= 0:
+        if not pi_tol > 0:
             raise ConfigError(f"pi.tol must be > 0, got {pi_tol}")
-        if pi_max_iter < 1:
+        if not pi_max_iter >= 1:
             raise ConfigError(f"pi.max_iter must be >= 1, got {pi_max_iter}")
 
     learner = None
@@ -215,12 +223,9 @@ def from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir must be a non-empty string")
 
-    config = ExperimentConfig(mode=mode, model=model, cost=cost, pi_tol=pi_tol,
-                              pi_max_iter=pi_max_iter, learner=learner,
-                              seeds=list(seeds_raw), output_dir=output_dir)
-    if config.runs_model_based():
-        _require(doc, "pi", "")
-    return config
+    return ExperimentConfig(mode=mode, model=model, cost=cost, pi_tol=pi_tol,
+                            pi_max_iter=pi_max_iter, learner=learner,
+                            seeds=list(seeds_raw), output_dir=output_dir)
 
 
 def to_dict(config: ExperimentConfig) -> dict:
@@ -238,10 +243,11 @@ def to_dict(config: ExperimentConfig) -> dict:
             "X0": config.model.X0.tolist(),
         },
         "cost": {"Q": config.cost.Q.tolist(), "R": config.cost.R.tolist()},
-        "pi": {"tol": config.pi_tol, "max_iter": config.pi_max_iter},
         "seeds": list(config.seeds),
         "output_dir": config.output_dir,
     }
+    if config.pi_tol is not None:
+        doc["pi"] = {"tol": config.pi_tol, "max_iter": config.pi_max_iter}
     if config.learner is not None:
         doc["learner"] = {
             "initial_gain": config.learner.initial_gain.tolist(),

@@ -85,18 +85,21 @@ def vecs(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def unvecs(vec: np.ndarray) -> np.ndarray:
-    """Invert vecs: rebuild the symmetric matrix from a doubled-off-diagonal packing."""
+def unvech(vec: np.ndarray) -> np.ndarray:
+    """Invert vech: the symmetric matrix whose upper triangle is packed in vec."""
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1:
         raise MalformedVectorError(f"expected a 1-d packed vector, got shape {vec.shape}")
     n = side_from_packed_length(vec.shape[0])
     rows, cols = packed_indices(n)
-    mat = np.zeros((n, n))
-    off = rows != cols
-    vals = vec.copy()
-    vals[off] /= 2.0
-    mat[rows, cols] = vals
-    mat[cols, rows] = vals
+    mat = np.empty((n, n))
+    mat[rows, cols] = vec
+    mat[cols, rows] = vec
     return mat
 
+
+def unvecs(vec: np.ndarray) -> np.ndarray:
+    """Invert vecs: rebuild the symmetric matrix from a doubled-off-diagonal packing."""
+    mat = unvech(vec)
+    mat[~np.eye(len(mat), dtype=bool)] /= 2.0
+    return mat

@@ -146,9 +146,9 @@ def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarr
     Each evaluate_improve step solves the gain's value kernel P, records
     tr(P D) as its cost and takes the greedy gain of P.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
-    if max_iter < 1:
+    if not max_iter >= 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     gain = np.asarray(initial_gain, dtype=float)
     admissible, rho = is_admissible(model, gain)

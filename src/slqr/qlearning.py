@@ -335,19 +335,19 @@ class LearnerConfig:
     def __post_init__(self):
         object.__setattr__(self, "initial_gain",
                            np.asarray(self.initial_gain, dtype=float))
-        if self.rollout_len < 1:
+        if not self.rollout_len >= 1:
             raise ValidationError(f"rollout_len must be >= 1, got {self.rollout_len}")
-        if self.probe_var <= 0:
+        if not self.probe_var > 0:
             raise ValidationError(f"probe_var must be > 0, got {self.probe_var}")
-        if self.rls_init_scale <= 0:
+        if not self.rls_init_scale > 0:
             raise ValidationError(
                 f"rls_init_scale must be > 0, got {self.rls_init_scale}"
             )
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValidationError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
             )
-        if self.gain_tol <= 0:
+        if not self.gain_tol > 0:
             raise ValidationError(f"gain_tol must be > 0, got {self.gain_tol}")
         if self.cost_mode not in COST_MODES:
             raise ValidationError(

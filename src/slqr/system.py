@@ -52,6 +52,8 @@ def _as_matrix(mat, name: str) -> np.ndarray:
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be a 2-d matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} has non-finite entries")
     return arr
 
 
@@ -128,14 +130,14 @@ class SystemModel:
                 raise ValidationError(
                     f"state_noise[{i}] matrix must have shape {(n, n)}, got {mat.shape}"
                 )
-            if var < 0:
+            if not var >= 0:
                 raise ValidationError(f"state_noise[{i}] variance must be >= 0, got {var}")
         for j, (mat, var) in enumerate(self.input_noise):
             if mat.shape != (n, m):
                 raise ValidationError(
                     f"input_noise[{j}] matrix must have shape {(n, m)}, got {mat.shape}"
                 )
-            if var < 0:
+            if not var >= 0:
                 raise ValidationError(f"input_noise[{j}] variance must be >= 0, got {var}")
         if self.D.shape != (n, n):
             raise ValidationError(f"D must have shape {(n, n)}, got {self.D.shape}")
@@ -183,7 +185,6 @@ class Trajectory:
     states: np.ndarray   # (n_steps + 1, n)
     inputs: np.ndarray   # (n_steps + 1, m)
     costs: np.ndarray    # (n_steps,)
-    seed: int
 
     @property
     def n_steps(self) -> int:
@@ -259,7 +260,7 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
         raise ValidationError(f"gain must have shape {(m, n)}, got {gain.shape}")
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    if probe_var < 0:
+    if not probe_var >= 0:
         raise ValidationError(f"probe_var must be >= 0, got {probe_var}")
 
     rng = np.random.default_rng(seed)
@@ -303,5 +304,4 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
                                  + _quadratic_forms(block_inputs, cost.R))
 
         inputs[n_steps] = gain @ states[n_steps]
-    seed_int = seed if isinstance(seed, (int, np.integer)) else -1
-    return Trajectory(states=states, inputs=inputs, costs=costs, seed=int(seed_int))
+    return Trajectory(states=states, inputs=inputs, costs=costs)

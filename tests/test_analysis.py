@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from slqr.analysis import (
     ADMISSIBILITY_MARGIN,
+    MomentOperator,
     average_cost,
     closed_loop_factors,
     input_weight,
@@ -79,9 +80,15 @@ def test_moment_operator_application_matches_direct_products(sec6):
 SHEAR = SystemModel(A=[[0.0, 2.0], [0.0, 0.0]], B=np.eye(2), D=np.eye(2), X0=np.eye(2))
 
 
+def adjoint(op):
+    """T*, the moment map built from the transposed factors."""
+    return MomentOperator([f.T for f in op.factors])
+
+
 def test_packed_operator_matches_its_definition():
-    # packed(dual) @ vech(X) == vech(unvec(matrix @ vec(X))), with matrix^T
-    # for the adjoint, on symmetric X; the shear tells T from T*.
+    # packed() @ vech(X) == vech(unvec(matrix @ vec(X))) on symmetric X, and
+    # the adjoint's packed matrix is that of matrix^T; the shear tells T
+    # from T*.
     rng = np.random.default_rng(7)
     cases = [(SHEAR, np.zeros((2, 2))), (SHEAR, np.array([[0.3, -0.1], [0.2, 0.4]]))]
     for _ in range(20):
@@ -92,10 +99,9 @@ def test_packed_operator_matches_its_definition():
         n = model.state_dim
         g = rng.normal(size=(n, n))
         x = g + g.T
-        for dual in (False, True):
-            full = op.matrix.T if dual else op.matrix
+        for full, packed_op in ((op.matrix, op), (op.matrix.T, adjoint(op))):
             expected = vech((full @ x.ravel()).reshape(n, n))
-            got = op.packed(dual) @ vech(x)
+            got = packed_op.packed() @ vech(x)
             assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -107,8 +113,8 @@ def test_packed_operator_is_the_matrix_at_n1():
             state_noise=[([[rng.normal()]], rng.uniform(0.01, 1.0)) for _ in range(2)],
             input_noise=[([[rng.normal()]], rng.uniform(0.01, 1.0)) for _ in range(2)])
         op = moment_operator(model, rng.normal(size=(1, 1)))
-        for dual in (False, True):
-            np.testing.assert_array_equal(op.packed(dual), op.matrix)
+        for packed_op in (op, adjoint(op)):
+            np.testing.assert_array_equal(packed_op.packed(), op.matrix)
 
 
 def _edge_scale(model, direction):
@@ -148,8 +154,8 @@ def test_packed_radius_is_the_matrix_radius(seed, side, log_gap):
     gain = edge * (1.0 + side * 10.0 ** log_gap) * direction
     op = moment_operator(model, gain)
     rho_full = np.abs(np.linalg.eigvals(op.matrix)).max()
-    for dual in (False, True):
-        rho_packed = np.abs(np.linalg.eigvals(op.packed(dual))).max()
+    for packed_op in (op, adjoint(op)):
+        rho_packed = np.abs(np.linalg.eigvals(packed_op.packed())).max()
         assert abs(rho_packed - rho_full) <= 1e-10 * rho_full
     for gate in RADIUS_GATES:
         with perron_min_n(gate):
@@ -586,9 +592,9 @@ def count_packed_builds(monkeypatch):
     calls = Counter()
     packed = analysis_module.MomentOperator.packed
 
-    def counted(op, dual=False):
+    def counted(op):
         calls["packed"] += 1
-        return packed(op, dual)
+        return packed(op)
 
     monkeypatch.setattr(analysis_module.MomentOperator, "packed", counted)
     return calls
@@ -673,6 +679,24 @@ def test_an_accepted_matrix_free_solve_checks_its_residual_once(monkeypatch):
         calls.clear()
         GAIN_ENTRY_POINTS[entry](model, cost, gain)
         assert calls == Counter(residual=1)
+
+
+@pytest.mark.parametrize("entry", FIXED_POINT_SOLVERS)
+def test_an_accepted_packed_solve_applies_its_map_once(sec6, monkeypatch, entry):
+    # The packed LU is the only solver below MATRIX_FREE_MIN_N states, and
+    # the gate forms T(X) once for both the residual and the certificate.
+    model, cost = sec6
+    assert model.state_dim < analysis_module.MATRIX_FREE_MIN_N
+    calls = Counter()
+    apply = analysis_module._apply
+
+    def counted(*args, **kwargs):
+        calls["apply"] += 1
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "_apply", counted)
+    GAIN_ENTRY_POINTS[entry](model, cost, L0_3)
+    assert calls == Counter(apply=1)
 
 
 def test_matrix_free_rejections_report_the_exact_radius():

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,45 @@ def test_model_based_requires_pi_section():
     del doc["pi"]
     with pytest.raises(ConfigError, match="pi"):
         from_dict(doc)
+
+
+def test_a_learner_config_without_pi_has_no_pi_settings(tmp_path):
+    doc = learner_doc()
+    del doc["pi"]
+    config = from_dict(doc)
+    assert (config.pi_tol, config.pi_max_iter) == (None, None)
+    path = tmp_path / "no_pi.json"
+    save_config(config, path)
+    assert "pi" not in json.loads(path.read_text())
+    assert to_dict(load_config(path)) == to_dict(config)
+    # The rule holds for a config changed after loading, as by the CLI's --mode.
+    with pytest.raises(ConfigError, match="pi section"):
+        replace(config, mode="both")
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("pi", "tol"), float("nan"), "pi.tol"),
+    (("pi", "tol"), 10**400, "pi.tol"),
+    (("model", "D"), [[float("nan")]], "model.D"),
+    (("model", "A"), [[10**400]], "model.A"),
+    (("model", "state_noise", 0, "variance"), float("inf"),
+     "model.state_noise[0].variance"),
+    (("cost", "Q"), [[float("-inf")]], "cost.Q"),
+    (("learner", "probe_var"), float("nan"), "learner.probe_var"),
+    (("learner", "initial_gain"), [[float("inf")]], "learner.initial_gain"),
+], ids=["nan", "huge", "nan-matrix", "huge-matrix", "inf", "-inf-matrix", "nan-learner",
+        "inf-gain"])
+def test_non_finite_values_name_the_field(tmp_path, path, value, field):
+    # json reads NaN, Infinity and -Infinity; none of them is a valid entry.
+    doc = learner_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path / "cfg.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        load_config(file)
 
 
 def test_invalid_model_is_wrapped_as_config_error():

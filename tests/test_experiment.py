@@ -190,6 +190,30 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", "scalar_smoke", "--seeds", "a,b"]) == 1
 
 
+def fixture_doc(name):
+    return json.loads(fixture_path(name).read_text())
+
+
+def test_cli_rejects_a_non_finite_config_value(tmp_path, capsys):
+    doc = fixture_doc("scalar_smoke")
+    doc["pi"]["tol"] = float("nan")
+    path = tmp_path / "nan_tol.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "pi.tol" in capsys.readouterr().err
+
+
+def test_cli_mode_override_requires_a_pi_section(tmp_path, capsys):
+    doc = fixture_doc("scalar_smoke")
+    doc["mode"] = "model_free"
+    del doc["pi"]
+    path = tmp_path / "no_pi.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--mode", "both",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "pi section" in capsys.readouterr().err
+
+
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
     doc = {
         "mode": "model_based",

@@ -1,12 +1,16 @@
+import importlib
+import importlib.util
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import slqr
 from slqr import errors
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_top_level_surface_matches_the_readme():
@@ -32,3 +36,20 @@ def test_submodules_are_not_shadowed_by_top_level_names():
     for info in pkgutil.iter_modules(slqr.__path__):
         if hasattr(slqr, info.name):
             assert inspect.ismodule(getattr(slqr, info.name)), info.name
+
+
+def test_every_benchmark_trace_point_resolves(monkeypatch):
+    # perfbench's tracer wraps slqr.<module>.<attr> for each trace point; a
+    # name that goes missing breaks only traced benchmark runs, so check the
+    # list here. The file is loaded by path and only read: no bytecode is
+    # written next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_metrics",
+                                                  ROOT / "perfbench" / "metrics.py")
+    metrics = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(metrics)
+    points = [point for span in metrics.TRACE_POINTS.values() for point in span]
+    assert points
+    for module, attr in points:
+        target = getattr(importlib.import_module(f"slqr.{module}"), attr, None)
+        assert callable(target), f"slqr.{module}.{attr}"

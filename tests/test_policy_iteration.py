@@ -86,6 +86,8 @@ def test_argument_validation(sec6):
         policy_iteration(model, cost, np.zeros((3, 3)), tol=0.0)
     with pytest.raises(ValidationError, match="max_iter"):
         policy_iteration(model, cost, np.zeros((3, 3)), max_iter=0)
+    with pytest.raises(ValidationError, match="tol"):
+        policy_iteration(model, cost, np.zeros((3, 3)), tol=float("nan"))
 
 
 def scripted_step(next_gains, fail_at=None):

@@ -159,7 +159,7 @@ def _corrupt(traj, kind):
         states[ROLLOUT_BLOCK + 5] = 1e200
     else:
         costs[ROLLOUT_BLOCK + 5] = np.nan
-    return Trajectory(states=states, inputs=traj.inputs, costs=costs, seed=traj.seed)
+    return Trajectory(states=states, inputs=traj.inputs, costs=costs)
 
 
 FITS = {
@@ -347,7 +347,7 @@ def test_bls_recovers_kernel_from_synthetic_costs(sec6):
     phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ L0_3.T)
     kappa = vech(noise_shape_kernel(L0_3, model.D))
     costs = (phi - phi_next + kappa) @ vecs(h_true.matrix)
-    synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs, seed=11)
+    synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs)
     h_hat = bls_estimate(synth, L0_3, model.D)
     rel = np.linalg.norm(h_hat.matrix - h_true.matrix) / np.linalg.norm(h_true.matrix)
     assert rel <= 1e-8
@@ -364,7 +364,7 @@ def test_bls_empirical_mode_solves_its_normal_equations(sec6):
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ L0_3.T)
     costs = (phi - phi_next) @ vecs(h_true.matrix) + 7.3
-    synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs, seed=11)
+    synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs)
     h_hat = bls_estimate(synth, L0_3, noise_cov=None)
     lhs = (phi.T @ (phi - phi_next)) @ vecs(h_hat.matrix)
     rhs = phi.T @ (costs - costs.mean())
@@ -393,7 +393,7 @@ def test_learner_fit_recovers_kernel_and_cost_from_synthetic_costs(
     else:
         noise_cov = None
         costs = (phi - phi_next) @ vecs(h_true.matrix) + lam_true
-    synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs, seed=11)
+    synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs)
     h_hat, lam_hat = qlearning._fit_iteration(synth, L0_3, noise_cov,
                                               sec6_config.learner.rls_init_scale)
     rel = np.linalg.norm(h_hat.matrix - h_true.matrix) / np.linalg.norm(h_true.matrix)
@@ -474,10 +474,12 @@ def test_learner_config_validation():
     good = dict(initial_gain=np.zeros((1, 1)), rollout_len=100, probe_var=0.5,
                 rls_init_scale=1e8, max_iterations=5, gain_tol=0.05, seed=0)
     LearnerConfig(**good)
+    nan = float("nan")
     for field, value in [("rollout_len", 0), ("probe_var", 0.0),
                          ("rls_init_scale", 0.0), ("max_iterations", 0),
-                         ("gain_tol", 0.0), ("cost_mode", "guess")]:
-        with pytest.raises(ValidationError):
+                         ("gain_tol", 0.0), ("cost_mode", "guess"),
+                         ("probe_var", nan), ("rls_init_scale", nan), ("gain_tol", nan)]:
+        with pytest.raises(ValidationError, match=field):
             LearnerConfig(**{**good, field: value})
 
 
@@ -521,8 +523,7 @@ def test_learn_failure_names_the_iteration():
     def sampler(gain, seed):
         states = np.ones((11, 1))
         inputs = np.ones((11, 1))
-        return Trajectory(states=states, inputs=inputs,
-                          costs=np.full(10, np.nan), seed=seed)
+        return Trajectory(states=states, inputs=inputs, costs=np.full(10, np.nan))
 
     config = LearnerConfig(initial_gain=np.zeros((1, 1)), rollout_len=10,
                            probe_var=0.5, rls_init_scale=1e8, max_iterations=3,

@@ -35,6 +35,18 @@ def test_validate_accepts_example_system(sec6):
     assert len(model.state_noise) == 2 and len(model.input_noise) == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrices_are_rejected_without_a_warning(bad):
+    # Each raises before symmetrize or an eigenvalue check sees the entry
+    # (RuntimeWarnings fail the suite).
+    with pytest.raises(ValidationError, match="^Q has non-finite entries"):
+        CostModel(Q=[[bad]], R=[[1.0]])
+    with pytest.raises(ValidationError, match="^D has non-finite entries"):
+        scalar_model(d=bad)
+    with pytest.raises(ValidationError, match=r"^state_noise\[0\] has non-finite"):
+        scalar_model(state_noise=[([[bad]], 0.1)])
+
+
 def test_validate_rejects_zero_r():
     with pytest.raises(ValidationError, match="R must be positive definite"):
         CostModel(Q=[[1.0]], R=[[0.0]]).validate()
