@@ -35,7 +35,8 @@ crossover.
 stationary_covariance and solve_value_kernel are one solve, _fixed_point,
 with one acceptance rule: its solvers run in turn, and the first solution X
 that meets its defining equation to RESIDUAL_RTOL and is a Lyapunov
-certificate of rho < 1 - ADMISSIBILITY_MARGIN (X > 0 and X - T(X) > 0, see
+certificate of rho < 1 - ADMISSIBILITY_MARGIN (X > 0 and
+X - T(X) > ADMISSIBILITY_MARGIN |X|_F I, two Cholesky factorizations, see
 _certified; is_admissible's own threshold) is returned, with no eigenvalue
 problem. There are two solvers. The packed LU of the s x s matrix costs
 O(n^6) and is the only one below MATRIX_FREE_MIN_N states, where it is the
@@ -43,7 +44,10 @@ faster one. From there on a matrix-free splitting runs first
 (_splitting_solve): each sweep solves the Stein equation of the mean loop F0
 by Smith doubling and adds the noise channels' terms, O(n^3) work in n x n
 products; it gives up near the stability edge, when F0 is not Schur-stable
-and on overflow, and then the packed LU runs as below the crossover.
+and on overflow, and then the packed LU runs as below the crossover. The
+splitting sweeps from X = 0, or from a start that solve_value_kernel is
+given: policy iteration passes the previous sweep's kernel, which lies
+close above the next one, and saves a few sweeps per solve.
 
 When no X is accepted there is one exit, through the exact check of
 is_admissible: an inadmissible gain raises NotAdmissibleError with the exact
@@ -239,16 +243,24 @@ def _certified(x: np.ndarray, tx: np.ndarray) -> bool:
     certifies rho(T) < 1 - ADMISSIBILITY_MARGIN.
 
     T is a positive map. If X > 0 and Y = X - T(X) > 0, then
-    T(X) <= (1 - lmin(Y)/lmax(X)) X, so rho(T) <= 1 - lmin(Y)/lmax(X).
-    Y is formed from the X that is returned, not from C, so the bound holds
-    for the computed X.
+    T(X) <= (1 - lmin(Y)/lmax(X)) X, so rho(T) <= 1 - lmin(Y)/lmax(X)
+    <= 1 - lmin(Y)/|X|_F. The certificate is two Cholesky factorizations,
+    of X and of Y - ADMISSIBILITY_MARGIN |X|_F I, which succeed exactly when
+    X > 0 and lmin(Y) > ADMISSIBILITY_MARGIN |X|_F; as |X|_F >= lmax(X),
+    this never certifies a gain that the bound with lmax(X) rejects. The
+    shifted Y must be finite (so T(X) is): a Cholesky factorization does not
+    fail on NaN or infinite entries. Y is formed from the X that is
+    returned, not from C, so the bound holds for the computed X.
     """
-    if not np.isfinite(x).all():
+    y = x - tx - ADMISSIBILITY_MARGIN * np.linalg.norm(x) * np.eye(len(x))
+    if not np.isfinite(y).all():
         return False
-    x_eigs = np.linalg.eigvalsh(x)
-    if x_eigs[0] <= 0:
+    try:
+        np.linalg.cholesky(x)
+        np.linalg.cholesky(y)
+    except np.linalg.LinAlgError:
         return False
-    return np.linalg.eigvalsh(x - tx)[0] > ADMISSIBILITY_MARGIN * x_eigs[-1]
+    return True
 
 
 def _residual(x: np.ndarray, tx: np.ndarray, rhs: np.ndarray) -> float:
@@ -257,7 +269,8 @@ def _residual(x: np.ndarray, tx: np.ndarray, rhs: np.ndarray) -> float:
     return np.linalg.norm(tx + rhs - x) / max(np.linalg.norm(x), 1.0)
 
 
-def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray) -> np.ndarray | None:
+def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
+                     start: np.ndarray | None = None) -> np.ndarray | None:
     """Solve X = sum_c F_c X F_c^T + C in O(n^3) work per sweep, or return
     None when the iteration does not settle within its caps.
 
@@ -270,10 +283,13 @@ def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray) -> np.ndarray |
     that do not get there within STEIN_MAX_SQUARINGS squarings (F_0 not
     Schur-stable, or overflow) give None. S and the noise sum are both
     positive maps (a regular splitting), so the sweeps converge exactly when
-    rho(T) < 1, at a rate q that tends to 1 at the stability edge. The
-    iteration stops when the error bound step q/(1 - q), with q the ratio
-    of the last two steps, is at most SPLITTING_RTOL |X|; after
-    SPLITTING_MAX_SWEEPS sweeps it gives None.
+    rho(T) < 1, from any start, at a rate q that tends to 1 at the
+    stability edge. The sweeps start from X = 0, or from start, an n x n
+    guess such as the kernel of a nearby gain. The iteration stops when the
+    error bound step q/(1 - q), with q the ratio of the last two steps, is
+    at most SPLITTING_RTOL |X|; the first sweep has no step before it, so
+    the iteration never stops on it. After SPLITTING_MAX_SWEEPS sweeps past
+    the first it gives None.
     """
     powers = [factors[0]]
     while not np.linalg.norm(powers[-1]) <= STEIN_POWER_TOL:
@@ -288,12 +304,13 @@ def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray) -> np.ndarray |
             z = z + g @ z @ g.T
         return z
 
-    x = stein(rhs)
-    step = np.linalg.norm(x)   # the step from X = 0
-    for _ in range(SPLITTING_MAX_SWEEPS):
+    x, step = (np.zeros_like(rhs) if start is None else start), None
+    for _ in range(SPLITTING_MAX_SWEEPS + 1):
         x_next = stein(rhs + _apply(noise, x))
         prev, step = step, np.linalg.norm(x_next - x)
         x = x_next
+        if prev is None:   # the first sweep
+            continue
         ratio = step / prev
         if step == 0 or (ratio < 1 and step * ratio
                          <= SPLITTING_RTOL * (1 - ratio) * np.linalg.norm(x)):
@@ -312,14 +329,17 @@ def _packed_solve(factors: list[np.ndarray], rhs: np.ndarray) -> np.ndarray | No
         return None
 
 
-def _fixed_point(model: SystemModel, gain: np.ndarray, equation, name: str) -> np.ndarray:
+def _fixed_point(model: SystemModel, gain: np.ndarray, equation, name: str,
+                 start: np.ndarray | None = None) -> np.ndarray:
     """Solve X = sum_c F_c X F_c^T + C for an admissible gain and return the
     symmetric X, with (F, C) = equation(moment_operator(model, gain).factors):
     the factors to solve with and a symmetric n x n matrix.
 
     The solvers run in turn: from MATRIX_FREE_MIN_N states on the
-    matrix-free splitting (_splitting_solve), then the packed LU
-    (_packed_solve). The first X that meets the defining equation to
+    matrix-free splitting (_splitting_solve), which sweeps from start when
+    one is given, then the packed LU (_packed_solve), which ignores start.
+    A start thus changes how many sweeps the splitting takes, not the rule
+    that accepts its X. The first X that meets the defining equation to
     RESIDUAL_RTOL and certifies the gain (_certified) is returned; T(X) is
     formed once for both checks. Otherwise the exact check of is_admissible
     decides: NotAdmissibleError with its spectral radius, else the last X if
@@ -334,7 +354,7 @@ def _fixed_point(model: SystemModel, gain: np.ndarray, equation, name: str) -> n
         factors, rhs = equation(moment_operator(model, gain).factors)
         solvers = [_packed_solve]
         if model.state_dim >= MATRIX_FREE_MIN_N:
-            solvers.insert(0, _splitting_solve)
+            solvers.insert(0, lambda f, c: _splitting_solve(f, c, start))
         for solve in solvers:
             x = solve(factors, rhs)
             if x is None:
@@ -366,8 +386,8 @@ def stationary_covariance(model: SystemModel, gain: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_value_kernel(model: SystemModel, cost: CostModel,
-                       gain: np.ndarray) -> np.ndarray:
+def solve_value_kernel(model: SystemModel, cost: CostModel, gain: np.ndarray,
+                       start: np.ndarray | None = None) -> np.ndarray:
     """Value kernel P of a fixed admissible gain.
 
     P solves P = sum_c F_c^T P F_c + Q + L^T R L, the cost-side (adjoint)
@@ -375,12 +395,23 @@ def solve_value_kernel(model: SystemModel, cost: CostModel,
     of the map built from the transposed factors F_c^T, and _fixed_point
     solves it as such: matrix-free from MATRIX_FREE_MIN_N states on, else
     by LU in packed coordinates.
+
+    start is an optional n x n first guess for the matrix-free sweeps, such
+    as the kernel of the previous gain in policy iteration. Any start gives
+    the same P to the splitting's tolerance; one that is not finite or does
+    not help costs at most a capped attempt before the packed LU answers. A
+    start of another shape raises ValidationError.
     """
     gain = np.asarray(gain, dtype=float)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        shape = (model.state_dim, model.state_dim)
+        if start.shape != shape:
+            raise ValidationError(f"start must have shape {shape}, got {start.shape}")
     return _fixed_point(
         model, gain,
         lambda factors: ([f.T for f in factors], cost.Q + gain.T @ cost.R @ gain),
-        "value-kernel")
+        "value-kernel", start)
 
 
 def average_cost(value_kernel: np.ndarray, additive_cov: np.ndarray) -> float:

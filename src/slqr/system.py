@@ -117,7 +117,8 @@ class SystemModel:
         return self.B.shape[1]
 
     def validate(self) -> None:
-        """Check shapes, variance signs, and covariance definiteness."""
+        """Check shapes, that variances are finite and >= 0, and covariance
+        definiteness."""
         n, m = self.state_dim, self.input_dim
         if self.A.shape != (n, n):
             raise ValidationError(f"A must be square, got shape {self.A.shape}")
@@ -130,15 +131,17 @@ class SystemModel:
                 raise ValidationError(
                     f"state_noise[{i}] matrix must have shape {(n, n)}, got {mat.shape}"
                 )
-            if not var >= 0:
-                raise ValidationError(f"state_noise[{i}] variance must be >= 0, got {var}")
+            if not 0 <= var < math.inf:
+                raise ValidationError(
+                    f"state_noise[{i}] variance must be finite and >= 0, got {var}")
         for j, (mat, var) in enumerate(self.input_noise):
             if mat.shape != (n, m):
                 raise ValidationError(
                     f"input_noise[{j}] matrix must have shape {(n, m)}, got {mat.shape}"
                 )
-            if not var >= 0:
-                raise ValidationError(f"input_noise[{j}] variance must be >= 0, got {var}")
+            if not 0 <= var < math.inf:
+                raise ValidationError(
+                    f"input_noise[{j}] variance must be finite and >= 0, got {var}")
         if self.D.shape != (n, n):
             raise ValidationError(f"D must have shape {(n, n)}, got {self.D.shape}")
         if self.X0.shape != (n, n):

@@ -741,6 +741,185 @@ def test_policy_iteration_on_the_matrix_free_path(monkeypatch):
     assert np.linalg.norm(p - dense.kernels[-1]) <= 1e-12 * np.linalg.norm(p)
 
 
+def count_sweeps(monkeypatch, model):
+    """Count the splitting's sweeps: the _apply calls on its noise stack,
+    which holds every factor but F0 (the gate applies all of them)."""
+    calls = Counter()
+    apply = analysis_module._apply
+    noise = len(closed_loop_factors(model, np.zeros((model.input_dim, model.state_dim)))) - 1
+
+    def counted(factors, x):
+        calls["sweeps"] += len(factors) == noise
+        return apply(factors, x)
+
+    monkeypatch.setattr(analysis_module, "_apply", counted)
+    return calls
+
+
+def test_policy_iteration_calls_the_traced_entry_points(monkeypatch):
+    # The benchmark's tracer times policy_iteration's module attributes
+    # is_admissible and solve_value_kernel: a run makes one exact check, for
+    # its initial gain, and one solve per sweep. Sweep 0 starts cold and
+    # each later sweep from the kernel returned in the sweep before it.
+    pi_module = importlib.import_module("slqr.policy_iteration")
+    checks, starts, kernels = [], [], []
+
+    def check(*args, **kwargs):
+        checks.append(args)
+        return is_admissible(*args, **kwargs)
+
+    def solve(model, cost, gain, start=None):
+        starts.append(start)
+        kernels.append(solve_value_kernel(model, cost, gain, start))
+        return kernels[-1]
+
+    monkeypatch.setattr(pi_module, "is_admissible", check)
+    monkeypatch.setattr(pi_module, "solve_value_kernel", solve)
+    model, cost = wide_system(np.random.default_rng(7), n=20)
+    trace = policy_iteration(model, cost, np.zeros((model.input_dim, model.state_dim)))
+    assert trace.converged and trace.iterations > 2
+    assert len(checks) == 1
+    assert len(kernels) == trace.iterations
+    assert all(p is kernel for p, kernel in zip(trace.kernels, kernels))
+    assert starts[0] is None
+    assert all(start is kernel for start, kernel in zip(starts[1:], kernels))
+
+
+def test_warm_started_policy_iteration_matches_cold_solves(monkeypatch):
+    # Each kernel on the warm-started path is the cold solve of its gain,
+    # the run takes as many sweeps of policy iteration as a cold run, and
+    # the warm starts save splitting sweeps in total.
+    pi_module = importlib.import_module("slqr.policy_iteration")
+    rng = np.random.default_rng(12)
+    totals = Counter()
+    for _ in range(10):
+        model, cost = wide_system(rng, n=20)
+        gain = np.zeros((model.input_dim, model.state_dim))
+        with monkeypatch.context() as patch:
+            calls = count_sweeps(patch, model)
+            warm = policy_iteration(model, cost, gain)
+            totals["warm"] += calls["sweeps"]
+        with monkeypatch.context() as patch:
+            calls = count_sweeps(patch, model)
+            patch.setattr(pi_module, "solve_value_kernel",
+                          lambda model, cost, gain, start=None:
+                          solve_value_kernel(model, cost, gain))
+            cold = policy_iteration(model, cost, gain)
+            totals["cold"] += calls["sweeps"]
+        assert warm.converged and warm.iterations == cold.iterations
+        for gain, p in zip(warm.gains, warm.kernels):
+            expected = solve_value_kernel(model, cost, gain)
+            assert np.linalg.norm(p - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert totals["warm"] < totals["cold"]
+
+
+def test_hostile_starts_return_the_cold_kernel(monkeypatch):
+    # Any start gives the cold kernel, without a numpy warning: after a
+    # start that is not finite the splitting gives up and the packed LU
+    # answers; the exact answer still takes two sweeps, as the stop rule
+    # needs the ratio of two steps.
+    rng = np.random.default_rng(13)
+    model, cost = wide_system(rng)
+    other, other_cost = wide_system(rng)
+    n = model.state_dim
+    gain = random_admissible_gain(model, rng)
+    cold = solve_value_kernel(model, cost, gain)
+    other_zero = np.zeros((other.input_dim, n))
+    starts = {"zeros": np.zeros((n, n)), "inf": np.full((n, n), np.inf),
+              "nan": np.where(np.eye(n) > 0, np.nan, cold),
+              "non-symmetric": cold + rng.normal(size=(n, n)),
+              "other system": solve_value_kernel(other, other_cost, other_zero),
+              "exact": cold}
+    for name, start in starts.items():
+        with monkeypatch.context() as patch:
+            calls = count_sweeps(patch, model)
+            packed = count_packed_builds(patch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                p = solve_value_kernel(model, cost, gain, start)
+        assert np.linalg.norm(p - cold) <= 1e-12 * np.linalg.norm(cold), name
+        assert np.array_equal(p, p.T), name
+        finite = np.isfinite(start).all()
+        assert packed["packed"] == (0 if finite else 1), name
+        assert calls["sweeps"] >= 2 or not finite, name
+    for shape in ((n, n + 1), (n,), (n - 1, n - 1)):
+        with pytest.raises(ValidationError, match=r"^start must have shape"):
+            solve_value_kernel(model, cost, gain, np.zeros(shape))
+
+
+def test_the_packed_solve_ignores_the_start(sec6):
+    # Below MATRIX_FREE_MIN_N states the packed LU is the only path, and a
+    # start of the right shape does not change a bit of its answer.
+    model, cost = sec6
+    assert model.state_dim < analysis_module.MATRIX_FREE_MIN_N
+    p = solve_value_kernel(model, cost, L0_3)
+    for start in (np.full((3, 3), np.nan), p, np.ones((3, 3))):
+        assert np.array_equal(solve_value_kernel(model, cost, L0_3, start), p)
+    with pytest.raises(ValidationError, match=r"^start must have shape \(3, 3\)"):
+        solve_value_kernel(model, cost, L0_3, np.zeros((2, 2)))
+
+
+def margin_system(rng, gap):
+    """scaled_noise_system with rho(T) = 1 - gap at the zero gain."""
+    return scaled_noise_system(rng, splitting_rate=1.0 - gap / 0.64)
+
+
+def eigenvalue_certificate(x, tx):
+    """The certificate with lmax(X) in place of |X|_F: a weaker rule that
+    _certified must imply."""
+    x_eigs = np.linalg.eigvalsh(x)
+    return bool(x_eigs[0] > 0
+                and np.linalg.eigvalsh(x - tx)[0] > ADMISSIBILITY_MARGIN * x_eigs[-1])
+
+
+def test_the_cholesky_certificate_rejects_what_it_cannot_show():
+    certified = analysis_module._certified
+    n = 3
+    # X not positive definite, although X - T(X) = 3 I is (T = 4 X).
+    assert not certified(-np.eye(n), -4.0 * np.eye(n))
+    # X - T(X) indefinite: T(I) = diag(1.44, 0.25, 0.25) for F = diag(1.2, 0.5, 0.5).
+    f = np.diag([1.2, 0.5, 0.5])
+    assert not certified(np.eye(n), analysis_module._apply([f], np.eye(n)))
+    # A non-finite T(X); -inf on the diagonal would even factor.
+    for bad in (np.full((n, n), np.nan), np.diag([-np.inf, 0.0, 0.0])):
+        assert not certified(np.eye(n), bad)
+    assert certified(np.eye(n), 0.5 * np.eye(n))
+    # rho = 1 - 1e-11: X = (I - T)^-1 (I) and X - T(X) are positive definite,
+    # but lmin(X - T(X)) / |X|_F is inside the margin.
+    model, _ = margin_system(np.random.default_rng(14), 1e-11)
+    factors = closed_loop_factors(model, np.zeros((model.input_dim, model.state_dim)))
+    x = analysis_module._packed_solve(factors, np.eye(model.state_dim))
+    tx = analysis_module._apply(factors, x)
+    np.linalg.cholesky(x)
+    np.linalg.cholesky(x - tx)
+    assert not certified(x, tx)
+
+
+def test_the_cholesky_certificate_implies_the_eigenvalue_certificate():
+    # Over 200 solves, random ones and some with rho inside the margin,
+    # every certificate also holds with lmax(X) in place of |X|_F.
+    certified = analysis_module._certified
+    rng = np.random.default_rng(15)
+    draws = []
+    for i in range(90):
+        model, cost = wide_system(rng) if i % 9 == 0 else random_admissible_system(rng)
+        draws.append((model, cost, random_admissible_gain(model, rng)))
+    for gap in np.geomspace(1e-12, 1e-10, 10):
+        model, cost = margin_system(rng, gap)
+        draws.append((model, cost, np.zeros((model.input_dim, model.state_dim))))
+    outcomes = Counter()
+    for model, cost, gain in draws:
+        factors = closed_loop_factors(model, gain)
+        for hs, rhs in ((factors, model.D),
+                        ([f.T for f in factors], cost.Q + gain.T @ cost.R @ gain)):
+            x = analysis_module._packed_solve(hs, rhs)
+            tx = analysis_module._apply(hs, x)
+            new, old = certified(x, tx), eigenvalue_certificate(x, tx)
+            assert old or not new
+            outcomes[new] += 1
+    assert sum(outcomes.values()) == 200 and outcomes[True] >= 170
+
+
 # --- The Perron bracket of is_admissible, from PERRON_MIN_N states on ---
 def count_eigvals(monkeypatch):
     calls = Counter()

@@ -76,6 +76,16 @@ def test_validate_rejects_negative_variance():
         model.validate()
 
 
+@pytest.mark.parametrize("side", ["state_noise", "input_noise"])
+@pytest.mark.parametrize("var", [np.inf, np.nan])
+def test_validate_rejects_a_non_finite_variance(side, var):
+    # An infinite variance is invalid input, not an inadmissible model.
+    model = scalar_model(**{side: [([[1.0]], var)]})
+    with pytest.raises(ValidationError,
+                       match=rf"^{side}\[0\] variance must be finite and >= 0, got {var}$"):
+        model.validate()
+
+
 def test_validate_rejects_wrong_channel_shape():
     model = scalar_model(input_noise=[(np.zeros((2, 2)), 0.1)])
     with pytest.raises(ValidationError, match=r"input_noise\[0\] matrix"):
