@@ -17,7 +17,10 @@ s = n(n+1)/2 coordinates vech(X) (MomentOperator.packed), never with the
 n^2 x n^2 Kronecker form. This loses nothing: T commutes with transposition,
 so its spectrum is that of the symmetric block plus that of the skew block,
 and a positive map attains its spectral radius at a PSD eigenvector
-(Krein-Rutman), which lies in the symmetric block.
+(Krein-Rutman), which lies in the symmetric block. The packed matrix is
+built from the channels that act: a factor that is exactly zero, as every
+input-noise factor B_j L is at the zero gain where policy iteration starts,
+is skipped, and the matrix comes out bit for bit as with it (see packed).
 
 is_admissible decides stability exactly, from the spectral radius of the
 s x s packed matrix M. Below PERRON_MIN_N states it takes every eigenvalue of
@@ -123,12 +126,21 @@ class MomentOperator:
         diagonal columns a = b, where X[a,b] and X[b,a] are one coordinate.
         The products are summed factor by factor, as in matrix, so at n = 1
         the two forms agree bit for bit.
+
+        Factors that are exactly zero are skipped, such as every input-noise
+        factor B_j L at the zero gain. That leaves every bit as it is: the
+        sum starts from 0.0, so it never holds a -0.0 (0.0 + -0.0 is 0.0),
+        and adding the +-0 products of a zero factor to such a sum changes
+        nothing. With no nonzero factor the result is the s x s zero matrix.
         """
         rows, cols = packed_indices(self.factors[0].shape[0])
         # terms[(i, j), a, b] = sum_c F_c[i,a] F_c[j,b]: the rows i <= j of matrix
         terms = 0.0
         for f in self.factors:
-            terms = terms + np.einsum("sa,sb->sab", f[rows], f[cols])
+            if f.any():
+                terms = terms + np.einsum("sa,sb->sab", f[rows], f[cols])
+        if np.ndim(terms) == 0:   # every factor is zero
+            return np.zeros((len(rows), len(rows)))
         packed = terms[:, rows, cols] + terms[:, cols, rows]
         packed[:, rows == cols] *= 0.5
         return packed
@@ -197,15 +209,17 @@ def _perron_radius(mat: np.ndarray, n: int) -> float | None:
     PERRON_INVERSE_STEPS inverse steps.
     """
     edge = 1.0 - ADMISSIBILITY_MARGIN
-    diag = np.equal(*packed_indices(n))
-    v = diag.astype(float)   # vech(I)
+    trace = np.equal(*packed_indices(n)).astype(float)   # vech(I): tr(X) = trace @ v
+    v = trace
+    # hi I - mat, its diagonal rewritten for each shift hi.
+    shifted = 0.0 - mat
     # Overflowing iterates, and iterates that vanish (0/0 for a nilpotent T),
     # end as a non-finite v or bracket, which gives None; numpy need not warn
     # on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(PERRON_POWER_STEPS):
             v = mat @ v
-            v /= v[diag].sum()   # tr(X)
+            v /= trace @ v
         prev_lo, prev_hi = -np.inf, np.inf
         for step in range(PERRON_INVERSE_STEPS + 1):
             if not np.isfinite(v).all():
@@ -223,11 +237,12 @@ def _perron_radius(mat: np.ndarray, n: int) -> float | None:
             if step == PERRON_INVERSE_STEPS or lo <= prev_lo or hi >= prev_hi:
                 break
             prev_lo, prev_hi = lo, hi
+            np.fill_diagonal(shifted, hi - mat.diagonal())
             try:
-                v = np.linalg.solve(hi * np.eye(len(v)) - mat, v)
+                v = np.linalg.solve(shifted, v)
             except np.linalg.LinAlgError:
                 return None
-            v /= v[diag].sum()
+            v /= trace @ v
     return None
 
 

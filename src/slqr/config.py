@@ -23,8 +23,10 @@ Schema (matrices are row-major nested arrays):
     }
 
 "pi" is required for model_based/both, "learner" and non-empty "seeds" for
-model_free/both. ExperimentConfig itself checks the mode and these rules, so
-a config changed with dataclasses.replace is held to them too. Every number
+model_free/both. ExperimentConfig itself checks the mode, these rules and
+the ranges of pi.tol (> 0), pi.max_iter (>= 1) and the seeds (integers
+>= 0), so a config changed with dataclasses.replace, as by the CLI's
+--mode and --seeds, is held to them too. Every number
 in the document must be finite (json accepts NaN and Infinity).
 load_config(save_config(cfg)) reproduces the config exactly.
 """
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .qlearning import LearnerConfig
-from .system import CostModel, SystemModel
+from .system import CostModel, SystemModel, check_integer, check_positive, is_integer
 
 MODES = ("model_based", "model_free", "both")
 
@@ -65,6 +67,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.seeds, list) or not all(
+                is_integer(s) and s >= 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be a list of integers >= 0, got {self.seeds!r}")
+        self.seeds = [int(s) for s in self.seeds]
         if self.runs_model_free():
             if self.learner is None:
                 raise ConfigError("mode requires a learner section in the config")
@@ -72,6 +78,13 @@ class ExperimentConfig:
                 raise ConfigError("seeds must be non-empty when mode runs the learner")
         if self.runs_model_based() and None in (self.pi_tol, self.pi_max_iter):
             raise ConfigError("mode requires a pi section in the config")
+        try:
+            if self.pi_tol is not None:
+                check_positive(self.pi_tol, "pi.tol")
+            if self.pi_max_iter is not None:
+                check_integer(self.pi_max_iter, "pi.max_iter", 1)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
 
     def runs_model_based(self) -> bool:
         return self.mode in ("model_based", "both")
@@ -183,10 +196,6 @@ def from_dict(doc: dict) -> ExperimentConfig:
         _reject_unknown(pi_doc, {"tol", "max_iter"}, "pi.")
         pi_tol = _number(pi_doc, "tol", "pi.")
         pi_max_iter = _integer(pi_doc, "max_iter", "pi.")
-        if not pi_tol > 0:
-            raise ConfigError(f"pi.tol must be > 0, got {pi_tol}")
-        if not pi_max_iter >= 1:
-            raise ConfigError(f"pi.max_iter must be >= 1, got {pi_max_iter}")
 
     learner = None
     learner_doc = doc.get("learner")
@@ -214,18 +223,13 @@ def from_dict(doc: dict) -> ExperimentConfig:
                 f"got {learner.initial_gain.shape}"
             )
 
-    seeds_raw = doc.get("seeds", [])
-    if not isinstance(seeds_raw, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds_raw):
-        raise ConfigError("seeds must be a list of integers")
-
     output_dir = doc.get("output_dir", "results")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir must be a non-empty string")
 
     return ExperimentConfig(mode=mode, model=model, cost=cost, pi_tol=pi_tol,
                             pi_max_iter=pi_max_iter, learner=learner,
-                            seeds=list(seeds_raw), output_dir=output_dir)
+                            seeds=doc.get("seeds", []), output_dir=output_dir)
 
 
 def to_dict(config: ExperimentConfig) -> dict:

@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .errors import NotAdmissibleError, SolverFailure, ValidationError
 from .packing import symmetrize
-from .system import CostModel, SystemModel
+from .system import CostModel, SystemModel, check_integer, check_positive
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,8 @@ def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarr
     on the solve starts from the previous step's kernel (the start of
     solve_value_kernel), which the kernels' monotone decrease keeps close.
     """
-    if not tol > 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
-    if not max_iter >= 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    check_positive(tol, "tol")
+    check_integer(max_iter, "max_iter", 1)
     gain = np.asarray(initial_gain, dtype=float)
     admissible, rho = is_admissible(model, gain)
     if not admissible:

@@ -66,6 +66,8 @@ from .system import (
     CostModel,
     SystemModel,
     Trajectory,
+    check_integer,
+    check_positive,
     simulate_closed_loop,
 )
 
@@ -335,20 +337,11 @@ class LearnerConfig:
     def __post_init__(self):
         object.__setattr__(self, "initial_gain",
                            np.asarray(self.initial_gain, dtype=float))
-        if not self.rollout_len >= 1:
-            raise ValidationError(f"rollout_len must be >= 1, got {self.rollout_len}")
-        if not self.probe_var > 0:
-            raise ValidationError(f"probe_var must be > 0, got {self.probe_var}")
-        if not self.rls_init_scale > 0:
-            raise ValidationError(
-                f"rls_init_scale must be > 0, got {self.rls_init_scale}"
-            )
-        if not self.max_iterations >= 1:
-            raise ValidationError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        if not self.gain_tol > 0:
-            raise ValidationError(f"gain_tol must be > 0, got {self.gain_tol}")
+        check_integer(self.rollout_len, "rollout_len", 1)
+        check_integer(self.max_iterations, "max_iterations", 1)
+        check_integer(self.seed, "seed", 0)
+        for name in ("probe_var", "rls_init_scale", "gain_tol"):
+            check_positive(getattr(self, name), name)
         if self.cost_mode not in COST_MODES:
             raise ValidationError(
                 f"cost_mode must be one of {COST_MODES}, got {self.cost_mode!r}"

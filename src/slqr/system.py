@@ -57,6 +57,28 @@ def _as_matrix(mat, name: str) -> np.ndarray:
     return arr
 
 
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integer(value, name: str, minimum: int) -> None:
+    """Raise ValidationError unless value is an integer (is_integer) >= minimum."""
+    if not is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_positive(value, name: str) -> None:
+    """Raise ValidationError unless value is a real number (Python or numpy,
+    not a bool) > 0; NaN is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
+    if not value > 0:
+        raise ValidationError(f"{name} must be > 0, got {value}")
+
+
 def _check_psd(mat: np.ndarray, name: str) -> None:
     eigs = np.linalg.eigvalsh(mat)
     if eigs.min() < -PD_EIG_FLOOR * max(1.0, abs(eigs.max())):

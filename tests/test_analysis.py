@@ -117,6 +117,71 @@ def test_packed_operator_is_the_matrix_at_n1():
             np.testing.assert_array_equal(packed_op.packed(), op.matrix)
 
 
+def packed_over_every_factor(factors):
+    """packed() summed over every factor, zero or not."""
+    rows, cols = np.triu_indices(factors[0].shape[0])
+    terms = 0.0
+    for f in factors:
+        terms = terms + np.einsum("sa,sb->sab", f[rows], f[cols])
+    packed = terms[:, rows, cols] + terms[:, cols, rows]
+    packed[:, rows == cols] *= 0.5
+    return packed
+
+
+def test_zero_factors_leave_the_packed_matrix_bit_identical():
+    # Skipping exactly-zero factors, -0.0 entries included, changes no bit:
+    # the bytes are compared, so a -0.0 where the full sum has 0.0 fails.
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        s = n * (n + 1) // 2
+        for _ in range(10):
+            factors = []
+            for _ in range(int(rng.integers(1, 6))):
+                if rng.random() < 0.5:
+                    zero = np.zeros((n, n))
+                    zero[rng.random((n, n)) < 0.5] = -0.0
+                    factors.append(zero)
+                else:
+                    f = rng.normal(size=(n, n))
+                    f[rng.random((n, n)) < 0.3] = -0.0
+                    factors.append(f)
+            op = MomentOperator(factors)
+            packed = op.packed()
+            assert packed.shape == (s, s)
+            assert packed.tobytes() == packed_over_every_factor(factors).tobytes()
+            if n == 1:
+                assert packed.tobytes() == op.matrix.tobytes()
+        # A list of zero factors alone gives the s x s zero matrix.
+        zeros = MomentOperator([np.zeros((n, n)), np.full((n, n), -0.0)]).packed()
+        assert zeros.tobytes() == np.zeros((s, s)).tobytes()
+        if n == 1:
+            assert zeros.tobytes() == MomentOperator([np.full((1, 1), -0.0)]).matrix.tobytes()
+
+
+def test_the_zero_gain_builds_from_the_channels_that_act(monkeypatch):
+    # At the zero gain every input-noise factor B_j L is zero, and the packed
+    # build forms products for A and the state channels only.
+    rng = np.random.default_rng(2)
+    n, m = 4, 2
+    model = SystemModel(
+        A=0.3 * rng.normal(size=(n, n)), B=rng.normal(size=(n, m)), D=np.eye(n),
+        X0=np.eye(n),
+        state_noise=[(rng.normal(size=(n, n)), 0.01) for _ in range(2)],
+        input_noise=[(rng.normal(size=(n, m)), 0.01) for _ in range(3)])
+    einsum = np.einsum
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        calls["einsum"] += 1
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    moment_operator(model, np.zeros((m, n))).packed()
+    assert calls["einsum"] == 1 + len(model.state_noise)
+    moment_operator(model, np.ones((m, n))).packed()
+    assert calls["einsum"] == 2 + 2 * len(model.state_noise) + len(model.input_noise)
+
+
 def _edge_scale(model, direction):
     """Gain scale t at which rho(M(t * direction)) crosses 1, bisected on the
     eigenvalues of the n^2 x n^2 matrix; None if it stays below 1."""

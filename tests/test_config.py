@@ -216,6 +216,30 @@ def test_scalar_values_are_type_checked():
         from_dict(doc)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("pi_tol", float("nan"), "pi.tol must be > 0"),
+    ("pi_tol", -1.0, "pi.tol must be > 0"),
+    ("pi_tol", "1e-9", "pi.tol must be a number"),
+    ("pi_max_iter", 0, "pi.max_iter must be >= 1"),
+    ("pi_max_iter", 2.5, "pi.max_iter must be an integer"),
+    ("seeds", [0, -1], "seeds must be a list of integers >= 0"),
+    ("seeds", [0, 1.0], "seeds must be a list of integers >= 0"),
+    ("seeds", (0, 1), "seeds must be a list of integers >= 0"),
+])
+def test_range_rules_hold_for_a_replaced_config(field, value, message):
+    # ExperimentConfig checks the ranges itself, so a config changed after
+    # loading, as by the CLI's --seeds, is held to them.
+    config = from_dict(learner_doc())
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        replace(config, **{field: value})
+
+
+def test_seeds_are_stored_as_python_integers():
+    config = replace(from_dict(learner_doc()), seeds=[np.int64(3), 4])
+    assert config.seeds == [3, 4]
+    assert all(type(seed) is int for seed in config.seeds)
+
+
 def test_round_trip_is_stable(sec6_config):
     doc = to_dict(sec6_config)
     assert to_dict(from_dict(doc)) == doc

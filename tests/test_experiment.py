@@ -190,6 +190,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", "scalar_smoke", "--seeds", "a,b"]) == 1
 
 
+@pytest.mark.parametrize("seeds", ["-1", "0,-3"])
+def test_cli_negative_seeds_are_a_config_error(tmp_path, capsys, seeds):
+    # Rejected with the config, before any solve runs or any file is written.
+    out = tmp_path / "out"
+    assert main(["run", "--config", "scalar_smoke", f"--seeds={seeds}",
+                 "--out", str(out)]) == 1
+    assert "seeds must be a list of integers >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def fixture_doc(name):
     return json.loads(fixture_path(name).read_text())
 

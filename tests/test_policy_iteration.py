@@ -17,6 +17,7 @@ from slqr.policy_iteration import (
     policy_iteration,
     q_kernel_from_value,
 )
+from slqr.qlearning import LearnerConfig
 from slqr.system import CostModel, SystemModel
 from slqr.testing import random_admissible_gain, random_admissible_system
 
@@ -88,6 +89,53 @@ def test_argument_validation(sec6):
         policy_iteration(model, cost, np.zeros((3, 3)), max_iter=0)
     with pytest.raises(ValidationError, match="tol"):
         policy_iteration(model, cost, np.zeros((3, 3)), tol=float("nan"))
+
+
+LEARNER_ARGS = dict(initial_gain=np.zeros((1, 1)), rollout_len=100, probe_var=0.5,
+                    rls_init_scale=1e8, max_iterations=5, gain_tol=0.05, seed=0)
+
+
+def scalar_policy_iteration(**kwargs):
+    return policy_iteration(SCALAR, SCALAR_COST, np.zeros((1, 1)), **kwargs)
+
+
+def learner_config(**kwargs):
+    return LearnerConfig(**{**LEARNER_ARGS, **kwargs})
+
+
+@pytest.mark.parametrize("build, field, value, valid", [
+    (scalar_policy_iteration, "max_iter", 2.5, False),
+    (scalar_policy_iteration, "max_iter", None, False),
+    (scalar_policy_iteration, "max_iter", True, False),
+    (scalar_policy_iteration, "max_iter", np.int64(50), True),
+    (scalar_policy_iteration, "tol", "1e-9", False),
+    (scalar_policy_iteration, "tol", None, False),
+    (scalar_policy_iteration, "tol", True, False),
+    (scalar_policy_iteration, "tol", np.float32(1e-6), True),
+    (learner_config, "rollout_len", 2999.5, False),
+    (learner_config, "rollout_len", np.int32(3000), True),
+    (learner_config, "max_iterations", 2.5, False),
+    (learner_config, "max_iterations", False, False),
+    (learner_config, "seed", 1.5, False),
+    (learner_config, "seed", -1, False),
+    (learner_config, "seed", np.uint64(7), True),
+    (learner_config, "probe_var", "0.5", False),
+], ids=lambda v: repr(v) if not callable(v) else v.__name__)
+def test_integer_and_number_arguments_are_checked_up_front(monkeypatch, build, field,
+                                                           value, valid):
+    # Python and numpy integers pass, bools and floats do not; a bad value is
+    # a ValidationError, raised before policy_iteration's exact check.
+    checks = []
+    check = pi_module.is_admissible
+    monkeypatch.setattr(pi_module, "is_admissible",
+                        lambda *args: checks.append(args) or check(*args))
+    if valid:
+        build(**{field: value})
+        assert len(checks) == (build is scalar_policy_iteration)
+    else:
+        with pytest.raises(ValidationError, match=field):
+            build(**{field: value})
+        assert not checks
 
 
 def scripted_step(next_gains, fail_at=None):
