@@ -44,13 +44,20 @@ _certified; is_admissible's own threshold) is returned, with no eigenvalue
 problem. There are two solvers. The packed LU of the s x s matrix costs
 O(n^6) and is the only one below MATRIX_FREE_MIN_N states, where it is the
 faster one. From there on a matrix-free splitting runs first
-(_splitting_solve): each sweep solves the Stein equation of the mean loop F0
-by Smith doubling and adds the noise channels' terms, O(n^3) work in n x n
-products; it gives up near the stability edge, when F0 is not Schur-stable
-and on overflow, and then the packed LU runs as below the crossover. The
-splitting sweeps from X = 0, or from a start that solve_value_kernel is
-given: policy iteration passes the previous sweep's kernel, which lies
-close above the next one, and saves a few sweeps per solve.
+(_splitting_solve), O(n^3) work in n x n products per sweep. It rewrites
+X = T(X) + C exactly as X = S_K(C) + S_K(N(X)) + G X G^T, where N is the
+noise channels' part of T, G = F0^K and S_K(Z) = sum_{k<K} F0^k Z (F0^k)^T
+takes J doublings for K = 2^J (Smith 1968). Each sweep evaluates that
+right-hand side whole, tail included, so the depth J sets the rate and not
+the answer, and J is the least depth whose tail is small next to the noise
+channels: one or two doublings where the noise caps the rate anyway. The
+sweeps converge exactly when rho(T) < 1, by the positive-map argument in
+_splitting_solve. The splitting gives up near the stability edge, when F0^K
+does not get small (F0 not Schur-stable) and on overflow, and then the
+packed LU runs as below the crossover. It sweeps from X = 0, or from a
+start that solve_value_kernel is given: policy iteration passes the
+previous sweep's kernel, which lies close above the next one, and saves a
+few sweeps per solve.
 
 When no X is accepted there is one exit, through the exact check of
 is_admissible: an inadmissible gain raises NotAdmissibleError with the exact
@@ -93,11 +100,13 @@ PERRON_RTOL = 1e-12
 MATRIX_FREE_MIN_N = 14
 # The splitting stops when its a-posteriori error bound falls to
 # SPLITTING_RTOL of |X|, and gives up after SPLITTING_MAX_SWEEPS sweeps or
-# when F0^(2^j) is not below STEIN_POWER_TOL after STEIN_MAX_SQUARINGS
-# squarings; a capped attempt costs about one packed solve at the crossover.
+# when no doubling depth within STEIN_MAX_SQUARINGS squarings brings
+# |F0^(2^J)|_F^2 to STEIN_TAIL_RATIO of the noise channels' sum_c |F_c|_F^2
+# (or to SPLITTING_RTOL, when the noise is smaller); a capped attempt costs
+# about one packed solve at the crossover.
 SPLITTING_RTOL = 1e-14
 SPLITTING_MAX_SWEEPS = 20
-STEIN_POWER_TOL = 1e-8
+STEIN_TAIL_RATIO = 0.3
 STEIN_MAX_SQUARINGS = 8
 # The defining equation must hold to this relative residual (_residual).
 RESIDUAL_RTOL = 1e-8
@@ -284,44 +293,77 @@ def _residual(x: np.ndarray, tx: np.ndarray, rhs: np.ndarray) -> float:
     return np.linalg.norm(tx + rhs - x) / max(np.linalg.norm(x), 1.0)
 
 
+def _stein_powers(f0: np.ndarray, noise: np.ndarray) -> list[np.ndarray] | None:
+    """The powers F_0^(2^j), j = 0..J, of the mean loop f0 = F_0, for the
+    least doubling depth J whose tail G = F_0^(2^J) is small next to the
+    noise channels F_c, c >= 1, stacked along the first axis of noise:
+
+        |G|_F^2 <= max(STEIN_TAIL_RATIO sum_{c>=1} |F_c|_F^2, SPLITTING_RTOL).
+
+    The second term stands in for the noise when there is little or none:
+    a tail that contracts by SPLITTING_RTOL a sweep lets the stop rule fire
+    on the second sweep. None when the noise overflows, or when no
+    J <= STEIN_MAX_SQUARINGS gets there (F_0 not Schur-stable, or overflow).
+    """
+    bound = max(STEIN_TAIL_RATIO * np.linalg.norm(noise) ** 2, SPLITTING_RTOL)
+    if bound == np.inf:
+        return None
+    powers = [f0]
+    while not np.linalg.norm(powers[-1]) ** 2 <= bound:
+        if len(powers) > STEIN_MAX_SQUARINGS:
+            return None
+        powers.append(powers[-1] @ powers[-1])
+    return powers
+
+
 def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
                      start: np.ndarray | None = None) -> np.ndarray | None:
     """Solve X = sum_c F_c X F_c^T + C in O(n^3) work per sweep, or return
     None when the iteration does not settle within its caps.
 
-    The sweeps X <- S(C + sum_{c>=1} F_c X F_c^T) split off the mean loop
-    F_0: S(Z) = sum_k F_0^k Z (F_0^T)^k solves the Stein equation
-    Y - F_0 Y F_0^T = Z by Smith doubling, Y <- Y + G Y G^T over
-    G = F_0^(2^j), j < J. The powers are squared once per solve until
-    |F_0^(2^J)|_F <= STEIN_POWER_TOL, so the dropped tail
-    F_0^(2^J) S(Z) (F_0^(2^J))^T is below STEIN_POWER_TOL^2 of S(Z). Powers
-    that do not get there within STEIN_MAX_SQUARINGS squarings (F_0 not
-    Schur-stable, or overflow) give None. S and the noise sum are both
-    positive maps (a regular splitting), so the sweeps converge exactly when
-    rho(T) < 1, from any start, at a rate q that tends to 1 at the
-    stability edge. The sweeps start from X = 0, or from start, an n x n
-    guess such as the kernel of a nearby gain. The iteration stops when the
-    error bound step q/(1 - q), with q the ratio of the last two steps, is
-    at most SPLITTING_RTOL |X|; the first sweep has no step before it, so
-    the iteration never stops on it. After SPLITTING_MAX_SWEEPS sweeps past
-    the first it gives None.
+    The sweeps split off the mean loop F_0. With K = 2^J, G = F_0^K and
+    S_K(Z) = sum_{k<K} F_0^k Z (F_0^T)^k, the equation X = T(X) + C is the
+    same as
+
+        X = S_K(C) + S_K(N(X)) + G X G^T,    N(X) = sum_{c>=1} F_c X F_c^T,
+
+    since S_K(Z - F_0 Z F_0^T) = Z - G Z G^T telescopes. Each sweep takes
+    the right-hand side at the current X: the J Smith doublings
+    Z <- Z + P Z P^T over P = F_0^(2^j), j < J, give S_K(N(X)), and the
+    tail G X G^T is added whole, so no sweep drops a term and any depth
+    solves the same equation. S_K(C) is formed once per solve, and the
+    powers are squared once per solve up to the depth of _stein_powers,
+    which keeps the tail small next to the noise channels; no depth within
+    STEIN_MAX_SQUARINGS squarings gives None.
+
+    The sweeps converge exactly when rho(T) < 1, from any start. Their map
+    H = S_K N + G (x) G is positive, and I - H = S_K (I - T). If
+    rho(T) < 1, X* = sum_k T^k(I) > 0 and H(X*) = X* - S_K(I) < X*, so
+    rho(H) < 1 (Collatz-Wielandt). If rho(H) < 1, then
+    (I - T)^-1 = (I - H)^-1 S_K is a positive map, so rho(T) < 1 (Damm,
+    LNCIS 297, 2004). The rate q = rho(H) tends to 1 at the stability edge.
+    The sweeps start from X = 0, or from start, an n x n guess such as the
+    kernel of a nearby gain. The iteration stops when the error bound
+    step q/(1 - q), with q the ratio of the last two steps, is at most
+    SPLITTING_RTOL |X|; the first sweep has no step before it, so the
+    iteration never stops on it. After SPLITTING_MAX_SWEEPS sweeps past the
+    first it gives None.
     """
-    powers = [factors[0]]
-    while not np.linalg.norm(powers[-1]) <= STEIN_POWER_TOL:
-        if len(powers) > STEIN_MAX_SQUARINGS:
-            return None
-        powers.append(powers[-1] @ powers[-1])
-    powers.pop()
     noise = np.array(factors)[1:]
+    powers = _stein_powers(factors[0], noise)
+    if powers is None:
+        return None
+    tail = powers.pop()
 
     def stein(z):
-        for g in powers:
-            z = z + g @ z @ g.T
+        for p in powers:
+            z = z + p @ z @ p.T
         return z
 
+    base = stein(rhs)
     x, step = (np.zeros_like(rhs) if start is None else start), None
     for _ in range(SPLITTING_MAX_SWEEPS + 1):
-        x_next = stein(rhs + _apply(noise, x))
+        x_next = base + stein(_apply(noise, x)) + tail @ x @ tail.T
         prev, step = step, np.linalg.norm(x_next - x)
         x = x_next
         if prev is None:   # the first sweep

@@ -65,6 +65,8 @@ class ExperimentConfig:
     output_dir: str
 
     def __post_init__(self):
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError("output_dir must be a non-empty string")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.seeds, list) or not all(
@@ -80,7 +82,7 @@ class ExperimentConfig:
             raise ConfigError("mode requires a pi section in the config")
         try:
             if self.pi_tol is not None:
-                check_positive(self.pi_tol, "pi.tol")
+                check_positive(self.pi_tol, "pi.tol", finite=True)
             if self.pi_max_iter is not None:
                 check_integer(self.pi_max_iter, "pi.max_iter", 1)
         except ValidationError as exc:
@@ -223,13 +225,10 @@ def from_dict(doc: dict) -> ExperimentConfig:
                 f"got {learner.initial_gain.shape}"
             )
 
-    output_dir = doc.get("output_dir", "results")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir must be a non-empty string")
-
     return ExperimentConfig(mode=mode, model=model, cost=cost, pi_tol=pi_tol,
                             pi_max_iter=pi_max_iter, learner=learner,
-                            seeds=doc.get("seeds", []), output_dir=output_dir)
+                            seeds=doc.get("seeds", []),
+                            output_dir=doc.get("output_dir", "results"))
 
 
 def to_dict(config: ExperimentConfig) -> dict:

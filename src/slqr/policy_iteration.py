@@ -148,7 +148,7 @@ def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarr
     on the solve starts from the previous step's kernel (the start of
     solve_value_kernel), which the kernels' monotone decrease keeps close.
     """
-    check_positive(tol, "tol")
+    check_positive(tol, "tol", finite=True)
     check_integer(max_iter, "max_iter", 1)
     gain = np.asarray(initial_gain, dtype=float)
     admissible, rho = is_admissible(model, gain)

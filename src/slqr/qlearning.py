@@ -340,8 +340,9 @@ class LearnerConfig:
         check_integer(self.rollout_len, "rollout_len", 1)
         check_integer(self.max_iterations, "max_iterations", 1)
         check_integer(self.seed, "seed", 0)
-        for name in ("probe_var", "rls_init_scale", "gain_tol"):
+        for name in ("probe_var", "rls_init_scale"):
             check_positive(getattr(self, name), name)
+        check_positive(self.gain_tol, "gain_tol", finite=True)
         if self.cost_mode not in COST_MODES:
             raise ValidationError(
                 f"cost_mode must be one of {COST_MODES}, got {self.cost_mode!r}"

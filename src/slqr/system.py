@@ -70,13 +70,15 @@ def check_integer(value, name: str, minimum: int) -> None:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
 
 
-def check_positive(value, name: str) -> None:
+def check_positive(value, name: str, finite: bool = False) -> None:
     """Raise ValidationError unless value is a real number (Python or numpy,
-    not a bool) > 0; NaN is not."""
+    not a bool) > 0; NaN is not. With finite, inf is not either."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
     if not value > 0:
         raise ValidationError(f"{name} must be > 0, got {value}")
+    if finite and value == np.inf:
+        raise ValidationError(f"{name} must be finite, got {value}")
 
 
 def _check_psd(mat: np.ndarray, name: str) -> None:
@@ -283,8 +285,7 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     n, m = model.state_dim, model.input_dim
     if gain.shape != (m, n):
         raise ValidationError(f"gain must have shape {(m, n)}, got {gain.shape}")
-    if n_steps < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    check_integer(n_steps, "n_steps", 1)
     if not probe_var >= 0:
         raise ValidationError(f"probe_var must be >= 0, got {probe_var}")
 

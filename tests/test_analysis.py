@@ -712,12 +712,21 @@ def test_capped_splitting_returns_the_packed_answer(monkeypatch):
 
 
 def test_inexact_splitting_falls_back_to_the_packed_solve(monkeypatch):
-    # A coarse Stein truncation converges to a certified X that misses the
-    # equation by about 2e-4: the residual guard rejects it and the packed
-    # solve answers.
+    # A splitting that returns a certified X missing its equation by about
+    # 2e-4: the residual guard rejects it and the packed solve answers.
     model, cost = wide_system(np.random.default_rng(3))
     gain = np.zeros((model.input_dim, model.state_dim))
-    monkeypatch.setattr(analysis_module, "STEIN_POWER_TOL", 0.1)
+    splitting = analysis_module._splitting_solve
+    misses = []
+
+    def inexact(factors, rhs, start=None):
+        x = (1 + 5e-4) * splitting(factors, rhs, start)
+        tx = analysis_module._apply(factors, x)
+        assert analysis_module._certified(x, tx)
+        misses.append(analysis_module._residual(x, tx, rhs))
+        return x
+
+    monkeypatch.setattr(analysis_module, "_splitting_solve", inexact)
     calls = count_packed_builds(monkeypatch)
     for entry in FIXED_POINT_SOLVERS:
         solve = lambda: GAIN_ENTRY_POINTS[entry](model, cost, gain)  # noqa: E731
@@ -725,6 +734,86 @@ def test_inexact_splitting_falls_back_to_the_packed_solve(monkeypatch):
         x = solve()
         assert calls["packed"] == 1
         assert np.array_equal(x, packed_solve(monkeypatch, solve))
+    assert len(misses) == 2 and all(1e-4 < miss < 1e-3 for miss in misses)
+
+
+def record_depths(monkeypatch, force=None):
+    """The doubling depth J of each splitting solve, read from its powers
+    F0^(2^j), j = 0..J; with force, the first force + 1 powers are used
+    instead of the depth rule's."""
+    depths = []
+    powers = analysis_module._stein_powers
+
+    def recorded(f0, noise):
+        out = powers(f0, noise) if force is None else [f0, f0 @ f0][:force + 1]
+        depths.append(None if out is None else len(out) - 1)
+        return out
+
+    monkeypatch.setattr(analysis_module, "_stein_powers", recorded)
+    return depths
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_any_doubling_depth_solves_the_equation(monkeypatch, depth):
+    # The tail F0^K X (F0^K)^T is carried whole in every sweep, so a shallow
+    # depth changes the rate, not the equation: the splitting's own X meets
+    # it to roundoff and is accepted without a packed build.
+    model, cost = wide_system(np.random.default_rng(3))
+    gain = np.zeros((model.input_dim, model.state_dim))
+    depths = record_depths(monkeypatch, force=depth)
+    calls = count_packed_builds(monkeypatch)
+    for entry, dual in (("stationary_covariance", False), ("solve_value_kernel", True)):
+        x = GAIN_ENTRY_POINTS[entry](model, cost, gain)
+        factors = closed_loop_factors(model, gain)
+        rhs = cost.Q if dual else model.D
+        tx = sum(f.T @ x @ f if dual else f @ x @ f.T for f in factors)
+        assert np.linalg.norm(tx + rhs - x) <= 1e-12 * np.linalg.norm(x), entry
+    assert depths == [depth, depth]
+    assert calls["packed"] == 0
+
+
+def test_the_doubling_depth_follows_the_noise(monkeypatch):
+    # On pi_n20-style systems the noise channels cap the rate at about 0.07
+    # a sweep, and the tail needs one or two doublings to fall below them;
+    # the kernels still match the packed solve.
+    depths = record_depths(monkeypatch)
+    for seed in range(10):
+        model, cost = wide_system(np.random.default_rng(seed), n=20)
+        gain = np.zeros((model.input_dim, model.state_dim))
+        p = solve_value_kernel(model, cost, gain)
+        dense = packed_solve(monkeypatch, lambda: solve_value_kernel(model, cost, gain))
+        assert np.linalg.norm(p - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert len(depths) == 10 and set(depths) <= {1, 2}
+
+
+def test_noise_free_and_weak_noise_solves_stay_matrix_free(monkeypatch):
+    # With no noise the depth rule falls back to a tail below SPLITTING_RTOL,
+    # so the second sweep stops the iteration; with weak noise (variances
+    # 1e-3) the sweeps settle within four past the first. Neither builds a
+    # packed matrix.
+    rng = np.random.default_rng(14)
+    n = 16
+    a = rng.normal(size=(n, n))
+    a *= 0.9 / np.abs(np.linalg.eigvals(a)).max()
+    quiet = SystemModel(A=a, B=rng.normal(size=(n, n // 2)), D=np.eye(n), X0=np.eye(n))
+    wide, cost = wide_system(rng, n)
+    weak = SystemModel(A=wide.A, B=wide.B, D=wide.D, X0=wide.X0,
+                       state_noise=[(mat, 1e-3) for mat, _ in wide.state_noise],
+                       input_noise=[(mat, 1e-3) for mat, _ in wide.input_noise])
+    for model, most in ((quiet, 2), (weak, 5)):
+        zero = np.zeros((model.input_dim, n))
+        greedy = policy_improvement(model, cost, solve_value_kernel(model, cost, zero))
+        for gain in (zero, greedy):
+            for entry in FIXED_POINT_SOLVERS:
+                with monkeypatch.context() as patch:
+                    calls = count_sweeps(patch, model)
+                    packed = count_packed_builds(patch)
+                    x = GAIN_ENTRY_POINTS[entry](model, cost, gain)
+                dense = packed_solve(monkeypatch,
+                                     lambda: GAIN_ENTRY_POINTS[entry](model, cost, gain))
+                assert packed["packed"] == 0, entry
+                assert 2 <= calls["sweeps"] <= most, entry
+                assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense), entry
 
 
 def test_an_accepted_matrix_free_solve_checks_its_residual_once(monkeypatch):
@@ -792,18 +881,21 @@ def test_matrix_free_rejections_report_the_exact_radius():
 
 
 def test_policy_iteration_on_the_matrix_free_path(monkeypatch):
-    # A pi_n20-style run: only the initial exact check builds a packed
-    # matrix, and the path matches the packed solver's.
-    model, cost = wide_system(np.random.default_rng(6), n=20)
-    gain = np.zeros((model.input_dim, model.state_dim))
+    # Ten pi_n20-style runs: only the initial exact check builds a packed
+    # matrix, and each path matches the packed solver's, sweep for sweep.
     calls = count_packed_builds(monkeypatch)
-    trace = policy_iteration(model, cost, gain)
-    assert trace.converged and calls["packed"] == 1
-    dense = packed_solve(monkeypatch, lambda: policy_iteration(model, cost, gain))
-    assert trace.iterations == dense.iterations
-    p = trace.kernels[-1]
-    assert np.linalg.norm(riccati_residual(model, cost, p)) < 1e-9 * np.linalg.norm(p)
-    assert np.linalg.norm(p - dense.kernels[-1]) <= 1e-12 * np.linalg.norm(p)
+    for seed in range(6, 16):
+        model, cost = wide_system(np.random.default_rng(seed), n=20)
+        gain = np.zeros((model.input_dim, model.state_dim))
+        calls.clear()
+        trace = policy_iteration(model, cost, gain)
+        assert trace.converged and calls["packed"] == 1
+        dense = packed_solve(monkeypatch, lambda: policy_iteration(model, cost, gain))
+        assert trace.iterations == dense.iterations
+        p = trace.kernels[-1]
+        assert np.linalg.norm(riccati_residual(model, cost, p)) < 1e-9 * np.linalg.norm(p)
+        for kernel, expected in zip(trace.kernels, dense.kernels):
+            assert np.linalg.norm(kernel - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def count_sweeps(monkeypatch, model):

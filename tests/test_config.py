@@ -220,6 +220,9 @@ def test_scalar_values_are_type_checked():
     ("pi_tol", float("nan"), "pi.tol must be > 0"),
     ("pi_tol", -1.0, "pi.tol must be > 0"),
     ("pi_tol", "1e-9", "pi.tol must be a number"),
+    ("pi_tol", float("inf"), "pi.tol must be finite"),
+    ("output_dir", "", "output_dir must be a non-empty string"),
+    ("output_dir", None, "output_dir must be a non-empty string"),
     ("pi_max_iter", 0, "pi.max_iter must be >= 1"),
     ("pi_max_iter", 2.5, "pi.max_iter must be an integer"),
     ("seeds", [0, -1], "seeds must be a list of integers >= 0"),

@@ -18,7 +18,7 @@ from slqr.policy_iteration import (
     q_kernel_from_value,
 )
 from slqr.qlearning import LearnerConfig
-from slqr.system import CostModel, SystemModel
+from slqr.system import CostModel, SystemModel, simulate_closed_loop
 from slqr.testing import random_admissible_gain, random_admissible_system
 
 SCALAR = SystemModel(A=[[0.5]], B=[[1.0]], D=[[1.0]], X0=[[1.0]])
@@ -103,6 +103,10 @@ def learner_config(**kwargs):
     return LearnerConfig(**{**LEARNER_ARGS, **kwargs})
 
 
+def scalar_rollout(n_steps):
+    return simulate_closed_loop(SCALAR, SCALAR_COST, np.zeros((1, 1)), n_steps, 0.5, 0)
+
+
 @pytest.mark.parametrize("build, field, value, valid", [
     (scalar_policy_iteration, "max_iter", 2.5, False),
     (scalar_policy_iteration, "max_iter", None, False),
@@ -112,6 +116,7 @@ def learner_config(**kwargs):
     (scalar_policy_iteration, "tol", None, False),
     (scalar_policy_iteration, "tol", True, False),
     (scalar_policy_iteration, "tol", np.float32(1e-6), True),
+    (scalar_policy_iteration, "tol", np.inf, False),
     (learner_config, "rollout_len", 2999.5, False),
     (learner_config, "rollout_len", np.int32(3000), True),
     (learner_config, "max_iterations", 2.5, False),
@@ -120,11 +125,18 @@ def learner_config(**kwargs):
     (learner_config, "seed", -1, False),
     (learner_config, "seed", np.uint64(7), True),
     (learner_config, "probe_var", "0.5", False),
+    (learner_config, "gain_tol", np.inf, False),
+    (learner_config, "rls_init_scale", np.inf, True),
+    (scalar_rollout, "n_steps", 2.5, False),
+    (scalar_rollout, "n_steps", np.float64(3), False),
+    (scalar_rollout, "n_steps", np.int64(3), True),
 ], ids=lambda v: repr(v) if not callable(v) else v.__name__)
 def test_integer_and_number_arguments_are_checked_up_front(monkeypatch, build, field,
                                                            value, valid):
-    # Python and numpy integers pass, bools and floats do not; a bad value is
-    # a ValidationError, raised before policy_iteration's exact check.
+    # Python and numpy integers pass, bools and floats do not; tolerances
+    # must be finite, while rls_init_scale may be inf (no regularisation). A
+    # bad value is a ValidationError, raised before policy_iteration's exact
+    # check.
     checks = []
     check = pi_module.is_admissible
     monkeypatch.setattr(pi_module, "is_admissible",
