@@ -18,17 +18,18 @@ n^2 x n^2 Kronecker form. This loses nothing: T commutes with transposition,
 so its spectrum is that of the symmetric block plus that of the skew block,
 and a positive map attains its spectral radius at a PSD eigenvector
 (Krein-Rutman), which lies in the symmetric block. The packed matrix is
-built from the channels that act: a factor that is exactly zero, as every
-input-noise factor B_j L is at the zero gain where policy iteration starts,
-is skipped, and the matrix comes out bit for bit as with it (see packed).
+one batched product over the stacked factors that act: a factor that is
+exactly zero, as every input-noise factor B_j L is at the zero gain where
+policy iteration starts, is left out of the stack, and the matrix comes out
+bit for bit as with it (see packed).
 
 is_admissible decides stability exactly, from the spectral radius of the
 s x s packed matrix M. Below PERRON_MIN_N states it takes every eigenvalue of
 M: O(s^3) = O(n^6/8) work, an eighth of the n^2 x n^2 form's. From there on
 it brackets the Perron root instead (_perron_radius): T is a positive map, so
 an X > 0 with lo X <= T(X) <= hi X puts rho in [lo, hi] (Collatz-Wielandt).
-X comes from a few dozen power steps with M, O(s^2) each, then a few shifted
-inverse steps, one LU solve of M each. The bracket is accepted when it is
+X comes from a few dozen power steps with M, O(s^2) each and normalised
+four at a time, then a few shifted inverse steps, one LU solve of M each. The bracket is accepted when it is
 finite, at most PERRON_RTOL wide and clear of 1 - ADMISSIBILITY_MARGIN; in
 every other case (X not positive definite, e.g. a reducible T whose Perron
 vector is singular; a singular shift; an inverse step that does not narrow
@@ -52,8 +53,9 @@ right-hand side whole, tail included, so the depth J sets the rate and not
 the answer, and J is the least depth whose tail is small next to the noise
 channels: one or two doublings where the noise caps the rate anyway. The
 sweeps converge exactly when rho(T) < 1, by the positive-map argument in
-_splitting_solve. The splitting gives up near the stability edge, when F0^K
-does not get small (F0 not Schur-stable) and on overflow, and then the
+_splitting_solve. The splitting gives up near the stability edge (as soon
+as two successive step ratios show that its sweep cap is too short), when
+F0^K does not get small (F0 not Schur-stable) and on overflow, and then the
 packed LU runs as below the crossover. It sweeps from X = 0, or from a
 start that solve_value_kernel is given: policy iteration passes the
 previous sweep's kernel, which lies close above the next one, and saves a
@@ -99,11 +101,11 @@ PERRON_RTOL = 1e-12
 # dimension on; below it the packed LU is faster (crossover table in README).
 MATRIX_FREE_MIN_N = 14
 # The splitting stops when its a-posteriori error bound falls to
-# SPLITTING_RTOL of |X|, and gives up after SPLITTING_MAX_SWEEPS sweeps or
+# SPLITTING_RTOL of |X|. It gives up after SPLITTING_MAX_SWEEPS sweeps, as
+# soon as its step ratios show that the sweeps left cannot get there, or
 # when no doubling depth within STEIN_MAX_SQUARINGS squarings brings
 # |F0^(2^J)|_F^2 to STEIN_TAIL_RATIO of the noise channels' sum_c |F_c|_F^2
-# (or to SPLITTING_RTOL, when the noise is smaller); a capped attempt costs
-# about one packed solve at the crossover.
+# (or to SPLITTING_RTOL, when the noise is smaller).
 SPLITTING_RTOL = 1e-14
 SPLITTING_MAX_SWEEPS = 20
 STEIN_TAIL_RATIO = 0.3
@@ -133,24 +135,29 @@ class MomentOperator:
         Row (i, j) and column (a, b), i <= j and a <= b in np.triu_indices
         order, hold sum_c F_c[i,a] F_c[j,b] + F_c[i,b] F_c[j,a], halved on the
         diagonal columns a = b, where X[a,b] and X[b,a] are one coordinate.
-        The products are summed factor by factor, as in matrix, so at n = 1
-        the two forms agree bit for bit.
+        The factors are stacked once, and one batched product forms every
+        sum_c F_c[i,a] F_c[j,b]: for each row (i, j) the (n, c) block of
+        rows i times the (c, n) block of rows j. Both columns of an entry
+        are then taken from it at flat indices a*n + b and b*n + a.
 
         Factors that are exactly zero are skipped, such as every input-noise
-        factor B_j L at the zero gain. That leaves every bit as it is: the
-        sum starts from 0.0, so it never holds a -0.0 (0.0 + -0.0 is 0.0),
-        and adding the +-0 products of a zero factor to such a sum changes
-        nothing. With no nonzero factor the result is the s x s zero matrix.
+        factor B_j L at the zero gain. That leaves every bit as it is: each
+        sum runs over c in order from 0.0, so it never holds a -0.0
+        (0.0 + -0.0 is 0.0), and the +-0 products of a zero factor change
+        nothing in it. With no nonzero factor the result is the s x s zero
+        matrix.
         """
-        rows, cols = packed_indices(self.factors[0].shape[0])
-        # terms[(i, j), a, b] = sum_c F_c[i,a] F_c[j,b]: the rows i <= j of matrix
-        terms = 0.0
-        for f in self.factors:
-            if f.any():
-                terms = terms + np.einsum("sa,sb->sab", f[rows], f[cols])
-        if np.ndim(terms) == 0:   # every factor is zero
+        n = self.factors[0].shape[0]
+        rows, cols = packed_indices(n)
+        live = [f for f in self.factors if f.any()]
+        if not live:
             return np.zeros((len(rows), len(rows)))
-        packed = terms[:, rows, cols] + terms[:, cols, rows]
+        stack = np.array(live)
+        # terms[(i, j), a*n + b] = sum_c F_c[i,a] F_c[j,b]: the rows i <= j of matrix
+        terms = stack.transpose(1, 2, 0)[rows] @ stack.transpose(1, 0, 2)[cols]
+        terms = terms.reshape(len(rows), n * n)
+        packed = np.take(terms, rows * n + cols, axis=1)
+        packed += np.take(terms, cols * n + rows, axis=1)
         packed[:, rows == cols] *= 0.5
         return packed
 
@@ -204,7 +211,7 @@ def _perron_radius(mat: np.ndarray, n: int) -> float | None:
     For X = C C^T > 0, the extreme eigenvalues lo, hi of C^-1 T(X) C^-T give
     lo X <= T(X) <= hi X, and since T is a positive map, lo <= rho <= hi.
     X is the Perron vector's estimate: PERRON_POWER_STEPS power steps from
-    vech(I), then shifted inverse steps v <- (hi I - mat)^-1 v with the
+    vech(I), normalised to trace 1 after every fourth, then shifted inverse steps v <- (hi I - mat)^-1 v with the
     current upper bound hi as the shift. As hi >= rho, rho is the eigenvalue
     nearest the shift and (hi I - T)^-1 is again a positive map. The
     bracket is accepted when it is finite, at most PERRON_RTOL * hi wide and
@@ -226,8 +233,9 @@ def _perron_radius(mat: np.ndarray, n: int) -> float | None:
     # end as a non-finite v or bracket, which gives None; numpy need not warn
     # on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(PERRON_POWER_STEPS):
-            v = mat @ v
+        # Four steps to a trace normalisation (PERRON_POWER_STEPS is a multiple of 4).
+        for _ in range(PERRON_POWER_STEPS // 4):
+            v = mat @ (mat @ (mat @ (mat @ v)))
             v /= trace @ v
         prev_lo, prev_hi = -np.inf, np.inf
         for step in range(PERRON_INVERSE_STEPS + 1):
@@ -346,8 +354,10 @@ def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
     kernel of a nearby gain. The iteration stops when the error bound
     step q/(1 - q), with q the ratio of the last two steps, is at most
     SPLITTING_RTOL |X|; the first sweep has no step before it, so the
-    iteration never stops on it. After SPLITTING_MAX_SWEEPS sweeps past the
-    first it gives None.
+    iteration never stops on it. It gives None after SPLITTING_MAX_SWEEPS
+    sweeps past the first, or sooner, once two successive ratios q (or a
+    q >= 1, or one that is not finite) show that steps shrinking by q could
+    not meet the stop rule within the sweeps left.
     """
     noise = np.array(factors)[1:]
     powers = _stein_powers(factors[0], noise)
@@ -362,16 +372,27 @@ def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
 
     base = stein(rhs)
     x, step = (np.zeros_like(rhs) if start is None else start), None
-    for _ in range(SPLITTING_MAX_SWEEPS + 1):
+    was_hopeful = True
+    for sweep in range(SPLITTING_MAX_SWEEPS + 1):
         x_next = base + stein(_apply(noise, x)) + tail @ x @ tail.T
         prev, step = step, np.linalg.norm(x_next - x)
         x = x_next
         if prev is None:   # the first sweep
             continue
         ratio = step / prev
-        if step == 0 or (ratio < 1 and step * ratio
-                         <= SPLITTING_RTOL * (1 - ratio) * np.linalg.norm(x)):
+        if step == 0:
             return (x + x.T) / 2
+        hopeful = False
+        if ratio < 1:
+            room = SPLITTING_RTOL * (1 - ratio) * np.linalg.norm(x)
+            if step * ratio <= room:
+                return (x + x.T) / 2
+            # Steps that keep shrinking by ratio meet the stop rule by the
+            # cap's last sweep only if step * ratio^(sweeps left + 1) <= room.
+            hopeful = step * ratio ** (SPLITTING_MAX_SWEEPS - sweep + 1) <= room
+        if not (hopeful or was_hopeful):
+            return None
+        was_hopeful = hopeful
     return None
 
 

@@ -27,7 +27,7 @@ from slqr.errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from slqr.packing import vech
+from slqr.packing import unvech, vech
 from slqr.policy_iteration import policy_iteration
 from slqr.system import CostModel, SystemModel
 from slqr.testing import random_admissible_gain, random_admissible_system
@@ -105,7 +105,13 @@ def test_packed_operator_matches_its_definition():
             assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+# packed() against sum_c F_c X F_c^T, relative to the latter (Frobenius norm).
+PACKED_RTOL = 1e-13
+
+
 def test_packed_operator_is_the_matrix_at_n1():
+    # At n = 1 both forms are the number sum_c F_c^2; packed() sums it in
+    # one batched product, matrix as a sum of Kronecker products.
     rng = np.random.default_rng(3)
     for _ in range(50):
         model = SystemModel(
@@ -114,16 +120,54 @@ def test_packed_operator_is_the_matrix_at_n1():
             input_noise=[([[rng.normal()]], rng.uniform(0.01, 1.0)) for _ in range(2)])
         op = moment_operator(model, rng.normal(size=(1, 1)))
         for packed_op in (op, adjoint(op)):
-            np.testing.assert_array_equal(packed_op.packed(), op.matrix)
+            packed = packed_op.packed()
+            assert packed.shape == (1, 1)
+            assert abs(packed - op.matrix).max() <= PACKED_RTOL * op.matrix.max()
+
+
+def factor_list(rng, n, kinds):
+    """n x n factors, one per kind: "zero" (0.0 and -0.0 entries), "minus
+    zero" (-0.0 entries only) or "normal" (Gaussian, with some -0.0
+    entries)."""
+    factors = []
+    for kind in kinds:
+        if kind == "normal":
+            f = rng.normal(size=(n, n))
+            f[rng.random((n, n)) < 0.3] = -0.0
+        else:
+            f = np.full((n, n), -0.0)
+            if kind == "zero":
+                f[rng.random((n, n)) < 0.5] = 0.0
+        factors.append(f)
+    return factors
+
+
+FACTOR_KINDS = st.lists(st.sampled_from(["normal", "zero", "minus zero"]),
+                        min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(1, 8), kinds=FACTOR_KINDS, seed=st.integers(0, 2**32 - 1))
+def test_packed_operator_applies_the_moment_map(n, kinds, seed):
+    # unvech(packed() @ vech(X)) is sum_c F_c X F_c^T on symmetric X, with
+    # zero and -0.0 factors in the list.
+    rng = np.random.default_rng(seed)
+    factors = factor_list(rng, n, kinds)
+    g = rng.normal(size=(n, n))
+    x = g + g.T
+    got = unvech(MomentOperator(factors).packed() @ vech(x))
+    expected = sum(f @ x @ f.T for f in factors)
+    assert np.linalg.norm(got - expected) <= PACKED_RTOL * np.linalg.norm(expected)
 
 
 def packed_over_every_factor(factors):
-    """packed() summed over every factor, zero or not."""
-    rows, cols = np.triu_indices(factors[0].shape[0])
-    terms = 0.0
-    for f in factors:
-        terms = terms + np.einsum("sa,sb->sab", f[rows], f[cols])
-    packed = terms[:, rows, cols] + terms[:, cols, rows]
+    """packed()'s stacked build over every factor, zero or not."""
+    n = factors[0].shape[0]
+    rows, cols = np.triu_indices(n)
+    stack = np.array(factors)
+    terms = (stack.transpose(1, 2, 0)[rows] @ stack.transpose(1, 0, 2)[cols])
+    terms = terms.reshape(len(rows), n * n)
+    packed = terms[:, rows * n + cols] + terms[:, cols * n + rows]
     packed[:, rows == cols] *= 0.5
     return packed
 
@@ -132,25 +176,15 @@ def test_zero_factors_leave_the_packed_matrix_bit_identical():
     # Skipping exactly-zero factors, -0.0 entries included, changes no bit:
     # the bytes are compared, so a -0.0 where the full sum has 0.0 fails.
     rng = np.random.default_rng(11)
+    kinds = ["normal", "zero", "minus zero"]
     for n in range(1, 7):
         s = n * (n + 1) // 2
         for _ in range(10):
-            factors = []
-            for _ in range(int(rng.integers(1, 6))):
-                if rng.random() < 0.5:
-                    zero = np.zeros((n, n))
-                    zero[rng.random((n, n)) < 0.5] = -0.0
-                    factors.append(zero)
-                else:
-                    f = rng.normal(size=(n, n))
-                    f[rng.random((n, n)) < 0.3] = -0.0
-                    factors.append(f)
-            op = MomentOperator(factors)
-            packed = op.packed()
+            count = int(rng.integers(1, 6))
+            factors = factor_list(rng, n, rng.choice(kinds, size=count, p=[0.5, 0.25, 0.25]))
+            packed = MomentOperator(factors).packed()
             assert packed.shape == (s, s)
             assert packed.tobytes() == packed_over_every_factor(factors).tobytes()
-            if n == 1:
-                assert packed.tobytes() == op.matrix.tobytes()
         # A list of zero factors alone gives the s x s zero matrix.
         zeros = MomentOperator([np.zeros((n, n)), np.full((n, n), -0.0)]).packed()
         assert zeros.tobytes() == np.zeros((s, s)).tobytes()
@@ -160,7 +194,7 @@ def test_zero_factors_leave_the_packed_matrix_bit_identical():
 
 def test_the_zero_gain_builds_from_the_channels_that_act(monkeypatch):
     # At the zero gain every input-noise factor B_j L is zero, and the packed
-    # build forms products for A and the state channels only.
+    # build stacks A and the state channels only.
     rng = np.random.default_rng(2)
     n, m = 4, 2
     model = SystemModel(
@@ -168,18 +202,21 @@ def test_the_zero_gain_builds_from_the_channels_that_act(monkeypatch):
         X0=np.eye(n),
         state_noise=[(rng.normal(size=(n, n)), 0.01) for _ in range(2)],
         input_noise=[(rng.normal(size=(n, m)), 0.01) for _ in range(3)])
-    einsum = np.einsum
-    calls = Counter()
+    zero, full = (moment_operator(model, gain) for gain in (np.zeros((m, n)), np.ones((m, n))))
+    array = np.array
+    stacks = []
 
-    def counted(*args, **kwargs):
-        calls["einsum"] += 1
-        return einsum(*args, **kwargs)
+    def recorded(obj, *args, **kwargs):
+        out = array(obj, *args, **kwargs)
+        stacks.append(out.shape)
+        return out
 
-    monkeypatch.setattr(np, "einsum", counted)
-    moment_operator(model, np.zeros((m, n))).packed()
-    assert calls["einsum"] == 1 + len(model.state_noise)
-    moment_operator(model, np.ones((m, n))).packed()
-    assert calls["einsum"] == 2 + 2 * len(model.state_noise) + len(model.input_noise)
+    monkeypatch.setattr(np, "array", recorded)
+    zero.packed()
+    full.packed()
+    monkeypatch.undo()
+    channels = len(model.state_noise)
+    assert stacks == [(1 + channels, n, n), (1 + channels + len(model.input_noise), n, n)]
 
 
 def _edge_scale(model, direction):
@@ -689,9 +726,9 @@ def test_matrix_free_solves_agree_with_the_packed_solve(monkeypatch):
 
 
 def test_capped_splitting_returns_the_packed_answer(monkeypatch):
-    # Near the edge the splitting contracts at 0.95 a sweep: the cap stops it
-    # and the packed solve answers; with the cap lifted it converges to the
-    # same X.
+    # Near the edge the splitting contracts at 0.95 a sweep, too slowly for
+    # the cap: it gives up and the packed solve answers; with the cap lifted
+    # it converges to the same X.
     model, cost = scaled_noise_system(np.random.default_rng(4), splitting_rate=0.95)
     gain = np.zeros((model.input_dim, model.state_dim))
     admissible, rho = is_admissible(model, gain)
@@ -709,6 +746,47 @@ def test_capped_splitting_returns_the_packed_answer(monkeypatch):
             lifted = solve()
         assert calls["packed"] == 0
         assert np.linalg.norm(lifted - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def scale_to_radius(model, direction, target):
+    """A gain t * direction with rho(T) = target, bisected on is_admissible."""
+    def rho(t):
+        return is_admissible(model, t * direction)[1]
+
+    lo, hi = 0.0, 1.0
+    while rho(hi) < target:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if rho(mid) < target else (lo, mid)
+    return lo * direction
+
+
+def test_a_hopeless_splitting_attempt_gives_up_early(monkeypatch):
+    # rho(T) = 0.99 along a random gain direction: the sweeps contract at
+    # nearly 1, and two successive ratios show that the sweeps left under
+    # the cap cannot meet the stop rule. The attempt ends after three
+    # sweeps, not SPLITTING_MAX_SWEEPS + 1, and the packed solve answers as
+    # after a full capped attempt; with the cap lifted the splitting
+    # converges to the same X.
+    rng = np.random.default_rng(0)
+    model, cost = wide_system(rng)
+    gain = scale_to_radius(model, rng.normal(size=(model.input_dim, model.state_dim)), 0.99)
+    assert is_admissible(model, gain)[1] == pytest.approx(0.99, abs=1e-12)
+    for entry in FIXED_POINT_SOLVERS:
+        solve = lambda: GAIN_ENTRY_POINTS[entry](model, cost, gain)  # noqa: E731
+        with monkeypatch.context() as patch:
+            calls = count_sweeps(patch, model)
+            packed = count_packed_builds(patch)
+            x = solve()
+        assert calls["sweeps"] == 3 and packed["packed"] == 1, entry
+        assert np.array_equal(x, packed_solve(monkeypatch, solve)), entry
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis_module, "SPLITTING_MAX_SWEEPS", 10_000)
+            packed = count_packed_builds(patch)
+            lifted = solve()
+        assert packed["packed"] == 0, entry
+        assert np.linalg.norm(lifted - x) <= 1e-10 * np.linalg.norm(x), entry
 
 
 def test_inexact_splitting_falls_back_to_the_packed_solve(monkeypatch):
@@ -1225,3 +1303,39 @@ def test_a_stalled_bracket_stops_the_inverse_steps(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     assert is_admissible(model, gain) == (True, rho_eig)
     assert calls["eigvals"] == 1 and 1 <= calls["solve"] <= 3
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(10, 13), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.one_of(st.none(), st.floats(-3.0, 0.5)))
+def test_the_perron_radius_is_the_eigenvalue_radius(n, seed, log_scale):
+    # From the size gate on, is_admissible's radius is that of the packed
+    # matrix's eigenvalues to 1e-12, at the zero gain (log_scale None) and
+    # along a random gain direction, on either side of the edge.
+    rng = np.random.default_rng(seed)
+    model, _ = wide_system(rng, n)
+    gain = np.zeros((model.input_dim, n))
+    if log_scale is not None:
+        gain = 10.0 ** log_scale * rng.normal(size=gain.shape)
+    rho_eig = packed_radius(model, gain)
+    assert abs(is_admissible(model, gain)[1] - rho_eig) <= 1e-12 * rho_eig
+
+
+def test_pi_n20_policy_iteration_makes_no_eigenvalue_problem(monkeypatch, load_perfbench):
+    # Ten systems of the pi_n20 benchmark: the initial exact check closes
+    # its Perron bracket (no eigvals call), with the eigenvalue radius to
+    # 1e-12 on the first five, and it is the run's only packed build: every
+    # solve stays matrix-free.
+    workloads = load_perfbench("workloads")
+    for index in range(10):
+        model, cost = workloads.pi_system(0, index)
+        gain = np.zeros((model.input_dim, model.state_dim))
+        if index < 5:
+            rho_eig = packed_radius(model, gain)
+            assert abs(is_admissible(model, gain)[1] - rho_eig) <= 1e-12 * rho_eig
+        with monkeypatch.context() as patch:
+            calls = count_eigvals(patch)
+            packed = count_packed_builds(patch)
+            trace = policy_iteration(model, cost, gain)
+        assert trace.converged, index
+        assert calls["eigvals"] == 0 and packed["packed"] == 1, index

@@ -55,26 +55,12 @@ def test_every_benchmark_trace_point_resolves(monkeypatch):
         assert callable(target), f"slqr.{module}.{attr}"
 
 
-def load_perfbench(monkeypatch, name: str):
-    """perfbench/<name>.py, loaded by path under a name of its own and
-    registered in sys.modules (its dataclasses look their module up there)
-    for the test only. The file is only read: no bytecode is written next
-    to it."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_the_benchmark_set_up_calls_every_set_up_span(monkeypatch):
+def test_the_benchmark_set_up_calls_every_set_up_span(load_perfbench):
     # The benchmark's set-up (load example_sec6, solve its reference) must
     # pass through every span in SETUP_SPANS, or traced runs stop with a
     # TracerError; a change that drops or reroutes one of these calls, such
     # as policy_iteration's initial is_admissible, fails here.
-    tracing, metrics, workloads = (load_perfbench(monkeypatch, name)
+    tracing, metrics, workloads = (load_perfbench(name)
                                    for name in ("tracer", "metrics", "workloads"))
     tracer = tracing.Tracer()
     try:
