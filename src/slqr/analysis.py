@@ -504,6 +504,15 @@ def average_cost(value_kernel: np.ndarray, additive_cov: np.ndarray) -> float:
     return float(np.trace(value_kernel @ additive_cov))
 
 
+def state_weight(model: SystemModel, cost: CostModel, value_kernel: np.ndarray) -> np.ndarray:
+    """Q + A^T P A + sum_i var_i A_i^T P A_i, the state-side curvature H_xx."""
+    p = value_kernel
+    w = cost.Q + model.A.T @ p @ model.A
+    for mat, var in model.state_noise:
+        w = w + var * (mat.T @ p @ mat)
+    return w
+
+
 def input_weight(model: SystemModel, cost: CostModel, value_kernel: np.ndarray) -> np.ndarray:
     """R + B^T P B + sum_j var_j B_j^T P B_j, the input-side curvature."""
     p = value_kernel
@@ -555,7 +564,4 @@ def riccati_residual(model: SystemModel, cost: CostModel,
     """
     p = symmetrize(np.asarray(value_kernel, dtype=float), rtol=1e-6)
     gain = policy_improvement(model, cost, p)
-    open_loop = cost.Q + model.A.T @ p @ model.A
-    for mat, var in model.state_noise:
-        open_loop = open_loop + var * (mat.T @ p @ mat)
-    return p - (open_loop + model.A.T @ p @ model.B @ gain)
+    return p - (state_weight(model, cost, p) + model.A.T @ p @ model.B @ gain)

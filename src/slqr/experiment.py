@@ -2,6 +2,14 @@
 iterate against the model-based reference optimum, and write machine-readable
 convergence traces plus a structured summary.
 
+The reference optimum and the model-based trace come from one policy-iteration
+run from the zero gain, at tol min(pi.tol, REFERENCE_TOL) and max_iter
+max(pi.max_iter, REFERENCE_MAX_ITER). Each is the prefix of that run that the
+loop returns at its own (tol, max_iter), so both equal what a separate run
+would give. Without model-based output the run is the reference's alone. A
+pi.tol below REFERENCE_TOL that is never met runs the one solve up to
+max(pi.max_iter, REFERENCE_MAX_ITER) sweeps.
+
 Outputs in the configured directory:
     convergence.csv   one row per (method, seed, iteration)
     summary.json      reference solution, final iterates, flags
@@ -41,16 +49,31 @@ class ConvergenceRecord:
     lam: float
 
 
-def reference_solution(model: SystemModel, cost: CostModel):
-    """Optimal (P*, L*, lambda*) from policy iteration off the zero gain."""
+def _solve(model: SystemModel, cost: CostModel, tol: float = REFERENCE_TOL,
+           max_iter: int = REFERENCE_MAX_ITER):
+    """Policy iteration off the zero gain at a tol and max_iter at least as
+    tight as the reference's, and the optimum (P*, L*, lambda*) read off it.
+
+    A SolverFailure's message gets the prefix "reference solve: ".
+    """
     n, m = model.state_dim, model.input_dim
-    trace = policy_iteration(model, cost, np.zeros((m, n)),
-                             tol=REFERENCE_TOL, max_iter=REFERENCE_MAX_ITER)
-    if not trace.converged:
+    try:
+        run = policy_iteration(model, cost, np.zeros((m, n)),
+                               tol=tol, max_iter=max_iter)
+    except SolverFailure as exc:
+        exc.args = (f"reference solve: {exc}",)
+        raise
+    reference = run.prefix(REFERENCE_TOL, REFERENCE_MAX_ITER)
+    if not reference.converged:
         raise SolverFailure(
             f"reference solve did not converge in {REFERENCE_MAX_ITER} iterations"
         )
-    return trace.kernels[-1], trace.gains[-1], trace.costs[-1]
+    return run, (reference.kernels[-1], reference.gains[-1], reference.costs[-1])
+
+
+def reference_solution(model: SystemModel, cost: CostModel):
+    """Optimal (P*, L*, lambda*) from policy iteration off the zero gain."""
+    return _solve(model, cost)[1]
 
 
 def _records(method: str, seed: int, gains: list[np.ndarray], lams: list[float],
@@ -85,13 +108,21 @@ def run_experiment(config: ExperimentConfig,
                    output_dir: str | Path | None = None) -> dict:
     """Run the configured methods and write convergence.csv + summary.json.
 
-    Returns the summary as a dict. Solver or learner failures abort with the
-    original exception after flushing whatever records were collected; the
-    message names the method, seed, and iteration.
+    Returns the summary as a dict. A SolverFailure in the policy-iteration
+    run, which gives the reference and the model-based trace, raises before
+    anything is written, its message prefixed "reference solve: ". Learner
+    failures abort with the original exception after flushing whatever
+    records were collected; the message names the method, seed, and
+    iteration.
     """
     out = Path(output_dir if output_dir is not None else config.output_dir)
     model, cost = config.model, config.cost
-    kernel_ref, gain_ref, lam_ref = reference_solution(model, cost)
+    if config.runs_model_based():
+        run, optimum = _solve(model, cost, min(config.pi_tol, REFERENCE_TOL),
+                              max(config.pi_max_iter, REFERENCE_MAX_ITER))
+    else:
+        run, optimum = _solve(model, cost)
+    kernel_ref, gain_ref, lam_ref = optimum
 
     records: list[ConvergenceRecord] = []
     summary: dict = {
@@ -122,10 +153,7 @@ def run_experiment(config: ExperimentConfig,
             raise
 
     if config.runs_model_based():
-        n, m = model.state_dim, model.input_dim
-        with aborting("model_based"):
-            trace = policy_iteration(model, cost, np.zeros((m, n)),
-                                     tol=config.pi_tol, max_iter=config.pi_max_iter)
+        trace = run.prefix(config.pi_tol, config.pi_max_iter)
         # Give the final improved gain its own row, with its exactly evaluated cost.
         final_cost = average_cost(solve_value_kernel(model, cost, trace.gains[-1]),
                                   model.D)

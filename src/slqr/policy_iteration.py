@@ -22,6 +22,7 @@ from .analysis import (
     is_admissible,
     policy_improvement,
     solve_value_kernel,
+    state_weight,
 )
 from .errors import NotAdmissibleError, SolverFailure, ValidationError
 from .packing import symmetrize
@@ -85,15 +86,17 @@ def q_kernel_from_value(model: SystemModel, cost: CostModel,
     p = symmetrize(np.asarray(value_kernel, dtype=float), rtol=1e-6)
     n, m = model.state_dim, model.input_dim
     h = np.empty((n + m, n + m))
-    hxx = cost.Q + model.A.T @ p @ model.A
-    for mat, var in model.state_noise:
-        hxx = hxx + var * (mat.T @ p @ mat)
     hxu = model.A.T @ p @ model.B
-    h[:n, :n] = hxx
+    h[:n, :n] = state_weight(model, cost, p)
     h[:n, n:] = hxu
     h[n:, :n] = hxu.T
     h[n:, n:] = input_weight(model, cost, p)
     return QKernel(matrix=h, state_dim=n)
+
+
+def _settled(gain: np.ndarray, gain_next: np.ndarray, tol: float) -> bool:
+    """The loop's stop test: successive gains agree to tol in Frobenius norm."""
+    return np.linalg.norm(gain_next - gain) < tol
 
 
 @dataclass
@@ -106,7 +109,32 @@ class PolicyIterationTrace:
     kernels: list[np.ndarray]
     costs: list[float]
     converged: bool
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.kernels)
+
+    def prefix(self, tol: float, max_iter: int) -> PolicyIterationTrace:
+        """The trace the same loop returns at a looser (tol, max_iter).
+
+        Each step depends only on the gain before it, so a run at a tighter
+        tol or a larger max_iter takes the same first steps. The prefix ends
+        at the first step that passes the loop's own stop test at tol, or
+        after max_iter steps, and sets converged the same way. Raises
+        ValueError when this trace stopped too early to tell.
+        """
+        for k in range(min(max_iter, self.iterations)):
+            if _settled(self.gains[k], self.gains[k + 1], tol):
+                return self._head(k + 1, converged=True)
+        if self.iterations < max_iter:
+            raise ValueError(f"a {self.iterations}-step trace cannot be cut to "
+                             f"tol {tol:g}, max_iter {max_iter}")
+        return self._head(max_iter, converged=False)
+
+    def _head(self, steps: int, converged: bool) -> PolicyIterationTrace:
+        return PolicyIterationTrace(gains=self.gains[:steps + 1],
+                                    kernels=self.kernels[:steps],
+                                    costs=self.costs[:steps], converged=converged)
 
 
 def evaluate_improve(initial_gain: np.ndarray,
@@ -132,11 +160,11 @@ def evaluate_improve(initial_gain: np.ndarray,
         kernels.append(kernel)
         costs.append(cost)
         gains.append(gain_next)
-        if np.linalg.norm(gain_next - gains[-2]) < tol:
+        if _settled(gains[-2], gain_next, tol):
             converged = True
             break
     return PolicyIterationTrace(gains=gains, kernels=kernels, costs=costs,
-                                converged=converged, iterations=len(kernels))
+                                converged=converged)
 
 
 def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarray,

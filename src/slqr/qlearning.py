@@ -360,7 +360,10 @@ class LearningResult:
     kernels: list[QKernel]
     cost_estimates: list[float]
     converged: bool
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.kernels)
 
 
 def iteration_seed(base_seed: int, iteration: int) -> int:
@@ -419,8 +422,7 @@ def learn_from_rollouts(sampler: Callable[[np.ndarray, int], Trajectory],
     trace = evaluate_improve(config.initial_gain, step, config.gain_tol,
                              config.max_iterations)
     return LearningResult(gains=trace.gains, kernels=trace.kernels,
-                          cost_estimates=trace.costs, converged=trace.converged,
-                          iterations=trace.iterations)
+                          cost_estimates=trace.costs, converged=trace.converged)
 
 
 def run_online_learning(model: SystemModel, cost: CostModel,

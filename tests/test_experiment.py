@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import slqr.experiment as experiment_module
+from slqr.analysis import average_cost, solve_value_kernel
 from slqr.cli import main
 from slqr.config import fixture_path, from_dict, load_config, to_dict
 from slqr.errors import InsufficientExcitationError, SolverFailure
@@ -14,6 +16,7 @@ from slqr.experiment import (
     reference_solution,
     run_experiment,
 )
+from slqr.policy_iteration import policy_iteration
 
 
 def read_lines(path):
@@ -132,6 +135,67 @@ def test_inadmissible_initial_gain_is_reported_before_any_rollout(tmp_path):
     assert summary["aborted"] is True
 
 
+def separate_runs(config):
+    """The reference and model_based summary blocks and CSV rows that two
+    separate policy-iteration runs from the zero gain give: the reference's
+    at (1e-10, 500) and the configured one at (pi.tol, pi.max_iter), whose
+    final gain gets a cold solve of its own."""
+    model, cost = config.model, config.cost
+    zero = np.zeros((model.input_dim, model.state_dim))
+    ref = policy_iteration(model, cost, zero, tol=1e-10, max_iter=500)
+    assert ref.converged
+    kernel_ref, gain_ref, lam_ref = ref.kernels[-1], ref.gains[-1], ref.costs[-1]
+    trace = policy_iteration(model, cost, zero, tol=config.pi_tol,
+                             max_iter=config.pi_max_iter)
+    lams = trace.costs + [average_cost(solve_value_kernel(model, cost, trace.gains[-1]),
+                                       model.D)]
+    rows = [f"model_based,0,{tau},{float(np.linalg.norm(gain - gain_ref))!r},"
+            f"{abs(lam - lam_ref) / abs(lam_ref)!r},{lam!r}"
+            for tau, (gain, lam) in enumerate(zip(trace.gains, lams))]
+    blocks = {
+        "reference": {"P": kernel_ref.tolist(), "L": gain_ref.tolist(),
+                      "lambda": lam_ref},
+        "model_based": {
+            "converged": trace.converged, "iterations": trace.iterations,
+            "P": trace.kernels[-1].tolist(), "L": trace.gains[-1].tolist(),
+            "lambda": trace.costs[-1],
+            "gain_error": float(np.linalg.norm(trace.gains[-1] - gain_ref)),
+        },
+    }
+    return blocks, rows, ref.iterations
+
+
+@pytest.mark.parametrize("fixture", ["scalar_smoke", "example_sec6"])
+def test_one_run_gives_what_two_separate_runs_give(tmp_path, fixture):
+    base = replace(load_config(fixture_path(fixture)), mode="model_based")
+    _, _, reference_sweeps = separate_runs(base)
+    settings = [(base.pi_tol, base.pi_max_iter), (1e-6, base.pi_max_iter), (1e-9, 2),
+                (1e-12, base.pi_max_iter), (1e-9, reference_sweeps)]
+    for k, (tol, max_iter) in enumerate(settings):
+        config = replace(base, pi_tol=tol, pi_max_iter=max_iter)
+        blocks, rows, _ = separate_runs(config)
+        run_experiment(config, output_dir=tmp_path / str(k))
+        summary = json.loads((tmp_path / str(k) / "summary.json").read_text())
+        for name, block in blocks.items():
+            assert (json.dumps(summary[name], sort_keys=True)
+                    == json.dumps(block, sort_keys=True)), (tol, max_iter, name)
+        assert read_lines(tmp_path / str(k) / "convergence.csv")[1:] == rows, (tol, max_iter)
+
+
+@pytest.mark.parametrize("mode", ["model_based", "model_free", "both"])
+def test_one_policy_iteration_run_per_experiment(tmp_path, monkeypatch, mode):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return policy_iteration(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_module, "policy_iteration", counted)
+    config = replace(load_config(fixture_path("scalar_smoke")), mode=mode, seeds=[0])
+    run_experiment(config, output_dir=tmp_path)
+    assert len(calls) == 1
+
+
 def test_cli_fixtures_and_check(capsys):
     assert main(["fixtures"]) == 0
     out = capsys.readouterr().out
@@ -241,4 +305,5 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "not admissible" in err
+    assert err.startswith("error: reference solve: ") and "not admissible" in err
+    assert not (tmp_path / "unused").exists()

@@ -9,6 +9,7 @@ from slqr.analysis import (
     policy_improvement,
     riccati_residual,
     solve_value_kernel,
+    state_weight,
 )
 from slqr.errors import NotAdmissibleError, SingularSystemError, ValidationError
 from slqr.policy_iteration import (
@@ -176,6 +177,55 @@ def test_driver_reports_max_iter_exhaustion():
     assert len(trace.gains) == 4 and len(trace.kernels) == len(trace.costs) == 3
 
 
+def assert_same_trace(cut, direct):
+    assert cut.converged == direct.converged
+    assert cut.iterations == direct.iterations == len(direct.kernels)
+    for name in ("gains", "kernels", "costs"):
+        got, want = getattr(cut, name), getattr(direct, name)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
+
+
+def test_a_long_run_cut_down_is_the_shorter_run():
+    # Every step depends only on the gain before it, so cutting a (1e-10, 500)
+    # run to (tol, max_iter) must give the direct run at (tol, max_iter)
+    # exactly, including at and just below the step where it converges.
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        model, cost = random_admissible_system(rng)
+        zero = np.zeros((model.input_dim, model.state_dim))
+        full = policy_iteration(model, cost, zero, tol=1e-10, max_iter=500)
+        assert full.converged
+        for tol in (1e-2, 1e-6, 1e-9, 1e-10):
+            settles = policy_iteration(model, cost, zero, tol=tol, max_iter=500).iterations
+            for max_iter in {1, max(settles - 1, 1), settles, 100, 500}:
+                direct = policy_iteration(model, cost, zero, tol=tol, max_iter=max_iter)
+                assert_same_trace(full.prefix(tol, max_iter), direct)
+
+
+def test_a_cut_uses_the_loops_stop_test_and_refuses_to_extend():
+    step = scripted_step([1.0, 0.5, 0.5 + 1e-3, 0.5 + 1.1e-3, 0.5 + 1.15e-3])
+    full = evaluate_improve(np.array([[2.0]]), step, tol=1e-4, max_iter=10)
+    assert full.converged and full.iterations == 4
+    for tol, max_iter in ((1e-2, 10), (1e-2, 2), (1e-3, 3), (1e-4, 4), (1.0, 1)):
+        direct = evaluate_improve(np.array([[2.0]]), step, tol=tol, max_iter=max_iter)
+        assert_same_trace(full.prefix(tol, max_iter), direct)
+    # A tighter tol would take steps this trace does not hold.
+    with pytest.raises(ValueError, match="cannot be cut"):
+        full.prefix(1e-5, 10)
+    short = evaluate_improve(np.array([[2.0]]), step, tol=1e-2, max_iter=2)
+    with pytest.raises(ValueError, match="cannot be cut"):
+        short.prefix(1e-2, 3)
+
+
+def test_iterations_is_derived_from_the_kernels():
+    trace = evaluate_improve(np.array([[0.0]]), scripted_step([1.0, 2.0]),
+                             tol=1e-2, max_iter=2)
+    assert trace.iterations == 2
+    with pytest.raises(AttributeError):
+        trace.iterations = 3
+
+
 def test_driver_names_the_iteration_and_keeps_the_error():
     step = scripted_step([1.0, 2.0, 3.0], fail_at=2)
     with pytest.raises(NotAdmissibleError, match="^iteration 2: scripted failure$") as err:
@@ -247,6 +297,7 @@ def test_q_kernel_blocks_match_direct_formulas(sec6):
     xx = cost.Q + model.A.T @ p @ model.A
     for mat, var in model.state_noise:
         xx = xx + var * (mat.T @ p @ mat)
+    np.testing.assert_array_equal(state_weight(model, cost, p), xx)
     np.testing.assert_allclose(kernel.xx, xx, atol=1e-12)
     np.testing.assert_allclose(kernel.xu, model.A.T @ p @ model.B, atol=1e-12)
     np.testing.assert_allclose(kernel.uu, input_weight(model, cost, p), atol=1e-12)
