@@ -12,16 +12,14 @@ the cost-side linear equation for the value kernel P of a fixed gain. T* is
 the map of the same form built from the transposed factors F_c^T (Damm,
 LNCIS 297, 2004), so the solves below only ever solve X = T(X) + C.
 
-T maps symmetric matrices to symmetric matrices, so the solvers work in the
-s = n(n+1)/2 coordinates vech(X) (MomentOperator.packed), never with the
+T is held in one form, the (c, n, n) stack of its factors that
+moment_operator returns; every routine below takes it, and T*'s is its
+transpose. T maps symmetric matrices to symmetric matrices, so the solvers
+work in the s = n(n+1)/2 coordinates vech(X) (packed), never with the
 n^2 x n^2 Kronecker form. This loses nothing: T commutes with transposition,
 so its spectrum is that of the symmetric block plus that of the skew block,
 and a positive map attains its spectral radius at a PSD eigenvector
-(Krein-Rutman), which lies in the symmetric block. The packed matrix is
-one batched product over the stacked factors that act: a factor that is
-exactly zero, as every input-noise factor B_j L is at the zero gain where
-policy iteration starts, is left out of the stack, and the matrix comes out
-bit for bit as with it (see packed).
+(Krein-Rutman), which lies in the symmetric block.
 
 is_admissible decides stability exactly, from the spectral radius of the
 s x s packed matrix M. Below PERRON_MIN_N states it takes every eigenvalue of
@@ -70,9 +68,6 @@ the margin) is returned; with no such X the solve raises SingularSystemError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import (
@@ -114,72 +109,46 @@ STEIN_MAX_SQUARINGS = 8
 RESIDUAL_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class MomentOperator:
-    """The second-moment operator T(X) = sum_c F_c X F_c^T, held as its factors."""
-
-    factors: list[np.ndarray]
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The defining (n*n, n*n) form sum_c F_c kron F_c on row-major vec(X).
-
-        Formed on first read only; the solvers use packed instead.
-        """
-        return sum(np.kron(f, f) for f in self.factors)
-
-    def packed(self) -> np.ndarray:
-        """T on symmetric matrices in vech coordinates: an s x s matrix,
-        s = n(n+1)/2.
-
-        Row (i, j) and column (a, b), i <= j and a <= b in np.triu_indices
-        order, hold sum_c F_c[i,a] F_c[j,b] + F_c[i,b] F_c[j,a], halved on the
-        diagonal columns a = b, where X[a,b] and X[b,a] are one coordinate.
-        The factors are stacked once, and one batched product forms every
-        sum_c F_c[i,a] F_c[j,b]: for each row (i, j) the (n, c) block of
-        rows i times the (c, n) block of rows j. Both columns of an entry
-        are then taken from it at flat indices a*n + b and b*n + a.
-
-        Factors that are exactly zero are skipped, such as every input-noise
-        factor B_j L at the zero gain. That leaves every bit as it is: each
-        sum runs over c in order from 0.0, so it never holds a -0.0
-        (0.0 + -0.0 is 0.0), and the +-0 products of a zero factor change
-        nothing in it. With no nonzero factor the result is the s x s zero
-        matrix.
-        """
-        n = self.factors[0].shape[0]
-        rows, cols = packed_indices(n)
-        live = [f for f in self.factors if f.any()]
-        if not live:
-            return np.zeros((len(rows), len(rows)))
-        stack = np.array(live)
-        # terms[(i, j), a*n + b] = sum_c F_c[i,a] F_c[j,b]: the rows i <= j of matrix
-        terms = stack.transpose(1, 2, 0)[rows] @ stack.transpose(1, 0, 2)[cols]
-        terms = terms.reshape(len(rows), n * n)
-        packed = np.take(terms, rows * n + cols, axis=1)
-        packed += np.take(terms, cols * n + rows, axis=1)
-        packed[:, rows == cols] *= 0.5
-        return packed
-
-
-def closed_loop_factors(model: SystemModel, gain: np.ndarray) -> list[np.ndarray]:
-    """Factors F_c of the moment operator, each pre-scaled by sqrt(variance)."""
+def moment_operator(model: SystemModel, gain: np.ndarray) -> np.ndarray:
+    """The factors F_c of T stacked in one C-contiguous (c, n, n) array:
+    F0 = A + B L first, always, then sqrt(var_i) A_i and sqrt(var_j) B_j L.
+    A noise factor that is exactly zero, as every B_j L is at the zero gain
+    where policy iteration starts, is left out. It adds only zeros to T(X),
+    and no bit of packed(stack) changes: each sum there runs over c from 0.0,
+    so it never holds a -0.0 (0.0 + -0.0 is 0.0), and the +-0 products of a
+    zero factor change nothing in it."""
     gain = np.asarray(gain, dtype=float)
     n, m = model.state_dim, model.input_dim
     if gain.shape != (m, n):
         raise ValidationError(f"gain must have shape {(m, n)}, got {gain.shape}")
     if not np.isfinite(gain).all():
         raise ValidationError("gain has non-finite entries")
-    factors = [model.A + model.B @ gain]
-    for mat, var in model.state_noise:
-        factors.append(np.sqrt(var) * mat)
-    for mat, var in model.input_noise:
-        factors.append(np.sqrt(var) * (mat @ gain))
-    return factors
+    noise = [np.sqrt(var) * mat for mat, var in model.state_noise]
+    noise += [np.sqrt(var) * (mat @ gain) for mat, var in model.input_noise]
+    return np.array([model.A + model.B @ gain] + [f for f in noise if f.any()])
 
 
-def moment_operator(model: SystemModel, gain: np.ndarray) -> MomentOperator:
-    return MomentOperator(factors=closed_loop_factors(model, gain))
+def packed(stack: np.ndarray) -> np.ndarray:
+    """T on symmetric matrices in vech coordinates, for the factors F_c
+    stacked along the first axis of stack: an s x s matrix, s = n(n+1)/2.
+
+    Row (i, j) and column (a, b), i <= j and a <= b in np.triu_indices
+    order, hold sum_c F_c[i,a] F_c[j,b] + F_c[i,b] F_c[j,a], halved on the
+    diagonal columns a = b, where X[a,b] and X[b,a] are one coordinate.
+    One batched product forms every sum_c F_c[i,a] F_c[j,b]: for each row
+    (i, j) the (n, c) block of rows i times the (c, n) block of rows j.
+    Both columns of an entry are then taken from it at flat indices a*n + b
+    and b*n + a.
+    """
+    n = stack.shape[1]
+    rows, cols = packed_indices(n)
+    # terms[(i, j), a*n + b] = sum_c F_c[i,a] F_c[j,b]: rows i <= j of sum_c F_c kron F_c
+    terms = stack.transpose(1, 2, 0)[rows] @ stack.transpose(1, 0, 2)[cols]
+    terms = terms.reshape(len(rows), n * n)
+    mat = np.take(terms, rows * n + cols, axis=1)
+    mat += np.take(terms, cols * n + rows, axis=1)
+    mat[:, rows == cols] *= 0.5
+    return mat
 
 
 def is_admissible(model: SystemModel, gain: np.ndarray) -> tuple[bool, float]:
@@ -193,12 +162,10 @@ def is_admissible(model: SystemModel, gain: np.ndarray) -> tuple[bool, float]:
     so large that the packed matrix overflows gives (False, inf).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = moment_operator(model, gain).packed()
+        mat = packed(moment_operator(model, gain))
     if not np.isfinite(mat).all():
         return False, np.inf
-    rho = None
-    if model.state_dim >= PERRON_MIN_N:
-        rho = _perron_radius(mat, model.state_dim)
+    rho = _perron_radius(mat, model.state_dim) if model.state_dim >= PERRON_MIN_N else None
     if rho is None:
         rho = float(np.abs(np.linalg.eigvals(mat)).max())
     return rho < 1.0 - ADMISSIBILITY_MARGIN, rho
@@ -263,10 +230,8 @@ def _perron_radius(mat: np.ndarray, n: int) -> float | None:
     return None
 
 
-def _apply(factors, x: np.ndarray) -> np.ndarray:
-    """T(X) = sum_c F_c X F_c^T, for factors given as a list or stacked along
-    the first axis."""
-    stack = np.asarray(factors)
+def _apply(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T(X) = sum_c F_c X F_c^T, for the factors stacked along the first axis."""
     return (stack @ x @ stack.transpose(0, 2, 1)).sum(axis=0)
 
 
@@ -301,10 +266,10 @@ def _residual(x: np.ndarray, tx: np.ndarray, rhs: np.ndarray) -> float:
     return np.linalg.norm(tx + rhs - x) / max(np.linalg.norm(x), 1.0)
 
 
-def _stein_powers(f0: np.ndarray, noise: np.ndarray) -> list[np.ndarray] | None:
-    """The powers F_0^(2^j), j = 0..J, of the mean loop f0 = F_0, for the
-    least doubling depth J whose tail G = F_0^(2^J) is small next to the
-    noise channels F_c, c >= 1, stacked along the first axis of noise:
+def _stein_powers(stack: np.ndarray) -> list[np.ndarray] | None:
+    """The powers F_0^(2^j), j = 0..J, of the mean loop F_0 = stack[0], for
+    the least doubling depth J whose tail G = F_0^(2^J) is small next to the
+    noise channels F_c = stack[c], c >= 1:
 
         |G|_F^2 <= max(STEIN_TAIL_RATIO sum_{c>=1} |F_c|_F^2, SPLITTING_RTOL).
 
@@ -313,10 +278,10 @@ def _stein_powers(f0: np.ndarray, noise: np.ndarray) -> list[np.ndarray] | None:
     on the second sweep. None when the noise overflows, or when no
     J <= STEIN_MAX_SQUARINGS gets there (F_0 not Schur-stable, or overflow).
     """
-    bound = max(STEIN_TAIL_RATIO * np.linalg.norm(noise) ** 2, SPLITTING_RTOL)
+    bound = max(STEIN_TAIL_RATIO * np.linalg.norm(stack[1:]) ** 2, SPLITTING_RTOL)
     if bound == np.inf:
         return None
-    powers = [f0]
+    powers = [stack[0]]
     while not np.linalg.norm(powers[-1]) ** 2 <= bound:
         if len(powers) > STEIN_MAX_SQUARINGS:
             return None
@@ -324,7 +289,7 @@ def _stein_powers(f0: np.ndarray, noise: np.ndarray) -> list[np.ndarray] | None:
     return powers
 
 
-def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
+def _splitting_solve(stack: np.ndarray, rhs: np.ndarray,
                      start: np.ndarray | None = None) -> np.ndarray | None:
     """Solve X = sum_c F_c X F_c^T + C in O(n^3) work per sweep, or return
     None when the iteration does not settle within its caps.
@@ -359,8 +324,7 @@ def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
     q >= 1, or one that is not finite) show that steps shrinking by q could
     not meet the stop rule within the sweeps left.
     """
-    noise = np.array(factors)[1:]
-    powers = _stein_powers(factors[0], noise)
+    powers = _stein_powers(stack)
     if powers is None:
         return None
     tail = powers.pop()
@@ -374,7 +338,7 @@ def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
     x, step = (np.zeros_like(rhs) if start is None else start), None
     was_hopeful = True
     for sweep in range(SPLITTING_MAX_SWEEPS + 1):
-        x_next = base + stein(_apply(noise, x)) + tail @ x @ tail.T
+        x_next = base + stein(_apply(stack[1:], x)) + tail @ x @ tail.T
         prev, step = step, np.linalg.norm(x_next - x)
         x = x_next
         if prev is None:   # the first sweep
@@ -396,13 +360,12 @@ def _splitting_solve(factors: list[np.ndarray], rhs: np.ndarray,
     return None
 
 
-def _packed_solve(factors: list[np.ndarray], rhs: np.ndarray) -> np.ndarray | None:
+def _packed_solve(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve (I - T) vech(X) = vech(C) on the packed s x s matrix by LU, or
     return None when it is singular. Only the upper triangle of C is read."""
     rows, cols = packed_indices(len(rhs))
-    mat = MomentOperator(factors).packed()
     try:
-        return unvech(np.linalg.solve(np.eye(len(rows)) - mat, rhs[rows, cols]))
+        return unvech(np.linalg.solve(np.eye(len(rows)) - packed(stack), rhs[rows, cols]))
     except np.linalg.LinAlgError:
         return None
 
@@ -410,8 +373,8 @@ def _packed_solve(factors: list[np.ndarray], rhs: np.ndarray) -> np.ndarray | No
 def _fixed_point(model: SystemModel, gain: np.ndarray, equation, name: str,
                  start: np.ndarray | None = None) -> np.ndarray:
     """Solve X = sum_c F_c X F_c^T + C for an admissible gain and return the
-    symmetric X, with (F, C) = equation(moment_operator(model, gain).factors):
-    the factors to solve with and a symmetric n x n matrix.
+    symmetric X, with (F, C) = equation(moment_operator(model, gain)): the
+    stacked factors to solve with and a symmetric n x n matrix.
 
     The solvers run in turn: from MATRIX_FREE_MIN_N states on the
     matrix-free splitting (_splitting_solve), which sweeps from start when
@@ -429,15 +392,15 @@ def _fixed_point(model: SystemModel, gain: np.ndarray, equation, name: str,
     # need not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         # moment_operator checks the gain before equation reads it.
-        factors, rhs = equation(moment_operator(model, gain).factors)
+        stack, rhs = equation(moment_operator(model, gain))
         solvers = [_packed_solve]
         if model.state_dim >= MATRIX_FREE_MIN_N:
             solvers.insert(0, lambda f, c: _splitting_solve(f, c, start))
         for solve in solvers:
-            x = solve(factors, rhs)
+            x = solve(stack, rhs)
             if x is None:
                 continue
-            tx = _apply(factors, x)
+            tx = _apply(stack, x)
             rel = _residual(x, tx, rhs)
             if rel <= RESIDUAL_RTOL and _certified(x, tx):
                 return x
@@ -455,7 +418,7 @@ def _fixed_point(model: SystemModel, gain: np.ndarray, equation, name: str,
 
 def stationary_covariance(model: SystemModel, gain: np.ndarray) -> np.ndarray:
     """Fixed point X = T(X) + D of the covariance propagation."""
-    x = _fixed_point(model, gain, lambda factors: (factors, model.D), "covariance")
+    x = _fixed_point(model, gain, lambda stack: (stack, model.D), "covariance")
     eigs = np.linalg.eigvalsh(x)
     if eigs.min() < -1e-10 * max(1.0, eigs.max()):
         raise SingularSystemError(
@@ -488,7 +451,7 @@ def solve_value_kernel(model: SystemModel, cost: CostModel, gain: np.ndarray,
             raise ValidationError(f"start must have shape {shape}, got {start.shape}")
     return _fixed_point(
         model, gain,
-        lambda factors: ([f.T for f in factors], cost.Q + gain.T @ cost.R @ gain),
+        lambda stack: (stack.transpose(0, 2, 1), cost.Q + gain.T @ cost.R @ gain),
         "value-kernel", start)
 
 
@@ -502,6 +465,14 @@ def average_cost(value_kernel: np.ndarray, additive_cov: np.ndarray) -> float:
             f"covariance shape {additive_cov.shape}"
         )
     return float(np.trace(value_kernel @ additive_cov))
+
+
+def checked_kernel(model: SystemModel, value_kernel: np.ndarray) -> np.ndarray:
+    """value_kernel symmetrized (rtol 1e-6); ValidationError unless a finite n x n matrix."""
+    p, n = np.asarray(value_kernel, dtype=float), model.state_dim
+    if p.shape != (n, n) or not np.isfinite(p).all():
+        raise ValidationError(f"value kernel must be a finite {n} x {n} matrix, got {p.shape}")
+    return symmetrize(p, rtol=1e-6)
 
 
 def state_weight(model: SystemModel, cost: CostModel, value_kernel: np.ndarray) -> np.ndarray:
@@ -526,10 +497,12 @@ def greedy_gain(curvature: np.ndarray, cross: np.ndarray,
                 max_condition: float = np.inf) -> np.ndarray:
     """Minimiser L = -W^-1 C of u^T W u + 2 u^T C x over u = L x.
 
-    The curvature W must be positive definite, with condition number at most
-    max_condition; anything else means the kernel it came from is not
-    trustworthy, and raises UnreliableKernelError.
+    W and C must be finite, and W positive definite with condition number
+    at most max_condition; anything else means the kernel they came from is
+    not trustworthy, and raises UnreliableKernelError.
     """
+    if not (np.isfinite(curvature).all() and np.isfinite(cross).all()):
+        raise UnreliableKernelError("input curvature or cross term has non-finite entries")
     eigs = np.linalg.eigvalsh(curvature)
     if eigs.min() <= 0:
         raise UnreliableKernelError(
@@ -548,9 +521,9 @@ def policy_improvement(model: SystemModel, cost: CostModel,
     """One-step greedy gain for a value kernel P.
 
     L = -(R + B^T P B + sum_j var_j B_j^T P B_j)^-1 B^T P A, through
-    greedy_gain.
+    greedy_gain; checked_kernel checks P first.
     """
-    p = symmetrize(np.asarray(value_kernel, dtype=float), rtol=1e-6)
+    p = checked_kernel(model, value_kernel)
     return greedy_gain(input_weight(model, cost, p), model.B.T @ p @ model.A)
 
 
@@ -560,8 +533,9 @@ def riccati_residual(model: SystemModel, cost: CostModel,
 
     Zero exactly at the optimal kernel:
     P - [Q + A^T P A + sum_i var_i A_i^T P A_i + A^T P B L]
-    with L = -W^-1 B^T P A the greedy gain of P and W the input-side curvature.
+    with L = -W^-1 B^T P A the greedy gain of P and W the input-side curvature
+    (P checked by checked_kernel).
     """
-    p = symmetrize(np.asarray(value_kernel, dtype=float), rtol=1e-6)
+    p = checked_kernel(model, value_kernel)
     gain = policy_improvement(model, cost, p)
     return p - (state_weight(model, cost, p) + model.A.T @ p @ model.B @ gain)

@@ -110,10 +110,12 @@ def run_experiment(config: ExperimentConfig,
 
     Returns the summary as a dict. A SolverFailure in the policy-iteration
     run, which gives the reference and the model-based trace, raises before
-    anything is written, its message prefixed "reference solve: ". Learner
-    failures abort with the original exception after flushing whatever
-    records were collected; the message names the method, seed, and
-    iteration.
+    anything is written, its message prefixed "reference solve: "; that run
+    starts from the zero gain, so it is also the check of a zero
+    learner.initial_gain. Learner failures abort with the original exception
+    after flushing whatever records were collected; the message names the
+    method, seed, and iteration (an inadmissible nonzero initial gain:
+    "method model_free: ").
     """
     out = Path(output_dir if output_dir is not None else config.output_dir)
     model, cost = config.model, config.cost
@@ -170,13 +172,16 @@ def run_experiment(config: ExperimentConfig,
 
     if config.runs_model_free():
         learner = config.learner
-        with aborting("model_free"):
-            admissible, rho = is_admissible(model, learner.initial_gain)
-            if not admissible:
-                raise NotAdmissibleError(
-                    f"initial gain is not admissible (moment spectral radius {rho:.6g})",
-                    spectral_radius=rho,
-                )
+        # The policy-iteration run above starts from the zero gain and has
+        # checked it already.
+        if learner.initial_gain.any():
+            with aborting("model_free"):
+                admissible, rho = is_admissible(model, learner.initial_gain)
+                if not admissible:
+                    raise NotAdmissibleError(
+                        f"initial gain is not admissible (moment spectral radius {rho:.6g})",
+                        spectral_radius=rho,
+                    )
         per_seed: dict = {}
         for seed in config.seeds:
             with aborting(f"model_free, seed {seed}"):

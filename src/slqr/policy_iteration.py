@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import (
     average_cost,
+    checked_kernel,
     input_weight,
     is_admissible,
     policy_improvement,
@@ -82,8 +83,10 @@ def q_kernel_from_value(model: SystemModel, cost: CostModel,
     H_xx = Q + A^T P A + sum_i var_i A_i^T P A_i
     H_xu = A^T P B
     H_uu = R + B^T P B + sum_j var_j B_j^T P B_j
+
+    A kernel that is not a finite n x n matrix raises ValidationError.
     """
-    p = symmetrize(np.asarray(value_kernel, dtype=float), rtol=1e-6)
+    p = checked_kernel(model, value_kernel)
     n, m = model.state_dim, model.input_dim
     h = np.empty((n + m, n + m))
     hxu = model.A.T @ p @ model.B

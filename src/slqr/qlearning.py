@@ -105,9 +105,9 @@ def noise_shape_kernel(gain: np.ndarray, additive_cov: np.ndarray) -> np.ndarray
     gain = np.asarray(gain, dtype=float)
     additive_cov = np.asarray(additive_cov, dtype=float)
     n = additive_cov.shape[0]
-    if gain.shape[1] != n:
+    if gain.ndim != 2 or gain.shape[1] != n:
         raise ValidationError(
-            f"gain with {gain.shape[1]} columns does not match covariance size {n}"
+            f"gain of shape {gain.shape} does not have the covariance's {n} columns"
         )
     basis = np.vstack([np.eye(n), gain])
     return basis @ additive_cov @ basis.T

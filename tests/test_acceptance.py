@@ -61,11 +61,11 @@ def report(number, label, ok, detail):
 def solve_by_fixed_point(model, cost, gain, sweeps=20000, tol=1e-14):
     # Independent route to the same kernel: iterate the affine map directly.
     n = model.state_dim
-    op = moment_operator(model, gain)
+    matrix = sum(np.kron(f, f) for f in moment_operator(model, gain))
     drive = (cost.Q + gain.T @ cost.R @ gain).reshape(-1)
     vec = np.zeros(n * n)
     for _ in range(sweeps):
-        nxt = op.matrix.T @ vec + drive
+        nxt = matrix.T @ vec + drive
         if np.abs(nxt - vec).max() < tol:
             vec = nxt
             break

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from slqr.analysis import (
     ADMISSIBILITY_MARGIN,
-    MomentOperator,
     average_cost,
-    closed_loop_factors,
+    greedy_gain,
     input_weight,
     is_admissible,
     moment_operator,
@@ -28,7 +27,7 @@ from slqr.errors import (
     ValidationError,
 )
 from slqr.packing import unvech, vech
-from slqr.policy_iteration import policy_iteration
+from slqr.policy_iteration import policy_iteration, q_kernel_from_value
 from slqr.system import CostModel, SystemModel
 from slqr.testing import random_admissible_gain, random_admissible_system
 
@@ -53,36 +52,43 @@ def scalar_model(a, d=1.0, state_noise=()):
 SCALAR_COST = CostModel(Q=[[1.0]], R=[[1.0]])
 L0_1 = np.zeros((1, 1))
 L0_3 = np.zeros((3, 3))
+packed = analysis_module.packed
+
+
+def kron_matrix(stack):
+    """The defining n^2 x n^2 form sum_c F_c kron F_c of T on row-major vec(X)."""
+    return sum(np.kron(f, f) for f in stack)
 
 
 def test_moment_operator_scalar_with_state_noise():
     model = scalar_model(0.9, state_noise=[([[1.0]], 0.1)])
-    op = moment_operator(model, L0_1)
-    np.testing.assert_allclose(op.matrix, [[0.91]], atol=1e-15)
+    stack = moment_operator(model, L0_1)
+    np.testing.assert_allclose(kron_matrix(stack), [[0.91]], atol=1e-15)
 
 
 def test_moment_operator_without_noise_is_kron_of_closed_loop():
     model = SystemModel(A=[[0.5, 0.1], [0.0, 0.4]], B=np.eye(2), D=np.eye(2),
                         X0=np.eye(2))
-    op = moment_operator(model, np.zeros((2, 2)))
-    np.testing.assert_array_equal(op.matrix, np.kron(model.A, model.A))
+    stack = moment_operator(model, np.zeros((2, 2)))
+    assert stack.shape == (1, 2, 2)
+    np.testing.assert_array_equal(kron_matrix(stack), np.kron(model.A, model.A))
 
 
 def test_moment_operator_application_matches_direct_products(sec6):
     # M acting on vec(I) must equal vec(sum_c F_c F_c^T) computed directly.
     model, _ = sec6
-    op = moment_operator(model, L0_3)
-    applied = (op.matrix @ np.eye(3).ravel()).reshape(3, 3)
-    direct = sum(f @ f.T for f in closed_loop_factors(model, L0_3))
+    stack = moment_operator(model, L0_3)
+    applied = (kron_matrix(stack) @ np.eye(3).ravel()).reshape(3, 3)
+    direct = sum(f @ f.T for f in stack)
     np.testing.assert_allclose(applied, direct, atol=1e-12)
 
 
 SHEAR = SystemModel(A=[[0.0, 2.0], [0.0, 0.0]], B=np.eye(2), D=np.eye(2), X0=np.eye(2))
 
 
-def adjoint(op):
-    """T*, the moment map built from the transposed factors."""
-    return MomentOperator([f.T for f in op.factors])
+def adjoint(stack):
+    """T*'s stack: the transposed factors."""
+    return stack.transpose(0, 2, 1)
 
 
 def test_packed_operator_matches_its_definition():
@@ -95,13 +101,14 @@ def test_packed_operator_matches_its_definition():
         model, _ = random_admissible_system(rng, 5, 4, 3)
         cases.append((model, random_admissible_gain(model, rng)))
     for model, gain in cases:
-        op = moment_operator(model, gain)
+        stack = moment_operator(model, gain)
         n = model.state_dim
         g = rng.normal(size=(n, n))
         x = g + g.T
-        for full, packed_op in ((op.matrix, op), (op.matrix.T, adjoint(op))):
+        full = kron_matrix(stack)
+        for full, factors in ((full, stack), (full.T, adjoint(stack))):
             expected = vech((full @ x.ravel()).reshape(n, n))
-            got = packed_op.packed() @ vech(x)
+            got = packed(factors) @ vech(x)
             assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -111,18 +118,19 @@ PACKED_RTOL = 1e-13
 
 def test_packed_operator_is_the_matrix_at_n1():
     # At n = 1 both forms are the number sum_c F_c^2; packed() sums it in
-    # one batched product, matrix as a sum of Kronecker products.
+    # one batched product, kron_matrix as a sum of Kronecker products.
     rng = np.random.default_rng(3)
     for _ in range(50):
         model = SystemModel(
             A=[[rng.normal()]], B=[[rng.normal()]], D=[[1.0]], X0=[[1.0]],
             state_noise=[([[rng.normal()]], rng.uniform(0.01, 1.0)) for _ in range(2)],
             input_noise=[([[rng.normal()]], rng.uniform(0.01, 1.0)) for _ in range(2)])
-        op = moment_operator(model, rng.normal(size=(1, 1)))
-        for packed_op in (op, adjoint(op)):
-            packed = packed_op.packed()
-            assert packed.shape == (1, 1)
-            assert abs(packed - op.matrix).max() <= PACKED_RTOL * op.matrix.max()
+        stack = moment_operator(model, rng.normal(size=(1, 1)))
+        full = kron_matrix(stack)
+        for factors in (stack, adjoint(stack)):
+            mat = packed(factors)
+            assert mat.shape == (1, 1)
+            assert abs(mat - full).max() <= PACKED_RTOL * full.max()
 
 
 def factor_list(rng, n, kinds):
@@ -155,26 +163,15 @@ def test_packed_operator_applies_the_moment_map(n, kinds, seed):
     factors = factor_list(rng, n, kinds)
     g = rng.normal(size=(n, n))
     x = g + g.T
-    got = unvech(MomentOperator(factors).packed() @ vech(x))
+    got = unvech(packed(np.array(factors)) @ vech(x))
     expected = sum(f @ x @ f.T for f in factors)
     assert np.linalg.norm(got - expected) <= PACKED_RTOL * np.linalg.norm(expected)
 
 
-def packed_over_every_factor(factors):
-    """packed()'s stacked build over every factor, zero or not."""
-    n = factors[0].shape[0]
-    rows, cols = np.triu_indices(n)
-    stack = np.array(factors)
-    terms = (stack.transpose(1, 2, 0)[rows] @ stack.transpose(1, 0, 2)[cols])
-    terms = terms.reshape(len(rows), n * n)
-    packed = terms[:, rows * n + cols] + terms[:, cols * n + rows]
-    packed[:, rows == cols] *= 0.5
-    return packed
-
-
 def test_zero_factors_leave_the_packed_matrix_bit_identical():
-    # Skipping exactly-zero factors, -0.0 entries included, changes no bit:
-    # the bytes are compared, so a -0.0 where the full sum has 0.0 fails.
+    # Leaving out the exactly-zero factors after the first, -0.0 entries
+    # included, as moment_operator does, changes no bit: the bytes are
+    # compared, so a -0.0 where the full sum has 0.0 fails.
     rng = np.random.default_rng(11)
     kinds = ["normal", "zero", "minus zero"]
     for n in range(1, 7):
@@ -182,19 +179,18 @@ def test_zero_factors_leave_the_packed_matrix_bit_identical():
         for _ in range(10):
             count = int(rng.integers(1, 6))
             factors = factor_list(rng, n, rng.choice(kinds, size=count, p=[0.5, 0.25, 0.25]))
-            packed = MomentOperator(factors).packed()
-            assert packed.shape == (s, s)
-            assert packed.tobytes() == packed_over_every_factor(factors).tobytes()
-        # A list of zero factors alone gives the s x s zero matrix.
-        zeros = MomentOperator([np.zeros((n, n)), np.full((n, n), -0.0)]).packed()
+            kept = packed(np.array(factors[:1] + [f for f in factors[1:] if f.any()]))
+            assert kept.shape == (s, s)
+            assert kept.tobytes() == packed(np.array(factors)).tobytes()
+        # Zero factors alone give the s x s zero matrix, with no -0.0 in it.
+        zeros = packed(np.array([np.zeros((n, n)), np.full((n, n), -0.0)]))
         assert zeros.tobytes() == np.zeros((s, s)).tobytes()
-        if n == 1:
-            assert zeros.tobytes() == MomentOperator([np.full((1, 1), -0.0)]).matrix.tobytes()
 
 
-def test_the_zero_gain_builds_from_the_channels_that_act(monkeypatch):
-    # At the zero gain every input-noise factor B_j L is zero, and the packed
-    # build stacks A and the state channels only.
+def test_the_zero_gain_builds_from_the_channels_that_act():
+    # At the zero gain every input-noise factor B_j L is zero: the stack
+    # holds A and the state channels only, 1 + p factors, and all 1 + p + q
+    # at a nonzero gain. It is one C-contiguous array.
     rng = np.random.default_rng(2)
     n, m = 4, 2
     model = SystemModel(
@@ -203,27 +199,32 @@ def test_the_zero_gain_builds_from_the_channels_that_act(monkeypatch):
         state_noise=[(rng.normal(size=(n, n)), 0.01) for _ in range(2)],
         input_noise=[(rng.normal(size=(n, m)), 0.01) for _ in range(3)])
     zero, full = (moment_operator(model, gain) for gain in (np.zeros((m, n)), np.ones((m, n))))
-    array = np.array
-    stacks = []
-
-    def recorded(obj, *args, **kwargs):
-        out = array(obj, *args, **kwargs)
-        stacks.append(out.shape)
-        return out
-
-    monkeypatch.setattr(np, "array", recorded)
-    zero.packed()
-    full.packed()
-    monkeypatch.undo()
     channels = len(model.state_noise)
-    assert stacks == [(1 + channels, n, n), (1 + channels + len(model.input_noise), n, n)]
+    assert zero.shape == (1 + channels, n, n)
+    assert full.shape == (1 + channels + len(model.input_noise), n, n)
+    np.testing.assert_array_equal(zero[0], model.A)
+    np.testing.assert_array_equal(full[0], model.A + model.B @ np.ones((m, n)))
+    assert zero.flags.c_contiguous and full.flags.c_contiguous
+
+
+def test_a_zero_mean_loop_stays_first_in_the_stack():
+    # A = 0 at the zero gain: F0 = 0 is kept first, alone without noise
+    # (rho = 0) and ahead of the state channel with it (rho = var).
+    for state_noise, rho_exact in (((), 0.0), ((([[1.0]], 0.25),), 0.25)):
+        model = scalar_model(0.0, state_noise=state_noise)
+        stack = moment_operator(model, L0_1)
+        assert stack.shape == (1 + len(state_noise), 1, 1)
+        assert stack[0, 0, 0] == 0.0
+        assert is_admissible(model, L0_1) == (True, rho_exact)
+        np.testing.assert_allclose(stationary_covariance(model, L0_1),
+                                   [[1.0 / (1.0 - rho_exact)]], rtol=1e-12)
 
 
 def _edge_scale(model, direction):
     """Gain scale t at which rho(M(t * direction)) crosses 1, bisected on the
     eigenvalues of the n^2 x n^2 matrix; None if it stays below 1."""
     def rho(t):
-        return np.abs(np.linalg.eigvals(moment_operator(model, t * direction).matrix)).max()
+        return np.abs(np.linalg.eigvals(kron_matrix(moment_operator(model, t * direction)))).max()
     hi = 1.0
     while rho(hi) < 1.0:
         hi *= 2.0
@@ -254,10 +255,10 @@ def test_packed_radius_is_the_matrix_radius(seed, side, log_gap):
     if edge is None:
         return
     gain = edge * (1.0 + side * 10.0 ** log_gap) * direction
-    op = moment_operator(model, gain)
-    rho_full = np.abs(np.linalg.eigvals(op.matrix)).max()
-    for packed_op in (op, adjoint(op)):
-        rho_packed = np.abs(np.linalg.eigvals(packed_op.packed())).max()
+    stack = moment_operator(model, gain)
+    rho_full = np.abs(np.linalg.eigvals(kron_matrix(stack))).max()
+    for factors in (stack, adjoint(stack)):
+        rho_packed = np.abs(np.linalg.eigvals(packed(factors))).max()
         assert abs(rho_packed - rho_full) <= 1e-10 * rho_full
     for gate in RADIUS_GATES:
         with perron_min_n(gate):
@@ -289,7 +290,7 @@ def test_stationary_covariance_scalar_values():
 def test_stationary_covariance_matches_fixed_point_iteration(sec6):
     model, _ = sec6
     solved = stationary_covariance(model, L0_3)
-    factors = closed_loop_factors(model, L0_3)
+    factors = moment_operator(model, L0_3)
     x = np.zeros((3, 3))
     for _ in range(5000):
         x_next = sum(f @ x @ f.T for f in factors) + model.D
@@ -320,7 +321,7 @@ def test_value_kernel_satisfies_defining_equation(sec6):
         gain = random_admissible_gain(model, rng, scale=0.4)
         p = solve_value_kernel(model, cost, gain)
         rhs = cost.Q + gain.T @ cost.R @ gain
-        recon = sum(f.T @ p @ f for f in closed_loop_factors(model, gain)) + rhs
+        recon = sum(f.T @ p @ f for f in moment_operator(model, gain)) + rhs
         assert np.linalg.norm(recon - p) / np.linalg.norm(p) <= 1e-10
 
 
@@ -372,6 +373,42 @@ def test_policy_improvement_rejects_corrupt_kernel(sec6):
             solver(model, cost, -10.0 * np.eye(3))
 
 
+# Each kernel entry point, called as entry(model, cost, kernel).
+KERNEL_ENTRY_POINTS = {
+    "policy_improvement": policy_improvement,
+    "riccati_residual": riccati_residual,
+    "q_kernel_from_value": q_kernel_from_value,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(KERNEL_ENTRY_POINTS))
+@pytest.mark.parametrize("kernel", [
+    np.where(np.eye(3) > 0, np.nan, 0.0), np.where(np.eye(3) > 0, np.inf, 0.0),
+    np.full((3, 3), -np.inf), np.eye(2), np.eye(4), np.ones(3), np.eye(3, 4),
+], ids=["nan", "inf", "-inf", "2x2", "4x4", "1-d", "3x4"])
+def test_malformed_kernel_is_a_validation_error(sec6, entry, kernel):
+    # A kernel that is not a finite n x n matrix is rejected before any
+    # product or eigenvalue problem, and numpy does not warn.
+    model, cost = sec6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^value kernel must be a finite 3 x 3"):
+            KERNEL_ENTRY_POINTS[entry](model, cost, kernel)
+
+
+@pytest.mark.parametrize("curvature, cross", [
+    (np.full((2, 2), np.nan), np.ones((2, 3))),
+    (np.diag([1.0, np.inf]), np.ones((2, 3))),
+    (np.eye(2), np.where(np.eye(2, 3) > 0, np.nan, 1.0)),
+    (np.eye(2), np.full((2, 3), -np.inf)),
+], ids=["nan curvature", "inf curvature", "nan cross", "inf cross"])
+def test_greedy_gain_rejects_non_finite_input(curvature, cross):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnreliableKernelError, match="non-finite"):
+            greedy_gain(curvature, cross)
+
+
 def test_input_weight_includes_input_channels(sec6):
     model, cost = sec6
     p = np.eye(3)
@@ -408,7 +445,7 @@ def test_solvers_agree_on_random_instances():
         if rho > 0.95:
             gain = np.zeros((model.input_dim, model.state_dim))
         p = solve_value_kernel(model, cost, gain)
-        factors = closed_loop_factors(model, gain)
+        factors = moment_operator(model, gain)
         rhs = cost.Q + gain.T @ cost.R @ gain
         pfp = np.zeros_like(p)
         for _ in range(20000):
@@ -559,7 +596,7 @@ def check_exact_rejection(seed, log_scale, zero_q):
         x_eigs = np.linalg.eigvalsh(x)
         if x_eigs[0] <= 0:
             continue
-        factors = closed_loop_factors(model, gain)
+        factors = moment_operator(model, gain)
         y = x - sum(f.T @ x @ f if dual else f @ x @ f.T for f in factors)
         y_eigs = np.linalg.eigvalsh(y)
         tol = 1e-9
@@ -612,23 +649,15 @@ def test_admissibility_work_counts(sec6, monkeypatch):
 
 def test_solvers_never_form_the_kronecker_matrix(sec6, monkeypatch):
     # The solvers and the exact check work on the packed matrix only: no
-    # read of MomentOperator.matrix and no np.kron, on the certified path,
-    # on the fallback paths and on rejection.
-    analysis = importlib.import_module("slqr.analysis")
+    # np.kron on the certified path, on the fallback paths and on rejection.
     calls = Counter()
     kron = np.kron
-    defining = analysis.MomentOperator.matrix.func
 
     def counted_kron(*args):
         calls["kron"] += 1
         return kron(*args)
 
-    def counted_matrix(op):
-        calls["matrix"] += 1
-        return defining(op)
-
     monkeypatch.setattr(np, "kron", counted_kron)
-    monkeypatch.setattr(analysis.MomentOperator, "matrix", property(counted_matrix))
     model, cost = sec6
     zero_q = CostModel(Q=np.zeros((3, 3)), R=cost.R)
 
@@ -642,8 +671,9 @@ def test_solvers_never_form_the_kronecker_matrix(sec6, monkeypatch):
             GAIN_ENTRY_POINTS[entry](model, cost, 10.0 * np.eye(3))
     assert calls == Counter()
 
-    moment_operator(model, L0_3).matrix   # the counters do see a read
-    assert calls == Counter(matrix=1, kron=len(closed_loop_factors(model, L0_3)))
+    stack = moment_operator(model, L0_3)
+    kron_matrix(stack)   # the counter does see the Kronecker form
+    assert calls == Counter(kron=len(stack))
 
 
 # --- The matrix-free splitting solve, from MATRIX_FREE_MIN_N states on ---
@@ -692,13 +722,12 @@ def packed_solve(monkeypatch, call):
 
 def count_packed_builds(monkeypatch):
     calls = Counter()
-    packed = analysis_module.MomentOperator.packed
 
-    def counted(op):
+    def counted(stack):
         calls["packed"] += 1
-        return packed(op)
+        return packed(stack)
 
-    monkeypatch.setattr(analysis_module.MomentOperator, "packed", counted)
+    monkeypatch.setattr(analysis_module, "packed", counted)
     return calls
 
 
@@ -776,16 +805,16 @@ def test_a_hopeless_splitting_attempt_gives_up_early(monkeypatch):
     for entry in FIXED_POINT_SOLVERS:
         solve = lambda: GAIN_ENTRY_POINTS[entry](model, cost, gain)  # noqa: E731
         with monkeypatch.context() as patch:
-            calls = count_sweeps(patch, model)
-            packed = count_packed_builds(patch)
+            calls = count_sweeps(patch)
+            builds = count_packed_builds(patch)
             x = solve()
-        assert calls["sweeps"] == 3 and packed["packed"] == 1, entry
+        assert calls["sweeps"] == 3 and builds["packed"] == 1, entry
         assert np.array_equal(x, packed_solve(monkeypatch, solve)), entry
         with monkeypatch.context() as patch:
             patch.setattr(analysis_module, "SPLITTING_MAX_SWEEPS", 10_000)
-            packed = count_packed_builds(patch)
+            builds = count_packed_builds(patch)
             lifted = solve()
-        assert packed["packed"] == 0, entry
+        assert builds["packed"] == 0, entry
         assert np.linalg.norm(lifted - x) <= 1e-10 * np.linalg.norm(x), entry
 
 
@@ -797,9 +826,9 @@ def test_inexact_splitting_falls_back_to_the_packed_solve(monkeypatch):
     splitting = analysis_module._splitting_solve
     misses = []
 
-    def inexact(factors, rhs, start=None):
-        x = (1 + 5e-4) * splitting(factors, rhs, start)
-        tx = analysis_module._apply(factors, x)
+    def inexact(stack, rhs, start=None):
+        x = (1 + 5e-4) * splitting(stack, rhs, start)
+        tx = analysis_module._apply(stack, x)
         assert analysis_module._certified(x, tx)
         misses.append(analysis_module._residual(x, tx, rhs))
         return x
@@ -822,8 +851,8 @@ def record_depths(monkeypatch, force=None):
     depths = []
     powers = analysis_module._stein_powers
 
-    def recorded(f0, noise):
-        out = powers(f0, noise) if force is None else [f0, f0 @ f0][:force + 1]
+    def recorded(stack):
+        out = powers(stack) if force is None else [stack[0], stack[0] @ stack[0]][:force + 1]
         depths.append(None if out is None else len(out) - 1)
         return out
 
@@ -842,12 +871,41 @@ def test_any_doubling_depth_solves_the_equation(monkeypatch, depth):
     calls = count_packed_builds(monkeypatch)
     for entry, dual in (("stationary_covariance", False), ("solve_value_kernel", True)):
         x = GAIN_ENTRY_POINTS[entry](model, cost, gain)
-        factors = closed_loop_factors(model, gain)
+        factors = moment_operator(model, gain)
         rhs = cost.Q if dual else model.D
         tx = sum(f.T @ x @ f if dual else f @ x @ f.T for f in factors)
         assert np.linalg.norm(tx + rhs - x) <= 1e-12 * np.linalg.norm(x), entry
     assert depths == [depth, depth]
     assert calls["packed"] == 0
+
+
+def test_a_zero_mean_loop_solves_matrix_free(monkeypatch):
+    # A = -B L makes F0 = A + B L exactly zero. The stack keeps it first,
+    # the splitting takes no doubling (its tail F0 X F0^T is zero) and sweeps
+    # the noise channels alone; no packed matrix is built, and both
+    # solutions match the packed solve.
+    rng = np.random.default_rng(21)
+    n, m = WIDE_N, WIDE_N // 2
+    b = rng.normal(size=(n, m)) / np.sqrt(n)
+    gain = rng.normal(size=(m, n))
+    unit = [mat / np.linalg.norm(mat, 2) for mat in rng.normal(size=(3, n, n))]
+    model = SystemModel(A=-(b @ gain), B=b, D=np.eye(n), X0=np.eye(n),
+                        state_noise=[(unit[0], 0.03), (unit[1], 0.02)],
+                        input_noise=[(unit[2][:, :m], 0.01)])
+    cost = CostModel(Q=np.eye(n), R=np.eye(m))
+    stack = moment_operator(model, gain)
+    assert stack.shape == (4, n, n) and not stack[0].any() and stack[1:].any(axis=(1, 2)).all()
+    assert is_admissible(model, gain)[0]
+    depths = record_depths(monkeypatch)
+    builds = count_packed_builds(monkeypatch)
+    for entry in FIXED_POINT_SOLVERS:
+        solve = lambda: GAIN_ENTRY_POINTS[entry](model, cost, gain)  # noqa: E731
+        x = solve()
+        assert builds["packed"] == 0, entry
+        dense = packed_solve(monkeypatch, solve)
+        builds.clear()
+        assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense), entry
+    assert depths == [0, 0]
 
 
 def test_the_doubling_depth_follows_the_noise(monkeypatch):
@@ -884,12 +942,12 @@ def test_noise_free_and_weak_noise_solves_stay_matrix_free(monkeypatch):
         for gain in (zero, greedy):
             for entry in FIXED_POINT_SOLVERS:
                 with monkeypatch.context() as patch:
-                    calls = count_sweeps(patch, model)
-                    packed = count_packed_builds(patch)
+                    calls = count_sweeps(patch)
+                    builds = count_packed_builds(patch)
                     x = GAIN_ENTRY_POINTS[entry](model, cost, gain)
                 dense = packed_solve(monkeypatch,
                                      lambda: GAIN_ENTRY_POINTS[entry](model, cost, gain))
-                assert packed["packed"] == 0, entry
+                assert builds["packed"] == 0, entry
                 assert 2 <= calls["sweeps"] <= most, entry
                 assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense), entry
 
@@ -976,18 +1034,23 @@ def test_policy_iteration_on_the_matrix_free_path(monkeypatch):
             assert np.linalg.norm(kernel - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def count_sweeps(monkeypatch, model):
-    """Count the splitting's sweeps: the _apply calls on its noise stack,
-    which holds every factor but F0 (the gate applies all of them)."""
+def count_sweeps(monkeypatch):
+    """Count the splitting's sweeps: its _apply calls on the noise channels.
+    The gate's check of a solver's X makes one more _apply call, followed by
+    one _residual call, so each _residual call takes one back off."""
     calls = Counter()
-    apply = analysis_module._apply
-    noise = len(closed_loop_factors(model, np.zeros((model.input_dim, model.state_dim)))) - 1
+    apply, residual = analysis_module._apply, analysis_module._residual
 
-    def counted(factors, x):
-        calls["sweeps"] += len(factors) == noise
-        return apply(factors, x)
+    def counted_apply(stack, x):
+        calls["sweeps"] += 1
+        return apply(stack, x)
 
-    monkeypatch.setattr(analysis_module, "_apply", counted)
+    def counted_residual(x, tx, rhs):
+        calls["sweeps"] -= 1
+        return residual(x, tx, rhs)
+
+    monkeypatch.setattr(analysis_module, "_apply", counted_apply)
+    monkeypatch.setattr(analysis_module, "_residual", counted_residual)
     return calls
 
 
@@ -1031,11 +1094,11 @@ def test_warm_started_policy_iteration_matches_cold_solves(monkeypatch):
         model, cost = wide_system(rng, n=20)
         gain = np.zeros((model.input_dim, model.state_dim))
         with monkeypatch.context() as patch:
-            calls = count_sweeps(patch, model)
+            calls = count_sweeps(patch)
             warm = policy_iteration(model, cost, gain)
             totals["warm"] += calls["sweeps"]
         with monkeypatch.context() as patch:
-            calls = count_sweeps(patch, model)
+            calls = count_sweeps(patch)
             patch.setattr(pi_module, "solve_value_kernel",
                           lambda model, cost, gain, start=None:
                           solve_value_kernel(model, cost, gain))
@@ -1067,15 +1130,15 @@ def test_hostile_starts_return_the_cold_kernel(monkeypatch):
               "exact": cold}
     for name, start in starts.items():
         with monkeypatch.context() as patch:
-            calls = count_sweeps(patch, model)
-            packed = count_packed_builds(patch)
+            calls = count_sweeps(patch)
+            builds = count_packed_builds(patch)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 p = solve_value_kernel(model, cost, gain, start)
         assert np.linalg.norm(p - cold) <= 1e-12 * np.linalg.norm(cold), name
         assert np.array_equal(p, p.T), name
         finite = np.isfinite(start).all()
-        assert packed["packed"] == (0 if finite else 1), name
+        assert builds["packed"] == (0 if finite else 1), name
         assert calls["sweeps"] >= 2 or not finite, name
     for shape in ((n, n + 1), (n,), (n - 1, n - 1)):
         with pytest.raises(ValidationError, match=r"^start must have shape"):
@@ -1114,7 +1177,7 @@ def test_the_cholesky_certificate_rejects_what_it_cannot_show():
     assert not certified(-np.eye(n), -4.0 * np.eye(n))
     # X - T(X) indefinite: T(I) = diag(1.44, 0.25, 0.25) for F = diag(1.2, 0.5, 0.5).
     f = np.diag([1.2, 0.5, 0.5])
-    assert not certified(np.eye(n), analysis_module._apply([f], np.eye(n)))
+    assert not certified(np.eye(n), analysis_module._apply(np.array([f]), np.eye(n)))
     # A non-finite T(X); -inf on the diagonal would even factor.
     for bad in (np.full((n, n), np.nan), np.diag([-np.inf, 0.0, 0.0])):
         assert not certified(np.eye(n), bad)
@@ -1122,7 +1185,7 @@ def test_the_cholesky_certificate_rejects_what_it_cannot_show():
     # rho = 1 - 1e-11: X = (I - T)^-1 (I) and X - T(X) are positive definite,
     # but lmin(X - T(X)) / |X|_F is inside the margin.
     model, _ = margin_system(np.random.default_rng(14), 1e-11)
-    factors = closed_loop_factors(model, np.zeros((model.input_dim, model.state_dim)))
+    factors = moment_operator(model, np.zeros((model.input_dim, model.state_dim)))
     x = analysis_module._packed_solve(factors, np.eye(model.state_dim))
     tx = analysis_module._apply(factors, x)
     np.linalg.cholesky(x)
@@ -1144,9 +1207,9 @@ def test_the_cholesky_certificate_implies_the_eigenvalue_certificate():
         draws.append((model, cost, np.zeros((model.input_dim, model.state_dim))))
     outcomes = Counter()
     for model, cost, gain in draws:
-        factors = closed_loop_factors(model, gain)
+        factors = moment_operator(model, gain)
         for hs, rhs in ((factors, model.D),
-                        ([f.T for f in factors], cost.Q + gain.T @ cost.R @ gain)):
+                        (adjoint(factors), cost.Q + gain.T @ cost.R @ gain)):
             x = analysis_module._packed_solve(hs, rhs)
             tx = analysis_module._apply(hs, x)
             new, old = certified(x, tx), eigenvalue_certificate(x, tx)
@@ -1169,7 +1232,7 @@ def count_eigvals(monkeypatch):
 
 
 def packed_radius(model, gain):
-    return float(np.abs(np.linalg.eigvals(moment_operator(model, gain).packed())).max())
+    return float(np.abs(np.linalg.eigvals(packed(moment_operator(model, gain)))).max())
 
 
 def test_perron_bracket_replaces_the_eigenvalues_from_the_size_gate(monkeypatch):
@@ -1247,7 +1310,7 @@ def test_periodic_loop_gets_the_perron_root(monkeypatch):
         model = SystemModel(A=r * cycle, B=np.eye(n, 2), D=np.eye(n), X0=np.eye(n))
         cases.append((model, r * r))
     gain = np.zeros((2, n))
-    assert np.isclose(np.linalg.eigvals(moment_operator(cases[0][0], gain).packed()),
+    assert np.isclose(np.linalg.eigvals(packed(moment_operator(cases[0][0], gain))),
                       -0.81).any()
     calls = count_eigvals(monkeypatch)
     for model, rho_exact in cases:

@@ -8,7 +8,7 @@ import slqr.experiment as experiment_module
 from slqr.analysis import average_cost, solve_value_kernel
 from slqr.cli import main
 from slqr.config import fixture_path, from_dict, load_config, to_dict
-from slqr.errors import InsufficientExcitationError, SolverFailure
+from slqr.errors import InsufficientExcitationError, NotAdmissibleError, SolverFailure
 from slqr.experiment import (
     CSV_HEADER,
     ConvergenceRecord,
@@ -129,10 +129,33 @@ def test_inadmissible_initial_gain_is_reported_before_any_rollout(tmp_path):
     doc["mode"] = "model_free"
     doc["learner"]["initial_gain"] = [[5.0]]
     config = from_dict(doc)
-    with pytest.raises(SolverFailure, match="initial gain is not admissible"):
+    with pytest.raises(NotAdmissibleError,
+                       match="^method model_free: initial gain is not admissible"):
         run_experiment(config, output_dir=tmp_path)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["aborted"] is True
+    assert "reference" in summary
+    assert read_lines(tmp_path / "convergence.csv") == [",".join(CSV_HEADER)]
+
+
+@pytest.mark.parametrize("fixture", ["scalar_smoke", "example_sec6"])
+@pytest.mark.parametrize("mode", ["model_based", "model_free", "both"])
+def test_one_admissibility_check_per_experiment(tmp_path, monkeypatch, fixture, mode):
+    # Both fixtures start the learner from the zero gain, which the
+    # policy-iteration run has already checked: one exact check in all.
+    config = replace(load_config(fixture_path(fixture)), mode=mode, seeds=[0])
+    assert not config.learner.initial_gain.any()
+    calls = []
+    check = experiment_module.is_admissible
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    for module in ("slqr.analysis", "slqr.policy_iteration", "slqr.experiment"):
+        monkeypatch.setattr(f"{module}.is_admissible", counted)
+    run_experiment(config, output_dir=tmp_path)
+    assert len(calls) == 1
 
 
 def separate_runs(config):

@@ -55,11 +55,15 @@ def test_every_benchmark_trace_point_resolves(monkeypatch):
         assert callable(target), f"slqr.{module}.{attr}"
 
 
-def test_the_benchmark_set_up_calls_every_set_up_span(load_perfbench):
+def test_the_benchmark_set_up_calls_every_set_up_span(load_perfbench, tmp_path):
     # The benchmark's set-up (load example_sec6, solve its reference) must
     # pass through every span in SETUP_SPANS, or traced runs stop with a
     # TracerError; a change that drops or reroutes one of these calls, such
-    # as policy_iteration's initial is_admissible, fails here.
+    # as policy_iteration's initial is_admissible, fails here. One traced
+    # pi_n20 operation after it must pass its own checks and leave every
+    # span of that workload recorded, the model-based ones in its run phase,
+    # so a change to what moment_operator returns or to how it is called
+    # fails here too.
     tracing, metrics, workloads = (load_perfbench(name)
                                    for name in ("tracer", "metrics", "workloads"))
     tracer = tracing.Tracer()
@@ -67,5 +71,15 @@ def test_the_benchmark_set_up_calls_every_set_up_span(load_perfbench):
         metrics.install(tracer)
         workloads.check_reference(workloads.load_fixture("example_sec6"))
         tracer.require_calls(workloads.SETUP_SPANS)
+        tracer.phase = "run"
+        workload = workloads.PiN20(1, tmp_path, tracer)
+        op = workload.run(0)
+        assert op.error is None and not op.solver_failure and op.iterations > 1
+        tracer.require_calls(workload.spans)
+        for name in ("policy_iteration.policy_iteration", "analysis.moment_operator",
+                     "analysis.solve_value_kernel", "analysis.policy_improvement"):
+            assert tracer.select(name, phases=("run",)), name
+        assert all(s.info["n"] == 20 for s in tracer.select("analysis.moment_operator",
+                                                            phases=("run",)))
     finally:
         tracer.uninstall()

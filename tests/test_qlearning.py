@@ -223,6 +223,9 @@ def test_noise_shape_kernel_examples(sec6):
 
     with pytest.raises(ValidationError):
         noise_shape_kernel(np.zeros((2, 3)), np.eye(2))
+    for gain in (np.zeros(2), np.zeros((1, 1, 2)), 0.0):
+        with pytest.raises(ValidationError, match="does not have the covariance's 2 columns"):
+            noise_shape_kernel(gain, np.eye(2))
 
 
 def test_rls_one_dimensional_hand_values():

@@ -252,11 +252,11 @@ def test_probed_average_cost_matches_corrected_oracle(sec6):
     # the cost picks up sigma_u^2 tr(R) on top of tr(Q X).
     model, cost = sec6
     probe_var = 0.64
-    op = moment_operator(model, np.zeros((3, 3)))
+    matrix = sum(np.kron(f, f) for f in moment_operator(model, np.zeros((3, 3))))
     pumped = model.D + probe_var * (
         model.B @ model.B.T
         + sum(var * (mat @ mat.T) for mat, var in model.input_noise))
-    x_vec = np.linalg.solve(np.eye(9) - op.matrix, pumped.ravel())
+    x_vec = np.linalg.solve(np.eye(9) - matrix, pumped.ravel())
     lam = float(np.trace(cost.Q @ x_vec.reshape(3, 3))) + probe_var * float(np.trace(cost.R))
     traj = simulate_closed_loop(model, cost, np.zeros((3, 3)), 42000, probe_var, 2024)
     assert abs(traj.costs.mean() - lam) / lam <= 0.05
