@@ -31,12 +31,16 @@ of H.
 
 The normal equations come from one pass over the rollout in windows of
 ROLLOUT_BLOCK samples. Each window builds its features once, over its rows
-and the next one, and adds to statistics that do not depend on the gain:
-sum psi phi^T, sum psi vech(x_{k+1} x_{k+1}^T)^T, sum psi and sum psi c,
+and the next one, and adds to statistics that do not depend on the gain,
 where psi stacks the instrument w phi with w itself (w = 1 for the plain
-fit). The next-state features are a linear image of the state-only ones,
-phi(x, L x) = K_L vech(x x^T) with K_L from _gain_map, so the gain enters
-once after the pass: sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) K_L^T.
+fit). Each is summed once, by two products per window: sum w phi phi^T is
+one symmetric rank-k product of the rows sqrt(w) phi, and one product with
+the columns [vech(x_{k+1} x_{k+1}^T) | c | 1] gives sum psi vech(x x^T)^T,
+sum psi c and sum psi, whose first s entries, sum w phi, are also the last
+row of sum psi phi^T. The next-state features are a linear image of the
+state-only ones, phi(x, L x) = K_L vech(x x^T) with K_L from _gain_map, so
+the gain enters once after the pass:
+sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) K_L^T.
 Working memory is O(ROLLOUT_BLOCK * s) whatever the rollout length, and the
 statistics of several rollouts add up, so a refit for any gain on pooled
 data is their sum and one _gain_map product.
@@ -101,9 +105,19 @@ def feature_matrix(states: np.ndarray, inputs: np.ndarray) -> np.ndarray:
 
 
 def noise_shape_kernel(gain: np.ndarray, additive_cov: np.ndarray) -> np.ndarray:
-    """kappa = [I; L] D [I; L]^T: how the additive noise spreads over z-space."""
+    """kappa = [I; L] D [I; L]^T: how the additive noise spreads over z-space.
+
+    Raises ValidationError unless D is a finite square matrix and the gain a
+    matrix with D's number of columns.
+    """
     gain = np.asarray(gain, dtype=float)
     additive_cov = np.asarray(additive_cov, dtype=float)
+    if additive_cov.ndim != 2 or additive_cov.shape[0] != additive_cov.shape[1]:
+        raise ValidationError(
+            f"additive covariance must be a square matrix, got shape {additive_cov.shape}"
+        )
+    if not np.isfinite(additive_cov).all():
+        raise ValidationError("additive covariance has non-finite entries")
     n = additive_cov.shape[0]
     if gain.ndim != 2 or gain.shape[1] != n:
         raise ValidationError(
@@ -205,11 +219,15 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
 
     One pass over windows of ROLLOUT_BLOCK samples builds each window's
     features once, over samples k0..k1 and the row after, and adds to
-    gain-free sums over psi_k = [w_k phi(z_k); w_k]: psi phi^T,
-    psi vech(x_{k+1} x_{k+1}^T)^T (the state-only columns of the next row's
-    features), psi and psi c. After the pass the gain enters once, through
-    sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) _gain_map(gain)^T, so
-    no N x s array is formed.
+    gain-free sums over psi_k = [w_k phi(z_k); w_k]. Two products per window
+    give them: the symmetric rank-k product of the rows sqrt(w_k) phi(z_k)
+    gives sum w phi phi^T, and [sqrt(w) phi; sqrt(w)] times sqrt(w) [vech(x_{k+1}
+    x_{k+1}^T) | c_k - centre | 1] (the state-only rows of the next row's
+    features, the targets, and the constant) gives sum psi vech(x x^T)^T,
+    sum psi (c - centre) and sum psi. The first s entries of sum psi are
+    sum w phi, the last row of sum psi phi^T. After the pass the gain enters
+    once, through sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T)
+    _gain_map(gain)^T, so no N x s array is formed.
 
     Returns (gram, rhs, correction), where correction is vech(kappa) or None.
     Raises UnreliableKernelError when the data are not finite (a diverged
@@ -231,11 +249,14 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
         )
     rows, cols = packed_indices(n + m)
     diagonal = rows == cols                       # the z_i^2 features
-    state_block = cols < n                        # vech(x x^T) inside features(z)
-    cross = np.zeros((s + 1, s))                  # sum psi phi^T
-    next_cross = np.zeros((s + 1, packed_length(n)))
-    totals = np.zeros(s + 1)                      # sum psi
-    targets = np.zeros(s + 1)                     # sum psi c
+    next_rows = np.flatnonzero(cols < n)          # vech(x x^T) inside features(z)
+    t = len(next_rows)
+    cross = np.zeros((s, s))                      # sum w phi phi^T
+    sums = np.zeros((s + 1, t + 2))               # sum psi [vech(x x^T) | c - centre | 1]
+    # Each side of a window product carries one factor sqrt(w) of the weight.
+    width = min(n_samples, ROLLOUT_BLOCK)
+    left = np.empty((s + 1, width))
+    right = np.empty((t + 2, width))
     with np.errstate(over="ignore", invalid="ignore"):
         centre = traj.costs.mean() if not weighted and noise_cov is None else 0.0
         for k0 in range(0, n_samples, ROLLOUT_BLOCK):
@@ -249,18 +270,23 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
                 )
             feats = feature_matrix(states, inputs).T   # (s, k1 - k0 + 1)
             phi = feats[:, :-1]
-            psi = np.empty((s + 1, k1 - k0))
+            lhs, moments = left[:, :k1 - k0], right[:, :k1 - k0]
+            root = lhs[s]                              # sqrt(w)
             if weighted:
-                _instrument_weights(phi[diagonal], out=psi[s])
+                _root_weights(phi[diagonal], out=root)
             else:
-                psi[s] = 1.0
-            np.multiply(phi, psi[s], out=psi[:s])
-            cross += psi @ phi.T
-            next_cross += psi @ feats[state_block, 1:].T
-            totals += psi.sum(axis=1)
-            targets += psi @ (costs - centre)
-        # Rows psi^T G of the regressors phi(z_k) - phi(zbar_{k+1}).
-        gram = cross - next_cross @ _gain_map(gain).T
+                root[...] = 1.0
+            np.multiply(phi, root, out=lhs[:s])
+            cross += lhs[:s] @ lhs[:s].T               # one symmetric rank-k product
+            np.multiply(feats[next_rows, 1:], root, out=moments[:t])
+            np.subtract(costs, centre, out=moments[t])
+            moments[t] *= root
+            moments[t + 1] = root
+            sums += lhs @ moments.T
+        # Rows psi^T G of the regressors phi(z_k) - phi(zbar_{k+1}); the last
+        # row of sum psi phi^T is sum w phi, the totals' first s entries.
+        totals, targets = sums[:, t + 1], sums[:, t]
+        gram = np.vstack([cross, totals[:s]]) - sums[:, :t] @ _gain_map(gain).T
         if noise_cov is not None:
             # The constant correction enters as the rank-one term (Psi^T 1) corr^T.
             correction = vech(noise_shape_kernel(gain, noise_cov))
@@ -279,11 +305,10 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
     return gram, rhs, correction
 
 
-def _instrument_weights(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """w_k = (1 + |z_k|^2)^-2 from the rows z_i^2 of the features, into out."""
+def _root_weights(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sqrt(w_k) = 1 / (1 + |z_k|^2) from the rows z_i^2 of the features, into out."""
     np.sum(squares, axis=0, out=out)
     out += 1.0
-    np.square(out, out=out)
     return np.reciprocal(out, out=out)
 
 

@@ -10,26 +10,30 @@ mutually independent across channels and time, and x_0 ~ N(0, X0).
 
 Under feedback u_k = L x_k + e_k a step is x_{k+1} = M_k x_k + b_k with
 M_k = A_eff,k + B_eff,k L and b_k = B_eff,k e_k + d_k. The rollout works in
-windows of ROLLOUT_BLOCK steps: it draws a window's noise at once and forms
-every M_k and b_k of the window with a few matrix products. The affine
-recurrence is then solved by a two-level scan (the blocked prefix scan of
-affine maps; Blelloch, "Prefix sums and their applications", 1990): the
-window is split into lanes of about sqrt(ROLLOUT_BLOCK) steps, all lanes
-compose their step maps at once in batched n x (n+1) products, the lane-start
-states follow serially, and one batched product turns every lane's maps into
-states (see _lane_scan). That is about 2 sqrt(ROLLOUT_BLOCK) Python-level
+windows of ROLLOUT_BLOCK steps: it draws a window's noise at once and builds
+every step map [M_k | b_k] of the window in one product, of the window's
+draws (with a constant 1 and the input-channel-times-probe products
+beta_jk e_k) by a matrix fixed per rollout. The affine recurrence is then
+solved by a two-level scan (the blocked prefix scan of affine maps; Blelloch,
+"Prefix sums and their applications", 1990): the window is split into lanes
+of about sqrt(ROLLOUT_BLOCK) steps, all lanes compose their step maps at once
+in batched products, and then each lane in turn gets all its states from one
+product of its composed maps with its start state, whose last row starts the
+next lane (see _lane_scan). That is about 2 sqrt(ROLLOUT_BLOCK) Python-level
 steps per window instead of ROLLOUT_BLOCK. Inputs and stage costs are formed
 from the window's states afterwards, so working memory beyond the returned
-arrays is O(ROLLOUT_BLOCK * n^2) whatever the rollout length.
+arrays is O(ROLLOUT_BLOCK * (n^2 + m + p + q m)) for p state and q input
+channels, whatever the rollout length.
 
-The scan does O(n^3) work per step where a step-by-step loop does O(n^2).
-On 42000-step rollouts (m = n/2; a 2-core Intel Xeon, one BLAS thread) it
-is still faster up to n of about 15 (n = 10: 112-129 ms against 182-236 ms
-for the loop), level at n = 20 (347-372 against 378-385 ms) and about 1.2
-times slower at n = 30. At n = 30 the learner's fit over
-s = (n+m)(n+m+1)/2 = 1035 features costs s^2 N = 4.5e10 multiply-adds per
-rollout, which dwarfs the rollout, so there is one rollout path and no
-size-dependent switch.
+The scan does O(n^3) work per step where a step-by-step loop over the same
+step maps does O(n^2). On 42000-step rollouts (m = n/2, m = 1 at n = 3; a
+2-core Intel Xeon, one BLAS thread; 5 interleaved runs each) the rollout
+takes 13-23 ms against 106-181 ms with the loop at n = 3, 52-65 against
+154-233 ms at n = 10 and 180-224 against 254-338 ms at n = 20, and the two
+are level at n = 30 (362-494 against 370-507 ms). At n = 30 the learner's
+fit over s = (n+m)(n+m+1)/2 = 1035 features costs s^2 N = 4.5e10
+multiply-adds per rollout, which dwarfs the rollout, so there is one rollout
+path and no size-dependent switch.
 """
 
 from __future__ import annotations
@@ -236,38 +240,38 @@ def _quadratic_forms(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return ((rows @ weight)[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
-def _lane_scan(loop: np.ndarray, drive: np.ndarray, x: np.ndarray,
-               out: np.ndarray) -> None:
-    """Write x_{k+1} = M_k x_k + b_k into out[k] for every k, from x_0 = x.
+def _lane_scan(maps: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """Write x_{k+1} = M_k x_k + b_k into out[k] for every k < len(out), from x_0 = x.
 
-    The w steps are split into lanes of c = isqrt(w) steps, the last lane
-    padded with M = 0, b = 0. Every lane starts from the identity map and
-    advances its c steps in lock-step with the others, carrying the affine
-    map [P | y] from its start state to its current state, so that a step is
-    one batched matmul by [M_k | b_k]. The lane-start states then follow
-    serially, one step per lane, and every state is P x_start + y. That is
-    about 2 sqrt(w) Python-level steps in place of w.
+    maps, read in place, holds the step maps [M_k | b_k] in lanes of width
+    steps: its (lanes, width, n, n+1) entry [k // width, k % width] is step
+    k's, and the entries past len(out) pad the last lane with zeros, whose
+    states are dropped. Every lane starts from the identity map and
+    advances its steps in lock-step with the others, carrying the affine map
+    [[P, y], [0, 1]] from its start state to its current state, so that a
+    step is one batched product by [M_k | b_k]. The lanes then run in order:
+    one (width (n+1)) x (n+1) product of a lane's stacked maps with [x_l; 1]
+    gives all its states, each with the 1 appended, and its last one is
+    [x_{l+1}; 1]. That is about 2 sqrt(len(out)) Python-level steps in place
+    of len(out), and working memory of one (n+1) x (n+1) map and one
+    (n+1)-vector per step.
     """
-    steps, n = drive.shape
-    width = math.isqrt(steps)
-    lanes = -(-steps // width)
-    step_maps = np.zeros((lanes * width, n, n + 1))
-    step_maps[:steps, :, :n] = loop
-    step_maps[:steps, :, n] = drive
-    step_maps = step_maps.reshape(lanes, width, n, n + 1)
-    # maps[l, j] = [[P, y], [0, 1]] takes lane l's start state to its state
-    # after step j + 1; the bottom row keeps it affine.
-    maps = np.zeros((lanes, width, n + 1, n + 1))
-    maps[:, :, n, n] = 1.0
-    maps[:, 0, :n] = step_maps[:, 0]
+    steps, n = out.shape
+    lanes, width = maps.shape[:2]
+    # carried[l, j] takes lane l's start state to its state after step j + 1.
+    carried = np.zeros((lanes, width, n + 1, n + 1))
+    carried[:, :, n, n] = 1.0
+    carried[:, 0, :n] = maps[:, 0]
     for j in range(1, width):
-        np.matmul(step_maps[:, j], maps[:, j - 1], out=maps[:, j, :n])
-    starts = np.ones((lanes, n + 1))
-    starts[0, :n] = x
-    for lane in range(1, lanes):
-        np.dot(maps[lane - 1, -1], starts[lane - 1], out=starts[lane])
-    rows = np.matmul(maps[:, :, :n], starts[:, None, :, None])
-    out[...] = rows.reshape(lanes * width, n)[:steps]
+        np.matmul(maps[:, j], carried[:, j - 1], out=carried[:, j, :n])
+    carried = carried.reshape(lanes, width * (n + 1), n + 1)
+    lifted = np.empty((lanes, width * (n + 1)))
+    start = np.append(x, 1.0)
+    for lane_maps, lane_states in zip(carried, lifted):
+        np.dot(lane_maps, start, out=lane_states)
+        start = lane_states[-(n + 1):]
+    lifted = lifted.reshape(lanes * width, n + 1)
+    out[...] = lifted[:steps, :n]
 
 
 def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
@@ -293,17 +297,29 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     d_factor = noise_factor(model.D)
     x0_factor = noise_factor(model.X0)
     p, q = len(model.state_noise), len(model.input_noise)
-    sqrt_vars = np.sqrt([var for _, var in model.state_noise]
-                        + [var for _, var in model.input_noise])
-    # Each channel's direction in closed loop: A_i for a state channel, B_j L
-    # for an input channel; B_j alone carries the probe.
-    loop_dirs = np.array([mat for mat, _ in model.state_noise]
-                         + [mat @ gain for mat, _ in model.input_noise])
-    loop_dirs = loop_dirs.reshape(p + q, n * n)
-    # The B_j^T side by side, (m, q*n), so that one matmul gives every B_j e_k.
-    probe_dirs_t = np.array([mat.T for mat, _ in model.input_noise]).reshape(q, m, n)
-    probe_dirs_t = probe_dirs_t.transpose(1, 0, 2).reshape(m, q * n)
-    mean_loop = model.A + model.B @ gain
+    draw_width = m + p + q + n
+    root_probe = math.sqrt(probe_var)
+    # A window's step maps are one product: the rows of its regressors,
+    # [draws | 1 | beta_j e_a], times the rows of map_terms, each the part of
+    # [M_k | b_k] that one regressor scales. A probe e_a adds
+    # sqrt(probe_var) B[:, a] to the drive column, a state channel
+    # sqrt(var_i) A_i and an input channel sqrt(var_j) B_j L to the loop, an
+    # additive draw its column of the D factor to the drive, the constant 1
+    # the mean loop A + B L, and a product beta_j e_a of an input channel
+    # with a probe sqrt(var_j probe_var) B_j[:, a] to the drive.
+    map_terms = np.zeros((draw_width + 1 + q * m, n, n + 1))
+    map_terms[:m, :, n] = root_probe * model.B.T
+    for i, (mat, var) in enumerate(model.state_noise):
+        map_terms[m + i, :, :n] = math.sqrt(var) * mat
+    for j, (mat, var) in enumerate(model.input_noise):
+        map_terms[m + p + j, :, :n] = math.sqrt(var) * (mat @ gain)
+        row = draw_width + 1 + j * m
+        map_terms[row:row + m, :, n] = math.sqrt(var) * root_probe * mat.T
+    map_terms[m + p + q:draw_width, :, n] = d_factor.T
+    map_terms[draw_width, :, :n] = model.A + model.B @ gain
+    map_terms = map_terms.reshape(len(map_terms), n * (n + 1))
+    regressors = np.empty((len(map_terms), min(n_steps, ROLLOUT_BLOCK)))
+    regressors[draw_width] = 1.0
 
     states = np.empty((n_steps + 1, n))
     inputs = np.empty((n_steps + 1, m))
@@ -315,16 +331,21 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, ROLLOUT_BLOCK):
             stop = min(start + ROLLOUT_BLOCK, n_steps)
-            draws = rng.standard_normal((stop - start, m + p + q + n))
-            probes = np.sqrt(probe_var) * draws[:, :m]
-            channels = sqrt_vars * draws[:, m:m + p + q]
-            loop = mean_loop + (channels @ loop_dirs).reshape(stop - start, n, n)
-            probe_terms = (probes @ probe_dirs_t).reshape(stop - start, q, n)
-            drive = (probes @ model.B.T + draws[:, m + p + q:] @ d_factor.T
-                     + np.einsum("kj,kja->ka", channels[:, p:], probe_terms))
+            steps = stop - start
+            draws = rng.standard_normal((steps, draw_width))
+            window = regressors[:, :steps]
+            window[:draw_width] = draws.T
+            np.multiply(window[m + p:m + p + q, None], window[None, :m],
+                        out=window[draw_width + 1:].reshape(q, m, steps))
+            width = math.isqrt(steps)
+            lanes = -(-steps // width)
+            maps = np.empty((lanes * width, n, n + 1))
+            maps[steps:] = 0.0
+            np.matmul(window.T, map_terms, out=maps[:steps].reshape(steps, n * (n + 1)))
             block_states = states[start:stop]
-            _lane_scan(loop, drive, block_states[0], out=states[start + 1:stop + 1])
-            block_inputs = block_states @ gain.T + probes
+            _lane_scan(maps.reshape(lanes, width, n, n + 1), block_states[0],
+                       out=states[start + 1:stop + 1])
+            block_inputs = block_states @ gain.T + root_probe * draws[:, :m]
             inputs[start:stop] = block_inputs
             costs[start:stop] = (_quadratic_forms(block_states, cost.Q)
                                  + _quadratic_forms(block_inputs, cost.R))

@@ -38,6 +38,7 @@ from slqr.system import (
     Trajectory,
     simulate_closed_loop,
 )
+from slqr.testing import random_admissible_gain, random_admissible_system
 
 L0_3 = np.zeros((3, 3))
 
@@ -135,20 +136,27 @@ def test_streamed_normal_equations_match_the_dense_form(sec6, feature_builds, mo
                                                         n_steps):
     # The windowed pass must equal the whole-rollout form at every window
     # boundary, building each window's features once. 21 = s at n = m = 3 is
-    # the shortest rollout the fit accepts.
-    model, cost = sec6
+    # the shortest rollout the fit accepts. The second plant has n = 4 states,
+    # m = 2 inputs and both channel kinds, so s = 21 again but the next-state
+    # block is 10 wide.
     weighted, known_d = FIT_MODES[mode]
-    gain = -0.3 * np.eye(3)
-    traj = simulate_closed_loop(model, cost, gain, n_steps, 0.64, 31)
-    noise_cov = model.D if known_d else None
-    gram, rhs, correction = qlearning._normal_equations(traj, gain, noise_cov, weighted)
-    dense_gram, dense_rhs = _dense_normal_equations(traj, gain, noise_cov, weighted)
-    assert np.linalg.norm(gram - dense_gram) <= 1e-12 * np.linalg.norm(dense_gram)
-    assert np.linalg.norm(rhs - dense_rhs) <= 1e-12 * np.linalg.norm(dense_rhs)
-    assert (correction is None) == (not known_d)
-    windows = math.ceil(n_steps / ROLLOUT_BLOCK)
-    assert len(feature_builds) == windows
-    assert sum(feature_builds) == n_steps + windows     # each window reads one row more
+    plant, plant_cost = random_admissible_system(np.random.default_rng(22), max_state_dim=4,
+                                                 max_input_dim=3)
+    assert (plant.state_dim, plant.input_dim) == (4, 2) and plant.input_noise
+    cases = [(*sec6, -0.3 * np.eye(3)),
+             (plant, plant_cost, random_admissible_gain(plant, np.random.default_rng(22)))]
+    for model, cost, gain in cases:
+        feature_builds.clear()
+        traj = simulate_closed_loop(model, cost, gain, n_steps, 0.64, 31)
+        noise_cov = model.D if known_d else None
+        gram, rhs, correction = qlearning._normal_equations(traj, gain, noise_cov, weighted)
+        dense_gram, dense_rhs = _dense_normal_equations(traj, gain, noise_cov, weighted)
+        assert np.linalg.norm(gram - dense_gram) <= 1e-12 * np.linalg.norm(dense_gram)
+        assert np.linalg.norm(rhs - dense_rhs) <= 1e-12 * np.linalg.norm(dense_rhs)
+        assert (correction is None) == (not known_d)
+        windows = math.ceil(n_steps / ROLLOUT_BLOCK)
+        assert len(feature_builds) == windows
+        assert sum(feature_builds) == n_steps + windows     # each window reads one row more
 
 
 def _corrupt(traj, kind):
@@ -226,6 +234,15 @@ def test_noise_shape_kernel_examples(sec6):
     for gain in (np.zeros(2), np.zeros((1, 1, 2)), 0.0):
         with pytest.raises(ValidationError, match="does not have the covariance's 2 columns"):
             noise_shape_kernel(gain, np.eye(2))
+    # The covariance itself is checked before it is indexed or multiplied.
+    for gain, cov in ((np.zeros((1, 1)), 1.0), (np.zeros((1, 2)), np.ones(2)),
+                      (np.zeros((1, 2)), np.ones((2, 3))),
+                      (np.zeros((1, 2)), np.ones((1, 2, 2)))):
+        with pytest.raises(ValidationError, match="must be a square matrix"):
+            noise_shape_kernel(gain, cov)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="non-finite"):
+            noise_shape_kernel(np.zeros((1, 2)), np.diag([1.0, bad]))
 
 
 def test_rls_one_dimensional_hand_values():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,30 @@ def test_simulate_matches_per_step_replay(sec6, sec6_reference):
         replayed, _, _ = replay_closed_loop(model, cost, 0.3 * np.eye(3), long_run, 0.64, 8)
     assert not np.isfinite(traj.states[-1]).any()
     assert not np.isfinite(replayed[-1]).any()
+
+
+@pytest.mark.parametrize("plant", ["example_sec6", "random_both_channels"])
+def test_rollout_working_memory_does_not_grow_with_the_rollout(sec6, plant):
+    # Beyond the returned trajectory the rollout holds one window's draws,
+    # step maps and lane maps at a time, O(ROLLOUT_BLOCK * n^2): its traced
+    # peak less the returned arrays is the same for a 4x longer rollout.
+    if plant == "example_sec6":
+        model, cost = sec6
+    else:
+        model, cost = random_admissible_system(np.random.default_rng(0), max_state_dim=6)
+        assert model.state_noise and model.input_noise
+    gain = np.zeros((model.input_dim, model.state_dim))
+    simulate_closed_loop(model, cost, gain, 100, 0.64, 3)    # one-time set-up, untraced
+    extra = []
+    for n_steps in (42000, 168000):
+        tracemalloc.start()
+        try:
+            traj = simulate_closed_loop(model, cost, gain, n_steps, 0.64, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - traj.states.nbytes - traj.inputs.nbytes - traj.costs.nbytes)
+    assert abs(extra[1] - extra[0]) <= 0.1 * extra[0]
 
 
 def test_probe_setting_does_not_shift_the_noise_stream():
