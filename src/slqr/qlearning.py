@@ -31,15 +31,19 @@ of H.
 
 The normal equations come from one pass over the rollout in windows of
 ROLLOUT_BLOCK samples. Each window builds its features once, over its rows
-and the next one, and adds to statistics that do not depend on the gain,
-where psi stacks the instrument w phi with w itself (w = 1 for the plain
-fit). Each is summed once, by two products per window: sum w phi phi^T is
-one symmetric rank-k product of the rows sqrt(w) phi, and one product with
-the columns [vech(x_{k+1} x_{k+1}^T) | c | 1] gives sum psi vech(x x^T)^T,
-sum psi c and sum psi, whose first s entries, sum w phi, are also the last
-row of sum psi phi^T. The next-state features are a linear image of the
-state-only ones, phi(x, L x) = K_L vech(x x^T) with K_L from _gain_map, so
-the gain enters once after the pass:
+and the next one, into a buffer that the pass keeps, and adds to
+statistics that do not depend on the gain, where psi stacks the instrument
+w phi with w itself (w = 1 for the plain fit). Each is summed once, by two
+products per window: sum w phi phi^T is one symmetric rank-k product of
+the rows sqrt(w) phi, and one product with the columns
+[vech(x_{k+1} x_{k+1}^T) | c | 1] gives sum psi vech(x x^T)^T, sum psi c
+and sum psi, whose first s entries, sum w phi, are also the last row of
+sum psi phi^T. The next-state columns need no gather: vech(x x^T) is the
+first n - i entries of the features' row runs i < n, read one column on,
+and the weights are applied in place once they are read. The next-state
+features are a linear image of the state-only ones,
+phi(x, L x) = K_L vech(x x^T) with K_L from _gain_map, so the gain enters
+once after the pass:
 sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) K_L^T.
 Working memory is O(ROLLOUT_BLOCK * s) whatever the rollout length, and the
 statistics of several rollouts add up, so a refit for any gain on pooled
@@ -70,6 +74,7 @@ from .system import (
     CostModel,
     SystemModel,
     Trajectory,
+    as_matrix,
     check_integer,
     check_positive,
     simulate_closed_loop,
@@ -87,21 +92,29 @@ def features(z: np.ndarray) -> np.ndarray:
     return vech(np.outer(z, z))
 
 
-def feature_matrix(states: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+def feature_matrix(states: np.ndarray, inputs: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Rows of quadratic features for a batch of stacked (state, input) pairs.
 
     Returns the (N, s) matrix whose row k is features(z_k), as the transpose
     view of an (s, N) array: each feature z_i z_j is written as one
-    contiguous run along the sample axis.
+    contiguous run along the sample axis. Given out, the transpose view of
+    an (s, N) array with contiguous rows, the features are written into it
+    and out is returned.
     """
-    z = np.vstack([states.T, inputs.T])          # (r, N), rows contiguous
-    r = z.shape[0]
-    out = np.empty((packed_length(r), z.shape[1]))
+    n = states.shape[1]
+    r = n + inputs.shape[1]
+    z = np.empty((r, len(states)))               # (r, N), rows contiguous
+    z[:n] = states.T
+    z[n:] = inputs.T
+    if out is None:
+        out = np.empty((packed_length(r), z.shape[1])).T
+    columns = out.T
     start = 0
     for i in range(r):   # row i of the upper triangle: z_i z_j for j >= i
-        np.multiply(z[i], z[i:], out=out[start:start + r - i])
+        np.multiply(z[i], z[i:], out=columns[start:start + r - i])
         start += r - i
-    return out.T
+    return out
 
 
 def noise_shape_kernel(gain: np.ndarray, additive_cov: np.ndarray) -> np.ndarray:
@@ -143,8 +156,11 @@ class RlsState:
 
 
 def initial_rls_state(dim: int, init_scale: float) -> RlsState:
-    if init_scale <= 0:
-        raise ValidationError(f"init_scale must be > 0, got {init_scale}")
+    """The estimator before any sample: inverse Gram init_scale * I, no costs.
+
+    Raises ValidationError unless init_scale is a finite number > 0.
+    """
+    check_positive(init_scale, "init_scale", finite=True)
     return RlsState(gram_inv=init_scale * np.eye(dim),
                     weighted_costs=np.zeros(dim), samples_seen=0)
 
@@ -157,8 +173,17 @@ def rls_update(state: RlsState, feats: np.ndarray, next_feats: np.ndarray,
     The rank-one inverse update for the regressor g = feats - next_feats +
     noise_correction against the instrument weight * feats. weight = 1 is the
     paper's plain fit; the learner's weight is w_k = (1 + |z_k|^2)^-2. Raises
-    IllConditionedUpdateError when the update denominator is numerically zero.
+    ValidationError unless feats, next_feats and noise_correction are vectors
+    of the estimator's dimension, and IllConditionedUpdateError when the
+    update denominator is numerically zero.
     """
+    dim = state.weighted_costs.shape[0]
+    for name, vector in (("feats", feats), ("next_feats", next_feats),
+                         ("noise_correction", noise_correction)):
+        if np.shape(vector) != (dim,):
+            raise ValidationError(
+                f"{name} must have shape {(dim,)}, got {np.shape(vector)}"
+            )
     instrument = weight * feats
     g = feats - next_feats + noise_correction
     gram_feats = state.gram_inv @ instrument
@@ -219,15 +244,21 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
 
     One pass over windows of ROLLOUT_BLOCK samples builds each window's
     features once, over samples k0..k1 and the row after, and adds to
-    gain-free sums over psi_k = [w_k phi(z_k); w_k]. Two products per window
-    give them: the symmetric rank-k product of the rows sqrt(w_k) phi(z_k)
-    gives sum w phi phi^T, and [sqrt(w) phi; sqrt(w)] times sqrt(w) [vech(x_{k+1}
-    x_{k+1}^T) | c_k - centre | 1] (the state-only rows of the next row's
-    features, the targets, and the constant) gives sum psi vech(x x^T)^T,
-    sum psi (c - centre) and sum psi. The first s entries of sum psi are
-    sum w phi, the last row of sum psi phi^T. After the pass the gain enters
-    once, through sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T)
-    _gain_map(gain)^T, so no N x s array is formed.
+    gain-free sums over psi_k = [w_k phi(z_k); w_k]. Two arrays are
+    allocated per fit and reused by every window: feature_matrix writes the
+    features into the first s rows of the one, whose last row takes
+    sqrt(w_k) = 1 / (1 + |z_k|^2) from the rows z_i^2 by plain row adds, and
+    the other takes sqrt(w) [vech(x_{k+1} x_{k+1}^T) | c_k - centre | 1]
+    (the state-only rows of the next row's features, read as the first
+    n - i entries of row run i < n one column on, the targets, and the
+    constant). The feature rows are then scaled by sqrt(w) in place, and two
+    products give the sums: the symmetric rank-k product of the rows
+    sqrt(w_k) phi(z_k) gives sum w phi phi^T, and [sqrt(w) phi; sqrt(w)]
+    times the second array gives sum psi vech(x x^T)^T, sum psi (c - centre)
+    and sum psi. The first s entries of sum psi are sum w phi, the last row
+    of sum psi phi^T. After the pass the gain enters once, through
+    sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) _gain_map(gain)^T,
+    so no N x s array is formed.
 
     Returns (gram, rhs, correction), where correction is vech(kappa) or None.
     Raises UnreliableKernelError when the data are not finite (a diverged
@@ -247,15 +278,18 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
             f"{n_samples} samples cannot identify {s} kernel coefficients; "
             f"use a longer rollout"
         )
-    rows, cols = packed_indices(n + m)
-    diagonal = rows == cols                       # the z_i^2 features
-    next_rows = np.flatnonzero(cols < n)          # vech(x x^T) inside features(z)
-    t = len(next_rows)
+    # Row run i of the features holds z_i z_j for j >= i and starts with z_i^2;
+    # for i < n its first n - i entries are row run i of vech(x x^T).
+    r, t = n + m, packed_length(n)
+    runs = [s - packed_length(r - i) for i in range(r)]
+    next_runs = [(runs[i], t - packed_length(n - i), n - i) for i in range(n)]
     cross = np.zeros((s, s))                      # sum w phi phi^T
     sums = np.zeros((s + 1, t + 2))               # sum psi [vech(x x^T) | c - centre | 1]
-    # Each side of a window product carries one factor sqrt(w) of the weight.
+    # Each side of a window product carries one factor sqrt(w) of the weight:
+    # the rows [phi; sqrt(w)] of a window and its next row become
+    # [sqrt(w) phi; sqrt(w)] in place once the next-state rows are read.
     width = min(n_samples, ROLLOUT_BLOCK)
-    left = np.empty((s + 1, width))
+    left = np.empty((s + 1, width + 1))
     right = np.empty((t + 2, width))
     with np.errstate(over="ignore", invalid="ignore"):
         centre = traj.costs.mean() if not weighted and noise_cov is None else 0.0
@@ -268,20 +302,26 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
                 raise UnreliableKernelError(
                     f"rollout holds non-finite data in rows {k0}..{k1}"
                 )
-            feats = feature_matrix(states, inputs).T   # (s, k1 - k0 + 1)
-            phi = feats[:, :-1]
+            feats = left[:s, :k1 - k0 + 1]
+            feature_matrix(states, inputs, out=feats.T)
             lhs, moments = left[:, :k1 - k0], right[:, :k1 - k0]
-            root = lhs[s]                              # sqrt(w)
+            root = lhs[s]                              # sqrt(w) = 1 / (1 + |z|^2)
             if weighted:
-                _root_weights(phi[diagonal], out=root)
+                np.add(lhs[runs[0]], lhs[runs[1]], out=root)
+                for row in runs[2:]:
+                    root += lhs[row]
+                root += 1.0
+                np.reciprocal(root, out=root)
             else:
                 root[...] = 1.0
-            np.multiply(phi, root, out=lhs[:s])
-            cross += lhs[:s] @ lhs[:s].T               # one symmetric rank-k product
-            np.multiply(feats[next_rows, 1:], root, out=moments[:t])
+            for row, at, length in next_runs:
+                np.multiply(feats[row:row + length, 1:], root,
+                            out=moments[at:at + length])
             np.subtract(costs, centre, out=moments[t])
             moments[t] *= root
             moments[t + 1] = root
+            lhs[:s] *= root
+            cross += lhs[:s] @ lhs[:s].T               # one symmetric rank-k product
             sums += lhs @ moments.T
         # Rows psi^T G of the regressors phi(z_k) - phi(zbar_{k+1}); the last
         # row of sum psi phi^T is sum w phi, the totals' first s entries.
@@ -303,13 +343,6 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise UnreliableKernelError("normal equations contain non-finite entries")
     return gram, rhs, correction
-
-
-def _root_weights(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sqrt(w_k) = 1 / (1 + |z_k|^2) from the rows z_i^2 of the features, into out."""
-    np.sum(squares, axis=0, out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
 
 
 def bls_estimate(traj: Trajectory, gain: np.ndarray,
@@ -343,8 +376,9 @@ def policy_from_h(kernel: QKernel) -> np.ndarray:
 class LearnerConfig:
     """Hyperparameters of the online learner.
 
-    initial_gain must be admissible for the plant the sampler wraps; the
-    learner cannot check that without a model, so the caller asserts it.
+    initial_gain must be a finite 2-d matrix (ValidationError otherwise) and
+    admissible for the plant the sampler wraps; the learner cannot check
+    admissibility without a model, so the caller asserts it.
     cost_mode "known_d" uses the additive-noise covariance to pin the average
     cost inside the regression; "empirical" fits the average cost as one more
     regression coefficient.
@@ -361,7 +395,7 @@ class LearnerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "initial_gain",
-                           np.asarray(self.initial_gain, dtype=float))
+                           as_matrix(self.initial_gain, "initial_gain"))
         check_integer(self.rollout_len, "rollout_len", 1)
         check_integer(self.max_iterations, "max_iterations", 1)
         check_integer(self.seed, "seed", 0)

@@ -21,9 +21,12 @@ in batched products, and then each lane in turn gets all its states from one
 product of its composed maps with its start state, whose last row starts the
 next lane (see _lane_scan). That is about 2 sqrt(ROLLOUT_BLOCK) Python-level
 steps per window instead of ROLLOUT_BLOCK. Inputs and stage costs are formed
-from the window's states afterwards, so working memory beyond the returned
-arrays is O(ROLLOUT_BLOCK * (n^2 + m + p + q m)) for p state and q input
-channels, whatever the rollout length.
+from the window's states afterwards: the inputs are one product of the
+states with a contiguous copy of L^T, made once per rollout and written
+straight into the returned array, plus the scaled probe rows of the
+window's draws. Working memory beyond the returned arrays is
+O(ROLLOUT_BLOCK * (n^2 + m + p + q m)) for p state and q input channels,
+whatever the rollout length.
 
 The scan does O(n^3) work per step where a step-by-step loop over the same
 step maps does O(n^2). On 42000-step rollouts (m = n/2, m = 1 at n = 3; a
@@ -52,7 +55,8 @@ PD_EIG_FLOOR = 1e-12
 ROLLOUT_BLOCK = 4096
 
 
-def _as_matrix(mat, name: str) -> np.ndarray:
+def as_matrix(mat, name: str) -> np.ndarray:
+    """mat as a float array; raise ValidationError unless it is 2-d and finite."""
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be a 2-d matrix, got shape {arr.shape}")
@@ -119,20 +123,20 @@ class SystemModel:
     def __post_init__(self):
         from .packing import symmetrize
 
-        object.__setattr__(self, "A", _as_matrix(self.A, "A"))
-        object.__setattr__(self, "B", _as_matrix(self.B, "B"))
-        object.__setattr__(self, "D", symmetrize(_as_matrix(self.D, "D")))
-        object.__setattr__(self, "X0", symmetrize(_as_matrix(self.X0, "X0")))
+        object.__setattr__(self, "A", as_matrix(self.A, "A"))
+        object.__setattr__(self, "B", as_matrix(self.B, "B"))
+        object.__setattr__(self, "D", symmetrize(as_matrix(self.D, "D")))
+        object.__setattr__(self, "X0", symmetrize(as_matrix(self.X0, "X0")))
         object.__setattr__(
             self,
             "state_noise",
-            [(_as_matrix(mat, f"state_noise[{i}]"), float(var))
+            [(as_matrix(mat, f"state_noise[{i}]"), float(var))
              for i, (mat, var) in enumerate(self.state_noise)],
         )
         object.__setattr__(
             self,
             "input_noise",
-            [(_as_matrix(mat, f"input_noise[{j}]"), float(var))
+            [(as_matrix(mat, f"input_noise[{j}]"), float(var))
              for j, (mat, var) in enumerate(self.input_noise)],
         )
 
@@ -188,8 +192,8 @@ class CostModel:
     def __post_init__(self):
         from .packing import symmetrize
 
-        object.__setattr__(self, "Q", symmetrize(_as_matrix(self.Q, "Q")))
-        object.__setattr__(self, "R", symmetrize(_as_matrix(self.R, "R")))
+        object.__setattr__(self, "Q", symmetrize(as_matrix(self.Q, "Q")))
+        object.__setattr__(self, "R", symmetrize(as_matrix(self.R, "R")))
 
     def validate(self, model: SystemModel | None = None) -> None:
         _check_psd(self.Q, "Q")
@@ -283,15 +287,18 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     not depend on the probe setting), p + q channel scalars, and the n-vector
     for the additive noise. Costs are charged on the input actually applied.
     The window size does not change the draws: each window takes the next
-    rows of the same stream.
+    rows of the same stream. Raises ValidationError unless gain is a finite
+    (m, n) matrix, n_steps an integer >= 1, probe_var finite and >= 0, and
+    seed an integer >= 0.
     """
-    gain = np.asarray(gain, dtype=float)
+    gain = as_matrix(gain, "gain")
     n, m = model.state_dim, model.input_dim
     if gain.shape != (m, n):
         raise ValidationError(f"gain must have shape {(m, n)}, got {gain.shape}")
     check_integer(n_steps, "n_steps", 1)
-    if not probe_var >= 0:
-        raise ValidationError(f"probe_var must be >= 0, got {probe_var}")
+    if not 0 <= probe_var < math.inf:
+        raise ValidationError(f"probe_var must be finite and >= 0, got {probe_var}")
+    check_integer(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
     d_factor = noise_factor(model.D)
@@ -320,6 +327,7 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     map_terms = map_terms.reshape(len(map_terms), n * (n + 1))
     regressors = np.empty((len(map_terms), min(n_steps, ROLLOUT_BLOCK)))
     regressors[draw_width] = 1.0
+    gain_t = np.ascontiguousarray(gain.T)
 
     states = np.empty((n_steps + 1, n))
     inputs = np.empty((n_steps + 1, m))
@@ -345,8 +353,8 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
             block_states = states[start:stop]
             _lane_scan(maps.reshape(lanes, width, n, n + 1), block_states[0],
                        out=states[start + 1:stop + 1])
-            block_inputs = block_states @ gain.T + root_probe * draws[:, :m]
-            inputs[start:stop] = block_inputs
+            block_inputs = np.matmul(block_states, gain_t, out=inputs[start:stop])
+            block_inputs += root_probe * window[:m].T
             costs[start:stop] = (_quadratic_forms(block_states, cost.Q)
                                  + _quadratic_forms(block_inputs, cost.R))
 

@@ -83,3 +83,29 @@ def test_the_benchmark_set_up_calls_every_set_up_span(load_perfbench, tmp_path):
                                                             phases=("run",)))
     finally:
         tracer.uninstall()
+
+
+def test_a_traced_learner_run_calls_every_learner_span(load_perfbench, tmp_path):
+    # Traced learner runs require every span in LEARNER_SPANS, among them
+    # qlearning.feature_matrix, which the fit must call through the module
+    # attribute once per window; a fit that stops calling it passes the
+    # numeric tests and still stops every traced learner run with a
+    # TracerError. One smoke_learn operation after the set-up must pass its
+    # own checks and leave every span of that workload recorded.
+    tracing, metrics, workloads = (load_perfbench(name)
+                                   for name in ("tracer", "metrics", "workloads"))
+    tracer = tracing.Tracer()
+    try:
+        metrics.install(tracer)
+        sec6 = workloads.load_fixture("example_sec6")
+        optimum = workloads.check_reference(sec6)
+        workload = workloads.SmokeLearn(1, tmp_path, tracer)
+        workload.setup(sec6, optimum)
+        tracer.phase = "run"
+        op = workload.run(0)
+        assert op.error is None and not op.solver_failure and op.iterations >= 1
+        tracer.require_calls(workload.spans)
+        for name in ("system.rollout", "qlearning.feature_matrix", "qlearning.fit"):
+            assert tracer.select(name, phases=("run",)), name
+    finally:
+        tracer.uninstall()

@@ -117,9 +117,9 @@ def feature_builds(monkeypatch):
     builds = []
     original = qlearning.feature_matrix
 
-    def counted(states, inputs):
+    def counted(states, inputs, out=None):
         builds.append(len(states))
-        return original(states, inputs)
+        return original(states, inputs, out=out)
 
     monkeypatch.setattr(qlearning, "feature_matrix", counted)
     return builds
@@ -160,14 +160,18 @@ def test_streamed_normal_equations_match_the_dense_form(sec6, feature_builds, mo
 
 
 def _corrupt(traj, kind):
-    states, costs = traj.states.copy(), traj.costs.copy()
+    states, inputs, costs = traj.states.copy(), traj.inputs.copy(), traj.costs.copy()
     if kind == "inf_last_state":
         states[-1] = np.inf
     elif kind == "huge_state":
         states[ROLLOUT_BLOCK + 5] = 1e200
+    elif kind == "nan_input":
+        inputs[ROLLOUT_BLOCK + 5] = np.nan
+    elif kind == "nan_last_input":
+        inputs[-1] = np.nan
     else:
         costs[ROLLOUT_BLOCK + 5] = np.nan
-    return Trajectory(states=states, inputs=traj.inputs, costs=costs)
+    return Trajectory(states=states, inputs=inputs, costs=costs)
 
 
 FITS = {
@@ -179,7 +183,8 @@ FITS = {
 
 
 @pytest.mark.parametrize("fit", sorted(FITS))
-@pytest.mark.parametrize("kind", ["inf_last_state", "huge_state", "nan_cost"])
+@pytest.mark.parametrize("kind", ["inf_last_state", "huge_state", "nan_cost", "nan_input",
+                                  "nan_last_input"])
 def test_diverged_data_raise_a_typed_error_without_warnings(sec6, feature_builds, fit,
                                                            kind):
     # No errstate here: a numpy warning fails the test. Non-finite data stop
@@ -191,7 +196,8 @@ def test_diverged_data_raise_a_typed_error_without_warnings(sec6, feature_builds
         warnings.simplefilter("error")
         with pytest.raises(UnreliableKernelError, match="non-finite"):
             FITS[fit](traj, model.D)
-    assert len(feature_builds) == {"inf_last_state": 2, "huge_state": 3, "nan_cost": 1}[kind]
+    assert len(feature_builds) == {"inf_last_state": 2, "huge_state": 3, "nan_cost": 1,
+                                   "nan_input": 1, "nan_last_input": 2}[kind]
 
 
 @pytest.mark.parametrize("cost_mode", COST_MODES)
@@ -266,6 +272,16 @@ def test_rls_zero_instrument_changes_nothing():
     assert after.samples_seen == 1
 
 
+def test_rls_update_rejects_vectors_of_another_length():
+    state = initial_rls_state(3, 1.0)
+    good = np.zeros(3)
+    for name, args in [("feats", (np.zeros(2), good, good)),
+                       ("next_feats", (good, np.zeros(4), good)),
+                       ("noise_correction", (good, good, np.zeros((3, 1))))]:
+        with pytest.raises(ValidationError, match=name):
+            rls_update(state, *args, 1.0)
+
+
 def test_rls_update_rejects_zero_denominator():
     state = initial_rls_state(1, 1.0)
     # g = feats - next + correction = -1 makes 1 + g xi phi vanish.
@@ -274,8 +290,9 @@ def test_rls_update_rejects_zero_denominator():
 
 
 def test_rls_state_validation_and_nonfinite_guard():
-    with pytest.raises(ValidationError):
-        initial_rls_state(3, 0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="init_scale"):
+            initial_rls_state(3, bad)
     from slqr.qlearning import RlsState
     bad = RlsState(gram_inv=np.eye(3), weighted_costs=np.array([1.0, np.inf, 0.0]))
     with np.errstate(invalid="ignore"), pytest.raises(UnreliableKernelError):
@@ -498,7 +515,9 @@ def test_learner_config_validation():
     for field, value in [("rollout_len", 0), ("probe_var", 0.0),
                          ("rls_init_scale", 0.0), ("max_iterations", 0),
                          ("gain_tol", 0.0), ("cost_mode", "guess"),
-                         ("probe_var", nan), ("rls_init_scale", nan), ("gain_tol", nan)]:
+                         ("probe_var", nan), ("rls_init_scale", nan), ("gain_tol", nan),
+                         ("initial_gain", [[nan]]), ("initial_gain", [[float("inf")]]),
+                         ("initial_gain", np.zeros(2))]:
         with pytest.raises(ValidationError, match=field):
             LearnerConfig(**{**good, field: value})
 

@@ -250,6 +250,12 @@ def test_simulate_argument_validation(sec6):
         simulate_closed_loop(model, cost, np.zeros((3, 3)), 0, 0.0, 0)
     with pytest.raises(ValidationError, match="probe_var"):
         simulate_closed_loop(model, cost, np.zeros((3, 3)), 10, -0.1, 0)
+    with pytest.raises(ValidationError, match="probe_var"):
+        simulate_closed_loop(model, cost, np.zeros((3, 3)), 10, np.inf, 0)
+    with pytest.raises(ValidationError, match="gain has non-finite entries"):
+        simulate_closed_loop(model, cost, np.full((3, 3), np.nan), 10, 0.0, 0)
+    with pytest.raises(ValidationError, match="seed"):
+        simulate_closed_loop(model, cost, np.zeros((3, 3)), 10, 0.0, -1)
 
 
 def test_sample_covariance_matches_stationary_covariance(sec6):
