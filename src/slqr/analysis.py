@@ -21,18 +21,14 @@ so its spectrum is that of the symmetric block plus that of the skew block,
 and a positive map attains its spectral radius at a PSD eigenvector
 (Krein-Rutman), which lies in the symmetric block.
 
-is_admissible decides stability exactly, from the spectral radius of the
-s x s packed matrix M. Below PERRON_MIN_N states it takes every eigenvalue of
-M: O(s^3) = O(n^6/8) work, an eighth of the n^2 x n^2 form's. From there on
-it brackets the Perron root instead (_perron_radius): T is a positive map, so
-an X > 0 with lo X <= T(X) <= hi X puts rho in [lo, hi] (Collatz-Wielandt).
-X comes from a few dozen power steps with M, O(s^2) each and normalised
-four at a time, then a few shifted inverse steps, one LU solve of M each. The bracket is accepted when it is
-finite, at most PERRON_RTOL wide and clear of 1 - ADMISSIBILITY_MARGIN; in
-every other case (X not positive definite, e.g. a reducible T whose Perron
-vector is singular; a singular shift; an inverse step that does not narrow
-the bracket; the step cap reached) the eigenvalues decide as below the
-crossover.
+is_admissible decides stability exactly. From PERRON_MIN_N states on it
+brackets the Perron root (_perron_radius): T is a positive map, so an X > 0
+with lo X <= T(X) <= hi X puts rho in [lo, hi] (Collatz-Wielandt). X comes
+from matrix-free power steps, O(c n^3) each, until the observed rate of the
+bracket's width predicts more steps than a packed build and two LU steps
+cost; then shifted inverse steps on the s x s packed matrix M take over.
+Below PERRON_MIN_N, and when the bracket does not close, the eigenvalues of
+M decide: O(s^3) = O(n^6/8) work, an eighth of the n^2 x n^2 form's.
 
 stationary_covariance and solve_value_kernel are one solve, _fixed_point,
 with one acceptance rule: its solvers run in turn, and the first solution X
@@ -68,6 +64,8 @@ the margin) is returned; with no such X the solve raises SingularSystemError.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -76,7 +74,7 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import packed_indices, symmetrize, unvech
+from .packing import packed_indices, symmetrize, unvech, vech
 from .system import CostModel, SystemModel
 
 # A gain is admissible when rho(T) < 1 - ADMISSIBILITY_MARGIN.
@@ -84,10 +82,10 @@ ADMISSIBILITY_MARGIN = 1e-9
 
 # is_admissible brackets the Perron root from this state dimension on; below
 # it the eigenvalues of the packed matrix are faster (table in README).
-PERRON_MIN_N = 10
-# _perron_radius takes PERRON_POWER_STEPS power steps, then at most
-# PERRON_INVERSE_STEPS shifted inverse steps, and accepts a bracket on rho at
-# most PERRON_RTOL * rho wide.
+PERRON_MIN_N = 11
+# _perron_radius takes its first bracket after PERRON_POWER_STEPS power
+# steps and at most PERRON_INVERSE_STEPS shifted inverse steps after the
+# hand-over, and accepts a bracket on rho at most PERRON_RTOL * rho wide.
 PERRON_POWER_STEPS = 48
 PERRON_INVERSE_STEPS = 8
 PERRON_RTOL = 1e-12
@@ -154,85 +152,102 @@ def packed(stack: np.ndarray) -> np.ndarray:
 def is_admissible(model: SystemModel, gain: np.ndarray) -> tuple[bool, float]:
     """Mean-square stability check. Returns (flag, spectral radius of T).
 
-    Exact: the spectral radius of the s x s packed matrix of T,
-    s = n(n+1)/2, which is that of the n^2 x n^2 matrix (module docstring).
-    From PERRON_MIN_N states on it is the midpoint of a closed Perron
-    bracket (_perron_radius); when the bracket does not close, and always
-    below PERRON_MIN_N, it is the largest eigenvalue modulus. A finite gain
-    so large that the packed matrix overflows gives (False, inf).
+    Exact: the spectral radius of T on symmetric matrices, that of the
+    n^2 x n^2 matrix (module docstring). From PERRON_MIN_N states on it is
+    the midpoint of a closed Perron bracket (_perron_radius); else, and when
+    the bracket does not close, the largest eigenvalue modulus of the packed
+    matrix, built at most once. An overflowing packed matrix gives (False, inf).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mat = packed(moment_operator(model, gain))
-    if not np.isfinite(mat).all():
-        return False, np.inf
-    rho = _perron_radius(mat, model.state_dim) if model.state_dim >= PERRON_MIN_N else None
-    if rho is None:
-        rho = float(np.abs(np.linalg.eigvals(mat)).max())
-    return rho < 1.0 - ADMISSIBILITY_MARGIN, rho
+    # Overflowing or vanishing iterates end non-finite; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stack = moment_operator(model, gain)
+        mat = functools.cache(lambda: packed(stack))
+        rho = _perron_radius(stack, mat) if model.state_dim >= PERRON_MIN_N else None
+        if rho is None and np.isfinite(mat()).all():
+            rho = float(np.abs(np.linalg.eigvals(mat())).max())
+    return (False, np.inf) if rho is None else (rho < 1.0 - ADMISSIBILITY_MARGIN, rho)
 
 
-def _perron_radius(mat: np.ndarray, n: int) -> float | None:
-    """Spectral radius of the packed matrix mat of T from a closed
+def _perron_radius(stack: np.ndarray, packed_matrix) -> float | None:
+    """Spectral radius of T, for its stacked factors, from a closed
     Collatz-Wielandt bracket, or None when the bracket does not close.
 
     For X = C C^T > 0, the extreme eigenvalues lo, hi of C^-1 T(X) C^-T give
     lo X <= T(X) <= hi X, and since T is a positive map, lo <= rho <= hi.
-    X is the Perron vector's estimate: PERRON_POWER_STEPS power steps from
-    vech(I), normalised to trace 1 after every fourth, then shifted inverse steps v <- (hi I - mat)^-1 v with the
-    current upper bound hi as the shift. As hi >= rho, rho is the eigenvalue
-    nearest the shift and (hi I - T)^-1 is again a positive map. The
-    bracket is accepted when it is finite, at most PERRON_RTOL * hi wide and
-    does not straddle edge = 1 - ADMISSIBILITY_MARGIN, so that its midpoint
-    decides rho < edge as rho itself does. None when X is not positive
-    definite (e.g. a reducible T, whose Perron vector can be singular), when
-    the shifted matrix is singular, when an inverse step does not raise lo
-    and lower hi (in exact arithmetic each step nests the new bracket in the
-    old one, as (hi I - T)^-1 is a positive map commuting with T, so such a
-    step has hit the rounding floor, which grows with cond(X)), and after
-    PERRON_INVERSE_STEPS inverse steps.
+    X starts from I and takes power steps X <- T(X) (_apply), normalised to
+    trace 1 after every fourth. The first bracket comes after
+    PERRON_POWER_STEPS steps, each next one where the rate at which the
+    relative width w = (hi - lo)/hi shrank since the last (w = 1 at I, as
+    lo >= 0) predicts w <= PERRON_RTOL. Once that is more steps ahead than
+    a packed build and two LU steps cost, 2.5 (n + 1) + (n + 1)^3/(24 c)
+    steps of 4 c n^3 flops (the build's 2 c s n^2 flops run at a tenth of
+    BLAS speed), or w did not shrink, shifted inverse steps
+    v <- (hi I - M)^-1 v take over from v = vech(X), on M = packed_matrix()
+    and with the current upper bound hi as the shift. As hi >= rho, rho is
+    the eigenvalue nearest the shift and (hi I - T)^-1 is again a positive
+    map, so they converge even where power steps cycle. The bracket is
+    accepted when it is finite, at most PERRON_RTOL * hi wide and does not
+    straddle edge = 1 - ADMISSIBILITY_MARGIN, so that its midpoint decides
+    rho < edge as rho itself does. None when X is not positive definite
+    (e.g. a reducible T, whose Perron vector can be singular), when an
+    iterate or M is not finite, when the shifted matrix is singular, when an
+    inverse step does not raise lo and lower hi (each step nests the new
+    bracket in the old one in exact arithmetic, as (hi I - T)^-1 is a
+    positive map commuting with T, so such a step has hit the rounding
+    floor, which grows with cond(X)), and after PERRON_INVERSE_STEPS
+    inverse steps.
     """
+    c, n = stack.shape[:2]
+    budget = 2.5 * (n + 1) + (n + 1) ** 3 / (24 * c)
     edge = 1.0 - ADMISSIBILITY_MARGIN
-    trace = np.equal(*packed_indices(n)).astype(float)   # vech(I): tr(X) = trace @ v
-    v = trace
-    # hi I - mat, its diagonal rewritten for each shift hi.
-    shifted = 0.0 - mat
-    # Overflowing iterates, and iterates that vanish (0/0 for a nilpotent T),
-    # end as a non-finite v or bracket, which gives None; numpy need not warn
-    # on the way.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Four steps to a trace normalisation (PERRON_POWER_STEPS is a multiple of 4).
-        for _ in range(PERRON_POWER_STEPS // 4):
-            v = mat @ (mat @ (mat @ (mat @ v)))
-            v /= trace @ v
-        prev_lo, prev_hi = -np.inf, np.inf
-        for step in range(PERRON_INVERSE_STEPS + 1):
-            if not np.isfinite(v).all():
-                return None
-            try:
-                c_inv = np.linalg.inv(np.linalg.cholesky(unvech(v)))
-                eigs = np.linalg.eigvalsh(c_inv @ unvech(mat @ v) @ c_inv.T)
-            except np.linalg.LinAlgError:
-                return None
-            if not np.isfinite(eigs).all():
-                return None
-            lo, hi = eigs[0], eigs[-1]
+    # Each F_c^T contiguous, the layout that _apply reads without a copy.
+    stack = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+    def bracket(x):
+        c_inv = np.linalg.inv(np.linalg.cholesky(x))
+        eigs = np.linalg.eigvalsh(c_inv @ _apply(stack, x) @ c_inv.T)
+        if not np.isfinite(eigs).all():
+            raise np.linalg.LinAlgError
+        return eigs[0], eigs[-1]
+
+    x, steps, check, last = np.eye(n), 0, PERRON_POWER_STEPS, (0, 1.0)
+    try:
+        while True:
+            for steps in range(steps + 1, check + 1):
+                x = _apply(stack, x)
+                if steps % 4 == 0:
+                    x /= np.trace(x)
+            lo, hi = bracket(x)
             if hi - lo <= PERRON_RTOL * hi:
                 return None if lo < edge <= hi else float((lo + hi) / 2)
-            if step == PERRON_INVERSE_STEPS or lo <= prev_lo or hi >= prev_hi:
+            width = (hi - lo) / hi
+            rate = (width / last[1]) ** (1.0 / (steps - last[0]))
+            if not rate < 1 or (left := np.log(PERRON_RTOL / width) / np.log(rate)) > budget:
                 break
+            last, check = (steps, width), steps + int(left) + 1
+        mat = packed_matrix()
+        shifted = 0.0 - mat   # hi I - M, its diagonal rewritten for each shift hi
+        for _ in range(PERRON_INVERSE_STEPS):
             prev_lo, prev_hi = lo, hi
             np.fill_diagonal(shifted, hi - mat.diagonal())
-            try:
-                v = np.linalg.solve(shifted, v)
-            except np.linalg.LinAlgError:
-                return None
-            v /= trace @ v
+            x = unvech(np.linalg.solve(shifted, vech(x)))
+            x /= np.trace(x)
+            lo, hi = bracket(x)
+            if hi - lo <= PERRON_RTOL * hi:
+                return None if lo < edge <= hi else float((lo + hi) / 2)
+            if lo <= prev_lo or hi >= prev_hi:
+                break
+    except np.linalg.LinAlgError:   # X not positive definite, a bracket or M not finite
+        pass
     return None
 
 
 def _apply(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T(X) = sum_c F_c X F_c^T, for the factors stacked along the first axis."""
-    return (stack @ x @ stack.transpose(0, 2, 1)).sum(axis=0)
+    """T(X) = sum_c F_c X F_c^T, for the factors stacked along the first axis:
+    the batch F_c X, regrouped to n x cn, times the F_c^T stacked to cn x n,
+    a view when each F_c^T is contiguous (as in T*'s transposed stack)."""
+    return ((stack @ x).transpose(1, 0, 2).reshape(len(x), -1)
+            @ stack.transpose(0, 2, 1).reshape(-1, len(x)))
 
 
 def _certified(x: np.ndarray, tx: np.ndarray) -> bool:

@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .config import (
     MODES,
@@ -34,6 +35,17 @@ def _parse_seeds(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}")
+
+
+def _check_output_dir(out: str) -> None:
+    """ConfigError unless out is a directory or can be made one: the nearest
+    path of out and its parents that exists must be a directory. Checked
+    before any solve runs, as the outputs are written only after them."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"output directory {out}: {path} is not a directory")
+            return
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,6 +80,7 @@ def _cmd_run(args) -> int:
         overrides["seeds"] = _parse_seeds(args.seeds)
     config = replace(config, **overrides)   # ExperimentConfig checks the result
     out = args.out or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir
+    _check_output_dir(out)
 
     summary = run_experiment(config, output_dir=out)
     print(f"wrote {out}/convergence.csv and {out}/summary.json")

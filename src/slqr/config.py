@@ -269,7 +269,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:   # a directory, or a file that cannot be read
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from None

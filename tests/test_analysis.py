@@ -35,6 +35,9 @@ analysis_module = importlib.import_module("slqr.analysis")
 # is_admissible's size gate as shipped, and the Perron bracket tried at every
 # size; both must give the same flag and radius.
 RADIUS_GATES = (analysis_module.PERRON_MIN_N, 1)
+# The least even size that the bracket runs at, for loops built from two
+# equal blocks or with -r^2 on their spectral circle.
+EVEN_BRACKET_N = analysis_module.PERRON_MIN_N + analysis_module.PERRON_MIN_N % 2
 
 
 @contextlib.contextmanager
@@ -1017,21 +1020,30 @@ def test_matrix_free_rejections_report_the_exact_radius():
 
 
 def test_policy_iteration_on_the_matrix_free_path(monkeypatch):
-    # Ten pi_n20-style runs: only the initial exact check builds a packed
-    # matrix, and each path matches the packed solver's, sweep for sweep.
+    # Ten pi_n20-style runs: every solve is matrix-free, and so is the
+    # initial exact check wherever its power steps close the Perron bracket
+    # (8 of the 10); where they hand over to the inverse steps, that is the
+    # run's one packed build. Each path matches the packed solver's, sweep
+    # for sweep.
     calls = count_packed_builds(monkeypatch)
+    closed = 0
     for seed in range(6, 16):
         model, cost = wide_system(np.random.default_rng(seed), n=20)
         gain = np.zeros((model.input_dim, model.state_dim))
         calls.clear()
+        is_admissible(model, gain)
+        check = calls["packed"]
+        closed += check == 0
+        calls.clear()
         trace = policy_iteration(model, cost, gain)
-        assert trace.converged and calls["packed"] == 1
+        assert trace.converged and calls["packed"] == check <= 1
         dense = packed_solve(monkeypatch, lambda: policy_iteration(model, cost, gain))
         assert trace.iterations == dense.iterations
         p = trace.kernels[-1]
         assert np.linalg.norm(riccati_residual(model, cost, p)) < 1e-9 * np.linalg.norm(p)
         for kernel, expected in zip(trace.kernels, dense.kernels):
             assert np.linalg.norm(kernel - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert closed >= 8
 
 
 def count_sweeps(monkeypatch):
@@ -1261,7 +1273,7 @@ def test_loops_without_a_positive_definite_perron_vector_fall_back(monkeypatch):
     # times the eigenvalues of the packed matrix decide, without a numpy
     # warning.
     rng = np.random.default_rng(9)
-    n = analysis_module.PERRON_MIN_N
+    n = EVEN_BRACKET_N
     blocks = []
     for radius in (0.9, 0.5):
         a = rng.normal(size=(n // 2, n // 2))
@@ -1299,10 +1311,12 @@ def test_overflowing_power_steps_fall_back_without_warnings(monkeypatch):
 def test_periodic_loop_gets_the_perron_root(monkeypatch):
     # A weighted cyclic shift: A's eigenvalues are r times the n-th roots of
     # unity, so T has every r^2 w (w^n = 1) on its spectral circle, -r^2
-    # among them, and power steps alone cycle. The shifted inverse steps
-    # still close the bracket, on both sides of the stability edge.
+    # among them, and power steps alone cycle. Their bracket does not
+    # narrow, so the shifted inverse steps take over at the first bracket,
+    # with the run's one packed build, and close it on both sides of the
+    # stability edge.
     rng = np.random.default_rng(10)
-    n = analysis_module.PERRON_MIN_N
+    n = EVEN_BRACKET_N
     weights = rng.uniform(0.5, 1.5, size=n)
     cycle = np.roll(np.eye(n), 1, axis=0) * weights / np.prod(weights) ** (1.0 / n)
     cases = []
@@ -1313,10 +1327,13 @@ def test_periodic_loop_gets_the_perron_root(monkeypatch):
     assert np.isclose(np.linalg.eigvals(packed(moment_operator(cases[0][0], gain))),
                       -0.81).any()
     calls = count_eigvals(monkeypatch)
+    builds = count_packed_builds(monkeypatch)
     for model, rho_exact in cases:
+        builds.clear()
         admissible, rho = is_admissible(model, gain)
         assert admissible == (rho_exact < 1.0)
         assert abs(rho - rho_exact) <= 1e-12
+        assert builds["packed"] == 1
     assert calls["eigvals"] == 0
 
 
@@ -1347,7 +1364,9 @@ def test_a_stalled_bracket_stops_the_inverse_steps(monkeypatch):
     # Perron vector is ill-conditioned, and the bracket's rounding floor
     # (about 1e-11 wide) lies above PERRON_RTOL. The first inverse step that
     # does not nest its bracket in the last one hands over to the
-    # eigenvalues, instead of running all PERRON_INVERSE_STEPS.
+    # eigenvalues, instead of running all PERRON_INVERSE_STEPS. The
+    # eigenvalues read the packed matrix that the inverse steps built, so
+    # the check builds it once.
     rng = np.random.default_rng(0)
     n = analysis_module.PERRON_MIN_N
     noise = rng.normal(size=(n, n))
@@ -1364,12 +1383,14 @@ def test_a_stalled_bracket_stops_the_inverse_steps(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    builds = count_packed_builds(monkeypatch)
     assert is_admissible(model, gain) == (True, rho_eig)
     assert calls["eigvals"] == 1 and 1 <= calls["solve"] <= 3
+    assert builds["packed"] == 1
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
-@given(n=st.integers(10, 13), seed=st.integers(0, 2**32 - 1),
+@given(n=st.integers(analysis_module.PERRON_MIN_N, 20), seed=st.integers(0, 2**32 - 1),
        log_scale=st.one_of(st.none(), st.floats(-3.0, 0.5)))
 def test_the_perron_radius_is_the_eigenvalue_radius(n, seed, log_scale):
     # From the size gate on, is_admissible's radius is that of the packed
@@ -1387,9 +1408,12 @@ def test_the_perron_radius_is_the_eigenvalue_radius(n, seed, log_scale):
 def test_pi_n20_policy_iteration_makes_no_eigenvalue_problem(monkeypatch, load_perfbench):
     # Ten systems of the pi_n20 benchmark: the initial exact check closes
     # its Perron bracket (no eigvals call), with the eigenvalue radius to
-    # 1e-12 on the first five, and it is the run's only packed build: every
-    # solve stays matrix-free.
+    # 1e-12 on the first five. Every solve stays matrix-free, and so does
+    # the check wherever its power steps close the bracket (8 of the 10);
+    # elsewhere its hand-over to the inverse steps is the run's one packed
+    # build.
     workloads = load_perfbench("workloads")
+    closed = 0
     for index in range(10):
         model, cost = workloads.pi_system(0, index)
         gain = np.zeros((model.input_dim, model.state_dim))
@@ -1397,8 +1421,13 @@ def test_pi_n20_policy_iteration_makes_no_eigenvalue_problem(monkeypatch, load_p
             rho_eig = packed_radius(model, gain)
             assert abs(is_admissible(model, gain)[1] - rho_eig) <= 1e-12 * rho_eig
         with monkeypatch.context() as patch:
-            calls = count_eigvals(patch)
             packed = count_packed_builds(patch)
+            is_admissible(model, gain)
+            check = packed["packed"]
+            packed.clear()
+            calls = count_eigvals(patch)
             trace = policy_iteration(model, cost, gain)
         assert trace.converged, index
-        assert calls["eigvals"] == 0 and packed["packed"] == 1, index
+        assert calls["eigvals"] == 0 and packed["packed"] == check <= 1, index
+        closed += check == 0
+    assert closed >= 8

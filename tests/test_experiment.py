@@ -277,6 +277,33 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", "scalar_smoke", "--seeds", "a,b"]) == 1
 
 
+def test_cli_unreadable_configs_are_a_config_error(tmp_path, capsys):
+    # A directory and a file that is not UTF-8 each end in one line and exit
+    # code 1, not a traceback.
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"mode": "caf\xe9"}')
+    for path, message in ((tmp_path, "cannot read: Is a directory"),
+                          (latin, "not UTF-8 text (byte 13")):
+        for verb in ("run", "check"):
+            assert main([verb, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err, err
+            assert err.count("\n") == 1
+
+
+def test_cli_output_dir_under_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # --out below a regular file (or that file itself) is rejected before any
+    # solve runs, with one line and exit code 1.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr("slqr.cli.run_experiment",
+                        lambda *args, **kwargs: pytest.fail("solve ran"))
+    for out in (blocker / "out", blocker / "a" / "b", blocker):
+        assert main(["run", "--config", "scalar_smoke", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: output directory {out}: {blocker} is not a directory\n"
+
+
 @pytest.mark.parametrize("seeds", ["-1", "0,-3"])
 def test_cli_negative_seeds_are_a_config_error(tmp_path, capsys, seeds):
     # Rejected with the config, before any solve runs or any file is written.
