@@ -2,15 +2,19 @@
 
 Everything here rests on one object: the closed-loop second-moment operator
 
-    T(X) = F0 X F0^T + sum_i var_i F_i X F_i^T,    F0 = A + B L,
+    T(X) = sum_c F_c X F_c^T,    F_c = E_c [I; L],
 
-with one scaled factor per multiplicative noise channel (A_i for state
-channels, B_j L for input channels). Its spectral radius decides mean-square
-stability (rho < 1); its fixed point with the additive covariance is the
-stationary state covariance, and its adjoint T*(P) = sum_c F_c^T P F_c gives
-the cost-side linear equation for the value kernel P of a fixed gain. T* is
+over the model's channel factors E_c = sqrt(var_c) [A_c B_c]
+(SystemModel.channels): F0 = A + B L, then sqrt(var_i) A_i and
+sqrt(var_j) B_j L. Its spectral radius decides mean-square stability
+(rho < 1); its fixed point with the additive covariance is the stationary
+state covariance, and its adjoint T*(P) = sum_c F_c^T P F_c gives the
+cost-side linear equation for the value kernel P of a fixed gain. T* is
 the map of the same form built from the transposed factors F_c^T (Damm,
-LNCIS 297, 2004), so the solves below only ever solve X = T(X) + C.
+LNCIS 297, 2004), so the solves below only ever solve X = T(X) + C. The
+same channels lift P to the state-input kernel
+H = diag(Q, R) + sum_c E_c^T P E_c (q_kernel_matrix; De Koning,
+Automatica 1982), whose blocks give the greedy gain and the Riccati defect.
 
 T is held in one form, the (c, n, n) stack of its factors that
 moment_operator returns; every routine below takes it, and T*'s is its
@@ -75,7 +79,7 @@ from .errors import (
     ValidationError,
 )
 from .packing import packed_indices, symmetrize, unvech, vech
-from .system import CostModel, SystemModel
+from .system import CostModel, SystemModel, loop_factors
 
 # A gain is admissible when rho(T) < 1 - ADMISSIBILITY_MARGIN.
 ADMISSIBILITY_MARGIN = 1e-9
@@ -108,22 +112,17 @@ RESIDUAL_RTOL = 1e-8
 
 
 def moment_operator(model: SystemModel, gain: np.ndarray) -> np.ndarray:
-    """The factors F_c of T stacked in one C-contiguous (c, n, n) array:
-    F0 = A + B L first, always, then sqrt(var_i) A_i and sqrt(var_j) B_j L.
+    """The factors F_c = E_c [I; L] of T (system.loop_factors) stacked in one
+    C-contiguous (c, n, n) array: F0 = A + B L first, always, then
+    sqrt(var_i) A_i and sqrt(var_j) B_j L.
     A noise factor that is exactly zero, as every B_j L is at the zero gain
     where policy iteration starts, is left out. It adds only zeros to T(X),
     and no bit of packed(stack) changes: each sum there runs over c from 0.0,
     so it never holds a -0.0 (0.0 + -0.0 is 0.0), and the +-0 products of a
-    zero factor change nothing in it."""
-    gain = np.asarray(gain, dtype=float)
-    n, m = model.state_dim, model.input_dim
-    if gain.shape != (m, n):
-        raise ValidationError(f"gain must have shape {(m, n)}, got {gain.shape}")
-    if not np.isfinite(gain).all():
-        raise ValidationError("gain has non-finite entries")
-    noise = [np.sqrt(var) * mat for mat, var in model.state_noise]
-    noise += [np.sqrt(var) * (mat @ gain) for mat, var in model.input_noise]
-    return np.array([model.A + model.B @ gain] + [f for f in noise if f.any()])
+    zero factor change nothing in it. loop_factors checks the gain."""
+    factors = loop_factors(model, gain)
+    kept = factors[1:].any(axis=(1, 2))
+    return factors if kept.all() else factors[np.concatenate(([True], kept))]
 
 
 def packed(stack: np.ndarray) -> np.ndarray:
@@ -490,22 +489,20 @@ def checked_kernel(model: SystemModel, value_kernel: np.ndarray) -> np.ndarray:
     return symmetrize(p, rtol=1e-6)
 
 
-def state_weight(model: SystemModel, cost: CostModel, value_kernel: np.ndarray) -> np.ndarray:
-    """Q + A^T P A + sum_i var_i A_i^T P A_i, the state-side curvature H_xx."""
-    p = value_kernel
-    w = cost.Q + model.A.T @ p @ model.A
-    for mat, var in model.state_noise:
-        w = w + var * (mat.T @ p @ mat)
-    return w
-
-
-def input_weight(model: SystemModel, cost: CostModel, value_kernel: np.ndarray) -> np.ndarray:
-    """R + B^T P B + sum_j var_j B_j^T P B_j, the input-side curvature."""
-    p = value_kernel
-    w = cost.R + model.B.T @ p @ model.B
-    for mat, var in model.input_noise:
-        w = w + var * (mat.T @ p @ mat)
-    return w
+def q_kernel_matrix(model: SystemModel, cost: CostModel, value_kernel: np.ndarray,
+                    inputs_only: bool = False) -> np.ndarray:
+    """The state-input kernel H = diag(Q, R) + sum_c E_c^T P E_c of a value
+    kernel P (checked_kernel) over the model's channel factors E_c, or with
+    inputs_only its input rows [H_ux H_uu] alone. Two products: the batch
+    P E_c, stacked to (c n) x r rows, times the E_c stacked the same way."""
+    p = checked_kernel(model, value_kernel)
+    n, channels = model.state_dim, model.channels
+    flat = channels.reshape(-1, channels.shape[2])
+    h = (flat[:, n:] if inputs_only else flat).T @ (p @ channels).reshape(flat.shape)
+    h[-model.input_dim:, n:] += cost.R
+    if not inputs_only:
+        h[:n, :n] += cost.Q
+    return h
 
 
 def greedy_gain(curvature: np.ndarray, cross: np.ndarray,
@@ -533,24 +530,22 @@ def greedy_gain(curvature: np.ndarray, cross: np.ndarray,
 
 def policy_improvement(model: SystemModel, cost: CostModel,
                        value_kernel: np.ndarray) -> np.ndarray:
-    """One-step greedy gain for a value kernel P.
-
-    L = -(R + B^T P B + sum_j var_j B_j^T P B_j)^-1 B^T P A, through
-    greedy_gain; checked_kernel checks P first.
-    """
-    p = checked_kernel(model, value_kernel)
-    return greedy_gain(input_weight(model, cost, p), model.B.T @ p @ model.A)
+    """One-step greedy gain L = -H_uu^-1 H_ux for a value kernel P, through
+    greedy_gain, from the input rows of its kernel H (q_kernel_matrix)."""
+    rows = q_kernel_matrix(model, cost, value_kernel, inputs_only=True)
+    n = model.state_dim
+    return greedy_gain(rows[:, n:], rows[:, :n])
 
 
 def riccati_residual(model: SystemModel, cost: CostModel,
                      value_kernel: np.ndarray) -> np.ndarray:
-    """Fixed-point defect of the optimality equation at a candidate kernel.
-
-    Zero exactly at the optimal kernel:
-    P - [Q + A^T P A + sum_i var_i A_i^T P A_i + A^T P B L]
-    with L = -W^-1 B^T P A the greedy gain of P and W the input-side curvature
+    """Fixed-point defect P - (H_xx + H_xu L) of the optimality equation at
+    a candidate kernel P, with H its kernel (q_kernel_matrix) and
+    L = -H_uu^-1 H_ux its greedy gain. Zero exactly at the optimal kernel
     (P checked by checked_kernel).
     """
     p = checked_kernel(model, value_kernel)
-    gain = policy_improvement(model, cost, p)
-    return p - (state_weight(model, cost, p) + model.A.T @ p @ model.B @ gain)
+    h = q_kernel_matrix(model, cost, p)
+    n = model.state_dim
+    gain = greedy_gain(h[n:, n:], h[n:, :n])
+    return p - (h[:n, :n] + h[:n, n:] @ gain)

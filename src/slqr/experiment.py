@@ -179,7 +179,7 @@ def run_experiment(config: ExperimentConfig,
                 admissible, rho = is_admissible(model, learner.initial_gain)
                 if not admissible:
                     raise NotAdmissibleError(
-                        f"initial gain is not admissible (moment spectral radius {rho:.6g})",
+                        f"initial gain is not admissible: moment spectral radius {rho:.6g} >= 1",
                         spectral_radius=rho,
                     )
         per_seed: dict = {}

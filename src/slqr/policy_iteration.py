@@ -18,12 +18,10 @@ import numpy as np
 
 from .analysis import (
     average_cost,
-    checked_kernel,
-    input_weight,
     is_admissible,
     policy_improvement,
+    q_kernel_matrix,
     solve_value_kernel,
-    state_weight,
 )
 from .errors import NotAdmissibleError, SolverFailure, ValidationError
 from .packing import symmetrize
@@ -78,23 +76,11 @@ class QKernel:
 
 def q_kernel_from_value(model: SystemModel, cost: CostModel,
                         value_kernel: np.ndarray) -> QKernel:
-    """Lift a state-value kernel P to the state-input kernel H.
-
-    H_xx = Q + A^T P A + sum_i var_i A_i^T P A_i
-    H_xu = A^T P B
-    H_uu = R + B^T P B + sum_j var_j B_j^T P B_j
-
-    A kernel that is not a finite n x n matrix raises ValidationError.
+    """Lift a state-value kernel P to the state-input kernel H
+    (analysis.q_kernel_matrix). A kernel that is not a finite n x n matrix
+    raises ValidationError.
     """
-    p = checked_kernel(model, value_kernel)
-    n, m = model.state_dim, model.input_dim
-    h = np.empty((n + m, n + m))
-    hxu = model.A.T @ p @ model.B
-    h[:n, :n] = state_weight(model, cost, p)
-    h[:n, n:] = hxu
-    h[n:, :n] = hxu.T
-    h[n:, n:] = input_weight(model, cost, p)
-    return QKernel(matrix=h, state_dim=n)
+    return QKernel(q_kernel_matrix(model, cost, value_kernel), model.state_dim)
 
 
 def _settled(gain: np.ndarray, gain_next: np.ndarray, tol: float) -> bool:

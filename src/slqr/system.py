@@ -6,14 +6,16 @@ matrices and additive Gaussian noise:
     x_{k+1} = (A + sum_i alpha_ik A_i) x_k + (B + sum_j beta_jk B_j) u_k + d_k
 
 with alpha_ik ~ N(0, var_i), beta_jk ~ N(0, var_j), d_k ~ N(0, D), all
-mutually independent across channels and time, and x_0 ~ N(0, X0).
-
-Under feedback u_k = L x_k + e_k a step is x_{k+1} = M_k x_k + b_k with
-M_k = A_eff,k + B_eff,k L and b_k = B_eff,k e_k + d_k. The rollout works in
-windows of ROLLOUT_BLOCK steps: it draws a window's noise at once and builds
-every step map [M_k | b_k] of the window in one product, of the window's
-draws (with a constant 1 and the input-channel-times-probe products
-beta_jk e_k) by a matrix fixed per rollout. The affine recurrence is then
+mutually independent across channels and time, and x_0 ~ N(0, X0). In the
+channel factors E_c = sqrt(var_c) [A_c B_c] (SystemModel.channels) a step
+is x_{k+1} = sum_c w_ck E_c [x_k; u_k] + d_k, with w_0k = 1 and the other
+w_ck standard normals, and under feedback u_k = L x_k + e_k it is
+x_{k+1} = M_k x_k + b_k with M_k = sum_c w_ck E_c [I; L] (loop_factors)
+and b_k = sum_c w_ck E_c [0; e_k] + d_k. The rollout works in windows of
+ROLLOUT_BLOCK steps: it draws a window's noise at once and builds every
+step map [M_k | b_k] of the window in one product, of the window's draws
+(with a constant 1 and the products w_ck e_k of the input-side channels
+with the probe) by a matrix fixed per rollout. The affine recurrence is then
 solved by a two-level scan (the blocked prefix scan of affine maps; Blelloch,
 "Prefix sums and their applications", 1990): the window is split into lanes
 of about sqrt(ROLLOUT_BLOCK) steps, all lanes compose their step maps at once
@@ -47,6 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .packing import symmetrize
 
 # Definiteness margin: smallest eigenvalue must exceed this for a PD check.
 PD_EIG_FLOOR = 1e-12
@@ -70,6 +73,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether value is a Python or numpy real number; a bool is not."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 def check_integer(value, name: str, minimum: int) -> None:
     """Raise ValidationError unless value is an integer (is_integer) >= minimum."""
     if not is_integer(value):
@@ -81,7 +90,7 @@ def check_integer(value, name: str, minimum: int) -> None:
 def check_positive(value, name: str, finite: bool = False) -> None:
     """Raise ValidationError unless value is a real number (Python or numpy,
     not a bool) > 0; NaN is not. With finite, inf is not either."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if not is_real(value):
         raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
     if not value > 0:
         raise ValidationError(f"{name} must be > 0, got {value}")
@@ -111,6 +120,9 @@ class SystemModel:
 
     state_noise / input_noise are lists of (matrix, variance) pairs: the
     direction each scalar noise channel acts in, and its variance.
+    Construction checks every shape and variance and stacks the channel
+    factors in channels, one C-contiguous (c, n, n + m) array: [A B] first,
+    then sqrt(var_i) [A_i 0] and sqrt(var_j) [0 B_j], in the draw order.
     """
 
     A: np.ndarray
@@ -119,26 +131,47 @@ class SystemModel:
     X0: np.ndarray
     state_noise: list[tuple[np.ndarray, float]] = field(default_factory=list)
     input_noise: list[tuple[np.ndarray, float]] = field(default_factory=list)
+    channels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from .packing import symmetrize
-
-        object.__setattr__(self, "A", as_matrix(self.A, "A"))
-        object.__setattr__(self, "B", as_matrix(self.B, "B"))
-        object.__setattr__(self, "D", symmetrize(as_matrix(self.D, "D")))
-        object.__setattr__(self, "X0", symmetrize(as_matrix(self.X0, "X0")))
-        object.__setattr__(
-            self,
-            "state_noise",
-            [(as_matrix(mat, f"state_noise[{i}]"), float(var))
-             for i, (mat, var) in enumerate(self.state_noise)],
-        )
-        object.__setattr__(
-            self,
-            "input_noise",
-            [(as_matrix(mat, f"input_noise[{j}]"), float(var))
-             for j, (mat, var) in enumerate(self.input_noise)],
-        )
+        a, b = as_matrix(self.A, "A"), as_matrix(self.B, "B")
+        n, m = a.shape[0], b.shape[1]
+        if a.shape != (n, n):
+            raise ValidationError(f"A must be square, got shape {a.shape}")
+        if b.shape != (n, m):
+            raise ValidationError(f"B must have {n} rows to match A, got shape {b.shape}")
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "B", b)
+        for name in ("D", "X0"):
+            mat = as_matrix(getattr(self, name), name)
+            if mat.shape != (n, n):
+                raise ValidationError(f"{name} must have shape {(n, n)}, got {mat.shape}")
+            object.__setattr__(self, name, symmetrize(mat))
+        factors = [np.hstack([a, b])]
+        for name, part in (("state_noise", slice(None, n)), ("input_noise", slice(n, None))):
+            checked = []
+            for i, entry in enumerate(getattr(self, name)):
+                where = f"{name}[{i}]"
+                try:
+                    mat, var = entry
+                except (TypeError, ValueError):
+                    raise ValidationError(f"{where} must be a (matrix, variance) pair") from None
+                mat = as_matrix(mat, where)
+                factor = np.zeros((n, n + m))
+                shape = factor[:, part].shape
+                if mat.shape != shape:
+                    raise ValidationError(
+                        f"{where} matrix must have shape {shape}, got {mat.shape}")
+                if not is_real(var):
+                    raise ValidationError(
+                        f"{where} variance must be a real number, got {type(var).__name__}")
+                if not 0 <= var < math.inf:
+                    raise ValidationError(f"{where} variance must be finite and >= 0, got {var}")
+                factor[:, part] = math.sqrt(var) * mat
+                checked.append((mat, float(var)))
+                factors.append(factor)
+            object.__setattr__(self, name, checked)
+        object.__setattr__(self, "channels", np.array(factors))
 
     @property
     def state_dim(self) -> int:
@@ -149,37 +182,22 @@ class SystemModel:
         return self.B.shape[1]
 
     def validate(self) -> None:
-        """Check shapes, that variances are finite and >= 0, and covariance
-        definiteness."""
-        n, m = self.state_dim, self.input_dim
-        if self.A.shape != (n, n):
-            raise ValidationError(f"A must be square, got shape {self.A.shape}")
-        if self.B.shape != (n, m):
-            raise ValidationError(
-                f"B must have {n} rows to match A, got shape {self.B.shape}"
-            )
-        for i, (mat, var) in enumerate(self.state_noise):
-            if mat.shape != (n, n):
-                raise ValidationError(
-                    f"state_noise[{i}] matrix must have shape {(n, n)}, got {mat.shape}"
-                )
-            if not 0 <= var < math.inf:
-                raise ValidationError(
-                    f"state_noise[{i}] variance must be finite and >= 0, got {var}")
-        for j, (mat, var) in enumerate(self.input_noise):
-            if mat.shape != (n, m):
-                raise ValidationError(
-                    f"input_noise[{j}] matrix must have shape {(n, m)}, got {mat.shape}"
-                )
-            if not 0 <= var < math.inf:
-                raise ValidationError(
-                    f"input_noise[{j}] variance must be finite and >= 0, got {var}")
-        if self.D.shape != (n, n):
-            raise ValidationError(f"D must have shape {(n, n)}, got {self.D.shape}")
-        if self.X0.shape != (n, n):
-            raise ValidationError(f"X0 must have shape {(n, n)}, got {self.X0.shape}")
+        """Check that D is positive definite and X0 positive semidefinite;
+        construction has checked the shapes and variances."""
         _check_pd(self.D, "D")
         _check_psd(self.X0, "X0")
+
+
+def loop_factors(model: SystemModel, gain: np.ndarray) -> np.ndarray:
+    """The loop factors E_c [I; L] = E_c[:, :n] + E_c[:, n:] L of the model's
+    channels under u = L x, as one C-contiguous (c, n, n) stack. Raises
+    ValidationError unless gain is a finite (m, n) matrix."""
+    gain = as_matrix(gain, "gain")
+    n, m = model.state_dim, model.input_dim
+    if gain.shape != (m, n):
+        raise ValidationError(f"gain must have shape {(m, n)}, got {gain.shape}")
+    flat = model.channels.reshape(-1, n + m)
+    return (flat[:, :n] + flat[:, n:] @ gain).reshape(-1, n, n)
 
 
 @dataclass(frozen=True)
@@ -190,8 +208,6 @@ class CostModel:
     R: np.ndarray
 
     def __post_init__(self):
-        from .packing import symmetrize
-
         object.__setattr__(self, "Q", symmetrize(as_matrix(self.Q, "Q")))
         object.__setattr__(self, "R", symmetrize(as_matrix(self.R, "R")))
 
@@ -291,10 +307,9 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     (m, n) matrix, n_steps an integer >= 1, probe_var finite and >= 0, and
     seed an integer >= 0.
     """
-    gain = as_matrix(gain, "gain")
+    loop = loop_factors(model, gain)
+    gain = np.asarray(gain, dtype=float)
     n, m = model.state_dim, model.input_dim
-    if gain.shape != (m, n):
-        raise ValidationError(f"gain must have shape {(m, n)}, got {gain.shape}")
     check_integer(n_steps, "n_steps", 1)
     if not 0 <= probe_var < math.inf:
         raise ValidationError(f"probe_var must be finite and >= 0, got {probe_var}")
@@ -303,27 +318,26 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     rng = np.random.default_rng(seed)
     d_factor = noise_factor(model.D)
     x0_factor = noise_factor(model.X0)
-    p, q = len(model.state_noise), len(model.input_noise)
-    draw_width = m + p + q + n
+    channels = model.channels
+    draw_width = m + len(channels) - 1 + n
     root_probe = math.sqrt(probe_var)
+    probed = [c for c in range(1, len(channels)) if channels[c, :, n:].any()]
     # A window's step maps are one product: the rows of its regressors,
-    # [draws | 1 | beta_j e_a], times the rows of map_terms, each the part of
+    # [draws | 1 | w_c e_a], times the rows of map_terms, each the part of
     # [M_k | b_k] that one regressor scales. A probe e_a adds
-    # sqrt(probe_var) B[:, a] to the drive column, a state channel
-    # sqrt(var_i) A_i and an input channel sqrt(var_j) B_j L to the loop, an
-    # additive draw its column of the D factor to the drive, the constant 1
-    # the mean loop A + B L, and a product beta_j e_a of an input channel
-    # with a probe sqrt(var_j probe_var) B_j[:, a] to the drive.
-    map_terms = np.zeros((draw_width + 1 + q * m, n, n + 1))
-    map_terms[:m, :, n] = root_probe * model.B.T
-    for i, (mat, var) in enumerate(model.state_noise):
-        map_terms[m + i, :, :n] = math.sqrt(var) * mat
-    for j, (mat, var) in enumerate(model.input_noise):
-        map_terms[m + p + j, :, :n] = math.sqrt(var) * (mat @ gain)
-        row = draw_width + 1 + j * m
-        map_terms[row:row + m, :, n] = math.sqrt(var) * root_probe * mat.T
-    map_terms[m + p + q:draw_width, :, n] = d_factor.T
-    map_terms[draw_width, :, :n] = model.A + model.B @ gain
+    # sqrt(probe_var) B[:, a] to the drive column, a channel draw w_c (row
+    # m + c - 1) its loop factor E_c [I; L] to the loop, an additive draw its
+    # column of the D factor to the drive, the constant 1 the mean loop, and
+    # a product w_c e_a, for each channel in probed (those with a nonzero
+    # input part), sqrt(probe_var) E_c[:, n + a] to the drive.
+    map_terms = np.zeros((draw_width + 1 + len(probed) * m, n, n + 1))
+    map_terms[:m, :, n] = root_probe * channels[0, :, n:].T
+    map_terms[m:draw_width - n, :, :n] = loop[1:]
+    map_terms[draw_width - n:draw_width, :, n] = d_factor.T
+    map_terms[draw_width, :, :n] = loop[0]
+    for k, c in enumerate(probed):
+        row = draw_width + 1 + k * m
+        map_terms[row:row + m, :, n] = root_probe * channels[c, :, n:].T
     map_terms = map_terms.reshape(len(map_terms), n * (n + 1))
     regressors = np.empty((len(map_terms), min(n_steps, ROLLOUT_BLOCK)))
     regressors[draw_width] = 1.0
@@ -343,8 +357,9 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
             draws = rng.standard_normal((steps, draw_width))
             window = regressors[:, :steps]
             window[:draw_width] = draws.T
-            np.multiply(window[m + p:m + p + q, None], window[None, :m],
-                        out=window[draw_width + 1:].reshape(q, m, steps))
+            products = window[draw_width + 1:].reshape(len(probed), m, steps)
+            for k, c in enumerate(probed):
+                np.multiply(window[m - 1 + c], window[:m], out=products[k])
             width = math.isqrt(steps)
             lanes = -(-steps // width)
             maps = np.empty((lanes * width, n, n + 1))

@@ -12,10 +12,10 @@ from slqr.analysis import (
     ADMISSIBILITY_MARGIN,
     average_cost,
     greedy_gain,
-    input_weight,
     is_admissible,
     moment_operator,
     policy_improvement,
+    q_kernel_matrix,
     riccati_residual,
     solve_value_kernel,
     stationary_covariance,
@@ -415,7 +415,10 @@ def test_greedy_gain_rejects_non_finite_input(curvature, cross):
 def test_input_weight_includes_input_channels(sec6):
     model, cost = sec6
     p = np.eye(3)
-    w = input_weight(model, cost, p)
+    h = q_kernel_matrix(model, cost, p)
+    w = h[3:, 3:]
+    np.testing.assert_allclose(q_kernel_matrix(model, cost, p, inputs_only=True), h[3:],
+                               atol=1e-14)
     direct = cost.R + model.B.T @ p @ model.B
     for mat, var in model.input_noise:
         direct = direct + var * (mat.T @ p @ mat)

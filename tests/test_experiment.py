@@ -87,8 +87,14 @@ def test_run_experiment_scalar_fixture_end_to_end(tmp_path):
     assert on_disk["reference"]["lambda"] == ref["lambda"]
 
 
-def test_run_experiment_is_byte_deterministic(tmp_path):
-    config = load_config(fixture_path("scalar_smoke"))
+@pytest.mark.parametrize("fixture, seeds", [("scalar_smoke", None), ("example_sec6", [0])],
+                         ids=["scalar_smoke", "example_sec6"])
+def test_run_experiment_is_byte_deterministic(tmp_path, fixture, seeds):
+    # example_sec6 is the fixture with input channels, whose rollout also
+    # forms the channel-times-probe products.
+    config = load_config(fixture_path(fixture))
+    if seeds is not None:
+        config = replace(config, seeds=seeds)
     run_experiment(config, output_dir=tmp_path / "a")
     run_experiment(config, output_dir=tmp_path / "b")
     assert ((tmp_path / "a" / "convergence.csv").read_bytes()
@@ -129,8 +135,10 @@ def test_inadmissible_initial_gain_is_reported_before_any_rollout(tmp_path):
     doc["mode"] = "model_free"
     doc["learner"]["initial_gain"] = [[5.0]]
     config = from_dict(doc)
+    # The wording of policy_iteration's own initial check.
     with pytest.raises(NotAdmissibleError,
-                       match="^method model_free: initial gain is not admissible"):
+                       match=r"^method model_free: initial gain is not admissible: "
+                             r"moment spectral radius \S+ >= 1$"):
         run_experiment(config, output_dir=tmp_path)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["aborted"] is True

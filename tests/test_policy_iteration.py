@@ -4,12 +4,10 @@ import pytest
 import slqr.policy_iteration as pi_module
 from slqr.analysis import (
     average_cost,
-    input_weight,
     is_admissible,
     policy_improvement,
     riccati_residual,
     solve_value_kernel,
-    state_weight,
 )
 from slqr.errors import NotAdmissibleError, SingularSystemError, ValidationError
 from slqr.policy_iteration import (
@@ -290,17 +288,33 @@ def test_q_kernel_from_zero_value_is_block_diagonal(sec6):
     np.testing.assert_array_equal(kernel.xu, np.zeros((3, 3)))
 
 
-def test_q_kernel_blocks_match_direct_formulas(sec6):
-    model, cost = sec6
-    p = solve_value_kernel(model, cost, np.zeros((3, 3)))
+@pytest.mark.parametrize("seed", [0, 2, 3, 7, 8])
+def test_q_kernel_blocks_match_direct_formulas(seed):
+    # The lift against the per-list formulas, on plants with both channel
+    # kinds and at a nonzero gain's kernel.
+    rng = np.random.default_rng(seed)
+    model, cost = random_admissible_system(rng, max_state_dim=5)
+    assert model.state_noise and model.input_noise
+    gain = random_admissible_gain(model, rng)
+    assert gain.any()
+    p = solve_value_kernel(model, cost, gain)
     kernel = q_kernel_from_value(model, cost, p)
     xx = cost.Q + model.A.T @ p @ model.A
     for mat, var in model.state_noise:
         xx = xx + var * (mat.T @ p @ mat)
-    np.testing.assert_array_equal(state_weight(model, cost, p), xx)
-    np.testing.assert_allclose(kernel.xx, xx, atol=1e-12)
-    np.testing.assert_allclose(kernel.xu, model.A.T @ p @ model.B, atol=1e-12)
-    np.testing.assert_allclose(kernel.uu, input_weight(model, cost, p), atol=1e-12)
+    uu = cost.R + model.B.T @ p @ model.B
+    for mat, var in model.input_noise:
+        uu = uu + var * (mat.T @ p @ mat)
+    xu = model.A.T @ p @ model.B
+    scale = 1e-12 * np.linalg.norm(p)
+    np.testing.assert_allclose(kernel.xx, xx, rtol=0, atol=scale)
+    np.testing.assert_allclose(kernel.xu, xu, rtol=0, atol=scale)
+    np.testing.assert_allclose(kernel.uu, uu, rtol=0, atol=scale)
+    np.testing.assert_allclose(policy_improvement(model, cost, p),
+                               -np.linalg.solve(uu, xu.T), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(riccati_residual(model, cost, p),
+                               p - (xx - xu @ np.linalg.solve(uu, xu.T)),
+                               rtol=0, atol=scale)
 
 
 def test_q_kernel_contracts_back_to_value_kernel(sec6):

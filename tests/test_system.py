@@ -59,10 +59,20 @@ def test_validate_rejects_indefinite_q():
 
 
 def test_validate_rejects_wrong_b_rows():
-    model = SystemModel(A=np.eye(3) * 0.5, B=np.zeros((2, 3)), D=np.eye(3),
-                        X0=np.eye(3))
     with pytest.raises(ValidationError, match="B must have 3 rows"):
-        model.validate()
+        SystemModel(A=np.eye(3) * 0.5, B=np.zeros((2, 3)), D=np.eye(3), X0=np.eye(3))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("A", np.zeros((3, 2)), r"^A must be square"),
+    ("D", np.eye(2), r"^D must have shape \(3, 3\)"),
+    ("X0", np.eye(4), r"^X0 must have shape \(3, 3\)"),
+])
+def test_mismatched_shapes_are_rejected_at_construction(field, value, message):
+    plant = dict(A=np.eye(3) * 0.5, B=np.zeros((3, 1)), D=np.eye(3), X0=np.eye(3))
+    plant[field] = value
+    with pytest.raises(ValidationError, match=message):
+        SystemModel(**plant)
 
 
 def test_validate_rejects_degenerate_d_without_flag():
@@ -72,25 +82,55 @@ def test_validate_rejects_degenerate_d_without_flag():
 
 
 def test_validate_rejects_negative_variance():
-    model = scalar_model(state_noise=[([[1.0]], -0.1)])
     with pytest.raises(ValidationError, match=r"state_noise\[0\] variance"):
-        model.validate()
+        scalar_model(state_noise=[([[1.0]], -0.1)])
 
 
 @pytest.mark.parametrize("side", ["state_noise", "input_noise"])
 @pytest.mark.parametrize("var", [np.inf, np.nan])
 def test_validate_rejects_a_non_finite_variance(side, var):
     # An infinite variance is invalid input, not an inadmissible model.
-    model = scalar_model(**{side: [([[1.0]], var)]})
     with pytest.raises(ValidationError,
                        match=rf"^{side}\[0\] variance must be finite and >= 0, got {var}$"):
-        model.validate()
+        scalar_model(**{side: [([[1.0]], var)]})
 
 
 def test_validate_rejects_wrong_channel_shape():
-    model = scalar_model(input_noise=[(np.zeros((2, 2)), 0.1)])
     with pytest.raises(ValidationError, match=r"input_noise\[0\] matrix"):
-        model.validate()
+        scalar_model(input_noise=[(np.zeros((2, 2)), 0.1)])
+
+
+@pytest.mark.parametrize("side, entry, message", [
+    ("state_noise", ([[1.0]], None), "variance must be a real number, got NoneType"),
+    ("state_noise", ([[1.0]], 0.1 + 0j), "variance must be a real number, got complex"),
+    ("input_noise", ([[1.0]], "0.1"), "variance must be a real number, got str"),
+    ("input_noise", ([[1.0]], True), "variance must be a real number, got bool"),
+    ("state_noise", [[1.0]], r"must be a \(matrix, variance\) pair"),
+    ("input_noise", np.eye(1), r"must be a \(matrix, variance\) pair"),
+    ("state_noise", 0.1, r"must be a \(matrix, variance\) pair"),
+])
+def test_malformed_channels_are_rejected_at_construction(side, entry, message):
+    with pytest.raises(ValidationError, match=rf"^{side}\[0\] {message}"):
+        scalar_model(**{side: [entry]})
+
+
+def test_numpy_variances_are_accepted_as_floats():
+    model = scalar_model(state_noise=[([[1.0]], np.float64(0.1))],
+                         input_noise=[([[1.0]], np.int64(0))])
+    assert [type(var) for _, var in model.state_noise + model.input_noise] == [float, float]
+
+
+def test_channel_stack_holds_every_factor_in_draw_order(sec6):
+    model, _ = sec6
+    n, m = model.state_dim, model.input_dim
+    stack = model.channels
+    assert stack.shape == (5, n, n + m) and stack.flags.c_contiguous
+    np.testing.assert_array_equal(stack[0], np.hstack([model.A, model.B]))
+    zeros = np.zeros((n, n + m))
+    for c, (mat, var) in enumerate(model.state_noise, start=1):
+        np.testing.assert_array_equal(stack[c], np.hstack([math.sqrt(var) * mat, zeros[:, n:]]))
+    for c, (mat, var) in enumerate(model.input_noise, start=3):
+        np.testing.assert_array_equal(stack[c], np.hstack([zeros[:, :n], math.sqrt(var) * mat]))
 
 
 def test_noise_factor_reproduces_covariance():
