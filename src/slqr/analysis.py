@@ -17,12 +17,13 @@ H = diag(Q, R) + sum_c E_c^T P E_c (q_kernel_matrix; De Koning,
 Automatica 1982), whose blocks give the greedy gain and the Riccati defect.
 
 T is held in one form, the (c, n, n) stack of its factors that
-moment_operator returns; every routine below takes it, and T*'s is its
-transpose. T maps symmetric matrices to symmetric matrices, so the solvers
-work in the s = n(n+1)/2 coordinates vech(X) (packed), never with the
-n^2 x n^2 Kronecker form. This loses nothing: T commutes with transposition,
-so its spectrum is that of the symmetric block plus that of the skew block,
-and a positive map attains its spectral radius at a PSD eigenvector
+moment_operator returns; every routine below takes it, T*'s is its
+transpose, and _operator prepares T's application from it. T maps
+symmetric matrices to symmetric matrices, so the solvers work in the
+s = n(n+1)/2 coordinates vech(X) (packed), never with the n^2 x n^2
+Kronecker form. This loses nothing: T commutes with transposition, so its
+spectrum is that of the symmetric block plus that of the skew block, and a
+positive map attains its spectral radius at a PSD eigenvector
 (Krein-Rutman), which lies in the symmetric block.
 
 is_admissible decides stability exactly. From PERRON_MIN_N states on it
@@ -43,19 +44,18 @@ _certified; is_admissible's own threshold) is returned, with no eigenvalue
 problem. There are two solvers. The packed LU of the s x s matrix costs
 O(n^6) and is the only one below MATRIX_FREE_MIN_N states, where it is the
 faster one. From there on a matrix-free splitting runs first
-(_splitting_solve), O(n^3) work in n x n products per sweep. It rewrites
-X = T(X) + C exactly as X = S_K(C) + S_K(N(X)) + G X G^T, where N is the
-noise channels' part of T, G = F0^K and S_K(Z) = sum_{k<K} F0^k Z (F0^k)^T
-takes J doublings for K = 2^J (Smith 1968). Each sweep evaluates that
-right-hand side whole, tail included, so the depth J sets the rate and not
-the answer, and J is the least depth whose tail is small next to the noise
-channels: one or two doublings where the noise caps the rate anyway. The
-sweeps converge exactly when rho(T) < 1, by the positive-map argument in
-_splitting_solve. The splitting gives up near the stability edge (as soon
-as two successive step ratios show that its sweep cap is too short), when
-F0^K does not get small (F0 not Schur-stable) and on overflow, and then the
-packed LU runs as below the crossover. It sweeps from X = 0, or from a
-start that solve_value_kernel is given: policy iteration passes the
+(_splitting_solve), O(n^3) work in n x n products per sweep. Each sweep is
+X <- X + S_K(C + T(X) - X), with S_K(Z) = sum_{k<K} F0^k Z (F0^k)^T taken
+in J doublings for K = 2^J (Smith 1968): the whole residual, smoothed by
+the mean loop, and no tail product, so the depth J sets the rate and not
+the answer. J is the least depth whose tail F0^K is small next to the
+noise channels: one or two doublings where the noise caps the rate anyway.
+The sweeps converge exactly when rho(T) < 1, by the positive-map argument
+in _splitting_solve. The splitting gives up near the stability edge (as
+soon as two successive step ratios show that its sweep cap is too short),
+when F0^K does not get small (F0 not Schur-stable) and on overflow, and
+then the packed LU runs as below the crossover. It sweeps from X = 0, or
+from a start that solve_value_kernel is given: policy iteration passes the
 previous sweep's kernel, which lies close above the next one, and saves a
 few sweeps per solve.
 
@@ -161,62 +161,62 @@ def is_admissible(model: SystemModel, gain: np.ndarray) -> tuple[bool, float]:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         stack = moment_operator(model, gain)
         mat = functools.cache(lambda: packed(stack))
-        rho = _perron_radius(stack, mat) if model.state_dim >= PERRON_MIN_N else None
+        rho = (_perron_radius(stack, _operator(stack), mat)
+               if model.state_dim >= PERRON_MIN_N else None)
         if rho is None and np.isfinite(mat()).all():
             rho = float(np.abs(np.linalg.eigvals(mat())).max())
     return (False, np.inf) if rho is None else (rho < 1.0 - ADMISSIBILITY_MARGIN, rho)
 
 
-def _perron_radius(stack: np.ndarray, packed_matrix) -> float | None:
-    """Spectral radius of T, for its stacked factors, from a closed
-    Collatz-Wielandt bracket, or None when the bracket does not close.
+def _perron_radius(stack: np.ndarray, apply, packed_matrix) -> float | None:
+    """Spectral radius of T (its factor stack and apply = _operator(stack))
+    from a closed Collatz-Wielandt bracket, or None when it does not close.
 
     For X = C C^T > 0, the extreme eigenvalues lo, hi of C^-1 T(X) C^-T give
     lo X <= T(X) <= hi X, and since T is a positive map, lo <= rho <= hi.
-    X starts from I and takes power steps X <- T(X) (_apply), normalised to
-    trace 1 after every fourth. The first bracket comes after
-    PERRON_POWER_STEPS steps, each next one where the rate at which the
-    relative width w = (hi - lo)/hi shrank since the last (w = 1 at I, as
-    lo >= 0) predicts w <= PERRON_RTOL. Once that is more steps ahead than
-    a packed build and two LU steps cost, 2.5 (n + 1) + (n + 1)^3/(24 c)
-    steps of 4 c n^3 flops (the build's 2 c s n^2 flops run at a tenth of
-    BLAS speed), or w did not shrink, shifted inverse steps
-    v <- (hi I - M)^-1 v take over from v = vech(X), on M = packed_matrix()
-    and with the current upper bound hi as the shift. As hi >= rho, rho is
-    the eigenvalue nearest the shift and (hi I - T)^-1 is again a positive
-    map, so they converge even where power steps cycle. The bracket is
-    accepted when it is finite, at most PERRON_RTOL * hi wide and does not
-    straddle edge = 1 - ADMISSIBILITY_MARGIN, so that its midpoint decides
-    rho < edge as rho itself does. None when X is not positive definite
-    (e.g. a reducible T, whose Perron vector can be singular), when an
-    iterate or M is not finite, when the shifted matrix is singular, when an
-    inverse step does not raise lo and lower hi (each step nests the new
-    bracket in the old one in exact arithmetic, as (hi I - T)^-1 is a
-    positive map commuting with T, so such a step has hit the rounding
-    floor, which grows with cond(X)), and after PERRON_INVERSE_STEPS
-    inverse steps.
+    X starts from I and takes power steps X <- T(X), normalised to trace 1
+    after every fourth; a bracket reuses the next step's T(X). The first
+    comes after PERRON_POWER_STEPS steps, each next one where the rate at
+    which the relative width w = (hi - lo)/hi shrank since the last (w = 1
+    at I, as lo >= 0) predicts w <= PERRON_RTOL. Once that is more steps
+    ahead than a packed build and two LU steps cost, 2.5 (n + 1) +
+    (n + 1)^3/(24 c) steps of 4 c n^3 flops (the build's
+    2 c s n^2 flops run at a tenth of BLAS speed), or w did not shrink,
+    shifted inverse steps v <- (hi I - M)^-1 v take over from v = vech(X),
+    on M = packed_matrix() and with the current upper bound hi as the shift.
+    As hi >= rho, rho is the eigenvalue nearest the shift and (hi I - T)^-1
+    is again a positive map, so they converge even where power steps cycle.
+    The bracket is accepted when it is finite, at most PERRON_RTOL * hi wide
+    and does not straddle edge = 1 - ADMISSIBILITY_MARGIN, so that its
+    midpoint decides rho < edge as rho itself does. None when X is not
+    positive definite (e.g. a reducible T, whose Perron vector can be
+    singular), when an iterate or M is not finite, when the shifted matrix
+    is singular, when an inverse step does not raise lo and lower hi (each
+    step nests the new bracket in the old one in exact arithmetic, as
+    (hi I - T)^-1 is a positive map commuting with T, so such a step has hit
+    the rounding floor, which grows with cond(X)), and after
+    PERRON_INVERSE_STEPS inverse steps.
     """
     c, n = stack.shape[:2]
     budget = 2.5 * (n + 1) + (n + 1) ** 3 / (24 * c)
     edge = 1.0 - ADMISSIBILITY_MARGIN
-    # Each F_c^T contiguous, the layout that _apply reads without a copy.
-    stack = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
 
-    def bracket(x):
+    def bracket(x, tx):
         c_inv = np.linalg.inv(np.linalg.cholesky(x))
-        eigs = np.linalg.eigvalsh(c_inv @ _apply(stack, x) @ c_inv.T)
+        eigs = np.linalg.eigvalsh(c_inv @ tx @ c_inv.T)
         if not np.isfinite(eigs).all():
             raise np.linalg.LinAlgError
         return eigs[0], eigs[-1]
 
-    x, steps, check, last = np.eye(n), 0, PERRON_POWER_STEPS, (0, 1.0)
+    tx, steps, check, last = apply(np.eye(n)), 0, PERRON_POWER_STEPS, (0, 1.0)
     try:
         while True:
             for steps in range(steps + 1, check + 1):
-                x = _apply(stack, x)
+                x = tx
                 if steps % 4 == 0:
                     x /= np.trace(x)
-            lo, hi = bracket(x)
+                tx = apply(x)
+            lo, hi = bracket(x, tx)
             if hi - lo <= PERRON_RTOL * hi:
                 return None if lo < edge <= hi else float((lo + hi) / 2)
             width = (hi - lo) / hi
@@ -231,7 +231,7 @@ def _perron_radius(stack: np.ndarray, packed_matrix) -> float | None:
             np.fill_diagonal(shifted, hi - mat.diagonal())
             x = unvech(np.linalg.solve(shifted, vech(x)))
             x /= np.trace(x)
-            lo, hi = bracket(x)
+            lo, hi = bracket(x, apply(x))
             if hi - lo <= PERRON_RTOL * hi:
                 return None if lo < edge <= hi else float((lo + hi) / 2)
             if lo <= prev_lo or hi >= prev_hi:
@@ -241,12 +241,20 @@ def _perron_radius(stack: np.ndarray, packed_matrix) -> float | None:
     return None
 
 
-def _apply(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T(X) = sum_c F_c X F_c^T, for the factors stacked along the first axis:
-    the batch F_c X, regrouped to n x cn, times the F_c^T stacked to cn x n,
-    a view when each F_c^T is contiguous (as in T*'s transposed stack)."""
-    return ((stack @ x).transpose(1, 0, 2).reshape(len(x), -1)
-            @ stack.transpose(0, 2, 1).reshape(-1, len(x)))
+def _operator(stack: np.ndarray):
+    """X -> T(X) = sum_c F_c X F_c^T for the stacked factors, prepared once:
+    the n x cn row [F_1 ... F_c] times the broadcast product of X with the
+    contiguous stack of the F_c^T, whose (c, n, n) result is already the
+    cn x n block vstack_c(X F_c^T). Two products and no copy per call."""
+    c, n = stack.shape[:2]
+    row = stack.transpose(1, 0, 2).reshape(n, c * n)
+    cols = np.ascontiguousarray(stack.transpose(0, 2, 1))
+    return lambda x: row @ (x @ cols).reshape(c * n, n)
+
+
+def _norm(x: np.ndarray) -> np.floating:
+    """|x|_F as np.linalg.norm gives it, without its per-call overhead."""
+    return np.sqrt(np.vdot(x, x))
 
 
 def _certified(x: np.ndarray, tx: np.ndarray) -> bool:
@@ -263,7 +271,7 @@ def _certified(x: np.ndarray, tx: np.ndarray) -> bool:
     fail on NaN or infinite entries. Y is formed from the X that is
     returned, not from C, so the bound holds for the computed X.
     """
-    y = x - tx - ADMISSIBILITY_MARGIN * np.linalg.norm(x) * np.eye(len(x))
+    y = x - tx - ADMISSIBILITY_MARGIN * _norm(x) * np.eye(len(x))
     if not np.isfinite(y).all():
         return False
     try:
@@ -277,7 +285,7 @@ def _certified(x: np.ndarray, tx: np.ndarray) -> bool:
 def _residual(x: np.ndarray, tx: np.ndarray, rhs: np.ndarray) -> float:
     """Relative defect |T(X) + C - X| / max(|X|, 1) of X = T(X) + C, with
     tx = T(x) (Frobenius norms)."""
-    return np.linalg.norm(tx + rhs - x) / max(np.linalg.norm(x), 1.0)
+    return _norm(tx + rhs - x) / max(_norm(x), 1.0)
 
 
 def _stein_powers(stack: np.ndarray) -> list[np.ndarray] | None:
@@ -303,35 +311,31 @@ def _stein_powers(stack: np.ndarray) -> list[np.ndarray] | None:
     return powers
 
 
-def _splitting_solve(stack: np.ndarray, rhs: np.ndarray,
+def _splitting_solve(stack: np.ndarray, apply, rhs: np.ndarray,
                      start: np.ndarray | None = None) -> np.ndarray | None:
-    """Solve X = sum_c F_c X F_c^T + C in O(n^3) work per sweep, or return
-    None when the iteration does not settle within its caps.
+    """Solve X = sum_c F_c X F_c^T + C (factor stack, apply = _operator(stack))
+    in O(n^3) work per sweep, or return None when it does not settle.
 
     The sweeps split off the mean loop F_0. With K = 2^J, G = F_0^K and
-    S_K(Z) = sum_{k<K} F_0^k Z (F_0^T)^k, the equation X = T(X) + C is the
-    same as
+    S_K(Z) = sum_{k<K} F_0^k Z (F_0^T)^k, S_K(Z - F_0 Z F_0^T) = Z - G Z G^T
+    telescopes, so each sweep
 
-        X = S_K(C) + S_K(N(X)) + G X G^T,    N(X) = sum_{c>=1} F_c X F_c^T,
+        X <- X + S_K(C + T(X) - X) = S_K(C) + S_K(N(X)) + G X G^T,
 
-    since S_K(Z - F_0 Z F_0^T) = Z - G Z G^T telescopes. Each sweep takes
-    the right-hand side at the current X: the J Smith doublings
-    Z <- Z + P Z P^T over P = F_0^(2^j), j < J, give S_K(N(X)), and the
-    tail G X G^T is added whole, so no sweep drops a term and any depth
-    solves the same equation. S_K(C) is formed once per solve, and the
-    powers are squared once per solve up to the depth of _stein_powers,
-    which keeps the tail small next to the noise channels; no depth within
-    STEIN_MAX_SQUARINGS squarings gives None.
+    N(X) = sum_{c>=1} F_c X F_c^T, has the fixed points of X = T(X) + C at
+    any depth: one application of T, then J Smith doublings Z <- Z + P Z P^T
+    over P = F_0^(2^j), j < J, squared once per solve to the depth that
+    _stein_powers finds (None without one); no S_K(C) or tail is formed.
 
     The sweeps converge exactly when rho(T) < 1, from any start. Their map
-    H = S_K N + G (x) G is positive, and I - H = S_K (I - T). If
-    rho(T) < 1, X* = sum_k T^k(I) > 0 and H(X*) = X* - S_K(I) < X*, so
-    rho(H) < 1 (Collatz-Wielandt). If rho(H) < 1, then
-    (I - T)^-1 = (I - H)^-1 S_K is a positive map, so rho(T) < 1 (Damm,
-    LNCIS 297, 2004). The rate q = rho(H) tends to 1 at the stability edge.
-    The sweeps start from X = 0, or from start, an n x n guess such as the
-    kernel of a nearby gain. The iteration stops when the error bound
-    step q/(1 - q), with q the ratio of the last two steps, is at most
+    H = S_K N + G (x) G is positive, and I - H = S_K (I - T). If rho(T) < 1,
+    X* = sum_k T^k(I) > 0 and H(X*) = X* - S_K(I) < X*, so rho(H) < 1
+    (Collatz-Wielandt). If rho(H) < 1, then (I - T)^-1 = (I - H)^-1 S_K is a
+    positive map, so rho(T) < 1 (Damm, LNCIS 297, 2004). The rate q = rho(H)
+    tends to 1 at the stability edge. The sweeps start from X = 0, or from
+    start, an n x n guess such as the kernel of a nearby gain. They stop
+    when the error bound step q/(1 - q), with step the norm of the last
+    increment S_K(C + T(X) - X) and q the ratio of the last two, is at most
     SPLITTING_RTOL |X|; the first sweep has no step before it, so the
     iteration never stops on it. It gives None after SPLITTING_MAX_SWEEPS
     sweeps past the first, or sooner, once two successive ratios q (or a
@@ -341,20 +345,15 @@ def _splitting_solve(stack: np.ndarray, rhs: np.ndarray,
     powers = _stein_powers(stack)
     if powers is None:
         return None
-    tail = powers.pop()
-
-    def stein(z):
-        for p in powers:
-            z = z + p @ z @ p.T
-        return z
-
-    base = stein(rhs)
+    powers.pop()
     x, step = (np.zeros_like(rhs) if start is None else start), None
     was_hopeful = True
     for sweep in range(SPLITTING_MAX_SWEEPS + 1):
-        x_next = base + stein(_apply(stack[1:], x)) + tail @ x @ tail.T
-        prev, step = step, np.linalg.norm(x_next - x)
-        x = x_next
+        z = apply(x) + rhs - x
+        for p in powers:
+            z += p @ z @ p.T
+        x = x + z
+        prev, step = step, _norm(z)
         if prev is None:   # the first sweep
             continue
         ratio = step / prev
@@ -362,7 +361,7 @@ def _splitting_solve(stack: np.ndarray, rhs: np.ndarray,
             return (x + x.T) / 2
         hopeful = False
         if ratio < 1:
-            room = SPLITTING_RTOL * (1 - ratio) * np.linalg.norm(x)
+            room = SPLITTING_RTOL * (1 - ratio) * _norm(x)
             if step * ratio <= room:
                 return (x + x.T) / 2
             # Steps that keep shrinking by ratio meet the stop rule by the
@@ -407,14 +406,15 @@ def _fixed_point(model: SystemModel, gain: np.ndarray, equation, name: str,
     with np.errstate(over="ignore", invalid="ignore"):
         # moment_operator checks the gain before equation reads it.
         stack, rhs = equation(moment_operator(model, gain))
+        apply = _operator(stack)
         solvers = [_packed_solve]
         if model.state_dim >= MATRIX_FREE_MIN_N:
-            solvers.insert(0, lambda f, c: _splitting_solve(f, c, start))
+            solvers.insert(0, lambda f, c: _splitting_solve(f, apply, c, start))
         for solve in solvers:
             x = solve(stack, rhs)
             if x is None:
                 continue
-            tx = _apply(stack, x)
+            tx = apply(x)
             rel = _residual(x, tx, rhs)
             if rel <= RESIDUAL_RTOL and _certified(x, tx):
                 return x

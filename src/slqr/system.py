@@ -59,13 +59,25 @@ ROLLOUT_BLOCK = 4096
 
 
 def as_matrix(mat, name: str) -> np.ndarray:
-    """mat as a float array; raise ValidationError unless it is 2-d and finite."""
-    arr = np.asarray(mat, dtype=float)
+    """mat as a float array (not a copy when it is one already); raise
+    ValidationError unless it converts to float and is 2-d and finite."""
+    try:
+        arr = np.asarray(mat, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a matrix of real numbers") from None
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be a 2-d matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} has non-finite entries")
     return arr
+
+
+def _owned(mat) -> np.ndarray:
+    """A read-only float copy of mat, for a model to hold: the caller's
+    array can then change neither the model nor what was derived from it."""
+    mat = np.array(mat, dtype=float)
+    mat.flags.writeable = False
+    return mat
 
 
 def is_integer(value) -> bool:
@@ -123,6 +135,7 @@ class SystemModel:
     Construction checks every shape and variance and stacks the channel
     factors in channels, one C-contiguous (c, n, n + m) array: [A B] first,
     then sqrt(var_i) [A_i 0] and sqrt(var_j) [0 B_j], in the draw order.
+    The model holds read-only copies of all its matrices.
     """
 
     A: np.ndarray
@@ -140,13 +153,13 @@ class SystemModel:
             raise ValidationError(f"A must be square, got shape {a.shape}")
         if b.shape != (n, m):
             raise ValidationError(f"B must have {n} rows to match A, got shape {b.shape}")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
+        object.__setattr__(self, "A", _owned(a))
+        object.__setattr__(self, "B", _owned(b))
         for name in ("D", "X0"):
             mat = as_matrix(getattr(self, name), name)
             if mat.shape != (n, n):
                 raise ValidationError(f"{name} must have shape {(n, n)}, got {mat.shape}")
-            object.__setattr__(self, name, symmetrize(mat))
+            object.__setattr__(self, name, _owned(symmetrize(mat)))
         factors = [np.hstack([a, b])]
         for name, part in (("state_noise", slice(None, n)), ("input_noise", slice(n, None))):
             checked = []
@@ -168,10 +181,10 @@ class SystemModel:
                 if not 0 <= var < math.inf:
                     raise ValidationError(f"{where} variance must be finite and >= 0, got {var}")
                 factor[:, part] = math.sqrt(var) * mat
-                checked.append((mat, float(var)))
+                checked.append((_owned(mat), float(var)))
                 factors.append(factor)
             object.__setattr__(self, name, checked)
-        object.__setattr__(self, "channels", np.array(factors))
+        object.__setattr__(self, "channels", _owned(factors))
 
     @property
     def state_dim(self) -> int:
@@ -202,14 +215,15 @@ def loop_factors(model: SystemModel, gain: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Quadratic stage cost x^T Q x + u^T R u with Q >= 0 and R > 0."""
+    """Quadratic stage cost x^T Q x + u^T R u with Q >= 0 and R > 0, held
+    as read-only copies."""
 
     Q: np.ndarray
     R: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", symmetrize(as_matrix(self.Q, "Q")))
-        object.__setattr__(self, "R", symmetrize(as_matrix(self.R, "R")))
+        object.__setattr__(self, "Q", _owned(symmetrize(as_matrix(self.Q, "Q"))))
+        object.__setattr__(self, "R", _owned(symmetrize(as_matrix(self.R, "R"))))
 
     def validate(self, model: SystemModel | None = None) -> None:
         _check_psd(self.Q, "Q")
@@ -304,13 +318,15 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     for the additive noise. Costs are charged on the input actually applied.
     The window size does not change the draws: each window takes the next
     rows of the same stream. Raises ValidationError unless gain is a finite
-    (m, n) matrix, n_steps an integer >= 1, probe_var finite and >= 0, and
-    seed an integer >= 0.
+    (m, n) matrix, n_steps an integer >= 1, probe_var a real number, finite
+    and >= 0, and seed an integer >= 0.
     """
     loop = loop_factors(model, gain)
     gain = np.asarray(gain, dtype=float)
     n, m = model.state_dim, model.input_dim
     check_integer(n_steps, "n_steps", 1)
+    if not is_real(probe_var):
+        raise ValidationError(f"probe_var must be a real number, got {type(probe_var).__name__}")
     if not 0 <= probe_var < math.inf:
         raise ValidationError(f"probe_var must be finite and >= 0, got {probe_var}")
     check_integer(seed, "seed", 0)

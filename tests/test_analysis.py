@@ -94,6 +94,21 @@ def adjoint(stack):
     return stack.transpose(0, 2, 1)
 
 
+@pytest.mark.parametrize("n", [1, 3, 12, 20])
+@pytest.mark.parametrize("c", [1, 3, 5])
+def test_the_prepared_application_matches_a_per_factor_loop(n, c):
+    # _operator's two products against sum_c F_c X F_c^T, one factor at a
+    # time, for T's stack and T*'s transposed one, on a non-symmetric X.
+    rng = np.random.default_rng(100 * n + c)
+    stack = rng.normal(size=(c, n, n)) / np.sqrt(n)
+    x = rng.normal(size=(n, n))
+    for factors in (stack, adjoint(stack)):
+        expected = sum(f @ x @ f.T for f in factors)
+        applied = analysis_module._operator(factors)(x)
+        assert applied.shape == (n, n)
+        assert np.linalg.norm(applied - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
 def test_packed_operator_matches_its_definition():
     # packed() @ vech(X) == vech(unvec(matrix @ vec(X))) on symmetric X, and
     # the adjoint's packed matrix is that of matrix^T; the shear tells T
@@ -832,9 +847,9 @@ def test_inexact_splitting_falls_back_to_the_packed_solve(monkeypatch):
     splitting = analysis_module._splitting_solve
     misses = []
 
-    def inexact(stack, rhs, start=None):
-        x = (1 + 5e-4) * splitting(stack, rhs, start)
-        tx = analysis_module._apply(stack, x)
+    def inexact(stack, apply, rhs, start=None):
+        x = (1 + 5e-4) * splitting(stack, apply, rhs, start)
+        tx = apply(x)
         assert analysis_module._certified(x, tx)
         misses.append(analysis_module._residual(x, tx, rhs))
         return x
@@ -959,11 +974,12 @@ def test_noise_free_and_weak_noise_solves_stay_matrix_free(monkeypatch):
 
 
 def test_an_accepted_matrix_free_solve_checks_its_residual_once(monkeypatch):
-    # The gate's one rule checks the splitting's X once, and no packed
-    # matrix is built.
+    # The gate's one rule checks the splitting's X once, no packed matrix
+    # is built, and the gate and the sweeps share one prepared application.
     model, cost = wide_system(np.random.default_rng(3))
     gain = np.zeros((model.input_dim, model.state_dim))
     calls = count_packed_builds(monkeypatch)
+    applications = count_applications(monkeypatch)
     residual = analysis_module._residual
 
     def counted(*args, **kwargs):
@@ -973,8 +989,10 @@ def test_an_accepted_matrix_free_solve_checks_its_residual_once(monkeypatch):
     monkeypatch.setattr(analysis_module, "_residual", counted)
     for entry in FIXED_POINT_SOLVERS:
         calls.clear()
+        applications.clear()
         GAIN_ENTRY_POINTS[entry](model, cost, gain)
         assert calls == Counter(residual=1)
+        assert applications["prepared"] == 1 and applications["applied"] >= 3
 
 
 @pytest.mark.parametrize("entry", FIXED_POINT_SOLVERS)
@@ -983,16 +1001,9 @@ def test_an_accepted_packed_solve_applies_its_map_once(sec6, monkeypatch, entry)
     # the gate forms T(X) once for both the residual and the certificate.
     model, cost = sec6
     assert model.state_dim < analysis_module.MATRIX_FREE_MIN_N
-    calls = Counter()
-    apply = analysis_module._apply
-
-    def counted(*args, **kwargs):
-        calls["apply"] += 1
-        return apply(*args, **kwargs)
-
-    monkeypatch.setattr(analysis_module, "_apply", counted)
+    calls = count_applications(monkeypatch)
     GAIN_ENTRY_POINTS[entry](model, cost, L0_3)
-    assert calls == Counter(apply=1)
+    assert calls == Counter(prepared=1, applied=1)
 
 
 def test_matrix_free_rejections_report_the_exact_radius():
@@ -1049,22 +1060,38 @@ def test_policy_iteration_on_the_matrix_free_path(monkeypatch):
     assert closed >= 8
 
 
-def count_sweeps(monkeypatch):
-    """Count the splitting's sweeps: its _apply calls on the noise channels.
-    The gate's check of a solver's X makes one more _apply call, followed by
-    one _residual call, so each _residual call takes one back off."""
+def count_applications(monkeypatch, key="applied"):
+    """Count the applications of T that _operator prepares ("prepared") and
+    the calls of each (key)."""
     calls = Counter()
-    apply, residual = analysis_module._apply, analysis_module._residual
+    operator = analysis_module._operator
 
-    def counted_apply(stack, x):
-        calls["sweeps"] += 1
-        return apply(stack, x)
+    def counted_operator(stack):
+        apply = operator(stack)
+        calls["prepared"] += 1
+
+        def counted(x):
+            calls[key] += 1
+            return apply(x)
+
+        return counted
+
+    monkeypatch.setattr(analysis_module, "_operator", counted_operator)
+    return calls
+
+
+def count_sweeps(monkeypatch):
+    """Count the splitting's sweeps in calls["sweeps"]: one application of
+    T each. The gate's check of a solver's X makes one more application,
+    followed by one _residual call, so each _residual call takes one back
+    off. The power steps of an exact check count as sweeps too."""
+    calls = count_applications(monkeypatch, key="sweeps")
+    residual = analysis_module._residual
 
     def counted_residual(x, tx, rhs):
         calls["sweeps"] -= 1
         return residual(x, tx, rhs)
 
-    monkeypatch.setattr(analysis_module, "_apply", counted_apply)
     monkeypatch.setattr(analysis_module, "_residual", counted_residual)
     return calls
 
@@ -1192,7 +1219,7 @@ def test_the_cholesky_certificate_rejects_what_it_cannot_show():
     assert not certified(-np.eye(n), -4.0 * np.eye(n))
     # X - T(X) indefinite: T(I) = diag(1.44, 0.25, 0.25) for F = diag(1.2, 0.5, 0.5).
     f = np.diag([1.2, 0.5, 0.5])
-    assert not certified(np.eye(n), analysis_module._apply(np.array([f]), np.eye(n)))
+    assert not certified(np.eye(n), analysis_module._operator(np.array([f]))(np.eye(n)))
     # A non-finite T(X); -inf on the diagonal would even factor.
     for bad in (np.full((n, n), np.nan), np.diag([-np.inf, 0.0, 0.0])):
         assert not certified(np.eye(n), bad)
@@ -1202,7 +1229,7 @@ def test_the_cholesky_certificate_rejects_what_it_cannot_show():
     model, _ = margin_system(np.random.default_rng(14), 1e-11)
     factors = moment_operator(model, np.zeros((model.input_dim, model.state_dim)))
     x = analysis_module._packed_solve(factors, np.eye(model.state_dim))
-    tx = analysis_module._apply(factors, x)
+    tx = analysis_module._operator(factors)(x)
     np.linalg.cholesky(x)
     np.linalg.cholesky(x - tx)
     assert not certified(x, tx)
@@ -1226,7 +1253,7 @@ def test_the_cholesky_certificate_implies_the_eigenvalue_certificate():
         for hs, rhs in ((factors, model.D),
                         (adjoint(factors), cost.Q + gain.T @ cost.R @ gain)):
             x = analysis_module._packed_solve(hs, rhs)
-            tx = analysis_module._apply(hs, x)
+            tx = analysis_module._operator(hs)(x)
             new, old = certified(x, tx), eigenvalue_certificate(x, tx)
             assert old or not new
             outcomes[new] += 1

@@ -48,6 +48,17 @@ def test_non_finite_matrices_are_rejected_without_a_warning(bad):
         scalar_model(state_noise=[([[bad]], 0.1)])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: scalar_model(a="x"), r"^A must be a matrix of real numbers"),
+    (lambda: CostModel(Q=[["x"]], R=[[1.0]]), r"^Q must be a matrix of real numbers"),
+    (lambda: scalar_model(input_noise=[([["x"]], 0.1)]),
+     r"^input_noise\[0\] must be a matrix of real numbers"),
+], ids=["A", "Q", "channel"])
+def test_non_numeric_matrices_are_rejected_by_name(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 def test_validate_rejects_zero_r():
     with pytest.raises(ValidationError, match="R must be positive definite"):
         CostModel(Q=[[1.0]], R=[[0.0]]).validate()
@@ -131,6 +142,26 @@ def test_channel_stack_holds_every_factor_in_draw_order(sec6):
         np.testing.assert_array_equal(stack[c], np.hstack([math.sqrt(var) * mat, zeros[:, n:]]))
     for c, (mat, var) in enumerate(model.input_noise, start=3):
         np.testing.assert_array_equal(stack[c], np.hstack([zeros[:, :n], math.sqrt(var) * mat]))
+
+
+def test_models_hold_their_own_read_only_matrices():
+    # Writing to the arrays a model was built from changes neither the
+    # model nor what the solvers derive from it, and the model's own
+    # arrays refuse writes.
+    a, mat = np.array([[0.5]]), np.array([[0.3]])
+    model = SystemModel(A=a, B=[[1.0]], D=[[1.0]], X0=[[1.0]], state_noise=[(mat, 0.5)])
+    q = np.array([[2.0]])
+    cost = CostModel(Q=q, R=[[1.0]])
+    a[0, 0], mat[0, 0], q[0, 0] = 2.0, 9.0, 7.0
+    assert model.A[0, 0] == 0.5 and model.state_noise[0][0][0, 0] == 0.3
+    assert cost.Q[0, 0] == 2.0
+    stack = moment_operator(model, np.zeros((1, 1)))
+    assert stack[0, 0, 0] == 0.5 and stack[1, 0, 0] == math.sqrt(0.5) * 0.3
+    held = (model.A, model.B, model.D, model.X0, model.state_noise[0][0], model.channels,
+            cost.Q, cost.R)
+    for arr in held:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
 
 
 def test_noise_factor_reproduces_covariance():
@@ -296,6 +327,13 @@ def test_simulate_argument_validation(sec6):
         simulate_closed_loop(model, cost, np.full((3, 3), np.nan), 10, 0.0, 0)
     with pytest.raises(ValidationError, match="seed"):
         simulate_closed_loop(model, cost, np.zeros((3, 3)), 10, 0.0, -1)
+
+
+@pytest.mark.parametrize("probe_var, kind", [("0.1", "str"), (None, "NoneType")])
+def test_a_non_numeric_probe_var_is_rejected(sec6, probe_var, kind):
+    model, cost = sec6
+    with pytest.raises(ValidationError, match=f"^probe_var must be a real number, got {kind}$"):
+        simulate_closed_loop(model, cost, np.zeros((3, 3)), 10, probe_var, 0)
 
 
 def test_sample_covariance_matches_stationary_covariance(sec6):
