@@ -168,6 +168,17 @@ def is_admissible(model: SystemModel, gain: np.ndarray) -> tuple[bool, float]:
     return (False, np.inf) if rho is None else (rho < 1.0 - ADMISSIBILITY_MARGIN, rho)
 
 
+def check_admissible(verdict: tuple[bool, float], label: str) -> float:
+    """The spectral radius of an is_admissible verdict (flag, rho); raises
+    NotAdmissibleError, naming the gain by label, when the flag is False."""
+    admissible, rho = verdict
+    if not admissible:
+        raise NotAdmissibleError(
+            f"{label} is not admissible: moment spectral radius {rho:.6g} >= 1",
+            spectral_radius=rho)
+    return rho
+
+
 def _perron_radius(stack: np.ndarray, apply, packed_matrix) -> float | None:
     """Spectral radius of T (its factor stack and apply = _operator(stack))
     from a closed Collatz-Wielandt bracket, or None when it does not close.
@@ -418,12 +429,7 @@ def _fixed_point(model: SystemModel, gain: np.ndarray, equation, name: str,
             rel = _residual(x, tx, rhs)
             if rel <= RESIDUAL_RTOL and _certified(x, tx):
                 return x
-    admissible, rho = is_admissible(model, gain)
-    if not admissible:
-        raise NotAdmissibleError(
-            f"gain is not admissible: moment spectral radius {rho:.6g} >= 1",
-            spectral_radius=rho,
-        )
+    rho = check_admissible(is_admissible(model, gain), "gain")
     if x is not None and rel <= RESIDUAL_RTOL:
         return x
     failure = "is singular" if x is None else f"residual {rel:.3e} is too large"

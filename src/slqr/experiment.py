@@ -25,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import average_cost, is_admissible, solve_value_kernel
+from .analysis import average_cost, check_admissible, is_admissible, solve_value_kernel
 from .config import ExperimentConfig
-from .errors import NotAdmissibleError, SolverFailure
+from .errors import SolverFailure
 from .policy_iteration import policy_iteration
 from .qlearning import run_online_learning
 from .system import CostModel, SystemModel
@@ -176,12 +176,7 @@ def run_experiment(config: ExperimentConfig,
         # checked it already.
         if learner.initial_gain.any():
             with aborting("model_free"):
-                admissible, rho = is_admissible(model, learner.initial_gain)
-                if not admissible:
-                    raise NotAdmissibleError(
-                        f"initial gain is not admissible: moment spectral radius {rho:.6g} >= 1",
-                        spectral_radius=rho,
-                    )
+                check_admissible(is_admissible(model, learner.initial_gain), "initial gain")
         per_seed: dict = {}
         for seed in config.seeds:
             with aborting(f"model_free, seed {seed}"):

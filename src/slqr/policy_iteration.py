@@ -18,12 +18,13 @@ import numpy as np
 
 from .analysis import (
     average_cost,
+    check_admissible,
     is_admissible,
     policy_improvement,
     q_kernel_matrix,
     solve_value_kernel,
 )
-from .errors import NotAdmissibleError, SolverFailure, ValidationError
+from .errors import SolverFailure, ValidationError
 from .packing import symmetrize
 from .system import CostModel, SystemModel, check_integer, check_positive
 
@@ -168,12 +169,7 @@ def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarr
     check_positive(tol, "tol", finite=True)
     check_integer(max_iter, "max_iter", 1)
     gain = np.asarray(initial_gain, dtype=float)
-    admissible, rho = is_admissible(model, gain)
-    if not admissible:
-        raise NotAdmissibleError(
-            f"initial gain is not admissible: moment spectral radius {rho:.6g} >= 1",
-            spectral_radius=rho,
-        )
+    check_admissible(is_admissible(model, gain), "initial gain")
 
     previous = None
 

@@ -8,16 +8,18 @@ one-step cost identity
 
 where z_k stacks the state with the input actually applied, zbar_{k+1} uses
 the unprobed feedback input at the next state, and lambda is the policy's
-average cost. With the additive-noise covariance D known, lambda is
-eliminated exactly through lambda = tr(H kappa) with kappa = [I; L] D [I; L]^T;
-without D it is fitted as one extra coefficient with the constant regressor 1,
-which is average-cost least-squares temporal-difference learning (Tsitsiklis &
-Van Roy, 1999). With instruments Psi (rows w_k phi(z_k), and w_k for
-lambda), regressors G (rows phi(z_k) - phi(zbar_{k+1}), plus the noise
-correction in known_d mode or the constant 1 in empirical mode) and the raw
-costs c as targets, the learner's fit is one regularised solve
+average cost. lambda is eliminated through lambda = tr(H kappa) with
+kappa = [I; L] D [I; L]^T. D is the additive-noise covariance in known_d mode;
+in empirical mode it is D-hat, the intercept of the weighted regression of
+vech(x_{k+1} x_{k+1}^T) on [phi(z_k); 1], from sums the pass forms anyway.
+That is average-cost least-squares temporal-difference learning (Tsitsiklis &
+Van Roy, 1999), which fits lambda as one more coefficient: the two agree up to
+the ridge, as stage costs z^T diag(Q, R) z have no intercept on [phi; 1].
+With instruments Psi (rows w_k phi(z_k)), regressors G (rows
+phi(z_k) - phi(zbar_{k+1}) + vech(kappa)) and the raw costs c as targets, the
+learner's fit is one regularised solve
 
-    (I / rls_init_scale + Psi^T G) h = Psi^T c,    h = vecs(H) or [vecs(H); lambda],
+    (I / rls_init_scale + Psi^T G) h = Psi^T c,    h = vecs(H),
 
 which is exactly what the recursive least-squares update (rls_update, with
 weight w_k) reaches after folding in every sample from the inverse-Gram start
@@ -67,7 +69,7 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import packed_indices, packed_length, unvecs, vech
+from .packing import packed_indices, packed_length, unvech, unvecs, vech
 from .policy_iteration import QKernel, evaluate_improve
 from .system import (
     ROLLOUT_BLOCK,
@@ -226,21 +228,32 @@ def _gain_map(gain: np.ndarray) -> np.ndarray:
     return kmap
 
 
+def _solve(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """np.linalg.solve, each failure an UnreliableKernelError naming what."""
+    try:
+        vec = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise UnreliableKernelError(f"{what} cannot be solved for: {exc}") from None
+    if not np.isfinite(vec).all():
+        raise UnreliableKernelError(f"{what} contains non-finite entries")
+    return vec
+
+
 def _normal_equations(traj: Trajectory, gain: np.ndarray,
                       noise_cov: np.ndarray | None, weighted: bool):
     """Instrumental-variable normal equations Psi^T G h = Psi^T c of a rollout.
 
-    The regressors G are the rows phi(z_k) - phi(zbar_{k+1}). With noise_cov
-    given, they also carry the noise correction vech(kappa), the targets are
-    the raw costs and h = vecs(H).
+    The regressors G are the rows phi(z_k) - phi(zbar_{k+1}) and h = vecs(H).
+    With noise_cov given, they also carry the noise correction vech(kappa)
+    and the targets are the raw costs.
 
     weighted=False is the paper's plain fit: the instruments Psi are the rows
     phi(z_k), and with noise_cov None the targets are the costs minus their
     mean over the whole rollout. weighted=True is the learner's fit: the
     instruments are w_k phi(z_k) with w_k = (1 + |z_k|^2)^-2, and with
-    noise_cov None the average cost is one extra coefficient,
-    h = [vecs(H); lambda], with regressor 1, instrument w_k and the raw costs
-    as targets.
+    noise_cov None the correction uses D-hat, the last row of the solve of
+    sum w [phi; 1][phi; 1]^T (cross bordered by the totals) against
+    sum psi vech(x x^T)^T.
 
     One pass over windows of ROLLOUT_BLOCK samples builds each window's
     features once, over samples k0..k1 and the row after, and adds to
@@ -260,10 +273,10 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
     sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) _gain_map(gain)^T,
     so no N x s array is formed.
 
-    Returns (gram, rhs, correction), where correction is vech(kappa) or None.
-    Raises UnreliableKernelError when the data are not finite (a diverged
-    rollout), at the first window that holds a non-finite state, input or
-    cost, or when the sums overflow.
+    Returns (gram, rhs, correction), correction = vech(kappa) or None (plain,
+    no noise_cov). Raises UnreliableKernelError when the data are not finite
+    (a diverged rollout), at the first window that holds a non-finite state,
+    input or cost, when the sums overflow, or when D-hat cannot be solved for.
     """
     gain = np.asarray(gain, dtype=float)
     n = traj.states.shape[1]
@@ -323,23 +336,22 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
             lhs[:s] *= root
             cross += lhs[:s] @ lhs[:s].T               # one symmetric rank-k product
             sums += lhs @ moments.T
-        # Rows psi^T G of the regressors phi(z_k) - phi(zbar_{k+1}); the last
-        # row of sum psi phi^T is sum w phi, the totals' first s entries.
-        totals, targets = sums[:, t + 1], sums[:, t]
-        gram = np.vstack([cross, totals[:s]]) - sums[:, :t] @ _gain_map(gain).T
+        # Psi^T G for the regressors phi(z_k) - phi(zbar_{k+1}); the product
+        # takes all s + 1 rows, as OpenBLAS's rounding depends on the count.
+        totals, rhs, correction = sums[:, t + 1], sums[:s, t], None
+        gram = cross - (sums[:, :t] @ _gain_map(gain).T)[:s]
+        if weighted and noise_cov is None:
+            # D-hat: the intercept of the weighted regression of vech(x x^T)
+            # on [phi; 1], whose Gram sum w [phi; 1][phi; 1]^T is cross
+            # bordered by the totals and whose targets are sum psi vech(x x^T)^T.
+            if not (np.isfinite(cross).all() and np.isfinite(sums).all()):
+                raise UnreliableKernelError("noise estimate: sums are non-finite")
+            bordered = np.column_stack([np.vstack([cross, totals[:s]]), totals])
+            noise_cov = unvech(_solve(bordered, sums[:, :t], "noise estimate")[s])
         if noise_cov is not None:
             # The constant correction enters as the rank-one term (Psi^T 1) corr^T.
             correction = vech(noise_shape_kernel(gain, noise_cov))
-            gram = gram[:s] + np.outer(totals[:s], correction)
-            rhs = targets[:s]
-        elif weighted:
-            # lambda's column: regressor 1 against the instruments [w phi; w].
-            correction = None
-            gram = np.column_stack([gram, totals])
-            rhs = targets
-        else:
-            correction = None
-            gram, rhs = gram[:s], targets[:s]
+            gram += np.outer(totals[:s], correction)
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise UnreliableKernelError("normal equations contain non-finite entries")
     return gram, rhs, correction
@@ -379,9 +391,11 @@ class LearnerConfig:
     initial_gain must be a finite 2-d matrix (ValidationError otherwise) and
     admissible for the plant the sampler wraps; the learner cannot check
     admissibility without a model, so the caller asserts it.
-    cost_mode "known_d" uses the additive-noise covariance to pin the average
-    cost inside the regression; "empirical" fits the average cost as one more
-    regression coefficient.
+    cost_mode "known_d" pins the average cost inside the regression through
+    the additive-noise covariance D, "empirical" through D-hat estimated from
+    the rollout. For the plant's stage costs the latter is the fit with the
+    average cost as one more coefficient; costs with a free constant of their
+    own, which no plant produces, are fitted wrongly.
     """
 
     initial_gain: np.ndarray
@@ -411,9 +425,8 @@ class LearnerConfig:
 @dataclass
 class LearningResult:
     """gains includes the initial gain, so it is one longer than kernels.
-    cost_estimates[t] is the average-cost estimate of iteration t's policy:
-    tr(H_t kappa) in known_d mode, the fitted lambda coefficient in empirical
-    mode."""
+    cost_estimates[t] is the average-cost estimate of iteration t's policy,
+    tr(H_t kappa), with D-hat in kappa in empirical mode."""
 
     gains: list[np.ndarray]
     kernels: list[QKernel]
@@ -433,25 +446,12 @@ def iteration_seed(base_seed: int, iteration: int) -> int:
 def _fit_iteration(traj: Trajectory, gain: np.ndarray,
                    noise_cov: np.ndarray | None,
                    init_scale: float) -> tuple[QKernel, float]:
-    """The regularised weighted solve over a rollout.
-
-    Returns (kernel, cost estimate). The cost estimate is tr(H kappa) with
-    noise_cov given, and the fitted lambda coefficient without it.
-    """
+    """The regularised weighted solve over a rollout: (kernel, cost estimate
+    tr(H kappa)), with D-hat in kappa when noise_cov is None."""
     gram, rhs, correction = _normal_equations(traj, gain, noise_cov, weighted=True)
     gram[np.diag_indices_from(gram)] += 1.0 / init_scale
-    try:
-        vec = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise UnreliableKernelError(f"normal equations cannot be solved: {exc}") from None
-    if not np.isfinite(vec).all():
-        raise UnreliableKernelError("kernel estimate contains non-finite entries")
-    if correction is None:
-        vec, cost_estimate = vec[:-1], float(vec[-1])
-    else:
-        cost_estimate = float(correction @ vec)
-    kernel = QKernel(matrix=unvecs(vec), state_dim=traj.states.shape[1])
-    return kernel, cost_estimate
+    vec = _solve(gram, rhs, "kernel estimate")
+    return QKernel(matrix=unvecs(vec), state_dim=traj.states.shape[1]), float(correction @ vec)
 
 
 def learn_from_rollouts(sampler: Callable[[np.ndarray, int], Trajectory],

@@ -60,9 +60,12 @@ ROLLOUT_BLOCK = 4096
 
 def as_matrix(mat, name: str) -> np.ndarray:
     """mat as a float array (not a copy when it is one already); raise
-    ValidationError unless it converts to float and is 2-d and finite."""
+    ValidationError unless it is real, converts to float, is 2-d and finite."""
     try:
-        arr = np.asarray(mat, dtype=float)
+        arr = np.asarray(mat)
+        if np.iscomplexobj(arr):    # casting would drop the imaginary part
+            raise TypeError
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a matrix of real numbers") from None
     if arr.ndim != 2:

@@ -87,14 +87,19 @@ def test_run_experiment_scalar_fixture_end_to_end(tmp_path):
     assert on_disk["reference"]["lambda"] == ref["lambda"]
 
 
-@pytest.mark.parametrize("fixture, seeds", [("scalar_smoke", None), ("example_sec6", [0])],
-                         ids=["scalar_smoke", "example_sec6"])
-def test_run_experiment_is_byte_deterministic(tmp_path, fixture, seeds):
+@pytest.mark.parametrize("fixture, seeds, cost_mode", [
+    ("scalar_smoke", None, None), ("example_sec6", [0], None),
+    ("example_sec6", [0], "empirical")],
+    ids=["scalar_smoke", "example_sec6", "example_sec6_empirical"])
+def test_run_experiment_is_byte_deterministic(tmp_path, fixture, seeds, cost_mode):
     # example_sec6 is the fixture with input channels, whose rollout also
-    # forms the channel-times-probe products.
+    # forms the channel-times-probe products; in empirical mode the fit also
+    # solves for D-hat.
     config = load_config(fixture_path(fixture))
     if seeds is not None:
         config = replace(config, seeds=seeds)
+    if cost_mode is not None:
+        config = replace(config, learner=replace(config.learner, cost_mode=cost_mode))
     run_experiment(config, output_dir=tmp_path / "a")
     run_experiment(config, output_dir=tmp_path / "b")
     assert ((tmp_path / "a" / "convergence.csv").read_bytes()

@@ -8,13 +8,14 @@ import pytest
 
 from slqr import qlearning
 from slqr.analysis import average_cost, policy_improvement, solve_value_kernel
+from slqr.config import fixture_path, load_config
 from slqr.errors import (
     IllConditionedUpdateError,
     InsufficientExcitationError,
     UnreliableKernelError,
     ValidationError,
 )
-from slqr.packing import unvecs, vech, vecs
+from slqr.packing import unvech, unvecs, vech, vecs
 from slqr.policy_iteration import QKernel, policy_iteration, q_kernel_from_value
 from slqr.qlearning import (
     COST_MODES,
@@ -150,13 +151,86 @@ def test_streamed_normal_equations_match_the_dense_form(sec6, feature_builds, mo
         traj = simulate_closed_loop(model, cost, gain, n_steps, 0.64, 31)
         noise_cov = model.D if known_d else None
         gram, rhs, correction = qlearning._normal_equations(traj, gain, noise_cov, weighted)
+        if mode == "empirical":
+            # The weighted fit without D is known_d's with the pass's D-hat,
+            # the top-left block of its correction kappa = [I; L] D [I; L]^T.
+            n = model.state_dim
+            noise_cov = unvech(correction)[:n, :n]
         dense_gram, dense_rhs = _dense_normal_equations(traj, gain, noise_cov, weighted)
         assert np.linalg.norm(gram - dense_gram) <= 1e-12 * np.linalg.norm(dense_gram)
         assert np.linalg.norm(rhs - dense_rhs) <= 1e-12 * np.linalg.norm(dense_rhs)
-        assert (correction is None) == (not known_d)
+        assert (correction is None) == (mode == "plain")
         windows = math.ceil(n_steps / ROLLOUT_BLOCK)
         assert len(feature_builds) == windows
         assert sum(feature_builds) == n_steps + windows     # each window reads one row more
+
+
+def _dense_noise_regression(traj):
+    # M = sum w [phi; 1][phi; 1]^T and the coefficients of the weighted
+    # regression of vech(x_{k+1} x_{k+1}^T) on [phi(z_k); 1], from whole-rollout
+    # arrays; the last row is vech(D-hat).
+    phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
+    z = np.hstack([traj.states[:-1], traj.inputs[:-1]])
+    weights = (1.0 + (z ** 2).sum(axis=1)) ** -2
+    regressors = np.hstack([phi, np.ones((len(weights), 1))])
+    instruments = weights[:, None] * regressors
+    next_moments = feature_matrix(traj.states[1:], np.empty((len(weights), 0)))
+    gram = instruments.T @ regressors
+    return gram, np.linalg.solve(gram, instruments.T @ next_moments)
+
+
+def _identity_case(plant):
+    # (model, cost, rollout gain, off-policy gain, rollout length, probe
+    # variance, rls_init_scale): the fixtures at their learner settings from
+    # the zero gain, or the n = 4, m = 2 plant from one of its admissible gains.
+    if plant == "n4":
+        model, cost = random_admissible_system(np.random.default_rng(22), max_state_dim=4,
+                                               max_input_dim=3)
+        gain = random_admissible_gain(model, np.random.default_rng(22))
+        return model, cost, gain, 0.5 * gain, 20000, 0.64, 1e8
+    config = load_config(fixture_path(plant))
+    model, learner = config.model, config.learner
+    off_policy = -0.3 * np.eye(3) if plant == "example_sec6" else np.array([[-0.2]])
+    return (model, config.cost, np.zeros((model.input_dim, model.state_dim)), off_policy,
+            learner.rollout_len, learner.probe_var, learner.rls_init_scale)
+
+
+@pytest.mark.parametrize("plant", ["example_sec6", "scalar_smoke", "n4"])
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_empirical_fit_is_the_lambda_column_fit(plant, policy):
+    # Without D the fit estimates D-hat, the intercept of the weighted
+    # regression of vech(x_{k+1} x_{k+1}^T) on [phi(z_k); 1], and runs the
+    # known_d assembly with it. The reference fits lambda as one more
+    # coefficient instead: regressor 1 against the instruments [w phi; w],
+    # with the same ridge eps = 1/rls_init_scale on every unknown. The two
+    # differ by exactly delta = mu - eps (M^-1 [h; lambda])_s, where h and
+    # lambda are the reference's, M = sum w [phi; 1][phi; 1]^T and mu is the
+    # intercept of the weighted regression of the costs on [phi; 1], which
+    # is 0 up to roundoff for stage costs z^T diag(Q, R) z: lambda moves by
+    # delta (1 - corr^T A^-1 t) and h by -A^-1 t delta, where A is the
+    # ridged known_d gram with D-hat, corr its correction and t = sum w phi.
+    model, cost, gain, off_policy, n_steps, probe_var, scale = _identity_case(plant)
+    traj = simulate_closed_loop(model, cost, gain, n_steps, probe_var, 5)
+    if policy == "off":
+        gain = off_policy
+    dense_gram, dense_rhs = _dense_normal_equations(traj, gain, None, weighted=True)
+    reference = np.linalg.solve(dense_gram + np.eye(len(dense_rhs)) / scale, dense_rhs)
+    kernel, lam = qlearning._fit_iteration(traj, gain, None, scale)
+
+    moments, coef = _dense_noise_regression(traj)
+    gram, _, correction = qlearning._normal_equations(traj, gain, None, weighted=True)
+    n = model.state_dim
+    assert np.allclose(unvech(correction)[:n, :n], unvech(coef[-1]), rtol=1e-9, atol=0)
+    gram[np.diag_indices_from(gram)] += 1.0 / scale
+    lift = np.linalg.solve(gram, moments[:-1, -1])             # A^-1 t
+    delta = -np.linalg.solve(moments, reference)[-1] / scale
+    lam_shift, h_shift = delta * (1.0 - correction @ lift), -delta * lift
+    assert abs(reference[-1] - lam - lam_shift) <= 1e-2 * abs(lam_shift)
+    h_gap = reference[:-1] - vecs(kernel.matrix)
+    assert np.linalg.norm(h_gap - h_shift) <= 1e-2 * np.linalg.norm(h_shift)
+    # The ridge's share is far below any estimation error.
+    assert abs(reference[-1] - lam) <= 1e-8 * abs(lam)
+    assert np.linalg.norm(h_gap) <= 1e-8 * np.linalg.norm(reference[:-1])
 
 
 def _corrupt(traj, kind):
@@ -321,7 +395,9 @@ def test_learner_kernel_equals_a_fold_of_rls_update(sec6, sec6_config, monkeypat
                                                     cost_mode):
     # The learner's one regularised solve is the recursive estimator started
     # from rls_init_scale * I, folded over every sample of the same rollout
-    # with the instrument weights w_k = (1 + |z_k|^2)^-2.
+    # with the instrument weights w_k = (1 + |z_k|^2)^-2. Without D the fold
+    # carries lambda as one more coefficient, which the fit through D-hat
+    # matches up to the ridge (test_empirical_fit_is_the_lambda_column_fit).
     model, cost = sec6
     config = replace(sec6_config.learner, max_iterations=1, seed=3, cost_mode=cost_mode)
     rollouts = []
@@ -408,12 +484,13 @@ def test_bls_empirical_mode_solves_its_normal_equations(sec6):
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) <= 1e-8
 
 
-@pytest.mark.parametrize("cost_mode", COST_MODES)
-def test_learner_fit_recovers_kernel_and_cost_from_synthetic_costs(
-        sec6, sec6_config, cost_mode):
-    # Costs manufactured from a known kernel, and without D from a known
-    # average cost, through the exact regression identity: the learner's
-    # weighted, regularised fit must return both to solver precision.
+def test_learner_fit_recovers_kernel_and_cost_from_synthetic_costs(sec6, sec6_config):
+    # Costs manufactured from a known kernel through the exact regression
+    # identity: the learner's weighted, regularised known_d fit must return
+    # the kernel and the average cost to solver precision. Without D the fit
+    # estimates D from the next states, and costs like these, built with a
+    # free constant for lambda, depend on x_{k+1}: they are no plant's stage
+    # cost, so that fit is covered by test_empirical_fit_is_the_lambda_column_fit.
     model, cost = sec6
     p0 = solve_value_kernel(model, cost, L0_3)
     h_true = q_kernel_from_value(model, cost, p0)
@@ -423,15 +500,10 @@ def test_learner_fit_recovers_kernel_and_cost_from_synthetic_costs(
     traj = simulate_closed_loop(model, cost, L0_3, 2000, 0.64, 11)
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ L0_3.T)
-    if cost_mode == "known_d":
-        noise_cov = model.D
-        kappa = vech(noise_shape_kernel(L0_3, noise_cov))
-        costs = (phi - phi_next + kappa) @ vecs(h_true.matrix)
-    else:
-        noise_cov = None
-        costs = (phi - phi_next) @ vecs(h_true.matrix) + lam_true
+    kappa = vech(noise_shape_kernel(L0_3, model.D))
+    costs = (phi - phi_next + kappa) @ vecs(h_true.matrix)
     synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs)
-    h_hat, lam_hat = qlearning._fit_iteration(synth, L0_3, noise_cov,
+    h_hat, lam_hat = qlearning._fit_iteration(synth, L0_3, model.D,
                                               sec6_config.learner.rls_init_scale)
     rel = np.linalg.norm(h_hat.matrix - h_true.matrix) / np.linalg.norm(h_true.matrix)
     assert rel <= 1e-8
@@ -479,6 +551,17 @@ def test_bls_rejects_unexcited_data():
     traj = simulate_closed_loop(model, cost, np.zeros((1, 1)), 10, 0.0, 0)
     with pytest.raises(InsufficientExcitationError):
         bls_estimate(traj, np.zeros((1, 1)), np.zeros((1, 1)))
+
+
+def test_empirical_fit_rejects_unexcited_data():
+    # A rollout that never moves leaves the regression for D-hat singular.
+    model = SystemModel(A=[[0.5]], B=[[1.0]], D=[[0.0]], X0=[[0.0]])
+    cost = CostModel(Q=[[1.0]], R=[[1.0]])
+    traj = simulate_closed_loop(model, cost, np.zeros((1, 1)), 10, 0.0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnreliableKernelError, match="^noise estimate cannot be solved"):
+            qlearning._fit_iteration(traj, np.zeros((1, 1)), None, 1e8)
 
 
 def test_policy_from_h_examples(sec6, sec6_reference):

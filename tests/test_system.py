@@ -1,10 +1,16 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from slqr.analysis import moment_operator, solve_value_kernel, stationary_covariance
+from slqr.analysis import (
+    is_admissible,
+    moment_operator,
+    solve_value_kernel,
+    stationary_covariance,
+)
 from slqr.config import fixture_path, load_config
 from slqr.errors import ValidationError
 from slqr.system import (
@@ -57,6 +63,24 @@ def test_non_finite_matrices_are_rejected_without_a_warning(bad):
 def test_non_numeric_matrices_are_rejected_by_name(build, message):
     with pytest.raises(ValidationError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: scalar_model(a=np.array(0.5 + 1j)), r"^A must be a matrix of real numbers"),
+    (lambda: scalar_model(state_noise=[(np.array([[2j]]), 0.1)]),
+     r"^state_noise\[0\] must be a matrix of real numbers"),
+    (lambda: is_admissible(scalar_model(), np.array([[0.1 + 2j]])),
+     r"^gain must be a matrix of real numbers"),
+], ids=["A", "channel", "gain"])
+def test_complex_matrices_are_rejected_by_name(build, message):
+    # A complex array cast to float would lose its imaginary part, and the
+    # run would go on with another plant or gain; its ComplexWarning is no
+    # check, as a caller's warning filter may show it, hide it or raise it.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match=message):
+            build()
+    assert not caught
 
 
 def test_validate_rejects_zero_r():
