@@ -23,11 +23,17 @@ Schema (matrices are row-major nested arrays):
     }
 
 "pi" is required for model_based/both, "learner" and non-empty "seeds" for
-model_free/both. ExperimentConfig itself checks the mode, these rules and
-the ranges of pi.tol (> 0), pi.max_iter (>= 1) and the seeds (integers
->= 0), so a config changed with dataclasses.replace, as by the CLI's
---mode and --seeds, is held to them too. Every number
-in the document must be finite (json accepts NaN and Infinity).
+model_free/both. The loader checks the document's structure, each section an
+object with its required keys and no other, and one rule for the whole
+document: every number in it is finite (json reads NaN, Infinity and integers
+beyond the float range). The types that hold the values check them:
+SystemModel, CostModel and LearnerConfig, whose ValidationError comes back as
+a ConfigError prefixed with the section ("model.A must be ..."), and
+ExperimentConfig, which checks the mode, the rules above and the ranges of
+pi.tol (> 0), pi.max_iter (>= 1) and the seeds (integers >= 0), so that a
+config changed with dataclasses.replace, as by the CLI's --mode and --seeds,
+is held to them too. Every error names the dotted path of its entry. The
+types hold every real-valued setting as a float, so 1 loads as 1.0, and
 load_config(save_config(cfg)) reproduces the config exactly.
 """
 
@@ -35,22 +41,15 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .qlearning import LearnerConfig
 from .system import CostModel, SystemModel, check_integer, check_positive, is_integer
 
 MODES = ("model_based", "model_free", "both")
-
-_MODEL_KEYS = {"A", "B", "state_noise", "input_noise", "D", "X0"}
-_LEARNER_KEYS = {"initial_gain", "rollout_len", "probe_var", "rls_init_scale",
-                 "max_iterations", "gain_tol", "cost_mode"}
-_TOP_KEYS = {"mode", "model", "cost", "pi", "learner", "seeds", "output_dir"}
 
 
 @dataclass
@@ -83,6 +82,7 @@ class ExperimentConfig:
         try:
             if self.pi_tol is not None:
                 check_positive(self.pi_tol, "pi.tol", finite=True)
+                self.pi_tol = float(self.pi_tol)
             if self.pi_max_iter is not None:
                 check_integer(self.pi_max_iter, "pi.max_iter", 1)
         except ValidationError as exc:
@@ -95,172 +95,111 @@ class ExperimentConfig:
         return self.mode in ("model_free", "both")
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ConfigError(f"config missing {where}{key}")
-    return doc[key]
+def _fields(cls, skip: str = "") -> tuple[list[str], list[str]]:
+    """The init fields of dataclass cls but skip, as (required, optional)."""
+    init = [f for f in fields(cls) if f.init and f.name != skip]
+    required = [f.name for f in init if f.default is MISSING and f.default_factory is MISSING]
+    return required, [f.name for f in init if f.name not in required]
 
 
-def _matrix(doc: dict, key: str, where: str) -> np.ndarray:
-    raw = _require(doc, key, where)
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}{key} is not a numeric matrix: {exc}") from None
-    if arr.ndim != 2:
-        raise ConfigError(f"{where}{key} must be a 2-d nested array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{where}{key} has non-finite entries")
-    return arr
-
-
-def _number(doc: dict, key: str, where: str) -> float:
-    raw = _require(doc, key, where)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{where}{key} must be a number, got {type(raw).__name__}")
-    if not abs(raw) <= sys.float_info.max:   # NaN, Infinity or too large a float
-        raise ConfigError(f"{where}{key} must be finite, got {raw}")
-    return float(raw)
-
-
-def _integer(doc: dict, key: str, where: str) -> int:
-    raw = _require(doc, key, where)
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{where}{key} must be an integer, got {type(raw).__name__}")
-    return raw
-
-
-def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
-    unknown = set(doc) - allowed
+def _section(doc, where: str, required, optional=()) -> dict:
+    """doc, checked to be an object that has every key in required and no
+    key outside required and optional; where is its dotted path and a dot."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where[:-1] or 'config document'} must be an object")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"config missing {where}{key}")
+    unknown = set(doc) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"unknown config field {where}{sorted(unknown)[0]}")
+    return doc
 
 
-def _noise_list(doc: dict, key: str, where: str) -> list[tuple[np.ndarray, float]]:
-    raw = doc.get(key, [])
+def _check_finite(doc) -> None:
+    """ConfigError naming the dotted path of a number in doc that is NaN, infinite
+    or an integer beyond the float range; no recursion, so any depth json reads."""
+    entries = [("", doc)]
+    for path, value in entries:   # breadth first, entries growing as it goes
+        if isinstance(value, dict):
+            entries += ((f"{path}.{key}" if path else key, item) for key, item in value.items())
+        elif isinstance(value, list):
+            entries += ((f"{path}[{idx}]", item) for idx, item in enumerate(value))
+        elif (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and not abs(value) <= sys.float_info.max):
+            raise ConfigError(f"{path} must be finite, got {value}")
+
+
+def _channels(raw, where: str) -> list:
+    """A channel list's (matrix, variance) pairs, for SystemModel to check."""
     if not isinstance(raw, list):
-        raise ConfigError(f"{where}{key} must be a list of channel objects")
-    channels = []
-    for idx, entry in enumerate(raw):
-        here = f"{where}{key}[{idx}]."
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}{key}[{idx}] must be an object")
-        _reject_unknown(entry, {"matrix", "variance"}, here)
-        mat = _matrix(entry, "matrix", here)
-        var = _number(entry, "variance", here)
-        if not var >= 0:
-            raise ConfigError(f"{here}variance must be >= 0, got {var}")
-        channels.append((mat, var))
-    return channels
+        raise ConfigError(f"{where} must be a list of channel objects")
+    entries = [_section(entry, f"{where}[{idx}].", ("matrix", "variance"))
+               for idx, entry in enumerate(raw)]
+    return [(entry["matrix"], entry["variance"]) for entry in entries]
 
 
 def from_dict(doc: dict) -> ExperimentConfig:
-    """Build and fully validate a config from plain parsed data."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be an object")
-    _reject_unknown(doc, _TOP_KEYS, "")
+    """Build a config from plain parsed data: the document's structure and
+    finiteness are checked here, every value by the type that holds it."""
+    _section(doc, "", ("mode", "model", "cost"), ("pi", "learner", "seeds", "output_dir"))
+    _check_finite(doc)
 
-    mode = _require(doc, "mode", "")
-
-    model_doc = _require(doc, "model", "")
-    if not isinstance(model_doc, dict):
-        raise ConfigError("model must be an object")
-    _reject_unknown(model_doc, _MODEL_KEYS, "model.")
+    model_doc = dict(_section(doc["model"], "model.", *_fields(SystemModel)))
+    for side in ("state_noise", "input_noise"):
+        model_doc[side] = _channels(model_doc.get(side, []), f"model.{side}")
     try:
-        model = SystemModel(
-            A=_matrix(model_doc, "A", "model."),
-            B=_matrix(model_doc, "B", "model."),
-            D=_matrix(model_doc, "D", "model."),
-            X0=_matrix(model_doc, "X0", "model."),
-            state_noise=_noise_list(model_doc, "state_noise", "model."),
-            input_noise=_noise_list(model_doc, "input_noise", "model."),
-        )
+        model = SystemModel(**model_doc)
         model.validate()
     except ValidationError as exc:
-        raise ConfigError(f"model: {exc}") from None
+        raise ConfigError(f"model.{exc}") from None
 
-    cost_doc = _require(doc, "cost", "")
-    if not isinstance(cost_doc, dict):
-        raise ConfigError("cost must be an object")
-    _reject_unknown(cost_doc, {"Q", "R"}, "cost.")
     try:
-        cost = CostModel(Q=_matrix(cost_doc, "Q", "cost."),
-                         R=_matrix(cost_doc, "R", "cost."))
+        cost = CostModel(**_section(doc["cost"], "cost.", *_fields(CostModel)))
         cost.validate(model)
     except ValidationError as exc:
-        raise ConfigError(f"cost: {exc}") from None
+        raise ConfigError(f"cost.{exc}") from None
 
-    pi_tol = pi_max_iter = None
-    pi_doc = doc.get("pi")
-    if pi_doc is not None:
-        if not isinstance(pi_doc, dict):
-            raise ConfigError("pi must be an object")
-        _reject_unknown(pi_doc, {"tol", "max_iter"}, "pi.")
-        pi_tol = _number(pi_doc, "tol", "pi.")
-        pi_max_iter = _integer(pi_doc, "max_iter", "pi.")
+    pi = doc.get("pi")
+    pi = {} if pi is None else _section(pi, "pi.", ("tol", "max_iter"))
 
-    learner = None
-    learner_doc = doc.get("learner")
-    if learner_doc is not None:
-        if not isinstance(learner_doc, dict):
-            raise ConfigError("learner must be an object")
-        _reject_unknown(learner_doc, _LEARNER_KEYS, "learner.")
-        try:
-            learner = LearnerConfig(
-                initial_gain=_matrix(learner_doc, "initial_gain", "learner."),
-                rollout_len=_integer(learner_doc, "rollout_len", "learner."),
-                probe_var=_number(learner_doc, "probe_var", "learner."),
-                rls_init_scale=_number(learner_doc, "rls_init_scale", "learner."),
-                max_iterations=_integer(learner_doc, "max_iterations", "learner."),
-                gain_tol=_number(learner_doc, "gain_tol", "learner."),
-                seed=0,  # replaced per run by the seed sweep
-                cost_mode=learner_doc.get("cost_mode", "known_d"),
-            )
+    learner = doc.get("learner")
+    if learner is not None:
+        _section(learner, "learner.", *_fields(LearnerConfig, skip="seed"))
+        try:   # the seed is replaced per run by the seed sweep
+            learner = LearnerConfig(**learner, seed=0)
         except ValidationError as exc:
-            raise ConfigError(f"learner: {exc}") from None
-        if learner.initial_gain.shape != (model.input_dim, model.state_dim):
-            raise ConfigError(
-                f"learner.initial_gain must have shape "
-                f"{(model.input_dim, model.state_dim)}, "
-                f"got {learner.initial_gain.shape}"
-            )
+            raise ConfigError(f"learner.{exc}") from None
+        shape = (model.input_dim, model.state_dim)
+        if learner.initial_gain.shape != shape:
+            raise ConfigError(f"learner.initial_gain must have shape {shape}, "
+                              f"got {learner.initial_gain.shape}")
 
-    return ExperimentConfig(mode=mode, model=model, cost=cost, pi_tol=pi_tol,
-                            pi_max_iter=pi_max_iter, learner=learner,
+    return ExperimentConfig(mode=doc["mode"], model=model, cost=cost, pi_tol=pi.get("tol"),
+                            pi_max_iter=pi.get("max_iter"), learner=learner,
                             seeds=doc.get("seeds", []),
                             output_dir=doc.get("output_dir", "results"))
 
 
 def to_dict(config: ExperimentConfig) -> dict:
     """Plain-data form of a config; inverse of from_dict."""
+    model = config.model
     doc: dict = {
         "mode": config.mode,
-        "model": {
-            "A": config.model.A.tolist(),
-            "B": config.model.B.tolist(),
-            "state_noise": [{"matrix": mat.tolist(), "variance": var}
-                            for mat, var in config.model.state_noise],
-            "input_noise": [{"matrix": mat.tolist(), "variance": var}
-                            for mat, var in config.model.input_noise],
-            "D": config.model.D.tolist(),
-            "X0": config.model.X0.tolist(),
-        },
+        "model": {key: getattr(model, key).tolist() for key in ("A", "B", "D", "X0")},
         "cost": {"Q": config.cost.Q.tolist(), "R": config.cost.R.tolist()},
         "seeds": list(config.seeds),
         "output_dir": config.output_dir,
     }
+    for side in ("state_noise", "input_noise"):
+        doc["model"][side] = [{"matrix": mat.tolist(), "variance": var}
+                              for mat, var in getattr(model, side)]
     if config.pi_tol is not None:
         doc["pi"] = {"tol": config.pi_tol, "max_iter": config.pi_max_iter}
     if config.learner is not None:
-        doc["learner"] = {
-            "initial_gain": config.learner.initial_gain.tolist(),
-            "rollout_len": config.learner.rollout_len,
-            "probe_var": config.learner.probe_var,
-            "rls_init_scale": config.learner.rls_init_scale,
-            "max_iterations": config.learner.max_iterations,
-            "gain_tol": config.learner.gain_tol,
-            "cost_mode": config.learner.cost_mode,
-        }
+        required, optional = _fields(LearnerConfig, skip="seed")
+        doc["learner"] = {key: getattr(config.learner, key) for key in required + optional}
+        doc["learner"]["initial_gain"] = config.learner.initial_gain.tolist()
     return doc
 
 
@@ -272,6 +211,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:   # a directory, or a file that cannot be read
         raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deeply to parse") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     except json.JSONDecodeError as exc:

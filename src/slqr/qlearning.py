@@ -286,9 +286,10 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
             f"gain shape {gain.shape} does not match trajectory dimensions"
         )
     n_samples, s = traj.n_steps, packed_length(n + m)
-    if n_samples < s:
+    unknowns = s + (weighted and noise_cov is None)   # D-hat's has one more
+    if n_samples < unknowns:
         raise InsufficientExcitationError(
-            f"{n_samples} samples cannot identify {s} kernel coefficients; "
+            f"{n_samples} samples cannot identify {unknowns} coefficients; "
             f"use a longer rollout"
         )
     # Row run i of the features holds z_i z_j for j >= i and starts with z_i^2;
@@ -395,7 +396,9 @@ class LearnerConfig:
     the additive-noise covariance D, "empirical" through D-hat estimated from
     the rollout. For the plant's stage costs the latter is the fit with the
     average cost as one more coefficient; costs with a free constant of their
-    own, which no plant produces, are fitted wrongly.
+    own, which no plant produces, are fitted wrongly. A fit takes at least
+    (n+m)(n+m+1)/2 samples, one more in empirical mode. probe_var,
+    rls_init_scale and gain_tol are held as floats.
     """
 
     initial_gain: np.ndarray
@@ -413,9 +416,9 @@ class LearnerConfig:
         check_integer(self.rollout_len, "rollout_len", 1)
         check_integer(self.max_iterations, "max_iterations", 1)
         check_integer(self.seed, "seed", 0)
-        for name in ("probe_var", "rls_init_scale"):
-            check_positive(getattr(self, name), name)
-        check_positive(self.gain_tol, "gain_tol", finite=True)
+        for name in ("probe_var", "rls_init_scale", "gain_tol"):
+            check_positive(getattr(self, name), name, finite=name == "gain_tol")
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.cost_mode not in COST_MODES:
             raise ValidationError(
                 f"cost_mode must be one of {COST_MODES}, got {self.cost_mode!r}"

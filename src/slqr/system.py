@@ -44,6 +44,7 @@ path and no size-dependent switch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,10 +61,11 @@ ROLLOUT_BLOCK = 4096
 
 def as_matrix(mat, name: str) -> np.ndarray:
     """mat as a float array (not a copy when it is one already); raise
-    ValidationError unless it is real, converts to float, is 2-d and finite."""
+    ValidationError unless it holds real numbers, not bools or strings, that
+    convert to float, and is 2-d and finite."""
     try:
         arr = np.asarray(mat)
-        if np.iscomplexobj(arr):    # casting would drop the imaginary part
+        if arr.dtype.kind not in "fiuO":    # casting would take bools, strings, complex
             raise TypeError
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
@@ -89,9 +91,16 @@ def is_integer(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """Whether value is a Python or numpy real number; a bool is not."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
+    """Whether value is a Python or numpy real number that converts to float;
+    a bool is not, nor is an int beyond the float range."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, (float, np.integer, np.floating))
+
+
+def _kind(value) -> str:
+    """What value is, for a message saying that it is not a real number."""
+    return "int beyond the float range" if is_integer(value) else type(value).__name__
 
 
 def check_integer(value, name: str, minimum: int) -> None:
@@ -106,7 +115,7 @@ def check_positive(value, name: str, finite: bool = False) -> None:
     """Raise ValidationError unless value is a real number (Python or numpy,
     not a bool) > 0; NaN is not. With finite, inf is not either."""
     if not is_real(value):
-        raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
+        raise ValidationError(f"{name} must be a number, got {_kind(value)}")
     if not value > 0:
         raise ValidationError(f"{name} must be > 0, got {value}")
     if finite and value == np.inf:
@@ -180,7 +189,7 @@ class SystemModel:
                         f"{where} matrix must have shape {shape}, got {mat.shape}")
                 if not is_real(var):
                     raise ValidationError(
-                        f"{where} variance must be a real number, got {type(var).__name__}")
+                        f"{where} variance must be a real number, got {_kind(var)}")
                 if not 0 <= var < math.inf:
                     raise ValidationError(f"{where} variance must be finite and >= 0, got {var}")
                 factor[:, part] = math.sqrt(var) * mat
@@ -329,7 +338,7 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     n, m = model.state_dim, model.input_dim
     check_integer(n_steps, "n_steps", 1)
     if not is_real(probe_var):
-        raise ValidationError(f"probe_var must be a real number, got {type(probe_var).__name__}")
+        raise ValidationError(f"probe_var must be a real number, got {_kind(probe_var)}")
     if not 0 <= probe_var < math.inf:
         raise ValidationError(f"probe_var must be finite and >= 0, got {probe_var}")
     check_integer(seed, "seed", 0)

@@ -93,7 +93,7 @@ def test_missing_cost_entry_names_the_field():
 def test_negative_variance_names_the_channel():
     doc = minimal_doc()
     doc["model"]["state_noise"][0]["variance"] = -0.05
-    with pytest.raises(ConfigError, match=r"state_noise\[0\]\.variance"):
+    with pytest.raises(ConfigError, match=r"state_noise\[0\] variance"):
         from_dict(doc)
 
 
@@ -154,6 +154,26 @@ def test_a_learner_config_without_pi_has_no_pi_settings(tmp_path):
         replace(config, mode="both")
 
 
+# Every number and matrix of learner_doc(), by its place in the document:
+# (path, whether it is a matrix, its dotted name).
+ENTRIES = [((section, key), False, f"{section}.{key}") for section, key in [
+    ("learner", "rollout_len"), ("learner", "probe_var"), ("learner", "rls_init_scale"),
+    ("learner", "max_iterations"), ("learner", "gain_tol"), ("learner", "cost_mode"),
+    ("pi", "tol"), ("pi", "max_iter")]]
+ENTRIES += [((section, key), True, f"{section}.{key}") for section, key in [
+    ("model", "A"), ("model", "B"), ("model", "D"), ("model", "X0"), ("cost", "Q"),
+    ("cost", "R"), ("learner", "initial_gain")]]
+ENTRIES += [(("model", "state_noise", 0, "matrix"), True, "model.state_noise[0].matrix"),
+            (("model", "state_noise", 0, "variance"), False, "model.state_noise[0].variance")]
+NON_FINITE = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "huge": 10**400}
+
+
+def set_entry(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("pi", "tol"), float("nan"), "pi.tol"),
     (("pi", "tol"), 10**400, "pi.tol"),
@@ -164,15 +184,15 @@ def test_a_learner_config_without_pi_has_no_pi_settings(tmp_path):
     (("cost", "Q"), [[float("-inf")]], "cost.Q"),
     (("learner", "probe_var"), float("nan"), "learner.probe_var"),
     (("learner", "initial_gain"), [[float("inf")]], "learner.initial_gain"),
-], ids=["nan", "huge", "nan-matrix", "huge-matrix", "inf", "-inf-matrix", "nan-learner",
-        "inf-gain"])
+] + [(path, [[bad]] if matrix else bad, field)
+      for path, matrix, field in ENTRIES for bad in NON_FINITE.values()],
+    ids=["nan", "huge", "nan-matrix", "huge-matrix", "inf", "-inf-matrix", "nan-learner",
+         "inf-gain"] + [f"{field}-{name}" for _, _, field in ENTRIES for name in NON_FINITE])
 def test_non_finite_values_name_the_field(tmp_path, path, value, field):
-    # json reads NaN, Infinity and -Infinity; none of them is a valid entry.
+    # json reads NaN, Infinity, -Infinity and integers beyond the float
+    # range; none of them is a valid entry.
     doc = learner_doc()
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    set_entry(doc, path, value)
     file = tmp_path / "cfg.json"
     file.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=re.escape(field)):
@@ -214,6 +234,16 @@ def test_scalar_values_are_type_checked():
     doc["output_dir"] = ""
     with pytest.raises(ConfigError, match="output_dir"):
         from_dict(doc)
+    # A bool or a string is no number, in a matrix entry or in place of a
+    # scalar. SystemModel names a channel's entries "state_noise[0] variance"
+    # and "state_noise[0]".
+    for path, matrix, field in ENTRIES:
+        name = field.replace("].variance", "] variance").replace("].matrix", "]")
+        for bad in (True, "1"):
+            doc = learner_doc()
+            set_entry(doc, path, [[bad]] if matrix else bad)
+            with pytest.raises(ConfigError, match=re.escape(name)):
+                from_dict(doc)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -248,6 +278,13 @@ def test_round_trip_is_stable(sec6_config):
     assert to_dict(from_dict(doc)) == doc
     doc2 = to_dict(from_dict(to_dict(from_dict(learner_doc()))))
     assert doc2 == to_dict(from_dict(learner_doc()))
+    # Real-valued settings load as floats, also when written as integers.
+    doc = learner_doc()
+    doc["learner"]["probe_var"] = doc["pi"]["tol"] = doc["model"]["state_noise"][0]["variance"] = 1
+    saved = to_dict(from_dict(doc))
+    assert all(type(value) is float for value in (
+        saved["learner"]["probe_var"], saved["pi"]["tol"],
+        saved["model"]["state_noise"][0]["variance"]))
 
 
 def test_save_and_load_round_trip(tmp_path, sec6_config):
@@ -261,6 +298,9 @@ def test_load_reports_parse_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "mode": "both",\n  oops\n}\n')
     with pytest.raises(ConfigError, match="line 3"):
+        load_config(path)
+    path.write_text("[" * 100000 + "]" * 100000)   # deeper than json's recursion limit
+    with pytest.raises(ConfigError, match="nested too deeply"):
         load_config(path)
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.json")

@@ -102,8 +102,8 @@ def learner_config(**kwargs):
     return LearnerConfig(**{**LEARNER_ARGS, **kwargs})
 
 
-def scalar_rollout(n_steps):
-    return simulate_closed_loop(SCALAR, SCALAR_COST, np.zeros((1, 1)), n_steps, 0.5, 0)
+def scalar_rollout(n_steps=3, probe_var=0.5):
+    return simulate_closed_loop(SCALAR, SCALAR_COST, np.zeros((1, 1)), n_steps, probe_var, 0)
 
 
 @pytest.mark.parametrize("build, field, value, valid", [
@@ -129,6 +129,11 @@ def scalar_rollout(n_steps):
     (scalar_rollout, "n_steps", 2.5, False),
     (scalar_rollout, "n_steps", np.float64(3), False),
     (scalar_rollout, "n_steps", np.int64(3), True),
+    # An int beyond the float range is no real number.
+    pytest.param(scalar_policy_iteration, "tol", 10**400, False, id="tol-huge"),
+    pytest.param(learner_config, "probe_var", 10**400, False, id="probe_var-huge"),
+    pytest.param(learner_config, "rls_init_scale", 10**400, False, id="rls_init_scale-huge"),
+    pytest.param(scalar_rollout, "probe_var", 10**400, False, id="rollout-probe_var-huge"),
 ], ids=lambda v: repr(v) if not callable(v) else v.__name__)
 def test_integer_and_number_arguments_are_checked_up_front(monkeypatch, build, field,
                                                            value, valid):

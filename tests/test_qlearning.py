@@ -137,7 +137,8 @@ def test_streamed_normal_equations_match_the_dense_form(sec6, feature_builds, mo
                                                         n_steps):
     # The windowed pass must equal the whole-rollout form at every window
     # boundary, building each window's features once. 21 = s at n = m = 3 is
-    # the shortest rollout the fit accepts. The second plant has n = 4 states,
+    # the shortest rollout the fit accepts, but for empirical's D-hat, whose
+    # regression has s + 1 unknowns. The second plant has n = 4 states,
     # m = 2 inputs and both channel kinds, so s = 21 again but the next-state
     # block is 10 wide.
     weighted, known_d = FIT_MODES[mode]
@@ -150,6 +151,10 @@ def test_streamed_normal_equations_match_the_dense_form(sec6, feature_builds, mo
         feature_builds.clear()
         traj = simulate_closed_loop(model, cost, gain, n_steps, 0.64, 31)
         noise_cov = model.D if known_d else None
+        if mode == "empirical" and n_steps == 21:
+            with pytest.raises(InsufficientExcitationError, match="21 samples cannot identify 22"):
+                qlearning._normal_equations(traj, gain, noise_cov, weighted)
+            continue
         gram, rhs, correction = qlearning._normal_equations(traj, gain, noise_cov, weighted)
         if mode == "empirical":
             # The weighted fit without D is known_d's with the pass's D-hat,

@@ -143,6 +143,8 @@ def test_validate_rejects_wrong_channel_shape():
     ("state_noise", [[1.0]], r"must be a \(matrix, variance\) pair"),
     ("input_noise", np.eye(1), r"must be a \(matrix, variance\) pair"),
     ("state_noise", 0.1, r"must be a \(matrix, variance\) pair"),
+    ("state_noise", ([[1.0]], 10**400),
+     "variance must be a real number, got int beyond the float range"),
 ])
 def test_malformed_channels_are_rejected_at_construction(side, entry, message):
     with pytest.raises(ValidationError, match=rf"^{side}\[0\] {message}"):
