@@ -20,11 +20,12 @@ T is held in one form, the (c, n, n) stack of its factors that
 moment_operator returns; every routine below takes it, T*'s is its
 transpose, and _operator prepares T's application from it. T maps
 symmetric matrices to symmetric matrices, so the solvers work in the
-s = n(n+1)/2 coordinates vech(X) (packed), never with the n^2 x n^2
-Kronecker form. This loses nothing: T commutes with transposition, so its
-spectrum is that of the symmetric block plus that of the skew block, and a
-positive map attains its spectral radius at a PSD eigenvector
-(Krein-Rutman), which lies in the symmetric block.
+s = n(n+1)/2 coordinates vech(X), never with the n^2 x n^2 Kronecker form:
+packed(stack) is T's s x s matrix there, packing.congruence of its stack.
+This loses nothing: T commutes with transposition, so its spectrum is that
+of the symmetric block plus that of the skew block, and a positive map
+attains its spectral radius at a PSD eigenvector (Krein-Rutman), which lies
+in the symmetric block.
 
 is_admissible decides stability exactly. From PERRON_MIN_N states on it
 brackets the Perron root (_perron_radius): T is a positive map, so an X > 0
@@ -78,7 +79,7 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import packed_indices, symmetrize, unvech, vech
+from .packing import congruence as packed, symmetrize, unvech, vech
 from .system import CostModel, SystemModel, loop_factors
 
 # A gain is admissible when rho(T) < 1 - ADMISSIBILITY_MARGIN.
@@ -123,29 +124,6 @@ def moment_operator(model: SystemModel, gain: np.ndarray) -> np.ndarray:
     factors = loop_factors(model, gain)
     kept = factors[1:].any(axis=(1, 2))
     return factors if kept.all() else factors[np.concatenate(([True], kept))]
-
-
-def packed(stack: np.ndarray) -> np.ndarray:
-    """T on symmetric matrices in vech coordinates, for the factors F_c
-    stacked along the first axis of stack: an s x s matrix, s = n(n+1)/2.
-
-    Row (i, j) and column (a, b), i <= j and a <= b in np.triu_indices
-    order, hold sum_c F_c[i,a] F_c[j,b] + F_c[i,b] F_c[j,a], halved on the
-    diagonal columns a = b, where X[a,b] and X[b,a] are one coordinate.
-    One batched product forms every sum_c F_c[i,a] F_c[j,b]: for each row
-    (i, j) the (n, c) block of rows i times the (c, n) block of rows j.
-    Both columns of an entry are then taken from it at flat indices a*n + b
-    and b*n + a.
-    """
-    n = stack.shape[1]
-    rows, cols = packed_indices(n)
-    # terms[(i, j), a*n + b] = sum_c F_c[i,a] F_c[j,b]: rows i <= j of sum_c F_c kron F_c
-    terms = stack.transpose(1, 2, 0)[rows] @ stack.transpose(1, 0, 2)[cols]
-    terms = terms.reshape(len(rows), n * n)
-    mat = np.take(terms, rows * n + cols, axis=1)
-    mat += np.take(terms, cols * n + rows, axis=1)
-    mat[:, rows == cols] *= 0.5
-    return mat
 
 
 def is_admissible(model: SystemModel, gain: np.ndarray) -> tuple[bool, float]:
@@ -387,9 +365,9 @@ def _splitting_solve(stack: np.ndarray, apply, rhs: np.ndarray,
 def _packed_solve(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve (I - T) vech(X) = vech(C) on the packed s x s matrix by LU, or
     return None when it is singular. Only the upper triangle of C is read."""
-    rows, cols = packed_indices(len(rhs))
+    vec = vech(rhs)
     try:
-        return unvech(np.linalg.solve(np.eye(len(rows)) - packed(stack), rhs[rows, cols]))
+        return unvech(np.linalg.solve(np.eye(len(vec)) - packed(stack), vec))
     except np.linalg.LinAlgError:
         return None
 

@@ -67,6 +67,30 @@ def symmetrize(mat: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
+def congruence(factors: np.ndarray) -> np.ndarray:
+    """X -> sum_c F_c X F_c^T on symmetric q x q X in vech coordinates, for
+    p x q factors F_c stacked as (c, p, q): the p(p+1)/2 x q(q+1)/2 matrix M
+    with vech(sum_c F_c X F_c^T) = M vech(X).
+
+    Row (i, j) and column (a, b), i <= j and a <= b in scan order, hold
+    sum_c F_c[i,a] F_c[j,b] + F_c[i,b] F_c[j,a], halved on the diagonal
+    columns a = b, where X[a,b] and X[b,a] are one coordinate. One batched
+    product forms every sum_c F_c[i,a] F_c[j,b]: for each row (i, j) the
+    (q, c) block of rows i times the (c, q) block of rows j. Both columns of
+    an entry are then taken from it at flat indices a*q + b and b*q + a.
+    """
+    factors = np.asarray(factors, dtype=float)
+    rows, cols = packed_indices(factors.shape[1])
+    a, b = packed_indices(q := factors.shape[2])
+    # terms[(i, j), a*q + b] = sum_c F_c[i,a] F_c[j,b]
+    terms = factors.transpose(1, 2, 0)[rows] @ factors.transpose(1, 0, 2)[cols]
+    terms = terms.reshape(len(rows), q * q)
+    mat = np.take(terms, a * q + b, axis=1)
+    mat += np.take(terms, b * q + a, axis=1)
+    mat[:, a == b] *= 0.5
+    return mat
+
+
 def vech(mat: np.ndarray) -> np.ndarray:
     """Pack the upper triangle of a symmetric matrix, row-major scan."""
     mat = np.asarray(mat, dtype=float)

@@ -44,12 +44,12 @@ sum psi phi^T. The next-state columns need no gather: vech(x x^T) is the
 first n - i entries of the features' row runs i < n, read one column on,
 and the weights are applied in place once they are read. The next-state
 features are a linear image of the state-only ones,
-phi(x, L x) = K_L vech(x x^T) with K_L from _gain_map, so the gain enters
-once after the pass:
+phi(x, L x) = K_L vech(x x^T) with K_L = packing.congruence of the one
+factor [I; L], so the gain enters once after the pass:
 sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) K_L^T.
 Working memory is O(ROLLOUT_BLOCK * s) whatever the rollout length, and the
 statistics of several rollouts add up, so a refit for any gain on pooled
-data is their sum and one _gain_map product.
+data is their sum and one K_L product.
 
 The learner sees only a rollout sampler, stage costs, and optionally D; the
 plant matrices stay out of reach by construction.
@@ -69,7 +69,7 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import packed_indices, packed_length, unvech, unvecs, vech
+from .packing import congruence, packed_length, unvech, unvecs, vech
 from .policy_iteration import QKernel, evaluate_improve
 from .system import (
     ROLLOUT_BLOCK,
@@ -210,24 +210,6 @@ def rls_kernel(state: RlsState, state_dim: int) -> QKernel:
     return QKernel(matrix=unvecs(vec), state_dim=state_dim)
 
 
-def _gain_map(gain: np.ndarray) -> np.ndarray:
-    """The s x n(n+1)/2 matrix K with vech(E X E^T) = K vech(X), E = [I; L].
-
-    For symmetric X, entry (a, b) of E X E^T is the sum over i <= j of
-    X_ij (E_ai E_bj + E_aj E_bi), with the i = j term counted once. With
-    X = x x^T this gives the features of the on-policy pair:
-    features(np.r_[x, L @ x]) = K @ vech(x x^T).
-    """
-    m, n = gain.shape
-    basis = np.vstack([np.eye(n), gain])
-    a, b = packed_indices(n + m)
-    i, j = packed_indices(n)
-    rows_a, rows_b = basis[a], basis[b]
-    kmap = rows_a[:, i] * rows_b[:, j] + rows_a[:, j] * rows_b[:, i]
-    kmap[:, i == j] /= 2.0
-    return kmap
-
-
 def _solve(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """np.linalg.solve, each failure an UnreliableKernelError naming what."""
     try:
@@ -270,8 +252,8 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
     times the second array gives sum psi vech(x x^T)^T, sum psi (c - centre)
     and sum psi. The first s entries of sum psi are sum w phi, the last row
     of sum psi phi^T. After the pass the gain enters once, through
-    sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) _gain_map(gain)^T,
-    so no N x s array is formed.
+    sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) K_L^T, with
+    K_L = congruence([I; L]) (module docstring), so no N x s array is formed.
 
     Returns (gram, rhs, correction), correction = vech(kappa) or None (plain,
     no noise_cov). Raises UnreliableKernelError when the data are not finite
@@ -340,7 +322,8 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
         # Psi^T G for the regressors phi(z_k) - phi(zbar_{k+1}); the product
         # takes all s + 1 rows, as OpenBLAS's rounding depends on the count.
         totals, rhs, correction = sums[:, t + 1], sums[:s, t], None
-        gram = cross - (sums[:, :t] @ _gain_map(gain).T)[:s]
+        gain_map = congruence(np.vstack([np.eye(n), gain])[None])
+        gram = cross - (sums[:, :t] @ gain_map.T)[:s]
         if weighted and noise_cov is None:
             # D-hat: the intercept of the weighted regression of vech(x x^T)
             # on [phi; 1], whose Gram sum w [phi; 1][phi; 1]^T is cross

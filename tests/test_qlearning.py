@@ -15,7 +15,7 @@ from slqr.errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from slqr.packing import unvech, unvecs, vech, vecs
+from slqr.packing import congruence, unvech, unvecs, vech, vecs
 from slqr.policy_iteration import QKernel, policy_iteration, q_kernel_from_value
 from slqr.qlearning import (
     COST_MODES,
@@ -78,13 +78,14 @@ def test_feature_matrix_matches_per_row_features():
 
 
 def test_gain_map_gives_the_on_policy_features():
-    # K_L maps vech(x x^T) to the features of (x, L x), for every shape.
+    # K_L, the congruence of the one factor [I; L], maps vech(x x^T) to the
+    # features of (x, L x), for every shape.
     rng = np.random.default_rng(14)
     shapes = [(1, 1)] + [(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
                          for _ in range(30)]
     for n, m in shapes:
         gain = rng.normal(size=(m, n))
-        kmap = qlearning._gain_map(gain)
+        kmap = congruence(np.vstack([np.eye(n), gain])[None])
         assert kmap.shape == ((n + m) * (n + m + 1) // 2, n * (n + 1) // 2)
         for _ in range(5):
             x = rng.normal(size=n)
