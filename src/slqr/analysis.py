@@ -31,7 +31,7 @@ is_admissible decides stability exactly. From PERRON_MIN_N states on it
 brackets the Perron root (_perron_radius): T is a positive map, so an X > 0
 with lo X <= T(X) <= hi X puts rho in [lo, hi] (Collatz-Wielandt). X comes
 from matrix-free power steps, O(c n^3) each, until the observed rate of the
-bracket's width predicts more steps than a packed build and two LU steps
+bracket's width predicts more steps than a packed build and three LU steps
 cost; then shifted inverse steps on the s x s packed matrix M take over.
 Below PERRON_MIN_N, and when the bracket does not close, the eigenvalues of
 M decide: O(s^3) = O(n^6/8) work, an eighth of the n^2 x n^2 form's.
@@ -164,14 +164,17 @@ def _perron_radius(stack: np.ndarray, apply, packed_matrix) -> float | None:
     For X = C C^T > 0, the extreme eigenvalues lo, hi of C^-1 T(X) C^-T give
     lo X <= T(X) <= hi X, and since T is a positive map, lo <= rho <= hi.
     X starts from I and takes power steps X <- T(X), normalised to trace 1
-    after every fourth; a bracket reuses the next step's T(X). The first
-    comes after PERRON_POWER_STEPS steps, each next one where the rate at
-    which the relative width w = (hi - lo)/hi shrank since the last (w = 1
-    at I, as lo >= 0) predicts w <= PERRON_RTOL. Once that is more steps
-    ahead than a packed build and two LU steps cost, 2.5 (n + 1) +
-    (n + 1)^3/(24 c) steps of 4 c n^3 flops (the build's
-    2 c s n^2 flops run at a tenth of BLAS speed), or w did not shrink,
-    shifted inverse steps v <- (hi I - M)^-1 v take over from v = vech(X),
+    after every 16th (the bracket does not depend on X's scale); a bracket
+    reuses the next step's T(X). The first comes after PERRON_POWER_STEPS
+    steps, each next one where the rate at which the relative width
+    w = (hi - lo)/hi shrank since the last (w = 1 at I, as lo >= 0)
+    predicts w <= PERRON_RTOL. Once that is more steps ahead than a
+    hand-over costs, a packed build and three inverse steps,
+    2.5 (n + 1) + 3 (n + 1)^3/(32 c) steps of 4 c n^3 flops (the build's
+    2 c s n^2 flops run at a tenth of the power steps' speed, the
+    (2/3) s^3 flops of an inverse step's LU at two thirds of it), or w did
+    not shrink, shifted inverse steps v <- (hi I - M)^-1 v take over from
+    v = vech(X),
     on M = packed_matrix() and with the current upper bound hi as the shift.
     As hi >= rho, rho is the eigenvalue nearest the shift and (hi I - T)^-1
     is again a positive map, so they converge even where power steps cycle.
@@ -187,7 +190,7 @@ def _perron_radius(stack: np.ndarray, apply, packed_matrix) -> float | None:
     PERRON_INVERSE_STEPS inverse steps.
     """
     c, n = stack.shape[:2]
-    budget = 2.5 * (n + 1) + (n + 1) ** 3 / (24 * c)
+    budget = 2.5 * (n + 1) + 3 * (n + 1) ** 3 / (32 * c)
     edge = 1.0 - ADMISSIBILITY_MARGIN
 
     def bracket(x, tx):
@@ -202,7 +205,7 @@ def _perron_radius(stack: np.ndarray, apply, packed_matrix) -> float | None:
         while True:
             for steps in range(steps + 1, check + 1):
                 x = tx
-                if steps % 4 == 0:
+                if steps % 16 == 0:
                     x /= np.trace(x)
                 tx = apply(x)
             lo, hi = bracket(x, tx)

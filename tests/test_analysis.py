@@ -1338,6 +1338,27 @@ def test_overflowing_power_steps_fall_back_without_warnings(monkeypatch):
     assert calls["eigvals"] == 1
 
 
+@pytest.mark.parametrize("rho_target", [1e24, 1e-40])
+def test_iterates_leaving_the_float_range_within_a_block_fall_back(monkeypatch, rho_target):
+    # The power iterate is normalised once per 16 steps, so it moves by
+    # rho^16 in between: at rho = 1e24 it overflows within one block, at
+    # rho = 1e-40 it vanishes. The eigenvalues then decide, with no numpy
+    # warning, and give the verdict and radius that a closed bracket gives
+    # (to 1e-12). Scaling A by c and every variance by c^2 scales T by c^2.
+    base, _ = wide_system(np.random.default_rng(3))
+    gain = np.zeros((base.input_dim, base.state_dim))
+    c2 = rho_target / packed_radius(base, gain)
+    model = SystemModel(A=np.sqrt(c2) * base.A, B=base.B, D=base.D, X0=base.X0,
+                        state_noise=[(a, c2 * v) for a, v in base.state_noise])
+    rho_eig = packed_radius(model, gain)
+    assert rho_eig == pytest.approx(rho_target, rel=1e-12)
+    calls = count_eigvals(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_admissible(model, gain) == (rho_target < 1.0, rho_eig)
+    assert calls["eigvals"] == 1
+
+
 def test_periodic_loop_gets_the_perron_root(monkeypatch):
     # A weighted cyclic shift: A's eigenvalues are r times the n-th roots of
     # unity, so T has every r^2 w (w^n = 1) on its spectral circle, -r^2
