@@ -226,7 +226,10 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
 
 
 def fixture_names() -> list[str]:
+    """Names of the shipped fixtures; none when the package ships no fixtures directory."""
     root = resources.files("slqr") / "fixtures"
+    if not root.is_dir():
+        return []
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
 

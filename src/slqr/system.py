@@ -61,12 +61,14 @@ ROLLOUT_BLOCK = 4096
 
 def as_matrix(mat, name: str) -> np.ndarray:
     """mat as a float array (not a copy when it is one already); raise
-    ValidationError unless it holds real numbers, not bools or strings, that
-    convert to float, and is 2-d and finite."""
+    ValidationError unless it holds real numbers, not bools, strings or
+    None, that convert to float, and is 2-d and finite."""
     try:
         arr = np.asarray(mat)
         if arr.dtype.kind not in "fiuO":    # casting would take bools, strings, complex
             raise TypeError
+        if arr.dtype.kind == "O" and any(v is None for v in arr.flat):
+            raise TypeError                 # casting would read None as nan
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a matrix of real numbers") from None
@@ -330,8 +332,8 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     for the additive noise. Costs are charged on the input actually applied.
     The window size does not change the draws: each window takes the next
     rows of the same stream. Raises ValidationError unless gain is a finite
-    (m, n) matrix, n_steps an integer >= 1, probe_var a real number, finite
-    and >= 0, and seed an integer >= 0.
+    (m, n) matrix, n_steps an integer >= 1 whose arrays can be allocated,
+    probe_var a real number, finite and >= 0, and seed an integer >= 0.
     """
     loop = loop_factors(model, gain)
     gain = np.asarray(gain, dtype=float)
@@ -371,9 +373,13 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     regressors[draw_width] = 1.0
     gain_t = np.ascontiguousarray(gain.T)
 
-    states = np.empty((n_steps + 1, n))
-    inputs = np.empty((n_steps + 1, m))
-    costs = np.empty(n_steps)
+    try:
+        states = np.empty((n_steps + 1, n))
+        inputs = np.empty((n_steps + 1, m))
+        costs = np.empty(n_steps)
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(
+            f"n_steps is too large for the rollout's arrays: {exc}") from None
 
     states[0] = x0_factor @ rng.standard_normal(n)
     # A gain that is not mean-square stable overflows the states; they come

@@ -235,14 +235,14 @@ def test_scalar_values_are_type_checked():
     with pytest.raises(ConfigError, match="output_dir"):
         from_dict(doc)
     # A bool or a string is no number, in a matrix entry or in place of a
-    # scalar. SystemModel names a channel's entries "state_noise[0] variance"
-    # and "state_noise[0]".
+    # scalar, and a JSON null is none in a matrix entry. SystemModel names a
+    # channel's entries "state_noise[0] variance" and "state_noise[0]".
     for path, matrix, field in ENTRIES:
         name = field.replace("].variance", "] variance").replace("].matrix", "]")
-        for bad in (True, "1"):
+        for bad in (True, "1") + ((None,) if matrix else ()):
             doc = learner_doc()
             set_entry(doc, path, [[bad]] if matrix else bad)
-            with pytest.raises(ConfigError, match=re.escape(name)):
+            with pytest.raises(ConfigError, match=re.escape(name) + " must be"):
                 from_dict(doc)
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import slqr.config as config_module
 import slqr.experiment as experiment_module
 from slqr.analysis import average_cost, solve_value_kernel
 from slqr.cli import main
@@ -288,6 +289,31 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert main(["run", "--config", "scalar_smoke", "--seeds", "a,b"]) == 1
+
+
+def test_cli_rollout_too_long_to_allocate_exits_2(tmp_path, capsys):
+    # A rollout_len of 10**300 passes the loader; the rollout's allocation
+    # fails numpy's size check and ends in one line and exit code 2.
+    doc = to_dict(load_config(fixture_path("scalar_smoke")))
+    doc["learner"]["rollout_len"] = 10**300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--mode", "model_free",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_steps is too large" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_without_a_fixtures_directory_reports_an_unknown_fixture(
+        tmp_path, capsys, monkeypatch):
+    # A package built without its fixtures/ directory lists no fixtures, and
+    # a fixture name is a config error, not a traceback.
+    monkeypatch.setattr(config_module.resources, "files", lambda package: tmp_path)
+    assert config_module.fixture_names() == []
+    assert main(["check", "--config", "example_sec6"]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: unknown fixture 'example_sec6'; shipped fixtures: []\n"
 
 
 def test_cli_unreadable_configs_are_a_config_error(tmp_path, capsys):

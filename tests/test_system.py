@@ -214,6 +214,15 @@ def test_simulate_length_contract(sec6):
     assert traj.n_steps == 1
 
 
+@pytest.mark.parametrize("n_steps", [10**300, 2**62], ids=["10**300", "2**62"])
+def test_simulate_rejects_a_rollout_too_long_to_allocate(n_steps):
+    # numpy's size check rejects both lengths before anything is allocated.
+    model = det_model([[0.5]], [[1.0]])
+    cost = CostModel(Q=[[1.0]], R=[[1.0]])
+    with pytest.raises(ValidationError, match="n_steps is too large"):
+        simulate_closed_loop(model, cost, np.zeros((1, 1)), n_steps, 0.0, 0)
+
+
 def test_simulate_unprobed_zero_gain_has_zero_inputs():
     model = det_model([[0.5]], [[1.0]])
     cost = CostModel(Q=[[1.0]], R=[[1.0]])
