@@ -402,7 +402,8 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
             block_states = states[start:stop]
             _lane_scan(maps.reshape(lanes, width, n, n + 1), block_states[0],
                        out=states[start + 1:stop + 1])
-            block_inputs = np.matmul(block_states, gain_t, out=inputs[start:stop])
+            # np.dot: matmul takes a slow path for an (N, 1) by (1, 1) product.
+            block_inputs = np.dot(block_states, gain_t, out=inputs[start:stop])
             block_inputs += root_probe * window[:m].T
             costs[start:stop] = (_quadratic_forms(block_states, cost.Q)
                                  + _quadratic_forms(block_inputs, cost.R))
