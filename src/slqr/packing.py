@@ -9,6 +9,11 @@ the upper triangle are used together:
 
 so that vech(z z^T) @ vecs(S) == z @ S @ z exactly. Scan order is row-major
 over the upper triangle (the np.triu_indices order).
+
+congruence(F) is the matrix of X -> sum_c F_c X F_c^T in vech coordinates.
+It is T's matrix for the moment operator's factor stack (analysis.packed)
+and the learner's gain map K_L, phi(x, L x) = K_L vech(x x^T), for the one
+factor [I; L].
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@ import pytest
 
 from slqr.errors import MalformedVectorError, ValidationError
 from slqr.packing import (
+    congruence,
     packed_indices,
     packed_length,
     side_from_packed_length,
     symmetrize,
+    unvech,
     unvecs,
     vech,
     vecs,
@@ -27,6 +29,22 @@ def test_packed_indices_are_the_shared_read_only_scan_order():
         assert packed_indices(n)[0] is rows
         with pytest.raises(ValueError):
             rows[0] = 1
+
+
+def test_congruence_applies_the_map_for_rectangular_factors():
+    # unvech(congruence(F) @ vech(X)) is sum_c F_c X F_c^T for p x q factors
+    # and symmetric q x q X, with a p(p+1)/2 x q(q+1)/2 matrix.
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        c, p, q = (int(k) for k in rng.integers(1, 7, size=3))
+        factors = rng.normal(size=(c, p, q))
+        g = rng.normal(size=(q, q))
+        x = g + g.T
+        mat = congruence(factors)
+        assert mat.shape == (packed_length(p), packed_length(q))
+        expected = sum(f @ x @ f.T for f in factors)
+        got = unvech(mat @ vech(x))
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_side_from_packed_length_rejects_non_triangular():
