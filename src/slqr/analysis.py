@@ -174,8 +174,8 @@ def _perron_radius(stack: np.ndarray, apply, packed_matrix) -> float | None:
     2 c s n^2 flops run at a tenth of the power steps' speed, the
     (2/3) s^3 flops of an inverse step's LU at two thirds of it), or w did
     not shrink, shifted inverse steps v <- (hi I - M)^-1 v take over from
-    v = vech(X),
-    on M = packed_matrix() and with the current upper bound hi as the shift.
+    v = vech(X), on M = packed_matrix() and with the current upper bound hi
+    as the shift.
     As hi >= rho, rho is the eigenvalue nearest the shift and (hi I - T)^-1
     is again a positive map, so they converge even where power steps cycle.
     The bracket is accepted when it is finite, at most PERRON_RTOL * hi wide

@@ -85,8 +85,9 @@ def congruence(factors: np.ndarray) -> np.ndarray:
     an entry are then taken from it at flat indices a*q + b and b*q + a.
     """
     factors = np.asarray(factors, dtype=float)
-    rows, cols = packed_indices(factors.shape[1])
-    a, b = packed_indices(q := factors.shape[2])
+    p, q = factors.shape[1:]
+    rows, cols = packed_indices(p)
+    a, b = packed_indices(q)
     # terms[(i, j), a*q + b] = sum_c F_c[i,a] F_c[j,b]
     terms = factors.transpose(1, 2, 0)[rows] @ factors.transpose(1, 0, 2)[cols]
     terms = terms.reshape(len(rows), q * q)
