@@ -79,7 +79,7 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import congruence as packed, symmetrize, unvech, vech
+from .packing import as_matrix, congruence as packed, symmetrize, unvech, vech
 from .system import CostModel, SystemModel, loop_factors
 
 # A gain is admissible when rho(T) < 1 - ADMISSIBILITY_MARGIN.
@@ -457,23 +457,18 @@ def solve_value_kernel(model: SystemModel, cost: CostModel, gain: np.ndarray,
 
 
 def average_cost(value_kernel: np.ndarray, additive_cov: np.ndarray) -> float:
-    """Steady-state cost per step of the policy whose kernel is given: tr(P D)."""
-    value_kernel = np.asarray(value_kernel, dtype=float)
-    additive_cov = np.asarray(additive_cov, dtype=float)
-    if value_kernel.shape != additive_cov.shape:
-        raise ValidationError(
-            f"kernel shape {value_kernel.shape} does not match "
-            f"covariance shape {additive_cov.shape}"
-        )
+    """Steady-state cost per step of the policy whose kernel is given: tr(P D).
+    Raises ValidationError unless D is a finite square matrix and P a finite
+    one of D's shape (as_matrix)."""
+    additive_cov = as_matrix(additive_cov, "additive covariance", square=True)
+    value_kernel = as_matrix(value_kernel, "value kernel", additive_cov.shape)
     return float(np.trace(value_kernel @ additive_cov))
 
 
 def checked_kernel(model: SystemModel, value_kernel: np.ndarray) -> np.ndarray:
     """value_kernel symmetrized (rtol 1e-6); ValidationError unless a finite n x n matrix."""
-    p, n = np.asarray(value_kernel, dtype=float), model.state_dim
-    if p.shape != (n, n) or not np.isfinite(p).all():
-        raise ValidationError(f"value kernel must be a finite {n} x {n} matrix, got {p.shape}")
-    return symmetrize(p, rtol=1e-6)
+    n = model.state_dim
+    return symmetrize(as_matrix(value_kernel, "value kernel", (n, n)), rtol=1e-6)
 
 
 def q_kernel_matrix(model: SystemModel, cost: CostModel, value_kernel: np.ndarray,

@@ -47,7 +47,8 @@ from pathlib import Path
 
 from .errors import ConfigError, ValidationError
 from .qlearning import LearnerConfig
-from .system import CostModel, SystemModel, check_integer, check_positive, is_integer
+from .system import (CostModel, SystemModel, as_matrix, check_integer, check_positive,
+                     is_integer)
 
 MODES = ("model_based", "model_free", "both")
 
@@ -168,12 +169,9 @@ def from_dict(doc: dict) -> ExperimentConfig:
         _section(learner, "learner.", *_fields(LearnerConfig, skip="seed"))
         try:   # the seed is replaced per run by the seed sweep
             learner = LearnerConfig(**learner, seed=0)
+            as_matrix(learner.initial_gain, "initial_gain", (model.input_dim, model.state_dim))
         except ValidationError as exc:
             raise ConfigError(f"learner.{exc}") from None
-        shape = (model.input_dim, model.state_dim)
-        if learner.initial_gain.shape != shape:
-            raise ConfigError(f"learner.initial_gain must have shape {shape}, "
-                              f"got {learner.initial_gain.shape}")
 
     return ExperimentConfig(mode=doc["mode"], model=model, cost=cost, pi_tol=pi.get("tol"),
                             pi_max_iter=pi.get("max_iter"), learner=learner,

@@ -14,6 +14,9 @@ congruence(F) is the matrix of X -> sum_c F_c X F_c^T in vech coordinates.
 It is T's matrix for the moment operator's factor stack (analysis.packed)
 and the learner's gain map K_L, phi(x, L x) = K_L vech(x x^T), for the one
 factor [I; L].
+
+as_matrix reads every matrix argument of the package; it lives here, below
+every other module, so that these helpers read their input through it too.
 """
 
 from __future__ import annotations
@@ -23,6 +26,35 @@ import functools
 import numpy as np
 
 from .errors import MalformedVectorError, ValidationError
+
+
+def as_matrix(mat, name: str, shape: tuple[int | None, int | None] | None = None,
+              square: bool = False, finite: bool = True) -> np.ndarray:
+    """mat as a float array (not a copy when it is one already); raise
+    ValidationError, naming it by name, unless it holds real numbers, not
+    bools, strings or None, that convert to float, and is 2-d, square if
+    square is set, of the given shape if one is (None takes any size on its
+    axis) and, if finite is set, finite."""
+    try:
+        arr = np.asarray(mat)
+        if arr.dtype.kind not in "fiuO":    # casting would take bools, strings, complex
+            raise TypeError
+        if arr.dtype.kind == "O" and any(v is None for v in arr.flat):
+            raise TypeError                 # casting would read None as nan
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a matrix of real numbers") from None
+    if arr.ndim != 2:
+        raise ValidationError(f"{name} must be a 2-d matrix, got shape {arr.shape}")
+    if square and arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{name} must be square, got shape {arr.shape}")
+    if shape is not None:
+        shape = tuple(arr.shape[k] if size is None else size for k, size in enumerate(shape))
+        if arr.shape != shape:
+            raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    return arr
 
 
 def packed_length(n: int) -> int:

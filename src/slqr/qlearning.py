@@ -123,21 +123,11 @@ def noise_shape_kernel(gain: np.ndarray, additive_cov: np.ndarray) -> np.ndarray
     """kappa = [I; L] D [I; L]^T: how the additive noise spreads over z-space.
 
     Raises ValidationError unless D is a finite square matrix and the gain a
-    matrix with D's number of columns.
+    finite matrix with D's number of columns (as_matrix).
     """
-    gain = np.asarray(gain, dtype=float)
-    additive_cov = np.asarray(additive_cov, dtype=float)
-    if additive_cov.ndim != 2 or additive_cov.shape[0] != additive_cov.shape[1]:
-        raise ValidationError(
-            f"additive covariance must be a square matrix, got shape {additive_cov.shape}"
-        )
-    if not np.isfinite(additive_cov).all():
-        raise ValidationError("additive covariance has non-finite entries")
-    n = additive_cov.shape[0]
-    if gain.ndim != 2 or gain.shape[1] != n:
-        raise ValidationError(
-            f"gain of shape {gain.shape} does not have the covariance's {n} columns"
-        )
+    additive_cov = as_matrix(additive_cov, "additive covariance", square=True)
+    gain = as_matrix(gain, "gain", (None, len(additive_cov)))
+    n = len(additive_cov)
     basis = np.vstack([np.eye(n), gain])
     return basis @ additive_cov @ basis.T
 
@@ -258,15 +248,12 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
     Returns (gram, rhs, correction), correction = vech(kappa) or None (plain,
     no noise_cov). Raises UnreliableKernelError when the data are not finite
     (a diverged rollout), at the first window that holds a non-finite state,
-    input or cost, when the sums overflow, or when D-hat cannot be solved for.
+    input or cost, when the sums overflow, or when D-hat cannot be solved for,
+    and ValidationError unless gain is a finite (m, n) matrix (as_matrix).
     """
-    gain = np.asarray(gain, dtype=float)
     n = traj.states.shape[1]
     m = traj.inputs.shape[1]
-    if gain.shape != (m, n):
-        raise ValidationError(
-            f"gain shape {gain.shape} does not match trajectory dimensions"
-        )
+    gain = as_matrix(gain, "gain", (m, n))
     n_samples, s = traj.n_steps, packed_length(n + m)
     unknowns = s + (weighted and noise_cov is None)   # D-hat's has one more
     if n_samples < unknowns:

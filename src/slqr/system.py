@@ -50,33 +50,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .packing import symmetrize
+from .packing import as_matrix, symmetrize
 
 # Definiteness margin: smallest eigenvalue must exceed this for a PD check.
 PD_EIG_FLOOR = 1e-12
 
 # Steps per window of a closed-loop rollout (see the module docstring).
 ROLLOUT_BLOCK = 4096
-
-
-def as_matrix(mat, name: str) -> np.ndarray:
-    """mat as a float array (not a copy when it is one already); raise
-    ValidationError unless it holds real numbers, not bools, strings or
-    None, that convert to float, and is 2-d and finite."""
-    try:
-        arr = np.asarray(mat)
-        if arr.dtype.kind not in "fiuO":    # casting would take bools, strings, complex
-            raise TypeError
-        if arr.dtype.kind == "O" and any(v is None for v in arr.flat):
-            raise TypeError                 # casting would read None as nan
-        arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a matrix of real numbers") from None
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be a 2-d matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} has non-finite entries")
-    return arr
 
 
 def _owned(mat) -> np.ndarray:
@@ -161,18 +141,13 @@ class SystemModel:
     channels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a, b = as_matrix(self.A, "A"), as_matrix(self.B, "B")
-        n, m = a.shape[0], b.shape[1]
-        if a.shape != (n, n):
-            raise ValidationError(f"A must be square, got shape {a.shape}")
-        if b.shape != (n, m):
-            raise ValidationError(f"B must have {n} rows to match A, got shape {b.shape}")
+        a = as_matrix(self.A, "A", square=True)
+        b = as_matrix(self.B, "B", (len(a), None))
+        n, m = b.shape
         object.__setattr__(self, "A", _owned(a))
         object.__setattr__(self, "B", _owned(b))
         for name in ("D", "X0"):
-            mat = as_matrix(getattr(self, name), name)
-            if mat.shape != (n, n):
-                raise ValidationError(f"{name} must have shape {(n, n)}, got {mat.shape}")
+            mat = as_matrix(getattr(self, name), name, (n, n))
             object.__setattr__(self, name, _owned(symmetrize(mat)))
         factors = [np.hstack([a, b])]
         for name, part in (("state_noise", slice(None, n)), ("input_noise", slice(n, None))):
@@ -183,12 +158,8 @@ class SystemModel:
                     mat, var = entry
                 except (TypeError, ValueError):
                     raise ValidationError(f"{where} must be a (matrix, variance) pair") from None
-                mat = as_matrix(mat, where)
                 factor = np.zeros((n, n + m))
-                shape = factor[:, part].shape
-                if mat.shape != shape:
-                    raise ValidationError(
-                        f"{where} matrix must have shape {shape}, got {mat.shape}")
+                mat = as_matrix(mat, where, factor[:, part].shape)
                 if not is_real(var):
                     raise ValidationError(
                         f"{where} variance must be a real number, got {_kind(var)}")
@@ -219,10 +190,8 @@ def loop_factors(model: SystemModel, gain: np.ndarray) -> np.ndarray:
     """The loop factors E_c [I; L] = E_c[:, :n] + E_c[:, n:] L of the model's
     channels under u = L x, as one C-contiguous (c, n, n) stack. Raises
     ValidationError unless gain is a finite (m, n) matrix."""
-    gain = as_matrix(gain, "gain")
     n, m = model.state_dim, model.input_dim
-    if gain.shape != (m, n):
-        raise ValidationError(f"gain must have shape {(m, n)}, got {gain.shape}")
+    gain = as_matrix(gain, "gain", (m, n))
     flat = model.channels.reshape(-1, n + m)
     return (flat[:, :n] + flat[:, n:] @ gain).reshape(-1, n, n)
 
@@ -243,11 +212,8 @@ class CostModel:
         _check_psd(self.Q, "Q")
         _check_pd(self.R, "R")
         if model is not None:
-            n, m = model.state_dim, model.input_dim
-            if self.Q.shape != (n, n):
-                raise ValidationError(f"Q must have shape {(n, n)}, got {self.Q.shape}")
-            if self.R.shape != (m, m):
-                raise ValidationError(f"R must have shape {(m, m)}, got {self.R.shape}")
+            as_matrix(self.Q, "Q", (model.state_dim,) * 2)
+            as_matrix(self.R, "R", (model.input_dim,) * 2)
 
 
 @dataclass

@@ -400,17 +400,23 @@ KERNEL_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(KERNEL_ENTRY_POINTS))
-@pytest.mark.parametrize("kernel", [
-    np.where(np.eye(3) > 0, np.nan, 0.0), np.where(np.eye(3) > 0, np.inf, 0.0),
-    np.full((3, 3), -np.inf), np.eye(2), np.eye(4), np.ones(3), np.eye(3, 4),
-], ids=["nan", "inf", "-inf", "2x2", "4x4", "1-d", "3x4"])
-def test_malformed_kernel_is_a_validation_error(sec6, entry, kernel):
+@pytest.mark.parametrize("kernel, message", [
+    (np.where(np.eye(3) > 0, np.nan, 0.0), r"has non-finite entries"),
+    (np.where(np.eye(3) > 0, np.inf, 0.0), r"has non-finite entries"),
+    (np.full((3, 3), -np.inf), r"has non-finite entries"),
+    (np.eye(2), r"must have shape \(3, 3\), got \(2, 2\)"),
+    (np.eye(4), r"must have shape \(3, 3\), got \(4, 4\)"),
+    (np.ones(3), r"must be a 2-d matrix, got shape \(3,\)"),
+    (np.eye(3, 4), r"must have shape \(3, 3\), got \(3, 4\)"),
+    ("abc", r"must be a matrix of real numbers"),
+], ids=["nan", "inf", "-inf", "2x2", "4x4", "1-d", "3x4", "string"])
+def test_malformed_kernel_is_a_validation_error(sec6, entry, kernel, message):
     # A kernel that is not a finite n x n matrix is rejected before any
     # product or eigenvalue problem, and numpy does not warn.
     model, cost = sec6
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match=r"^value kernel must be a finite 3 x 3"):
+        with pytest.raises(ValidationError, match=rf"^value kernel {message}$"):
             KERNEL_ENTRY_POINTS[entry](model, cost, kernel)
 
 

@@ -94,7 +94,7 @@ def test_validate_rejects_indefinite_q():
 
 
 def test_validate_rejects_wrong_b_rows():
-    with pytest.raises(ValidationError, match="B must have 3 rows"):
+    with pytest.raises(ValidationError, match=r"^B must have shape \(3, 3\), got \(2, 3\)$"):
         SystemModel(A=np.eye(3) * 0.5, B=np.zeros((2, 3)), D=np.eye(3), X0=np.eye(3))
 
 
@@ -131,7 +131,8 @@ def test_validate_rejects_a_non_finite_variance(side, var):
 
 
 def test_validate_rejects_wrong_channel_shape():
-    with pytest.raises(ValidationError, match=r"input_noise\[0\] matrix"):
+    with pytest.raises(ValidationError,
+                       match=r"^input_noise\[0\] must have shape \(1, 1\), got \(2, 2\)$"):
         scalar_model(input_noise=[(np.zeros((2, 2)), 0.1)])
 
 
