@@ -89,11 +89,10 @@ def symmetrize(mat: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     """Return (M + M^T)/2, rejecting matrices that are asymmetric beyond rtol.
 
     The tolerance is relative to the matrix magnitude; genuinely asymmetric
-    input is an error, not something to silently average away.
+    input is an error, not something to silently average away. mat must be
+    a square matrix of real numbers (as_matrix), finite or not.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
+    mat = as_matrix(mat, "matrix", square=True, finite=False)
     scale = max(np.abs(mat).max(), 1.0)
     asym = np.abs(mat - mat.T).max()
     if asym > rtol * scale:
@@ -130,29 +129,29 @@ def congruence(factors: np.ndarray) -> np.ndarray:
 
 
 def vech(mat: np.ndarray) -> np.ndarray:
-    """Pack the upper triangle of a symmetric matrix, row-major scan."""
-    mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    rows, cols = packed_indices(n)
+    """Pack the upper triangle of a symmetric matrix, row-major scan; mat
+    must be a square matrix of real numbers (as_matrix), finite or not."""
+    mat = as_matrix(mat, "matrix", square=True, finite=False)
+    rows, cols = packed_indices(len(mat))
     return mat[rows, cols]
 
 
 def vecs(mat: np.ndarray) -> np.ndarray:
-    """Pack the upper triangle with off-diagonal entries doubled."""
-    mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    rows, cols = packed_indices(n)
+    """Pack the upper triangle with off-diagonal entries doubled (input as vech)."""
+    mat = as_matrix(mat, "matrix", square=True, finite=False)
+    rows, cols = packed_indices(len(mat))
     out = mat[rows, cols].copy()
     out[rows != cols] *= 2.0
     return out
 
 
 def unvech(vec: np.ndarray) -> np.ndarray:
-    """Invert vech: the symmetric matrix whose upper triangle is packed in vec."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1:
-        raise MalformedVectorError(f"expected a 1-d packed vector, got shape {vec.shape}")
-    n = side_from_packed_length(vec.shape[0])
+    """Invert vech: the symmetric matrix whose upper triangle is packed in vec,
+    a 1-d vector of real numbers (as_matrix reads it as one row), finite or not."""
+    if np.ndim(vec) != 1:
+        raise MalformedVectorError(f"expected a 1-d packed vector, got shape {np.shape(vec)}")
+    vec = as_matrix([vec], "packed vector", finite=False)[0]
+    n = side_from_packed_length(len(vec))
     rows, cols = packed_indices(n)
     mat = np.empty((n, n))
     mat[rows, cols] = vec

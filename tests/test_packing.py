@@ -130,3 +130,33 @@ def test_symmetrize_rejects_genuine_asymmetry():
         symmetrize([[1.0, 2.0], [0.5, 3.0]])
     with pytest.raises(ValidationError):
         symmetrize(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("pack", [vech, vecs])
+def test_packing_a_vector_is_a_validation_error(pack):
+    with pytest.raises(ValidationError, match=r"^matrix must be a 2-d matrix, got shape \(3,\)$"):
+        pack(np.ones(3))
+
+
+def test_vech_of_a_rectangular_matrix_is_a_validation_error():
+    # Not a 3-entry triangle of its first two rows.
+    with pytest.raises(ValidationError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+        vech(np.ones((2, 3)))
+
+
+def test_unvech_of_a_string_is_a_malformed_vector():
+    with pytest.raises(MalformedVectorError, match=r"^expected a 1-d packed vector, got shape \(\)$"):
+        unvech("ab")
+    with pytest.raises(ValidationError, match="^packed vector must be a matrix of real numbers$"):
+        unvech(["a", "b", "c"])
+
+
+def test_unvech_passes_non_finite_entries_through():
+    # The solvers check finiteness after unpacking a solve.
+    mat = unvech([np.nan, 1.0, np.inf])
+    assert np.isnan(mat[0, 0]) and mat[0, 1] == mat[1, 0] == 1.0 and mat[1, 1] == np.inf
+
+
+def test_symmetrize_of_a_string_is_a_validation_error():
+    with pytest.raises(ValidationError, match="^matrix must be a matrix of real numbers$"):
+        symmetrize("ab")
