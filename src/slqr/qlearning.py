@@ -102,8 +102,12 @@ def feature_matrix(states: np.ndarray, inputs: np.ndarray,
     view of an (s, N) array: each feature z_i z_j is written as one
     contiguous run along the sample axis. Given out, the transpose view of
     an (s, N) array with contiguous rows, the features are written into it
-    and out is returned.
+    and out is returned. states and inputs must be matrices of real numbers
+    with one row per sample (as_matrix), else ValidationError; non-finite
+    rows are featurised as they are.
     """
+    states = as_matrix(states, "states", finite=False)
+    inputs = as_matrix(inputs, "inputs", (len(states), None), finite=False)
     n = states.shape[1]
     r = n + inputs.shape[1]
     z = np.empty((r, len(states)))               # (r, N), rows contiguous

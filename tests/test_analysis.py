@@ -433,6 +433,19 @@ def test_greedy_gain_rejects_non_finite_input(curvature, cross):
             greedy_gain(curvature, cross)
 
 
+@pytest.mark.parametrize("curvature, cross, message", [
+    (np.ones(2), np.ones((2, 3)), r"^curvature must be a 2-d matrix, got shape \(2,\)$"),
+    (np.ones((2, 3)), np.ones((2, 3)), r"^curvature must be square, got shape \(2, 3\)$"),
+    (np.eye(2), np.ones((3, 3)), r"^cross must have shape \(2, 3\), got \(3, 3\)$"),
+    (np.eye(2), "ab", r"^cross must be a matrix of real numbers$"),
+], ids=["1-d curvature", "3x2 curvature", "3-row cross", "string cross"])
+def test_greedy_gain_names_a_malformed_argument(curvature, cross, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            greedy_gain(curvature, cross)
+
+
 def test_input_weight_includes_input_channels(sec6):
     model, cost = sec6
     p = np.eye(3)

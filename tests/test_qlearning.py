@@ -77,6 +77,23 @@ def test_feature_matrix_matches_per_row_features():
             batch[k], features(np.concatenate([states[k], inputs[k]])))
 
 
+def test_feature_matrix_names_inputs_of_another_length():
+    with pytest.raises(ValidationError, match=r"^inputs must have shape \(5, 1\), got \(4, 1\)$"):
+        feature_matrix(np.ones((5, 2)), np.ones((4, 1)))
+    with pytest.raises(ValidationError, match=r"^states must be a 2-d matrix, got shape \(5,\)$"):
+        feature_matrix(np.ones(5), np.ones((5, 1)))
+
+
+def test_feature_matrix_keeps_non_finite_rows():
+    # The fit checks each window's rows itself.
+    states = np.array([[1.0], [np.nan], [np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = feature_matrix(states, np.ones((3, 1)))
+    np.testing.assert_array_equal(batch[0], [1.0, 1.0, 1.0])
+    assert np.isnan(batch[1, :2]).all() and batch[2, 0] == np.inf
+
+
 def test_gain_map_gives_the_on_policy_features():
     # K_L, the congruence of the one factor [I; L], maps vech(x x^T) to the
     # features of (x, L x), for every shape.
