@@ -163,6 +163,9 @@ def from_dict(doc: dict) -> ExperimentConfig:
 
     pi = doc.get("pi")
     pi = {} if pi is None else _section(pi, "pi.", ("tol", "max_iter"))
+    for key, value in pi.items():   # None stands for "no pi section" below
+        if value is None:
+            raise ConfigError(f"pi.{key} must not be null")
 
     learner = doc.get("learner")
     if learner is not None:

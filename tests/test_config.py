@@ -154,6 +154,19 @@ def test_a_learner_config_without_pi_has_no_pi_settings(tmp_path):
         replace(config, mode="both")
 
 
+@pytest.mark.parametrize("mode", ["model_based", "model_free", "both"])
+@pytest.mark.parametrize("key", ["tol", "max_iter"])
+def test_a_null_pi_value_is_an_error_in_every_mode(mode, key):
+    # A null value is not an absent pi section: in model_free mode it would
+    # load and then vanish from to_dict, in both mode it would be reported
+    # as a missing section.
+    doc = learner_doc()
+    doc["mode"] = mode
+    doc["pi"][key] = None
+    with pytest.raises(ConfigError, match=rf"^pi\.{key} must not be null$"):
+        from_dict(doc)
+
+
 # Every number and matrix of learner_doc(), by its place in the document:
 # (path, whether it is a matrix, its dotted name).
 ENTRIES = [((section, key), False, f"{section}.{key}") for section, key in [
