@@ -77,7 +77,6 @@ from .errors import (
     NotAdmissibleError,
     SingularSystemError,
     UnreliableKernelError,
-    ValidationError,
 )
 from .packing import as_matrix, congruence as packed, symmetrize, unvech, vech
 from .system import CostModel, SystemModel, loop_factors
@@ -442,14 +441,13 @@ def solve_value_kernel(model: SystemModel, cost: CostModel, gain: np.ndarray,
     as the kernel of the previous gain in policy iteration. Any start gives
     the same P to the splitting's tolerance; one that is not finite or does
     not help costs at most a capped attempt before the packed LU answers. A
-    start of another shape raises ValidationError.
+    start that is not an n x n matrix of real numbers raises ValidationError
+    (as_matrix), as does a gain that is not a finite (m, n) one.
     """
-    gain = np.asarray(gain, dtype=float)
+    n, m = model.state_dim, model.input_dim
+    gain = as_matrix(gain, "gain", (m, n))
     if start is not None:
-        start = np.asarray(start, dtype=float)
-        shape = (model.state_dim, model.state_dim)
-        if start.shape != shape:
-            raise ValidationError(f"start must have shape {shape}, got {start.shape}")
+        start = as_matrix(start, "start", (n, n), finite=False)
     return _fixed_point(
         model, gain,
         lambda stack: (stack.transpose(0, 2, 1), cost.Q + gain.T @ cost.R @ gain),

@@ -25,7 +25,7 @@ from .analysis import (
     solve_value_kernel,
 )
 from .errors import SolverFailure, ValidationError
-from .packing import symmetrize
+from .packing import as_matrix, symmetrize
 from .system import CostModel, SystemModel, check_integer, check_positive
 
 
@@ -33,15 +33,16 @@ from .system import CostModel, SystemModel, check_integer, check_positive
 class QKernel:
     """Kernel of the quadratic state-input value form z^T H z, z = [x; u].
 
-    Block accessors follow the usual xx/xu/uu split at state_dim.
+    Block accessors follow the usual xx/xu/uu split at state_dim. matrix
+    is read by packing.symmetrize: a square matrix of real numbers, finite
+    or not (policy_from_h rejects a non-finite one).
     """
 
     matrix: np.ndarray
     state_dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           symmetrize(np.asarray(self.matrix, dtype=float)))
+        object.__setattr__(self, "matrix", symmetrize(self.matrix))
         r = self.matrix.shape[0]
         if not 0 < self.state_dim < r:
             raise ValidationError(
@@ -69,8 +70,9 @@ class QKernel:
         return self.matrix[self.state_dim:, self.state_dim:]
 
     def value_kernel(self, gain: np.ndarray) -> np.ndarray:
-        """Contract back to the state-value kernel: [I; L]^T H [I; L]."""
-        gain = np.asarray(gain, dtype=float)
+        """Contract back to the state-value kernel: [I; L]^T H [I; L], for a
+        finite (m, n) gain (as_matrix)."""
+        gain = as_matrix(gain, "gain", (self.input_dim, self.state_dim))
         basis = np.vstack([np.eye(self.state_dim), gain])
         return symmetrize(basis.T @ self.matrix @ basis)
 
@@ -168,7 +170,7 @@ def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarr
     """
     check_positive(tol, "tol", finite=True)
     check_integer(max_iter, "max_iter", 1)
-    gain = np.asarray(initial_gain, dtype=float)
+    gain = as_matrix(initial_gain, "initial_gain", (model.input_dim, model.state_dim))
     check_admissible(is_admissible(model, gain), "initial gain")
 
     previous = None

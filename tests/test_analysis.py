@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from slqr.analysis import (
     ADMISSIBILITY_MARGIN,
     average_cost,
+    checked_kernel,
     greedy_gain,
     is_admissible,
     moment_operator,
@@ -393,6 +394,8 @@ def test_policy_improvement_rejects_corrupt_kernel(sec6):
 
 # Each kernel entry point, called as entry(model, cost, kernel).
 KERNEL_ENTRY_POINTS = {
+    "checked_kernel": lambda model, cost, kernel: checked_kernel(model, kernel),
+    "q_kernel_matrix": q_kernel_matrix,
     "policy_improvement": policy_improvement,
     "riccati_residual": riccati_residual,
     "q_kernel_from_value": q_kernel_from_value,
@@ -1201,9 +1204,11 @@ def test_hostile_starts_return_the_cold_kernel(monkeypatch):
         finite = np.isfinite(start).all()
         assert builds["packed"] == (0 if finite else 1), name
         assert calls["sweeps"] >= 2 or not finite, name
-    for shape in ((n, n + 1), (n,), (n - 1, n - 1)):
+    for shape in ((n, n + 1), (n - 1, n - 1)):
         with pytest.raises(ValidationError, match=r"^start must have shape"):
             solve_value_kernel(model, cost, gain, np.zeros(shape))
+    with pytest.raises(ValidationError, match=rf"^start must be a 2-d matrix, got shape \({n},\)$"):
+        solve_value_kernel(model, cost, gain, np.zeros(n))
 
 
 def test_the_packed_solve_ignores_the_start(sec6):
