@@ -130,8 +130,8 @@ def noise_shape_kernel(gain: np.ndarray, additive_cov: np.ndarray) -> np.ndarray
     finite matrix with D's number of columns (as_matrix).
     """
     additive_cov = as_matrix(additive_cov, "additive covariance", square=True)
-    gain = as_matrix(gain, "gain", (None, len(additive_cov)))
     n = len(additive_cov)
+    gain = as_matrix(gain, "gain", (None, n))
     basis = np.vstack([np.eye(n), gain])
     return basis @ additive_cov @ basis.T
 
