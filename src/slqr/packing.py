@@ -49,7 +49,8 @@ def as_matrix(mat, name: str, shape: tuple[int | None, int | None] | None = None
     if square and arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     if shape is not None:
-        shape = tuple(arr.shape[k] if size is None else size for k, size in enumerate(shape))
+        if None in shape:
+            shape = tuple(arr.shape[k] if size is None else size for k, size in enumerate(shape))
         if arr.shape != shape:
             raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
     if finite and not np.isfinite(arr).all():
