@@ -1207,7 +1207,8 @@ def test_hostile_starts_return_the_cold_kernel(monkeypatch):
     for shape in ((n, n + 1), (n - 1, n - 1)):
         with pytest.raises(ValidationError, match=r"^start must have shape"):
             solve_value_kernel(model, cost, gain, np.zeros(shape))
-    with pytest.raises(ValidationError, match=rf"^start must be a 2-d matrix, got shape \({n},\)$"):
+    with pytest.raises(ValidationError,
+                       match=rf"^start must be a 2-d matrix, got shape \({n},\)$"):
         solve_value_kernel(model, cost, gain, np.zeros(n))
 
 

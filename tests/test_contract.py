@@ -71,8 +71,8 @@ CASES = {
     # policy_from_h rejects a kernel with non-finite entries.
     "policy_iteration.QKernel": (policy_iteration.QKernel,
                                  dict(matrix=np.eye(3), state_dim=2), ["matrix"], True),
-    "policy_iteration.QKernel.value_kernel": (lambda gain: QKernel(np.eye(3), 2).value_kernel(gain),
-                                              dict(gain=GAIN), ["gain"], False),
+    "policy_iteration.QKernel.value_kernel": (
+        lambda gain: QKernel(np.eye(3), 2).value_kernel(gain), dict(gain=GAIN), ["gain"], False),
     "policy_iteration.policy_iteration": (policy_iteration.policy_iteration,
                                           dict(model=MODEL, cost=COST, initial_gain=GAIN),
                                           ["initial_gain"], False),

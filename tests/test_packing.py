@@ -145,7 +145,8 @@ def test_vech_of_a_rectangular_matrix_is_a_validation_error():
 
 
 def test_unvech_of_a_string_is_a_malformed_vector():
-    with pytest.raises(MalformedVectorError, match=r"^expected a 1-d packed vector, got shape \(\)$"):
+    with pytest.raises(MalformedVectorError,
+                       match=r"^expected a 1-d packed vector, got shape \(\)$"):
         unvech("ab")
     with pytest.raises(ValidationError, match="^packed vector must be a matrix of real numbers$"):
         unvech(["a", "b", "c"])

@@ -336,14 +336,16 @@ def test_noise_shape_kernel_examples(sec6):
         noise_shape_kernel(np.zeros((2, 3)), np.eye(2))
     for gain, shape in ((np.zeros(2), r"\(2,\)"), (np.zeros((1, 1, 2)), r"\(1, 1, 2\)"),
                         (0.0, r"\(\)")):
-        with pytest.raises(ValidationError, match=rf"^gain must be a 2-d matrix, got shape {shape}$"):
+        with pytest.raises(ValidationError,
+                           match=rf"^gain must be a 2-d matrix, got shape {shape}$"):
             noise_shape_kernel(gain, np.eye(2))
     # The covariance itself is checked before it is indexed or multiplied.
     for gain, cov, message in (
             (np.zeros((1, 1)), 1.0, r"must be a 2-d matrix, got shape \(\)"),
             (np.zeros((1, 2)), np.ones(2), r"must be a 2-d matrix, got shape \(2,\)"),
             (np.zeros((1, 2)), np.ones((2, 3)), r"must be square, got shape \(2, 3\)"),
-            (np.zeros((1, 2)), np.ones((1, 2, 2)), r"must be a 2-d matrix, got shape \(1, 2, 2\)")):
+            (np.zeros((1, 2)), np.ones((1, 2, 2)),
+             r"must be a 2-d matrix, got shape \(1, 2, 2\)")):
         with pytest.raises(ValidationError, match=rf"^additive covariance {message}$"):
             noise_shape_kernel(gain, cov)
     for bad in (np.nan, np.inf):
