@@ -16,8 +16,8 @@ class ValidationError(ValueError):
     """A model, cost, or argument violates a structural invariant."""
 
 
-class MalformedVectorError(ValueError):
-    """A packed vector has a length that is not n*(n+1)/2 for any n."""
+class MalformedVectorError(ValidationError):
+    """A packed vector is not 1-d, or has a length that is not n*(n+1)/2."""
 
 
 class SolverFailure(RuntimeError):

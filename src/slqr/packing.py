@@ -15,8 +15,9 @@ It is T's matrix for the moment operator's factor stack (analysis.packed)
 and the learner's gain map K_L, phi(x, L x) = K_L vech(x x^T), for the one
 factor [I; L].
 
-as_matrix reads every matrix argument of the package; it lives here, below
-every other module, so that these helpers read their input through it too.
+as_matrix reads every matrix, vector and factor-stack argument of the
+package; it lives here, below every other module, so that these helpers read
+their input through it too.
 """
 
 from __future__ import annotations
@@ -28,13 +29,16 @@ import numpy as np
 from .errors import MalformedVectorError, ValidationError
 
 
-def as_matrix(mat, name: str, shape: tuple[int | None, int | None] | None = None,
+def as_matrix(mat, name: str, shape: tuple[int | None, ...] | None = None,
               square: bool = False, finite: bool = True) -> np.ndarray:
     """mat as a float array (not a copy when it is one already); raise
     ValidationError, naming it by name, unless it holds real numbers, not
-    bools, strings or None, that convert to float, and is 2-d, square if
-    square is set, of the given shape if one is (None takes any size on its
-    axis) and, if finite is set, finite."""
+    bools, strings or None, that convert to float, and has as many axes as
+    shape has entries (a vector for one, a stack of matrices for three; a
+    matrix without a shape), square if square is set, of the given shape if
+    one is (None takes any size on its axis) and, if finite is set, finite."""
+    ndim = 2 if shape is None else len(shape)
+    kind = {1: "vector", 2: "matrix", 3: "matrix stack"}[ndim]
     try:
         arr = np.asarray(mat)
         if arr.dtype.kind not in "fiuO":    # casting would take bools, strings, complex
@@ -43,9 +47,9 @@ def as_matrix(mat, name: str, shape: tuple[int | None, int | None] | None = None
             raise TypeError                 # casting would read None as nan
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a matrix of real numbers") from None
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be a 2-d matrix, got shape {arr.shape}")
+        raise ValidationError(f"{name} must be a {kind} of real numbers") from None
+    if arr.ndim != ndim:
+        raise ValidationError(f"{name} must be a {ndim}-d {kind}, got shape {arr.shape}")
     if square and arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     if shape is not None:
@@ -115,8 +119,9 @@ def congruence(factors: np.ndarray) -> np.ndarray:
     product forms every sum_c F_c[i,a] F_c[j,b]: for each row (i, j) the
     (q, c) block of rows i times the (c, q) block of rows j. Both columns of
     an entry are then taken from it at flat indices a*q + b and b*q + a.
+    factors must be a 3-d stack of real numbers (as_matrix), finite or not.
     """
-    factors = np.asarray(factors, dtype=float)
+    factors = as_matrix(factors, "factors", (None, None, None), finite=False)
     p, q = factors.shape[1:]
     rows, cols = packed_indices(p)
     a, b = packed_indices(q)
@@ -148,10 +153,11 @@ def vecs(mat: np.ndarray) -> np.ndarray:
 
 def unvech(vec: np.ndarray) -> np.ndarray:
     """Invert vech: the symmetric matrix whose upper triangle is packed in vec,
-    a 1-d vector of real numbers (as_matrix reads it as one row), finite or not."""
-    if np.ndim(vec) != 1:
-        raise MalformedVectorError(f"expected a 1-d packed vector, got shape {np.shape(vec)}")
-    vec = as_matrix([vec], "packed vector", finite=False)[0]
+    a 1-d vector of real numbers (as_matrix), finite or not."""
+    shape = np.shape(np.asarray(vec, dtype=object))   # a ragged list is 1-d as objects
+    if len(shape) != 1:
+        raise MalformedVectorError(f"expected a 1-d packed vector, got shape {shape}")
+    vec = as_matrix(vec, "packed vector", (None,), finite=False)
     n = side_from_packed_length(len(vec))
     rows, cols = packed_indices(n)
     mat = np.empty((n, n))

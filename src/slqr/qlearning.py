@@ -1,55 +1,50 @@
 """Online model-free learning of the optimal gain from rollout data.
 
-Each iteration rolls the current gain out with an exploration probe, fits the
-quadratic state-input value kernel H of that gain by least squares on the
-one-step cost identity
+Each iteration rolls the current gain out with an exploration probe, fits
+the quadratic state-input value kernel H of that gain, and takes the
+improved gain from the uu/ux blocks of H.
 
-    phi(z_k)^T vecs(H) = c_k - lambda + phi(zbar_{k+1})^T vecs(H),
+The fit is plug-in policy evaluation on a gain-free least-squares model of
+the second-moment dynamics. With the s features phi(z) = vech(z z^T) of
+z = (x, u) and the t entries psi' = vech(x_{k+1} x_{k+1}^T), the model
+regresses psi'_k - d and the stage costs c_k on phi(z_k), with weights w_k:
+E[psi' | z] = B^T phi(z) + d and c(z) = c^T phi(z). Here d = vech(D) for
+the additive-noise covariance D in known_d mode, and in empirical mode
+vech(D-hat), the intercept of the weighted regression of psi' on [phi; 1].
+B (s x t) and c come from one solve of the Gram sum w phi phi^T against
+the t + 1 columns [sum w phi (psi' - d)^T | sum w phi c]. A gain L is then
+evaluated on the model by one t x t solve: with K_L = packing.congruence of
+the one factor [I; L], which maps vech(x x^T) to phi(x, L x),
 
-where z_k stacks the state with the input actually applied, zbar_{k+1} uses
-the unprobed feedback input at the next state, and lambda is the policy's
-average cost. lambda is eliminated through lambda = tr(H kappa) with
-kappa = [I; L] D [I; L]^T. D is the additive-noise covariance in known_d mode;
-in empirical mode it is D-hat, the intercept of the weighted regression of
-vech(x_{k+1} x_{k+1}^T) on [phi(z_k); 1], from sums the pass forms anyway.
-That is average-cost least-squares temporal-difference learning (Tsitsiklis &
-Van Roy, 1999), which fits lambda as one more coefficient: the two agree up to
-the ridge, as stage costs z^T diag(Q, R) z have no intercept on [phi; 1].
-With instruments Psi (rows w_k phi(z_k)), regressors G (rows
-phi(z_k) - phi(zbar_{k+1}) + vech(kappa)) and the raw costs c as targets, the
-learner's fit is one regularised solve
+    (I - K_L^T B) v = K_L^T c,    vecs(H) = c + B v,    lambda = d^T v,
+
+where v = vecs(P) for the value kernel P = [I; L]^T H [I; L], and
+lambda = tr(P D) is the average cost. That is exactly average-cost
+least-squares temporal-difference learning (Tsitsiklis & Van Roy, 1999) of
+phi(z_k)^T vecs(H) = c_k - lambda + phi(zbar_{k+1})^T vecs(H), zbar_{k+1}
+being the next state with its unprobed feedback input, with instruments
+w_k phi(z_k) (LSTD is plug-in evaluation on the least-squares linear model;
+Parr et al., ICML 2008). The learner adds the ridge 1 / rls_init_scale to
+the model's Gram, which makes its fit the solve
 
     (I / rls_init_scale + Psi^T G) h = Psi^T c,    h = vecs(H),
 
-which is exactly what the recursive least-squares update (rls_update, with
-weight w_k) reaches after folding in every sample from the inverse-Gram start
-rls_init_scale * I; rls_update is kept as that streaming form. The paper's
-plain fit (unit weights, mean-centred costs without D, no regularisation)
-stays available as bls_estimate. The leverage weights w_k = (1 + |z_k|^2)^-2
-keep the fit consistent, because the Bellman residual has zero mean given
-z_k, and tame the heavy tails of the plain instruments phi(z_k) near the edge
-of fourth-moment stability. The improved gain then comes from the uu/ux blocks
-of H.
+with instruments Psi (rows w_k phi(z_k)) and regressors G (rows
+phi(z_k) - phi(zbar_{k+1}) + K_L d): what the recursive least-squares
+update (rls_update, with weight w_k) reaches after folding in every sample
+from the inverse-Gram start rls_init_scale * I. rls_update is kept as that
+streaming form. The paper's plain fit (unit weights, no ridge, and without
+D the costs minus their mean, with d = 0) stays available as bls_estimate.
+The leverage weights w_k = (1 + |z_k|^2)^-2 keep the fit consistent,
+because the Bellman residual has zero mean given z_k, and tame the heavy
+tails of the plain instruments phi(z_k) near the edge of fourth-moment
+stability.
 
-The normal equations come from one pass over the rollout in windows of
-ROLLOUT_BLOCK samples. Each window builds its features once, over its rows
-and the next one, into a buffer that the pass keeps, and adds to
-statistics that do not depend on the gain, where psi stacks the instrument
-w phi with w itself (w = 1 for the plain fit). Each is summed once, by two
-products per window: sum w phi phi^T is one symmetric rank-k product of
-the rows sqrt(w) phi, and one product with the columns
-[vech(x_{k+1} x_{k+1}^T) | c | 1] gives sum psi vech(x x^T)^T, sum psi c
-and sum psi, whose first s entries, sum w phi, are also the last row of
-sum psi phi^T. The next-state columns need no gather: vech(x x^T) is the
-first n - i entries of the features' row runs i < n, read one column on,
-and the weights are applied in place once they are read. The next-state
-features are a linear image of the state-only ones,
-phi(x, L x) = K_L vech(x x^T) with K_L = packing.congruence of the one
-factor [I; L], so the gain enters once after the pass:
-sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) K_L^T.
+The model's sums come from one pass over the rollout in windows of
+ROLLOUT_BLOCK samples, with one feature build per window (_moment_model).
 Working memory is O(ROLLOUT_BLOCK * s) whatever the rollout length, and the
-statistics of several rollouts add up, so a refit for any gain on pooled
-data is their sum and one K_L product.
+sums of several rollouts add up, so a model of pooled data is their sum
+and one solve.
 
 The learner sees only a rollout sampler, stage costs, and optionally D; the
 plant matrices stay out of reach by construction.
@@ -69,7 +64,7 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import congruence, packed_length, unvech, unvecs, vech
+from .packing import congruence, packed_length, side_from_packed_length, unvecs, vech
 from .policy_iteration import QKernel, evaluate_improve
 from .system import (
     ROLLOUT_BLOCK,
@@ -79,6 +74,7 @@ from .system import (
     as_matrix,
     check_integer,
     check_positive,
+    is_real,
     simulate_closed_loop,
 )
 
@@ -89,8 +85,9 @@ COST_MODES = ("known_d", "empirical")
 
 
 def features(z: np.ndarray) -> np.ndarray:
-    """Quadratic feature vector: vech of the outer product of z with itself."""
-    z = np.asarray(z, dtype=float)
+    """Quadratic feature vector: vech of the outer product of z with itself.
+    z must be a vector of real numbers (as_matrix), finite or not."""
+    z = as_matrix(z, "z", (None,), finite=False)
     return vech(np.outer(z, z))
 
 
@@ -121,19 +118,6 @@ def feature_matrix(states: np.ndarray, inputs: np.ndarray,
         np.multiply(z[i], z[i:], out=columns[start:start + r - i])
         start += r - i
     return out
-
-
-def noise_shape_kernel(gain: np.ndarray, additive_cov: np.ndarray) -> np.ndarray:
-    """kappa = [I; L] D [I; L]^T: how the additive noise spreads over z-space.
-
-    Raises ValidationError unless D is a finite square matrix and the gain a
-    finite matrix with D's number of columns (as_matrix).
-    """
-    additive_cov = as_matrix(additive_cov, "additive covariance", square=True)
-    n = len(additive_cov)
-    gain = as_matrix(gain, "gain", (None, n))
-    basis = np.vstack([np.eye(n), gain])
-    return basis @ additive_cov @ basis.T
 
 
 @dataclass
@@ -168,18 +152,21 @@ def rls_update(state: RlsState, feats: np.ndarray, next_feats: np.ndarray,
 
     The rank-one inverse update for the regressor g = feats - next_feats +
     noise_correction against the instrument weight * feats. weight = 1 is the
-    paper's plain fit; the learner's weight is w_k = (1 + |z_k|^2)^-2. Raises
+    paper's plain fit; the learner's weight is w_k = (1 + |z_k|^2)^-2. A
+    gain L's noise correction is congruence([I; L]) @ vech(D). Raises
     ValidationError unless feats, next_feats and noise_correction are vectors
-    of the estimator's dimension, and IllConditionedUpdateError when the
-    update denominator is numerically zero.
+    of real numbers of the estimator's dimension (as_matrix) and cost and
+    weight real numbers, finite or not, and IllConditionedUpdateError when
+    the update denominator is numerically zero.
     """
     dim = state.weighted_costs.shape[0]
-    for name, vector in (("feats", feats), ("next_feats", next_feats),
-                         ("noise_correction", noise_correction)):
-        if np.shape(vector) != (dim,):
-            raise ValidationError(
-                f"{name} must have shape {(dim,)}, got {np.shape(vector)}"
-            )
+    feats, next_feats, noise_correction = (
+        as_matrix(vector, name, (dim,), finite=False)
+        for name, vector in (("feats", feats), ("next_feats", next_feats),
+                             ("noise_correction", noise_correction)))
+    for name, value in (("cost", cost), ("weight", weight)):
+        if not is_real(value):
+            raise ValidationError(f"{name} must be a real number, got {type(value).__name__}")
     instrument = weight * feats
     g = feats - next_feats + noise_correction
     gram_feats = state.gram_inv @ instrument
@@ -215,51 +202,40 @@ def _solve(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return vec
 
 
-def _normal_equations(traj: Trajectory, gain: np.ndarray,
-                      noise_cov: np.ndarray | None, weighted: bool):
-    """Instrumental-variable normal equations Psi^T G h = Psi^T c of a rollout.
+def _moment_model(traj: Trajectory, noise_cov: np.ndarray | None, weighted: bool,
+                  ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gain-free moment model of a rollout (module docstring): (B, c, d).
 
-    The regressors G are the rows phi(z_k) - phi(zbar_{k+1}) and h = vecs(H).
-    With noise_cov given, they also carry the noise correction vech(kappa)
-    and the targets are the raw costs.
+    weighted=False is the paper's plain fit: unit weights, and with
+    noise_cov None the costs minus their whole-rollout mean and d = 0.
+    weighted=True is the learner's: weights w_k = (1 + |z_k|^2)^-2, and with
+    noise_cov None d = vech(D-hat), the last row of the solve of
+    sum w [phi; 1][phi; 1]^T against sum psi psi'^T. With noise_cov given,
+    d = vech(noise_cov). B and c solve
+    (sum w phi phi^T + ridge I) [B | c] = [sum w phi (psi' - d)^T | sum w phi c].
 
-    weighted=False is the paper's plain fit: the instruments Psi are the rows
-    phi(z_k), and with noise_cov None the targets are the costs minus their
-    mean over the whole rollout. weighted=True is the learner's fit: the
-    instruments are w_k phi(z_k) with w_k = (1 + |z_k|^2)^-2, and with
-    noise_cov None the correction uses D-hat, the last row of the solve of
-    sum w [phi; 1][phi; 1]^T (cross bordered by the totals) against
-    sum psi vech(x x^T)^T.
+    The pass reuses two arrays over windows of ROLLOUT_BLOCK samples. The
+    one takes the window's features, over samples k0..k1 and the row after,
+    and below them sqrt(w_k) = 1 / (1 + |z_k|^2), summed from the rows z_i^2;
+    the other takes sqrt(w) [psi'_k | c_k - centre | 1], psi' read as the
+    first n - i entries of feature row run i < n one column on. With the
+    feature rows scaled by sqrt(w) in place, the symmetric rank-k product of
+    the rows sqrt(w) phi gives sum w phi phi^T, and [sqrt(w) phi; sqrt(w)]
+    times the other array sum psi [psi' | c - centre | 1], psi = [w phi; w].
 
-    One pass over windows of ROLLOUT_BLOCK samples builds each window's
-    features once, over samples k0..k1 and the row after, and adds to
-    gain-free sums over psi_k = [w_k phi(z_k); w_k]. Two arrays are
-    allocated per fit and reused by every window: feature_matrix writes the
-    features into the first s rows of the one, whose last row takes
-    sqrt(w_k) = 1 / (1 + |z_k|^2) from the rows z_i^2 by plain row adds, and
-    the other takes sqrt(w) [vech(x_{k+1} x_{k+1}^T) | c_k - centre | 1]
-    (the state-only rows of the next row's features, read as the first
-    n - i entries of row run i < n one column on, the targets, and the
-    constant). The feature rows are then scaled by sqrt(w) in place, and two
-    products give the sums: the symmetric rank-k product of the rows
-    sqrt(w_k) phi(z_k) gives sum w phi phi^T, and [sqrt(w) phi; sqrt(w)]
-    times the second array gives sum psi vech(x x^T)^T, sum psi (c - centre)
-    and sum psi. The first s entries of sum psi are sum w phi, the last row
-    of sum psi phi^T. After the pass the gain enters once, through
-    sum psi phi(zbar_{k+1})^T = (sum psi vech(x x^T)^T) K_L^T, with
-    K_L = congruence([I; L]) (module docstring), so no N x s array is formed.
-
-    Returns (gram, rhs, correction), correction = vech(kappa) or None (plain,
-    no noise_cov). Raises UnreliableKernelError when the data are not finite
-    (a diverged rollout), at the first window that holds a non-finite state,
-    input or cost, when the sums overflow, or when D-hat cannot be solved for,
-    and ValidationError unless gain is a finite (m, n) matrix (as_matrix).
+    Raises ValidationError unless noise_cov is None or a finite (n, n)
+    matrix (as_matrix); UnreliableKernelError for non-finite data (a
+    diverged rollout, at the first window that holds them), overflowing
+    sums, or a D-hat or model that cannot be solved for; and
+    InsufficientExcitationError for fewer samples than unknowns or, without
+    a ridge, a Gram whose condition number exceeds 1e12.
     """
-    n = traj.states.shape[1]
-    m = traj.inputs.shape[1]
-    gain = as_matrix(gain, "gain", (m, n))
+    n, m = traj.states.shape[1], traj.inputs.shape[1]
+    noise = (np.zeros(packed_length(n)) if noise_cov is None
+             else vech(as_matrix(noise_cov, "noise_cov", (n, n))))
+    estimate_d = weighted and noise_cov is None
     n_samples, s = traj.n_steps, packed_length(n + m)
-    unknowns = s + (weighted and noise_cov is None)   # D-hat's has one more
+    unknowns = s + estimate_d                     # D-hat's regression has one more
     if n_samples < unknowns:
         raise InsufficientExcitationError(
             f"{n_samples} samples cannot identify {unknowns} coefficients; "
@@ -271,10 +247,9 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
     runs = [s - packed_length(r - i) for i in range(r)]
     next_runs = [(runs[i], t - packed_length(n - i), n - i) for i in range(n)]
     cross = np.zeros((s, s))                      # sum w phi phi^T
-    sums = np.zeros((s + 1, t + 2))               # sum psi [vech(x x^T) | c - centre | 1]
-    # Each side of a window product carries one factor sqrt(w) of the weight:
-    # the rows [phi; sqrt(w)] of a window and its next row become
-    # [sqrt(w) phi; sqrt(w)] in place once the next-state rows are read.
+    sums = np.zeros((s + 1, t + 2))               # sum psi [psi' | c - centre | 1]
+    # The rows [phi; sqrt(w)] of a window become [sqrt(w) phi; sqrt(w)] in
+    # place once the next-state rows are read: each side carries sqrt(w).
     width = min(n_samples, ROLLOUT_BLOCK)
     left = np.empty((s + 1, width + 1))
     right = np.empty((t + 2, width))
@@ -310,45 +285,51 @@ def _normal_equations(traj: Trajectory, gain: np.ndarray,
             lhs[:s] *= root
             cross += lhs[:s] @ lhs[:s].T               # one symmetric rank-k product
             sums += lhs @ moments.T
-        # Psi^T G for the regressors phi(z_k) - phi(zbar_{k+1}); the product
-        # takes all s + 1 rows, as OpenBLAS's rounding depends on the count.
-        totals, rhs, correction = sums[:, t + 1], sums[:s, t], None
-        gain_map = congruence(np.vstack([np.eye(n), gain])[None])
-        gram = cross - (sums[:, :t] @ gain_map.T)[:s]
-        if weighted and noise_cov is None:
-            # D-hat: the intercept of the weighted regression of vech(x x^T)
-            # on [phi; 1], whose Gram sum w [phi; 1][phi; 1]^T is cross
-            # bordered by the totals and whose targets are sum psi vech(x x^T)^T.
-            if not (np.isfinite(cross).all() and np.isfinite(sums).all()):
-                raise UnreliableKernelError("noise estimate: sums are non-finite")
-            bordered = np.column_stack([np.vstack([cross, totals[:s]]), totals])
-            noise_cov = unvech(_solve(bordered, sums[:, :t], "noise estimate")[s])
-        if noise_cov is not None:
-            # The constant correction enters as the rank-one term (Psi^T 1) corr^T.
-            correction = vech(noise_shape_kernel(gain, noise_cov))
-            gram += np.outer(totals[:s], correction)
-    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
-        raise UnreliableKernelError("normal equations contain non-finite entries")
-    return gram, rhs, correction
+    if not (np.isfinite(cross).all() and np.isfinite(sums).all()):
+        raise UnreliableKernelError(
+            f"{'noise estimate' if estimate_d else 'moment model'}: sums are non-finite")
+    totals = sums[:, t + 1]
+    if estimate_d:
+        # D-hat: the intercept of the weighted regression of psi' on [phi; 1],
+        # whose Gram sum w [phi; 1][phi; 1]^T is cross bordered by the totals.
+        bordered = np.column_stack([np.vstack([cross, totals[:s]]), totals])
+        noise = _solve(bordered, sums[:, :t], "noise estimate")[s]
+    cross[np.diag_indices_from(cross)] += ridge
+    if not ridge:
+        cond = np.linalg.cond(cross)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise InsufficientExcitationError(
+                f"model Gram condition number {cond:.3e}; use a longer rollout "
+                f"or a larger probe variance"
+            )
+    targets = np.column_stack([sums[:s, :t] - np.outer(totals[:s], noise), sums[:s, t]])
+    model = _solve(cross, targets, "moment model")
+    return model[:, :t], model[:, t], noise
+
+
+def _evaluate(b: np.ndarray, c: np.ndarray, d: np.ndarray,
+              gain: np.ndarray) -> tuple[QKernel, float]:
+    """Plug-in evaluation of a gain on the moment model (B, c, d) of
+    _moment_model (module docstring): (kernel, average cost d^T v).
+
+    Raises ValidationError unless gain is a finite (m, n) matrix
+    (as_matrix), and UnreliableKernelError when I - K_L^T B is singular.
+    """
+    n = side_from_packed_length(len(d))
+    gain = as_matrix(gain, "gain", (side_from_packed_length(len(c)) - n, n))
+    gain_map = congruence(np.vstack([np.eye(n), gain])[None]).T   # K_L^T
+    value = _solve(np.eye(len(d)) - gain_map @ b, gain_map @ c, "kernel estimate")   # vecs(P)
+    return QKernel(matrix=unvecs(c + b @ value), state_dim=n), float(d @ value)
 
 
 def bls_estimate(traj: Trajectory, gain: np.ndarray,
                  noise_cov: np.ndarray | None = None) -> QKernel:
-    """Batch least-squares kernel fit over one rollout, unregularised.
-
-    With noise_cov given, the average cost is eliminated through the noise
-    shape kernel; with noise_cov None the empirical mean cost is subtracted
-    from the targets instead.
+    """Batch least-squares kernel fit over one rollout, unregularised: the
+    plain moment model evaluated at the gain. With noise_cov given, the
+    average cost is pinned by D; with noise_cov None the empirical mean cost
+    is subtracted from the targets instead.
     """
-    gram, rhs, _ = _normal_equations(traj, gain, noise_cov, weighted=False)
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise InsufficientExcitationError(
-            f"normal matrix condition number {cond:.3e}; use a longer rollout "
-            f"or a larger probe variance"
-        )
-    vec = np.linalg.solve(gram, rhs)
-    return QKernel(matrix=unvecs(vec), state_dim=traj.states.shape[1])
+    return _evaluate(*_moment_model(traj, noise_cov, weighted=False), gain)[0]
 
 
 def policy_from_h(kernel: QKernel) -> np.ndarray:
@@ -366,13 +347,15 @@ class LearnerConfig:
     initial_gain must be a finite 2-d matrix (ValidationError otherwise) and
     admissible for the plant the sampler wraps; the learner cannot check
     admissibility without a model, so the caller asserts it.
-    cost_mode "known_d" pins the average cost inside the regression through
-    the additive-noise covariance D, "empirical" through D-hat estimated from
-    the rollout. For the plant's stage costs the latter is the fit with the
-    average cost as one more coefficient; costs with a free constant of their
-    own, which no plant produces, are fitted wrongly. A fit takes at least
-    (n+m)(n+m+1)/2 samples, one more in empirical mode. probe_var,
-    rls_init_scale and gain_tol are held as floats.
+    Each iteration evaluates its gain on the moment model of its rollout
+    (module docstring), with the ridge 1 / rls_init_scale on the model's
+    Gram. cost_mode "known_d" takes the model's noise term d, and so the
+    average cost tr(P D), from the additive-noise covariance D, "empirical"
+    from D-hat, the model's intercept. For the plant's stage costs the
+    latter is the fit with the average cost as one more coefficient; costs
+    with a free constant of their own, which no plant produces, are fitted
+    wrongly. A fit takes at least (n+m)(n+m+1)/2 samples, one more in
+    empirical mode. probe_var, rls_init_scale and gain_tol are held as floats.
     """
 
     initial_gain: np.ndarray
@@ -403,7 +386,8 @@ class LearnerConfig:
 class LearningResult:
     """gains includes the initial gain, so it is one longer than kernels.
     cost_estimates[t] is the average-cost estimate of iteration t's policy,
-    tr(H_t kappa), with D-hat in kappa in empirical mode."""
+    tr(P_t D-hat) for the value kernel P_t of its fit, with D-hat = D in
+    known_d mode."""
 
     gains: list[np.ndarray]
     kernels: list[QKernel]
@@ -423,12 +407,10 @@ def iteration_seed(base_seed: int, iteration: int) -> int:
 def _fit_iteration(traj: Trajectory, gain: np.ndarray,
                    noise_cov: np.ndarray | None,
                    init_scale: float) -> tuple[QKernel, float]:
-    """The regularised weighted solve over a rollout: (kernel, cost estimate
-    tr(H kappa)), with D-hat in kappa when noise_cov is None."""
-    gram, rhs, correction = _normal_equations(traj, gain, noise_cov, weighted=True)
-    gram[np.diag_indices_from(gram)] += 1.0 / init_scale
-    vec = _solve(gram, rhs, "kernel estimate")
-    return QKernel(matrix=unvecs(vec), state_dim=traj.states.shape[1]), float(correction @ vec)
+    """The learner's fit over a rollout: the weighted moment model, ridge
+    1 / init_scale, evaluated at the gain; (kernel, cost estimate tr(P D-hat)),
+    with D-hat = noise_cov when it is given."""
+    return _evaluate(*_moment_model(traj, noise_cov, True, 1.0 / init_scale), gain)
 
 
 def learn_from_rollouts(sampler: Callable[[np.ndarray, int], Trajectory],

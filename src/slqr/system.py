@@ -104,6 +104,13 @@ def check_positive(value, name: str, finite: bool = False) -> None:
         raise ValidationError(f"{name} must be finite, got {value}")
 
 
+def _nonempty(mat: np.ndarray, name: str) -> np.ndarray:
+    """mat, unless it has no entries (ValidationError naming it by name)."""
+    if mat.size == 0:
+        raise ValidationError(f"{name} must not be empty, got shape {mat.shape}")
+    return mat
+
+
 def _check_psd(mat: np.ndarray, name: str) -> None:
     eigs = np.linalg.eigvalsh(mat)
     if eigs.min() < -PD_EIG_FLOOR * max(1.0, abs(eigs.max())):
@@ -126,7 +133,8 @@ class SystemModel:
 
     state_noise / input_noise are lists of (matrix, variance) pairs: the
     direction each scalar noise channel acts in, and its variance.
-    Construction checks every shape and variance and stacks the channel
+    Construction checks every shape and variance (A and B must not be
+    empty: a plant has a state and an input) and stacks the channel
     factors in channels, one C-contiguous (c, n, n + m) array: [A B] first,
     then sqrt(var_i) [A_i 0] and sqrt(var_j) [0 B_j], in the draw order.
     The model holds read-only copies of all its matrices.
@@ -141,8 +149,8 @@ class SystemModel:
     channels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = as_matrix(self.A, "A", square=True)
-        b = as_matrix(self.B, "B", (len(a), None))
+        a = _nonempty(as_matrix(self.A, "A", square=True), "A")
+        b = _nonempty(as_matrix(self.B, "B", (len(a), None)), "B")
         n, m = b.shape
         object.__setattr__(self, "A", _owned(a))
         object.__setattr__(self, "B", _owned(b))
@@ -199,14 +207,15 @@ def loop_factors(model: SystemModel, gain: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CostModel:
     """Quadratic stage cost x^T Q x + u^T R u with Q >= 0 and R > 0, held
-    as read-only copies."""
+    as read-only copies; an empty Q or R is a ValidationError."""
 
     Q: np.ndarray
     R: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", _owned(symmetrize(as_matrix(self.Q, "Q"))))
-        object.__setattr__(self, "R", _owned(symmetrize(as_matrix(self.R, "R"))))
+        for name in ("Q", "R"):
+            mat = _nonempty(as_matrix(getattr(self, name), name), name)
+            object.__setattr__(self, name, _owned(symmetrize(mat)))
 
     def validate(self, model: SystemModel | None = None) -> None:
         _check_psd(self.Q, "Q")

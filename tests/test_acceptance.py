@@ -23,14 +23,13 @@ from slqr.analysis import (
     stationary_covariance,
 )
 from slqr.errors import SolverFailure
-from slqr.packing import vech, vecs
+from slqr.packing import congruence, vech, vecs
 from slqr.policy_iteration import policy_iteration, q_kernel_from_value
 from slqr.qlearning import (
     LearnerConfig,
     bls_estimate,
     feature_matrix,
     initial_rls_state,
-    noise_shape_kernel,
     policy_from_h,
     rls_kernel,
     rls_update,
@@ -168,7 +167,7 @@ def test_criterion_5_recursive_estimate_matches_batch(sec6):
     traj = simulate_closed_loop(model, cost, gain, 5000, 0.64, 123)
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ gain.T)
-    correction = vech(noise_shape_kernel(gain, model.D))
+    correction = congruence(np.vstack([np.eye(3), gain])[None]) @ vech(model.D)
     state = initial_rls_state(phi.shape[1], 1e8)
     for k in range(phi.shape[0]):
         state = rls_update(state, phi[k], phi_next[k], correction,

@@ -1,7 +1,8 @@
 """The library's error contract: every public function of slqr.analysis,
-slqr.packing, slqr.qlearning and slqr.policy_iteration that takes a matrix
-returns or raises SolverFailure or ValidationError, whatever is passed in
-each matrix argument, and numpy does not warn on the way."""
+slqr.packing, slqr.qlearning and slqr.policy_iteration that takes a matrix,
+a vector or a factor stack returns or raises SolverFailure or
+ValidationError, whatever is passed in each such argument (and in the
+numbers that come with them), and numpy does not warn on the way."""
 
 import warnings
 from dataclasses import replace
@@ -27,8 +28,8 @@ def sampler(gain, seed):
     return simulate_closed_loop(MODEL, COST, gain, LEARNER.rollout_len, LEARNER.probe_var, seed)
 
 
-# name: (callable, well-formed arguments, the matrix arguments, whether a
-# non-finite matrix passes through by design).
+# name: (callable, well-formed arguments, the array and number arguments,
+# whether a non-finite argument passes through by design).
 CASES = {
     "analysis.moment_operator": (analysis.moment_operator, dict(model=MODEL, gain=GAIN),
                                  ["gain"], False),
@@ -50,12 +51,14 @@ CASES = {
     "packing.symmetrize": (packing.symmetrize, dict(mat=np.eye(2)), ["mat"], True),
     "packing.vech": (packing.vech, dict(mat=np.eye(2)), ["mat"], True),
     "packing.vecs": (packing.vecs, dict(mat=np.eye(2)), ["mat"], True),
+    "packing.unvech": (packing.unvech, dict(vec=np.ones(3)), ["vec"], True),
+    "packing.unvecs": (packing.unvecs, dict(vec=np.ones(3)), ["vec"], True),
+    "packing.congruence": (packing.congruence, dict(factors=np.ones((2, 2, 3))), ["factors"],
+                           True),
+    "qlearning.features": (qlearning.features, dict(z=np.ones(3)), ["z"], True),
     "qlearning.feature_matrix": (qlearning.feature_matrix,
                                  dict(states=np.ones((5, 2)), inputs=np.ones((5, 1))),
                                  ["states", "inputs"], True),
-    "qlearning.noise_shape_kernel": (qlearning.noise_shape_kernel,
-                                     dict(gain=GAIN, additive_cov=np.eye(2)),
-                                     ["gain", "additive_cov"], False),
     "qlearning.bls_estimate": (qlearning.bls_estimate,
                                dict(traj=sampler(GAIN, 0), gain=GAIN, noise_cov=np.eye(2)),
                                ["gain", "noise_cov"], False),
@@ -64,6 +67,12 @@ CASES = {
                                            noise_cov=np.eye(2)), ["noise_cov"], False),
     "qlearning.LearnerConfig": (lambda initial_gain: replace(LEARNER, initial_gain=initial_gain),
                                 dict(initial_gain=GAIN), ["initial_gain"], False),
+    # A non-finite estimate is caught by rls_kernel.
+    "qlearning.rls_update": (qlearning.rls_update,
+                             dict(state=qlearning.initial_rls_state(3, 1.0), feats=np.ones(3),
+                                  next_feats=np.zeros(3), noise_correction=np.zeros(3),
+                                  cost=1.0, weight=1.0),
+                             ["feats", "next_feats", "noise_correction", "cost", "weight"], True),
     # A record with no checks of its own: the estimator's functions build it.
     "qlearning.RlsState": (qlearning.RlsState,
                            dict(gram_inv=np.eye(2), weighted_costs=np.zeros(2)),
@@ -88,18 +97,22 @@ LEFT_OUT = {
     "packing.side_from_packed_length", "qlearning.initial_rls_state", "qlearning.rls_kernel",
     "qlearning.policy_from_h", "qlearning.iteration_seed", "qlearning.run_online_learning",
     "qlearning.LearningResult", "policy_iteration.PolicyIterationTrace",
-    # A vector or a (c, p, q) factor stack, not a matrix.
-    "packing.unvech", "packing.unvecs", "packing.congruence", "qlearning.features",
-    "qlearning.rls_update",
     # The gain goes only to the caller's step, which reads it.
     "policy_iteration.evaluate_improve",
 }
 
+# Each takes the well-formed argument as an array: a matrix, a vector, a
+# (c, p, q) stack or a number.
 BAD = {
     "string": lambda good: "ab",
-    "1-d": lambda good: np.ones(good.shape[1]),
-    "wrong shape": lambda good: np.ones((good.shape[0] + 1, good.shape[1])),
-    "nan": lambda good: np.full(good.shape, np.nan),
+    "ragged": lambda good: [[1.0], [1.0, 2.0]],
+    # A matrix's row or a stack's first factor; a vector or a number as rows.
+    "wrong rank": lambda good: (np.ones(good.shape[1:]) if good.ndim > 1
+                                else np.ones((2,) + good.shape)),
+    # One more entry on the first axis; a number as a 1 x 1 matrix.
+    "wrong shape": lambda good: (np.ones((good.shape[0] + 1,) + good.shape[1:]) if good.ndim
+                                 else np.ones((1, 1))),
+    "nan": lambda good: np.full(good.shape, np.nan)[()],
 }
 
 
@@ -117,9 +130,9 @@ def test_every_public_callable_is_checked_or_left_out_by_name():
 @pytest.mark.parametrize("kind", sorted(BAD))
 @pytest.mark.parametrize("name, arg", [(name, arg) for name, case in CASES.items()
                                        for arg in case[2]])
-def test_a_malformed_matrix_argument_stays_inside_the_error_contract(name, arg, kind):
+def test_a_malformed_argument_stays_inside_the_error_contract(name, arg, kind):
     call, args, _, passes_non_finite = CASES[name]
-    args = dict(args, **{arg: BAD[kind](args[arg])})
+    args = dict(args, **{arg: BAD[kind](np.asarray(args[arg]))})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

@@ -148,8 +148,20 @@ def test_unvech_of_a_string_is_a_malformed_vector():
     with pytest.raises(MalformedVectorError,
                        match=r"^expected a 1-d packed vector, got shape \(\)$"):
         unvech("ab")
-    with pytest.raises(ValidationError, match="^packed vector must be a matrix of real numbers$"):
-        unvech(["a", "b", "c"])
+    # A ragged list is 1-d as a list of lists, whose entries are no numbers.
+    for vec in (["a", "b", "c"], [[1.0], [1.0, 2.0]]):
+        with pytest.raises(ValidationError,
+                           match="^packed vector must be a vector of real numbers$"):
+            unvech(vec)
+    # A malformed vector stays inside the library's error contract.
+    assert issubclass(MalformedVectorError, ValidationError)
+
+
+def test_congruence_takes_a_3d_stack_of_factors():
+    for factors, message in (("ab", "must be a matrix stack of real numbers"),
+                             (np.eye(2), r"must be a 3-d matrix stack, got shape \(2, 2\)")):
+        with pytest.raises(ValidationError, match=rf"^factors {message}$"):
+            congruence(factors)
 
 
 def test_unvech_passes_non_finite_entries_through():

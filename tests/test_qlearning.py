@@ -26,7 +26,6 @@ from slqr.qlearning import (
     initial_rls_state,
     iteration_seed,
     learn_from_rollouts,
-    noise_shape_kernel,
     policy_from_h,
     rls_kernel,
     rls_update,
@@ -50,9 +49,25 @@ def det_model(model):
     return SystemModel(A=model.A, B=model.B, D=np.zeros((n, n)), X0=np.eye(n))
 
 
+def noise_correction(gain, cov):
+    # K_L vech(D), K_L = congruence([I; L]): vech([I; L] D [I; L]^T), the
+    # additive noise's share of the next on-policy features.
+    return congruence(np.vstack([np.eye(len(cov)), gain])[None]) @ vech(cov)
+
+
 def test_features_examples():
     np.testing.assert_array_equal(features([1.0, 2.0]), [1.0, 2.0, 4.0])
     np.testing.assert_array_equal(features(np.zeros(3)), np.zeros(6))
+
+
+@pytest.mark.parametrize("z, message", [
+    ("ab", "must be a vector of real numbers"),
+    ([[1.0], [1.0, 2.0]], "must be a vector of real numbers"),
+    (np.eye(2), r"must be a 1-d vector, got shape \(2, 2\)"),
+], ids=["string", "ragged", "matrix"])
+def test_features_of_anything_but_a_vector_is_a_validation_error(z, message):
+    with pytest.raises(ValidationError, match=rf"^z {message}$"):
+        features(z)
 
 
 def test_features_evaluate_quadratic_forms():
@@ -121,7 +136,7 @@ def _dense_normal_equations(traj, gain, noise_cov, weighted):
     weights = (1.0 + (z ** 2).sum(axis=1)) ** -2 if weighted else np.ones(len(costs))
     psi = weights[:, None] * phi
     if noise_cov is not None:
-        regressors = regressors + vech(noise_shape_kernel(gain, noise_cov))
+        regressors = regressors + noise_correction(gain, noise_cov)
     elif weighted:
         psi = np.hstack([psi, weights[:, None]])
         regressors = np.hstack([regressors, np.ones((len(costs), 1))])
@@ -148,17 +163,35 @@ FIT_MODES = {"known_d": (True, True), "empirical": (True, False),
              "plain_known_d": (False, True), "plain": (False, False)}
 
 
+def _dense_moment_sums(traj, noise, weighted, ridge):
+    # The model's Gram sum w phi phi^T + ridge I and its columns
+    # [sum w phi (psi' - d)^T | sum w phi c] from whole-rollout arrays, with
+    # the costs centred for the plain fit without D (noise None).
+    phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
+    next_moments = feature_matrix(traj.states[1:], np.empty((len(phi), 0)))
+    z = np.hstack([traj.states[:-1], traj.inputs[:-1]])
+    weights = (1.0 + (z ** 2).sum(axis=1)) ** -2 if weighted else np.ones(len(phi))
+    costs = traj.costs - (traj.costs.mean() if noise is None else 0.0)
+    if noise is None:
+        noise = np.zeros(next_moments.shape[1])
+    psi = weights[:, None] * phi
+    gram = psi.T @ phi + ridge * np.eye(phi.shape[1])
+    return gram, psi.T @ np.column_stack([next_moments - noise, costs])
+
+
 @pytest.mark.parametrize("mode", sorted(FIT_MODES))
 @pytest.mark.parametrize("n_steps", [21, ROLLOUT_BLOCK - 1, ROLLOUT_BLOCK, ROLLOUT_BLOCK + 1,
                                      2 * ROLLOUT_BLOCK + 37])
 def test_streamed_normal_equations_match_the_dense_form(sec6, feature_builds, mode,
                                                         n_steps):
-    # The windowed pass must equal the whole-rollout form at every window
-    # boundary, building each window's features once. 21 = s at n = m = 3 is
-    # the shortest rollout the fit accepts, but for empirical's D-hat, whose
-    # regression has s + 1 unknowns. The second plant has n = 4 states,
-    # m = 2 inputs and both channel kinds, so s = 21 again but the next-state
-    # block is 10 wide.
+    # The windowed pass must give the model of the whole-rollout sums at every
+    # window boundary, building each window's features once: the model solves
+    # the dense normal equations to a backward error of roundoff. 21 = s at
+    # n = m = 3 is the shortest rollout the fit accepts, but for empirical's
+    # D-hat, whose regression has s + 1 unknowns. The second plant has n = 4
+    # states, m = 2 inputs and both channel kinds, so s = 21 again but the
+    # next-state block is 10 wide. A small ridge keeps the 21-sample Grams
+    # solvable, and every mode takes it.
     weighted, known_d = FIT_MODES[mode]
     plant, plant_cost = random_admissible_system(np.random.default_rng(22), max_state_dim=4,
                                                  max_input_dim=3)
@@ -171,18 +204,20 @@ def test_streamed_normal_equations_match_the_dense_form(sec6, feature_builds, mo
         noise_cov = model.D if known_d else None
         if mode == "empirical" and n_steps == 21:
             with pytest.raises(InsufficientExcitationError, match="21 samples cannot identify 22"):
-                qlearning._normal_equations(traj, gain, noise_cov, weighted)
+                qlearning._moment_model(traj, noise_cov, weighted, 1e-8)
             continue
-        gram, rhs, correction = qlearning._normal_equations(traj, gain, noise_cov, weighted)
-        if mode == "empirical":
-            # The weighted fit without D is known_d's with the pass's D-hat,
-            # the top-left block of its correction kappa = [I; L] D [I; L]^T.
-            n = model.state_dim
-            noise_cov = unvech(correction)[:n, :n]
-        dense_gram, dense_rhs = _dense_normal_equations(traj, gain, noise_cov, weighted)
-        assert np.linalg.norm(gram - dense_gram) <= 1e-12 * np.linalg.norm(dense_gram)
-        assert np.linalg.norm(rhs - dense_rhs) <= 1e-12 * np.linalg.norm(dense_rhs)
-        assert (correction is None) == (mode == "plain")
+        moments, costs, noise = qlearning._moment_model(traj, noise_cov, weighted, 1e-8)
+        if known_d:
+            np.testing.assert_array_equal(noise, vech(model.D))
+        elif not weighted:
+            np.testing.assert_array_equal(noise, 0.0)
+        # The weighted fit without D is known_d's with the pass's D-hat.
+        gram, columns = _dense_moment_sums(traj, noise if weighted or known_d else None,
+                                           weighted, 1e-8)
+        model_coef = np.column_stack([moments, costs])
+        residual = np.linalg.norm(gram @ model_coef - columns)
+        scale = np.linalg.norm(gram) * np.linalg.norm(model_coef) + np.linalg.norm(columns)
+        assert residual <= 1e-14 * scale                   # 1.2e-16 measured
         windows = math.ceil(n_steps / ROLLOUT_BLOCK)
         assert len(feature_builds) == windows
         assert sum(feature_builds) == n_steps + windows     # each window reads one row more
@@ -222,8 +257,8 @@ def _identity_case(plant):
 @pytest.mark.parametrize("policy", ["on", "off"])
 def test_empirical_fit_is_the_lambda_column_fit(plant, policy):
     # Without D the fit estimates D-hat, the intercept of the weighted
-    # regression of vech(x_{k+1} x_{k+1}^T) on [phi(z_k); 1], and runs the
-    # known_d assembly with it. The reference fits lambda as one more
+    # regression of vech(x_{k+1} x_{k+1}^T) on [phi(z_k); 1], and is the
+    # known_d fit with it. The reference fits lambda as one more
     # coefficient instead: regressor 1 against the instruments [w phi; w],
     # with the same ridge eps = 1/rls_init_scale on every unknown. The two
     # differ by exactly delta = mu - eps (M^-1 [h; lambda])_s, where h and
@@ -241,10 +276,11 @@ def test_empirical_fit_is_the_lambda_column_fit(plant, policy):
     kernel, lam = qlearning._fit_iteration(traj, gain, None, scale)
 
     moments, coef = _dense_noise_regression(traj)
-    gram, _, correction = qlearning._normal_equations(traj, gain, None, weighted=True)
-    n = model.state_dim
-    assert np.allclose(unvech(correction)[:n, :n], unvech(coef[-1]), rtol=1e-9, atol=0)
+    d_hat = qlearning._moment_model(traj, None, True, 1.0 / scale)[2]
+    assert np.allclose(d_hat, coef[-1], rtol=1e-9, atol=0)
+    gram, _ = _dense_normal_equations(traj, gain, unvech(d_hat), weighted=True)
     gram[np.diag_indices_from(gram)] += 1.0 / scale
+    correction = noise_correction(gain, unvech(d_hat))
     lift = np.linalg.solve(gram, moments[:-1, -1])             # A^-1 t
     delta = -np.linalg.solve(moments, reference)[-1] / scale
     lam_shift, h_shift = delta * (1.0 - correction @ lift), -delta * lift
@@ -254,6 +290,39 @@ def test_empirical_fit_is_the_lambda_column_fit(plant, policy):
     # The ridge's share is far below any estimation error.
     assert abs(reference[-1] - lam) <= 1e-8 * abs(lam)
     assert np.linalg.norm(h_gap) <= 1e-8 * np.linalg.norm(reference[:-1])
+
+
+@pytest.mark.parametrize("mode", sorted(FIT_MODES))
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("plant", ["example_sec6", "scalar_smoke", "n4"])
+def test_fit_is_the_dense_textbook_solve(plant, policy, mode):
+    # Plug-in evaluation on the moment model is the textbook solve
+    # (eps I + Psi^T G) h = Psi^T c on whole-rollout arrays, eps =
+    # 1/rls_init_scale for the learner's fit and 0 for the plain one, with
+    # lambda = (K_L d)^T h; empirical mode is known_d's with the fit's D-hat.
+    # The bounds are the dense solve's own roundoff: at most 2.7e-14 was
+    # measured on the weighted fits and 8.2e-15 on the plain fixture ones,
+    # and 2.7e-10 on the plain n = 4 ones, whose Gram is worse conditioned.
+    weighted, known_d = FIT_MODES[mode]
+    model, cost, gain, off_policy, n_steps, probe_var, scale = _identity_case(plant)
+    traj = simulate_closed_loop(model, cost, gain, n_steps, probe_var, 5)
+    if policy == "off":
+        gain = off_policy
+    noise_cov = model.D if known_d else None
+    if weighted:
+        kernel, lam = qlearning._fit_iteration(traj, gain, noise_cov, scale)
+        if not known_d:
+            noise_cov = unvech(qlearning._moment_model(traj, None, True, 1.0 / scale)[2])
+    else:
+        kernel = bls_estimate(traj, gain, noise_cov)
+    gram, rhs = _dense_normal_equations(traj, gain, noise_cov, weighted)
+    ridge = 1.0 / scale if weighted else 0.0
+    dense = np.linalg.solve(gram + ridge * np.eye(len(rhs)), rhs)
+    bound = 1e-9 if plant == "n4" and not weighted else 1e-13
+    assert np.linalg.norm(vecs(kernel.matrix) - dense) <= bound * np.linalg.norm(dense)
+    if weighted:
+        dense_lam = noise_correction(gain, noise_cov) @ dense
+        assert abs(lam - dense_lam) <= bound * abs(dense_lam)
 
 
 def _corrupt(traj, kind):
@@ -317,40 +386,42 @@ def test_fit_working_memory_does_not_grow_with_the_rollout(sec6, cost_mode):
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
-def test_noise_shape_kernel_examples(sec6):
+def test_noise_correction_examples(sec6):
     d = np.diag([1.0, 2.0])
-    zero_gain = noise_shape_kernel(np.zeros((2, 2)), d)
+    zero_gain = unvech(noise_correction(np.zeros((2, 2)), d))
     np.testing.assert_array_equal(zero_gain[:2, :2], d)
     np.testing.assert_array_equal(zero_gain[2:, :], np.zeros((2, 4)))
     np.testing.assert_array_equal(zero_gain[:2, 2:], np.zeros((2, 2)))
 
-    ones = noise_shape_kernel(np.eye(2), np.eye(2))
+    ones = unvech(noise_correction(np.eye(2), np.eye(2)))
     np.testing.assert_array_equal(ones, np.tile(np.eye(2), (2, 2)))
 
     model, _ = sec6
-    kappa = noise_shape_kernel(L0_3, model.D)
+    kappa = unvech(noise_correction(L0_3, model.D))
     np.testing.assert_array_equal(kappa[:3, :3], 0.5 * np.eye(3))
     assert np.abs(kappa[3:, :]).max() == 0.0
 
-    with pytest.raises(ValidationError):
-        noise_shape_kernel(np.zeros((2, 3)), np.eye(2))
-    for gain, shape in ((np.zeros(2), r"\(2,\)"), (np.zeros((1, 1, 2)), r"\(1, 1, 2\)"),
-                        (0.0, r"\(\)")):
-        with pytest.raises(ValidationError,
-                           match=rf"^gain must be a 2-d matrix, got shape {shape}$"):
-            noise_shape_kernel(gain, np.eye(2))
-    # The covariance itself is checked before it is indexed or multiplied.
-    for gain, cov, message in (
-            (np.zeros((1, 1)), 1.0, r"must be a 2-d matrix, got shape \(\)"),
-            (np.zeros((1, 2)), np.ones(2), r"must be a 2-d matrix, got shape \(2,\)"),
-            (np.zeros((1, 2)), np.ones((2, 3)), r"must be square, got shape \(2, 3\)"),
-            (np.zeros((1, 2)), np.ones((1, 2, 2)),
-             r"must be a 2-d matrix, got shape \(1, 2, 2\)")):
-        with pytest.raises(ValidationError, match=rf"^additive covariance {message}$"):
-            noise_shape_kernel(gain, cov)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValidationError, match="non-finite"):
-            noise_shape_kernel(np.zeros((1, 2)), np.diag([1.0, bad]))
+
+@pytest.mark.parametrize("fit", ["bls", "learner"])
+def test_fit_reads_its_covariance_and_gain_by_name(sec6, fit):
+    # The covariance is checked before the pass, the gain when it is evaluated.
+    model, cost = sec6
+    traj = simulate_closed_loop(model, cost, L0_3, 100, 0.64, 0)
+    call = {"bls": bls_estimate,
+            "learner": lambda *args: qlearning._fit_iteration(*args, 1e8)}[fit]
+    for cov, message in (
+            (1.0, r"must be a 2-d matrix, got shape \(\)"),
+            (np.ones(3), r"must be a 2-d matrix, got shape \(3,\)"),
+            (np.ones((3, 2)), r"must have shape \(3, 3\), got \(3, 2\)"),
+            (np.ones((1, 3, 3)), r"must be a 2-d matrix, got shape \(1, 3, 3\)"),
+            (np.diag([1.0, np.nan, 1.0]), "has non-finite entries")):
+        with pytest.raises(ValidationError, match=rf"^noise_cov {message}$"):
+            call(traj, L0_3, cov)
+    for gain, message in ((np.zeros(3), r"must be a 2-d matrix, got shape \(3,\)"),
+                          (np.zeros((2, 3)), r"must have shape \(3, 3\), got \(2, 3\)"),
+                          (0.0, r"must be a 2-d matrix, got shape \(\)")):
+        with pytest.raises(ValidationError, match=rf"^gain {message}$"):
+            call(traj, gain, model.D)
 
 
 def test_rls_one_dimensional_hand_values():
@@ -374,14 +445,24 @@ def test_rls_zero_instrument_changes_nothing():
     assert after.samples_seen == 1
 
 
-def test_rls_update_rejects_vectors_of_another_length():
+def test_rls_update_names_a_malformed_argument():
     state = initial_rls_state(3, 1.0)
     good = np.zeros(3)
-    for name, args in [("feats", (np.zeros(2), good, good)),
-                       ("next_feats", (good, np.zeros(4), good)),
-                       ("noise_correction", (good, good, np.zeros((3, 1))))]:
-        with pytest.raises(ValidationError, match=name):
-            rls_update(state, *args, 1.0)
+    for name, args, message in [
+            ("feats", (np.zeros(2), good, good, 1.0), r"must have shape \(3,\), got \(2,\)"),
+            ("next_feats", (good, np.zeros(4), good, 1.0),
+             r"must have shape \(3,\), got \(4,\)"),
+            ("noise_correction", (good, good, np.zeros((3, 1)), 1.0),
+             r"must be a 1-d vector, got shape \(3, 1\)"),
+            ("feats", ("ab", good, good, 1.0), "must be a vector of real numbers"),
+            ("next_feats", (good, [[1.0], [1.0, 2.0]], good, 1.0),
+             "must be a vector of real numbers"),
+            ("cost", (good, good, good, "ab"), "must be a real number, got str"),
+            ("cost", (good, good, good, np.ones(1)), "must be a real number, got ndarray")]:
+        with pytest.raises(ValidationError, match=rf"^{name} {message}$"):
+            rls_update(state, *args)
+    with pytest.raises(ValidationError, match="^weight must be a real number, got str$"):
+        rls_update(state, good, good, good, 1.0, weight="ab")
 
 
 def test_rls_update_rejects_zero_denominator():
@@ -407,7 +488,7 @@ def test_recursive_matches_batch_on_one_rollout(sec6):
     traj = simulate_closed_loop(model, cost, L0_3, 5000, 0.64, 123)
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ L0_3.T)
-    correction = vech(noise_shape_kernel(L0_3, model.D))
+    correction = noise_correction(L0_3, model.D)
     state = initial_rls_state(phi.shape[1], 1e8)
     for k in range(phi.shape[0]):
         state = rls_update(state, phi[k], phi_next[k], correction, traj.costs[k])
@@ -451,7 +532,7 @@ def test_learner_kernel_equals_a_fold_of_rls_update(sec6, sec6_config, monkeypat
         phi_next = np.hstack([phi_next, np.zeros((phi.shape[0], 1))])
         correction = np.zeros(phi.shape[1])
     else:
-        correction = vech(noise_shape_kernel(L0_3, noise_cov))
+        correction = noise_correction(L0_3, noise_cov)
     state = initial_rls_state(phi.shape[1], config.rls_init_scale)
     for k in range(phi.shape[0]):
         state = rls_update(state, phi[k], phi_next[k], correction, traj.costs[k],
@@ -486,7 +567,7 @@ def test_bls_recovers_kernel_from_synthetic_costs(sec6):
     traj = simulate_closed_loop(model, cost, L0_3, 200, 0.64, 11)
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ L0_3.T)
-    kappa = vech(noise_shape_kernel(L0_3, model.D))
+    kappa = noise_correction(L0_3, model.D)
     costs = (phi - phi_next + kappa) @ vecs(h_true.matrix)
     synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs)
     h_hat = bls_estimate(synth, L0_3, model.D)
@@ -528,7 +609,7 @@ def test_learner_fit_recovers_kernel_and_cost_from_synthetic_costs(sec6, sec6_co
     traj = simulate_closed_loop(model, cost, L0_3, 2000, 0.64, 11)
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ L0_3.T)
-    kappa = vech(noise_shape_kernel(L0_3, model.D))
+    kappa = noise_correction(L0_3, model.D)
     costs = (phi - phi_next + kappa) @ vecs(h_true.matrix)
     synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs)
     h_hat, lam_hat = qlearning._fit_iteration(synth, L0_3, model.D,

@@ -83,6 +83,20 @@ def test_complex_matrices_are_rejected_by_name(build, message):
     assert not caught
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SystemModel(A=np.zeros((0, 0)), B=np.zeros((0, 1)), D=np.zeros((0, 0)),
+                         X0=np.zeros((0, 0))), r"^A must not be empty, got shape \(0, 0\)$"),
+    (lambda: SystemModel(A=[[0.5]], B=np.zeros((1, 0)), D=[[1.0]], X0=[[1.0]]),
+     r"^B must not be empty, got shape \(1, 0\)$"),
+    (lambda: CostModel(Q=np.zeros((0, 0)), R=[[1.0]]), r"^Q must not be empty"),
+    (lambda: CostModel(Q=[[1.0]], R=np.zeros((0, 0))), r"^R must not be empty"),
+], ids=["no states", "no inputs", "empty Q", "empty R"])
+def test_empty_models_are_rejected_by_name(build, message):
+    # A plant has at least one state and one input, and a cost weighs both.
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 def test_validate_rejects_zero_r():
     with pytest.raises(ValidationError, match="R must be positive definite"):
         CostModel(Q=[[1.0]], R=[[0.0]]).validate()
