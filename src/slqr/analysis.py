@@ -79,7 +79,7 @@ from .errors import (
     UnreliableKernelError,
 )
 from .packing import as_matrix, congruence as packed, symmetrize, unvech, vech
-from .system import CostModel, SystemModel, loop_factors
+from .system import CostModel, SystemModel, check_cost, loop_factors
 
 # A gain is admissible when rho(T) < 1 - ADMISSIBILITY_MARGIN.
 ADMISSIBILITY_MARGIN = 1e-9
@@ -442,9 +442,11 @@ def solve_value_kernel(model: SystemModel, cost: CostModel, gain: np.ndarray,
     the same P to the splitting's tolerance; one that is not finite or does
     not help costs at most a capped attempt before the packed LU answers. A
     start that is not an n x n matrix of real numbers raises ValidationError
-    (as_matrix), as does a gain that is not a finite (m, n) one.
+    (as_matrix), as do a gain that is not a finite (m, n) one and an unfit
+    cost (check_cost).
     """
     n, m = model.state_dim, model.input_dim
+    check_cost(model, cost)
     gain = as_matrix(gain, "gain", (m, n))
     if start is not None:
         start = as_matrix(start, "start", (n, n), finite=False)
@@ -474,7 +476,9 @@ def q_kernel_matrix(model: SystemModel, cost: CostModel, value_kernel: np.ndarra
     """The state-input kernel H = diag(Q, R) + sum_c E_c^T P E_c of a value
     kernel P (checked_kernel) over the model's channel factors E_c, or with
     inputs_only its input rows [H_ux H_uu] alone. Two products: the batch
-    P E_c, stacked to (c n) x r rows, times the E_c stacked the same way."""
+    P E_c, stacked to (c n) x r rows, times the E_c stacked the same way.
+    A cost that does not fit the model raises ValidationError (check_cost)."""
+    check_cost(model, cost)
     p = checked_kernel(model, value_kernel)
     n, channels = model.state_dim, model.channels
     flat = channels.reshape(-1, channels.shape[2])

@@ -46,9 +46,9 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, ValidationError
+from .packing import as_matrix
 from .qlearning import LearnerConfig
-from .system import (CostModel, SystemModel, as_matrix, check_integer, check_positive,
-                     is_integer)
+from .system import CostModel, SystemModel, check_integer, check_positive, is_integer
 
 MODES = ("model_based", "model_free", "both")
 
@@ -82,8 +82,7 @@ class ExperimentConfig:
             raise ConfigError("mode requires a pi section in the config")
         try:
             if self.pi_tol is not None:
-                check_positive(self.pi_tol, "pi.tol", finite=True)
-                self.pi_tol = float(self.pi_tol)
+                self.pi_tol = check_positive(self.pi_tol, "pi.tol", finite=True)
             if self.pi_max_iter is not None:
                 check_integer(self.pi_max_iter, "pi.max_iter", 1)
         except ValidationError as exc:

@@ -15,9 +15,9 @@ It is T's matrix for the moment operator's factor stack (analysis.packed)
 and the learner's gain map K_L, phi(x, L x) = K_L vech(x x^T), for the one
 factor [I; L].
 
-as_matrix reads every matrix, vector and factor-stack argument of the
-package; it lives here, below every other module, so that these helpers read
-their input through it too.
+as_matrix reads every matrix, vector, factor-stack and number argument of
+the package; it lives here, below every other module, so that these helpers
+read their input through it too.
 """
 
 from __future__ import annotations
@@ -33,12 +33,13 @@ def as_matrix(mat, name: str, shape: tuple[int | None, ...] | None = None,
               square: bool = False, finite: bool = True) -> np.ndarray:
     """mat as a float array (not a copy when it is one already); raise
     ValidationError, naming it by name, unless it holds real numbers, not
-    bools, strings or None, that convert to float, and has as many axes as
-    shape has entries (a vector for one, a stack of matrices for three; a
-    matrix without a shape), square if square is set, of the given shape if
-    one is (None takes any size on its axis) and, if finite is set, finite."""
+    bools, strings or None, that convert to float, has as many axes as shape
+    has entries (0: a real number, 1: a vector, 3: a matrix stack; a matrix
+    without a shape), is square if square is set, of the given shape if one
+    is (None takes any size on its axis) and, if finite is set, finite."""
     ndim = 2 if shape is None else len(shape)
-    kind = {1: "vector", 2: "matrix", 3: "matrix stack"}[ndim]
+    kind = ("real number", "vector", "matrix", "matrix stack")[ndim]
+    what = f"a {kind} of real numbers" if ndim else "a real number"
     try:
         arr = np.asarray(mat)
         if arr.dtype.kind not in "fiuO":    # casting would take bools, strings, complex
@@ -47,9 +48,10 @@ def as_matrix(mat, name: str, shape: tuple[int | None, ...] | None = None,
             raise TypeError                 # casting would read None as nan
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a {kind} of real numbers") from None
+        raise ValidationError(f"{name} must be {what}") from None
     if arr.ndim != ndim:
-        raise ValidationError(f"{name} must be a {ndim}-d {kind}, got shape {arr.shape}")
+        what = f"a {ndim}-d {kind}" if ndim else what
+        raise ValidationError(f"{name} must be {what}, got shape {arr.shape}")
     if square and arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     if shape is not None:

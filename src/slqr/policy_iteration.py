@@ -168,7 +168,7 @@ def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarr
     on the solve starts from the previous step's kernel (the start of
     solve_value_kernel), which the kernels' monotone decrease keeps close.
     """
-    check_positive(tol, "tol", finite=True)
+    tol = check_positive(tol, "tol", finite=True)
     check_integer(max_iter, "max_iter", 1)
     gain = as_matrix(initial_gain, "initial_gain", (model.input_dim, model.state_dim))
     check_admissible(is_admissible(model, gain), "initial gain")

@@ -64,17 +64,15 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import congruence, packed_length, side_from_packed_length, unvecs, vech
+from .packing import as_matrix, congruence, packed_length, side_from_packed_length, unvecs, vech
 from .policy_iteration import QKernel, evaluate_improve
 from .system import (
     ROLLOUT_BLOCK,
     CostModel,
     SystemModel,
     Trajectory,
-    as_matrix,
     check_integer,
     check_positive,
-    is_real,
     simulate_closed_loop,
 )
 
@@ -138,9 +136,9 @@ class RlsState:
 def initial_rls_state(dim: int, init_scale: float) -> RlsState:
     """The estimator before any sample: inverse Gram init_scale * I, no costs.
 
-    Raises ValidationError unless init_scale is a finite number > 0.
+    Raises ValidationError unless init_scale is a finite real number > 0.
     """
-    check_positive(init_scale, "init_scale", finite=True)
+    init_scale = check_positive(init_scale, "init_scale", finite=True)
     return RlsState(gram_inv=init_scale * np.eye(dim),
                     weighted_costs=np.zeros(dim), samples_seen=0)
 
@@ -155,18 +153,16 @@ def rls_update(state: RlsState, feats: np.ndarray, next_feats: np.ndarray,
     paper's plain fit; the learner's weight is w_k = (1 + |z_k|^2)^-2. A
     gain L's noise correction is congruence([I; L]) @ vech(D). Raises
     ValidationError unless feats, next_feats and noise_correction are vectors
-    of real numbers of the estimator's dimension (as_matrix) and cost and
-    weight real numbers, finite or not, and IllConditionedUpdateError when
+    of real numbers of the estimator's dimension and cost and weight real
+    numbers (as_matrix), finite or not, and IllConditionedUpdateError when
     the update denominator is numerically zero.
     """
     dim = state.weighted_costs.shape[0]
-    feats, next_feats, noise_correction = (
-        as_matrix(vector, name, (dim,), finite=False)
-        for name, vector in (("feats", feats), ("next_feats", next_feats),
-                             ("noise_correction", noise_correction)))
-    for name, value in (("cost", cost), ("weight", weight)):
-        if not is_real(value):
-            raise ValidationError(f"{name} must be a real number, got {type(value).__name__}")
+    feats, next_feats, noise_correction, cost, weight = (
+        as_matrix(value, name, shape, finite=False) for name, value, shape in (
+            ("feats", feats, (dim,)), ("next_feats", next_feats, (dim,)),
+            ("noise_correction", noise_correction, (dim,)), ("cost", cost, ()),
+            ("weight", weight, ())))
     instrument = weight * feats
     g = feats - next_feats + noise_correction
     gram_feats = state.gram_inv @ instrument
@@ -374,8 +370,8 @@ class LearnerConfig:
         check_integer(self.max_iterations, "max_iterations", 1)
         check_integer(self.seed, "seed", 0)
         for name in ("probe_var", "rls_init_scale", "gain_tol"):
-            check_positive(getattr(self, name), name, finite=name == "gain_tol")
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, check_positive(getattr(self, name), name,
+                                                          finite=name != "rls_init_scale"))
         if self.cost_mode not in COST_MODES:
             raise ValidationError(
                 f"cost_mode must be one of {COST_MODES}, got {self.cost_mode!r}"
@@ -400,7 +396,9 @@ class LearningResult:
 
 
 def iteration_seed(base_seed: int, iteration: int) -> int:
-    """Deterministic per-iteration rollout seed on an independent stream."""
+    """Deterministic per-iteration rollout seed on an independent stream, of integers >= 0."""
+    check_integer(base_seed, "base_seed", 0)
+    check_integer(iteration, "iteration", 0)
     return int(np.random.SeedSequence([base_seed, iteration]).generate_state(1)[0])
 
 

@@ -44,7 +44,6 @@ path and no size-dependent switch.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,19 +71,6 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    """Whether value is a Python or numpy real number that converts to float;
-    a bool is not, nor is an int beyond the float range."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return abs(value) <= sys.float_info.max
-    return isinstance(value, (float, np.integer, np.floating))
-
-
-def _kind(value) -> str:
-    """What value is, for a message saying that it is not a real number."""
-    return "int beyond the float range" if is_integer(value) else type(value).__name__
-
-
 def check_integer(value, name: str, minimum: int) -> None:
     """Raise ValidationError unless value is an integer (is_integer) >= minimum."""
     if not is_integer(value):
@@ -93,15 +79,22 @@ def check_integer(value, name: str, minimum: int) -> None:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
 
 
-def check_positive(value, name: str, finite: bool = False) -> None:
-    """Raise ValidationError unless value is a real number (Python or numpy,
-    not a bool) > 0; NaN is not. With finite, inf is not either."""
-    if not is_real(value):
-        raise ValidationError(f"{name} must be a number, got {_kind(value)}")
-    if not value > 0:
+def check_positive(value, name: str, finite: bool = False) -> float:
+    """value as a float; ValidationError unless a real number (as_matrix) > 0, finite if set."""
+    number = float(as_matrix(value, name, (), finite=False))
+    if not number > 0:
         raise ValidationError(f"{name} must be > 0, got {value}")
-    if finite and value == np.inf:
+    if finite and number == math.inf:
         raise ValidationError(f"{name} must be finite, got {value}")
+    return number
+
+
+def _variance(value, name: str) -> float:
+    """value as a float; ValidationError unless a real number (as_matrix), finite and >= 0."""
+    number = float(as_matrix(value, name, (), finite=False))
+    if not 0 <= number < math.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+    return number
 
 
 def _nonempty(mat: np.ndarray, name: str) -> np.ndarray:
@@ -159,6 +152,8 @@ class SystemModel:
             object.__setattr__(self, name, _owned(symmetrize(mat)))
         factors = [np.hstack([a, b])]
         for name, part in (("state_noise", slice(None, n)), ("input_noise", slice(n, None))):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValidationError(f"{name} must be a list of (matrix, variance) pairs")
             checked = []
             for i, entry in enumerate(getattr(self, name)):
                 where = f"{name}[{i}]"
@@ -168,13 +163,9 @@ class SystemModel:
                     raise ValidationError(f"{where} must be a (matrix, variance) pair") from None
                 factor = np.zeros((n, n + m))
                 mat = as_matrix(mat, where, factor[:, part].shape)
-                if not is_real(var):
-                    raise ValidationError(
-                        f"{where} variance must be a real number, got {_kind(var)}")
-                if not 0 <= var < math.inf:
-                    raise ValidationError(f"{where} variance must be finite and >= 0, got {var}")
+                var = _variance(var, f"{where} variance")
                 factor[:, part] = math.sqrt(var) * mat
-                checked.append((_owned(mat), float(var)))
+                checked.append((_owned(mat), var))
                 factors.append(factor)
             object.__setattr__(self, name, checked)
         object.__setattr__(self, "channels", _owned(factors))
@@ -221,8 +212,13 @@ class CostModel:
         _check_psd(self.Q, "Q")
         _check_pd(self.R, "R")
         if model is not None:
-            as_matrix(self.Q, "Q", (model.state_dim,) * 2)
-            as_matrix(self.R, "R", (model.input_dim,) * 2)
+            check_cost(model, self)
+
+
+def check_cost(model: SystemModel, cost: CostModel) -> None:
+    """Raise ValidationError unless cost's Q and R fit the model's state and input sizes."""
+    as_matrix(cost.Q, "Q", (model.state_dim,) * 2, finite=False)   # finite since construction
+    as_matrix(cost.R, "R", (model.input_dim,) * 2, finite=False)
 
 
 @dataclass
@@ -247,6 +243,7 @@ class Trajectory:
 
 def noise_factor(cov: np.ndarray) -> np.ndarray:
     """A factor G with G G^T = cov. Cholesky when PD, eigh square root otherwise."""
+    cov = as_matrix(cov, "cov", square=True)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -306,18 +303,17 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     not depend on the probe setting), p + q channel scalars, and the n-vector
     for the additive noise. Costs are charged on the input actually applied.
     The window size does not change the draws: each window takes the next
-    rows of the same stream. Raises ValidationError unless gain is a finite
-    (m, n) matrix, n_steps an integer >= 1 whose arrays can be allocated,
-    probe_var a real number, finite and >= 0, and seed an integer >= 0.
+    rows of the same stream. Raises ValidationError unless cost fits the
+    model (check_cost), gain is a finite (m, n) matrix, n_steps an integer
+    >= 1 whose arrays can be allocated, probe_var a real number, finite and
+    >= 0, and seed an integer >= 0.
     """
+    check_cost(model, cost)
     loop = loop_factors(model, gain)
     gain = np.asarray(gain, dtype=float)
     n, m = model.state_dim, model.input_dim
     check_integer(n_steps, "n_steps", 1)
-    if not is_real(probe_var):
-        raise ValidationError(f"probe_var must be a real number, got {_kind(probe_var)}")
-    if not 0 <= probe_var < math.inf:
-        raise ValidationError(f"probe_var must be finite and >= 0, got {probe_var}")
+    probe_var = _variance(probe_var, "probe_var")
     check_integer(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)

@@ -237,7 +237,7 @@ def test_scalar_values_are_type_checked():
         from_dict(doc)
     doc = minimal_doc()
     doc["pi"]["tol"] = "tight"
-    with pytest.raises(ConfigError, match="tol must be a number"):
+    with pytest.raises(ConfigError, match="tol must be a real number"):
         from_dict(doc)
     doc = minimal_doc()
     doc["seeds"] = [0, True]
@@ -262,7 +262,7 @@ def test_scalar_values_are_type_checked():
 @pytest.mark.parametrize("field, value, message", [
     ("pi_tol", float("nan"), "pi.tol must be > 0"),
     ("pi_tol", -1.0, "pi.tol must be > 0"),
-    ("pi_tol", "1e-9", "pi.tol must be a number"),
+    ("pi_tol", "1e-9", "pi.tol must be a real number"),
     ("pi_tol", float("inf"), "pi.tol must be finite"),
     ("output_dir", "", "output_dir must be a non-empty string"),
     ("output_dir", None, "output_dir must be a non-empty string"),

@@ -1,16 +1,18 @@
 """The library's error contract: every public function of slqr.analysis,
-slqr.packing, slqr.qlearning and slqr.policy_iteration that takes a matrix,
-a vector or a factor stack returns or raises SolverFailure or
-ValidationError, whatever is passed in each such argument (and in the
-numbers that come with them), and numpy does not warn on the way."""
+slqr.packing, slqr.qlearning, slqr.policy_iteration and slqr.system that
+takes a matrix, a vector, a factor stack or a real number returns or raises
+SolverFailure or ValidationError, whatever is passed in each such argument,
+and numpy does not warn on the way. Every public callable that takes a
+model and a cost rejects a cost that does not fit the model by name."""
 
+import inspect
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from slqr import analysis, packing, policy_iteration, qlearning
+from slqr import analysis, experiment, packing, policy_iteration, qlearning, system
 from slqr.errors import SolverFailure, ValidationError
 from slqr.policy_iteration import QKernel
 from slqr.qlearning import LearnerConfig
@@ -83,8 +85,31 @@ CASES = {
     "policy_iteration.QKernel.value_kernel": (
         lambda gain: QKernel(np.eye(3), 2).value_kernel(gain), dict(gain=GAIN), ["gain"], False),
     "policy_iteration.policy_iteration": (policy_iteration.policy_iteration,
-                                          dict(model=MODEL, cost=COST, initial_gain=GAIN),
-                                          ["initial_gain"], False),
+                                          dict(model=MODEL, cost=COST, initial_gain=GAIN,
+                                               tol=1e-9),
+                                          ["initial_gain", "tol"], False),
+    "qlearning.initial_rls_state": (qlearning.initial_rls_state, dict(dim=3, init_scale=1.0),
+                                    ["init_scale"], False),
+    "qlearning.LearnerConfig (numbers)": (
+        lambda probe_var, rls_init_scale, gain_tol: replace(
+            LEARNER, probe_var=probe_var, rls_init_scale=rls_init_scale, gain_tol=gain_tol),
+        dict(probe_var=0.25, rls_init_scale=1e8, gain_tol=0.05),
+        ["probe_var", "rls_init_scale", "gain_tol"], False),
+    "system.SystemModel": (
+        lambda A, B, D, X0, variance: SystemModel(A, B, D, X0,
+                                                  state_noise=[(np.eye(2), variance)]),
+        dict(A=MODEL.A, B=MODEL.B, D=MODEL.D, X0=MODEL.X0, variance=0.05),
+        ["A", "B", "D", "X0", "variance"], False),
+    "system.CostModel": (CostModel, dict(Q=COST.Q, R=COST.R), ["Q", "R"], False),
+    "system.CostModel.validate": (lambda Q, R: CostModel(Q, R).validate(MODEL),
+                                  dict(Q=COST.Q, R=COST.R), ["Q", "R"], False),
+    "system.loop_factors": (system.loop_factors, dict(model=MODEL, gain=GAIN), ["gain"], False),
+    "system.simulate_closed_loop": (
+        lambda gain, probe_var: simulate_closed_loop(MODEL, COST, gain, 10, probe_var, 0),
+        dict(gain=GAIN, probe_var=0.25), ["gain", "probe_var"], False),
+    "system.noise_factor": (system.noise_factor, dict(cov=np.eye(2)), ["cov"], False),
+    "system.check_positive": (system.check_positive, dict(value=1.0, name="value"),
+                              ["value"], False),
 }
 
 # Public callables left out, and why.
@@ -94,9 +119,15 @@ LEFT_OUT = {
     "analysis.riccati_residual", "policy_iteration.q_kernel_from_value",
     # No matrix argument.
     "analysis.check_admissible", "packing.packed_length", "packing.packed_indices",
-    "packing.side_from_packed_length", "qlearning.initial_rls_state", "qlearning.rls_kernel",
+    "packing.side_from_packed_length", "qlearning.rls_kernel",
     "qlearning.policy_from_h", "qlearning.iteration_seed", "qlearning.run_online_learning",
     "qlearning.LearningResult", "policy_iteration.PolicyIterationTrace",
+    # Counts, which is_integer reads and as_matrix does not.
+    "system.is_integer", "system.check_integer",
+    # Its model and cost: test_a_cost_that_does_not_fit_the_model_is_rejected_by_name.
+    "system.check_cost",
+    # A record with no checks of its own: simulate_closed_loop builds it.
+    "system.Trajectory",
     # The gain goes only to the caller's step, which reads it.
     "policy_iteration.evaluate_improve",
 }
@@ -113,17 +144,21 @@ BAD = {
     "wrong shape": lambda good: (np.ones((good.shape[0] + 1,) + good.shape[1:]) if good.ndim
                                  else np.ones((1, 1))),
     "nan": lambda good: np.full(good.shape, np.nan)[()],
+    # As nested lists, or the bare value for a number.
+    "bool": lambda good: np.full(good.shape, True).tolist(),
+    "int beyond the float range": lambda good: np.full(good.shape, 10**400).tolist(),
 }
 
 
 def test_every_public_callable_is_checked_or_left_out_by_name():
     public = set()
-    for module in (analysis, packing, qlearning, policy_iteration):
+    for module in (analysis, packing, qlearning, policy_iteration, system):
         for name, member in vars(module).items():
             if (not name.startswith("_") and callable(member)
                     and getattr(member, "__module__", None) == module.__name__):
                 public.add(f"{module.__name__.removeprefix('slqr.')}.{name}")
-    checked = {".".join(name.split(".")[:2]) for name in CASES}   # a method counts for its class
+    # A method counts for its class, and a note in brackets names a second case.
+    checked = {".".join(name.split(" ")[0].split(".")[:2]) for name in CASES}
     assert public == checked | LEFT_OUT
 
 
@@ -143,3 +178,43 @@ def test_a_malformed_argument_stays_inside_the_error_contract(name, arg, kind):
     # by design.
     if isinstance(result, (float, np.ndarray)) and not passes_non_finite:
         assert np.isfinite(result).all()
+
+
+# Every public callable with a model and a cost argument, with the rest of
+# its arguments; the cost is passed by keyword.
+PAIRED = {
+    analysis.solve_value_kernel: dict(gain=GAIN),
+    analysis.q_kernel_matrix: dict(value_kernel=np.eye(2)),
+    analysis.policy_improvement: dict(value_kernel=np.eye(2)),
+    analysis.riccati_residual: dict(value_kernel=np.eye(2)),
+    policy_iteration.q_kernel_from_value: dict(value_kernel=np.eye(2)),
+    policy_iteration.policy_iteration: dict(initial_gain=GAIN),
+    qlearning.run_online_learning: dict(config=LEARNER),
+    system.check_cost: {},
+    system.simulate_closed_loop: dict(gain=GAIN, n_steps=10, probe_var=0.25, seed=0),
+    experiment.reference_solution: {},
+}
+
+
+def test_every_callable_of_a_model_and_a_cost_is_paired():
+    found = set()
+    for module in (analysis, experiment, packing, qlearning, policy_iteration, system):
+        for name, member in vars(module).items():
+            if (not name.startswith("_") and inspect.isfunction(member)
+                    and member.__module__ == module.__name__
+                    and {"model", "cost"} <= set(inspect.signature(member).parameters)):
+                found.add(member)
+    assert found == set(PAIRED)
+
+
+@pytest.mark.parametrize("wrong, message", [
+    ("Q", r"^Q must have shape \(2, 2\), got \(3, 3\)$"),
+    ("R", r"^R must have shape \(1, 1\), got \(2, 2\)$")])
+@pytest.mark.parametrize("call", PAIRED, ids=lambda call: f"{call.__module__}.{call.__name__}")
+def test_a_cost_that_does_not_fit_the_model_is_rejected_by_name(call, wrong, message):
+    # A Q or R one size too large for MODEL: square and definite, but not MODEL's.
+    size = {"Q": 3, "R": 2}[wrong]
+    cost = replace(COST, **{wrong: np.eye(size)})
+    with pytest.raises(ValidationError, match=message):
+        call(MODEL, cost=cost, **PAIRED[call])
+    cost.validate()    # fine on its own: the pairing is what fails

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,7 @@ def scalar_rollout(n_steps=3, probe_var=0.5):
     (learner_config, "seed", -1, False),
     (learner_config, "seed", np.uint64(7), True),
     (learner_config, "probe_var", "0.5", False),
+    (learner_config, "probe_var", np.inf, False),
     (learner_config, "gain_tol", np.inf, False),
     (learner_config, "rls_init_scale", np.inf, True),
     (scalar_rollout, "n_steps", 2.5, False),
@@ -134,6 +137,24 @@ def scalar_rollout(n_steps=3, probe_var=0.5):
     pytest.param(learner_config, "probe_var", 10**400, False, id="probe_var-huge"),
     pytest.param(learner_config, "rls_init_scale", 10**400, False, id="rls_init_scale-huge"),
     pytest.param(scalar_rollout, "probe_var", 10**400, False, id="rollout-probe_var-huge"),
+    # A number is read by as_matrix: a 0-d array or a Fraction is one, while
+    # a string, a bool, None, a complex number or a 1-entry vector is not.
+    (scalar_policy_iteration, "tol", np.array(1e-9), True),
+    (scalar_policy_iteration, "tol", Fraction(1, 10**9), True),
+    (scalar_policy_iteration, "tol", 1e-9 + 0j, False),
+    (scalar_policy_iteration, "tol", np.ones(1), False),
+    (learner_config, "probe_var", np.array(0.5), True),
+    (learner_config, "probe_var", Fraction(1, 2), True),
+    (learner_config, "probe_var", None, False),
+    (learner_config, "probe_var", True, False),
+    (learner_config, "rls_init_scale", Fraction(10**8), True),
+    (learner_config, "rls_init_scale", np.ones(1), False),
+    (learner_config, "gain_tol", np.array(0.05), True),
+    (learner_config, "gain_tol", "0.05", False),
+    (learner_config, "gain_tol", 0.05 + 0j, False),
+    (scalar_rollout, "probe_var", np.array(0.5), True),
+    (scalar_rollout, "probe_var", Fraction(1, 2), True),
+    (scalar_rollout, "probe_var", np.ones(1), False),
 ], ids=lambda v: repr(v) if not callable(v) else v.__name__)
 def test_integer_and_number_arguments_are_checked_up_front(monkeypatch, build, field,
                                                            value, valid):

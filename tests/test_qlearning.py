@@ -457,11 +457,11 @@ def test_rls_update_names_a_malformed_argument():
             ("feats", ("ab", good, good, 1.0), "must be a vector of real numbers"),
             ("next_feats", (good, [[1.0], [1.0, 2.0]], good, 1.0),
              "must be a vector of real numbers"),
-            ("cost", (good, good, good, "ab"), "must be a real number, got str"),
-            ("cost", (good, good, good, np.ones(1)), "must be a real number, got ndarray")]:
+            ("cost", (good, good, good, "ab"), "must be a real number"),
+            ("cost", (good, good, good, np.ones(1)), r"must be a real number, got shape \(1,\)")]:
         with pytest.raises(ValidationError, match=rf"^{name} {message}$"):
             rls_update(state, *args)
-    with pytest.raises(ValidationError, match="^weight must be a real number, got str$"):
+    with pytest.raises(ValidationError, match="^weight must be a real number$"):
         rls_update(state, good, good, good, 1.0, weight="ab")
 
 
@@ -719,6 +719,15 @@ def test_iteration_seed_is_deterministic_and_spread():
     seeds = {iteration_seed(7, tau) for tau in range(20)}
     assert len(seeds) == 20
     assert iteration_seed(8, 3) != iteration_seed(7, 3)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1, 0), "^base_seed must be >= 0, got -1$"),
+    ((0, -1), "^iteration must be >= 0, got -1$"),
+    ((0.5, 0), "^base_seed must be an integer, got float$")])
+def test_iteration_seed_rejects_a_negative_or_fractional_seed(args, message):
+    with pytest.raises(ValidationError, match=message):
+        iteration_seed(*args)
 
 
 def test_learn_from_rollouts_sampler_contract(sec6):

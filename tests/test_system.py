@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -151,15 +152,15 @@ def test_validate_rejects_wrong_channel_shape():
 
 
 @pytest.mark.parametrize("side, entry, message", [
-    ("state_noise", ([[1.0]], None), "variance must be a real number, got NoneType"),
-    ("state_noise", ([[1.0]], 0.1 + 0j), "variance must be a real number, got complex"),
-    ("input_noise", ([[1.0]], "0.1"), "variance must be a real number, got str"),
-    ("input_noise", ([[1.0]], True), "variance must be a real number, got bool"),
+    ("state_noise", ([[1.0]], None), "variance must be a real number$"),
+    ("state_noise", ([[1.0]], 0.1 + 0j), "variance must be a real number$"),
+    ("input_noise", ([[1.0]], "0.1"), "variance must be a real number$"),
+    ("input_noise", ([[1.0]], True), "variance must be a real number$"),
     ("state_noise", [[1.0]], r"must be a \(matrix, variance\) pair"),
     ("input_noise", np.eye(1), r"must be a \(matrix, variance\) pair"),
     ("state_noise", 0.1, r"must be a \(matrix, variance\) pair"),
-    ("state_noise", ([[1.0]], 10**400),
-     "variance must be a real number, got int beyond the float range"),
+    ("state_noise", ([[1.0]], 10**400), "variance must be a real number$"),
+    ("input_noise", ([[1.0]], np.ones(1)), r"variance must be a real number, got shape \(1,\)$"),
 ])
 def test_malformed_channels_are_rejected_at_construction(side, entry, message):
     with pytest.raises(ValidationError, match=rf"^{side}\[0\] {message}"):
@@ -167,9 +168,12 @@ def test_malformed_channels_are_rejected_at_construction(side, entry, message):
 
 
 def test_numpy_variances_are_accepted_as_floats():
-    model = scalar_model(state_noise=[([[1.0]], np.float64(0.1))],
-                         input_noise=[([[1.0]], np.int64(0))])
-    assert [type(var) for _, var in model.state_noise + model.input_noise] == [float, float]
+    # A variance is read by as_matrix: anything a matrix entry can be, a 0-d
+    # array and a Fraction too.
+    model = scalar_model(state_noise=[([[1.0]], np.float64(0.1)), ([[1.0]], np.array(0.2))],
+                         input_noise=[([[1.0]], np.int64(0)), ([[1.0]], Fraction(1, 4))])
+    assert [var for _, var in model.state_noise + model.input_noise] == [0.1, 0.2, 0.0, 0.25]
+    assert all(type(var) is float for _, var in model.state_noise + model.input_noise)
 
 
 def test_channel_stack_holds_every_factor_in_draw_order(sec6):
@@ -218,6 +222,25 @@ def test_noise_factor_reproduces_covariance():
     np.testing.assert_allclose(fac @ fac.T, cov, atol=1e-12)
     with pytest.raises(ValidationError):
         noise_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+@pytest.mark.parametrize("cov, message", [
+    ("ab", "^cov must be a matrix of real numbers$"),
+    ([1.0], r"^cov must be a 2-d matrix, got shape \(1,\)$"),
+    ([[1.0], [1.0, 2.0]], "^cov must be a matrix of real numbers$"),
+    ([[1.0, 0.0]], r"^cov must be square, got shape \(1, 2\)$"),
+    ([[np.nan]], "^cov has non-finite entries$")])
+def test_noise_factor_names_a_malformed_covariance(cov, message):
+    with pytest.raises(ValidationError, match=message):
+        noise_factor(cov)
+
+
+@pytest.mark.parametrize("side", ["state_noise", "input_noise"])
+@pytest.mark.parametrize("channels", [5, None, 0.1])
+def test_a_channel_list_that_is_no_list_is_rejected_by_name(side, channels):
+    with pytest.raises(ValidationError,
+                       match=rf"^{side} must be a list of \(matrix, variance\) pairs$"):
+        SystemModel(A=[[0.5]], B=[[1.0]], D=[[1.0]], X0=[[1.0]], **{side: channels})
 
 
 def test_simulate_length_contract(sec6):
@@ -379,10 +402,13 @@ def test_simulate_argument_validation(sec6):
         simulate_closed_loop(model, cost, np.zeros((3, 3)), 10, 0.0, -1)
 
 
-@pytest.mark.parametrize("probe_var, kind", [("0.1", "str"), (None, "NoneType")])
-def test_a_non_numeric_probe_var_is_rejected(sec6, probe_var, kind):
+@pytest.mark.parametrize("probe_var, message", [
+    ("0.1", ""), (None, ""), (True, ""), (0.1 + 0j, ""), (10**400, ""),
+    (np.ones(1), r", got shape \(1,\)")],
+    ids=["str", "None", "bool", "complex", "int beyond the float range", "vector"])
+def test_a_non_numeric_probe_var_is_rejected(sec6, probe_var, message):
     model, cost = sec6
-    with pytest.raises(ValidationError, match=f"^probe_var must be a real number, got {kind}$"):
+    with pytest.raises(ValidationError, match=f"^probe_var must be a real number{message}$"):
         simulate_closed_loop(model, cost, np.zeros((3, 3)), 10, probe_var, 0)
 
 
