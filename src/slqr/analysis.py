@@ -477,15 +477,17 @@ def q_kernel_matrix(model: SystemModel, cost: CostModel, value_kernel: np.ndarra
     kernel P (checked_kernel) over the model's channel factors E_c, or with
     inputs_only its input rows [H_ux H_uu] alone. Two products: the batch
     P E_c, stacked to (c n) x r rows, times the E_c stacked the same way.
-    A cost that does not fit the model raises ValidationError (check_cost)."""
+    A cost that does not fit the model raises ValidationError (check_cost).
+    Entries that overflow come back non-finite, for greedy_gain to reject."""
     check_cost(model, cost)
     p = checked_kernel(model, value_kernel)
     n, channels = model.state_dim, model.channels
     flat = channels.reshape(-1, channels.shape[2])
-    h = (flat[:, n:] if inputs_only else flat).T @ (p @ channels).reshape(flat.shape)
-    h[-model.input_dim:, n:] += cost.R
-    if not inputs_only:
-        h[:n, :n] += cost.Q
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (flat[:, n:] if inputs_only else flat).T @ (p @ channels).reshape(flat.shape)
+        h[-model.input_dim:, n:] += cost.R
+        if not inputs_only:
+            h[:n, :n] += cost.Q
     return h
 
 

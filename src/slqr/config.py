@@ -33,8 +33,8 @@ ExperimentConfig, which checks the mode, the rules above and the ranges of
 pi.tol (> 0), pi.max_iter (>= 1) and the seeds (integers >= 0), so that a
 config changed with dataclasses.replace, as by the CLI's --mode and --seeds,
 is held to them too. Every error names the dotted path of its entry. The
-types hold every real-valued setting as a float, so 1 loads as 1.0, and
-load_config(save_config(cfg)) reproduces the config exactly.
+types hold every real-valued setting as a float (1 loads as 1.0) and every
+count as an int, so load_config(save_config(cfg)) reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from pathlib import Path
 from .errors import ConfigError, ValidationError
 from .packing import as_matrix
 from .qlearning import LearnerConfig
-from .system import CostModel, SystemModel, check_integer, check_positive, is_integer
+from .system import CostModel, SystemModel, check_integer, check_positive
 
 MODES = ("model_based", "model_free", "both")
 
@@ -69,10 +69,8 @@ class ExperimentConfig:
             raise ConfigError("output_dir must be a non-empty string")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.seeds, list) or not all(
-                is_integer(s) and s >= 0 for s in self.seeds):
+        if not isinstance(self.seeds, list):
             raise ConfigError(f"seeds must be a list of integers >= 0, got {self.seeds!r}")
-        self.seeds = [int(s) for s in self.seeds]
         if self.runs_model_free():
             if self.learner is None:
                 raise ConfigError("mode requires a learner section in the config")
@@ -84,7 +82,8 @@ class ExperimentConfig:
             if self.pi_tol is not None:
                 self.pi_tol = check_positive(self.pi_tol, "pi.tol", finite=True)
             if self.pi_max_iter is not None:
-                check_integer(self.pi_max_iter, "pi.max_iter", 1)
+                self.pi_max_iter = check_integer(self.pi_max_iter, "pi.max_iter", 1)
+            self.seeds = [check_integer(s, f"seeds[{i}]", 0) for i, s in enumerate(self.seeds)]
         except ValidationError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -76,6 +76,11 @@ def reference_solution(model: SystemModel, cost: CostModel):
     return _solve(model, cost)[1]
 
 
+def _relative_error(lam: float, lam_ref: float) -> float:
+    """|lam - lam*| / |lam*|; with lam* = 0 (Q = 0), inf, or 0.0 when lam = lam*."""
+    return abs(lam - lam_ref) / abs(lam_ref) if lam_ref else (np.inf if lam else 0.0)
+
+
 def _records(method: str, seed: int, gains: list[np.ndarray], lams: list[float],
              gain_ref: np.ndarray, lam_ref: float) -> list[ConvergenceRecord]:
     """One row per gain of a run, lams[tau] being the cost given for gains[tau]."""
@@ -83,7 +88,7 @@ def _records(method: str, seed: int, gains: list[np.ndarray], lams: list[float],
         ConvergenceRecord(
             method=method, seed=seed, tau=tau,
             gain_error=float(np.linalg.norm(gain - gain_ref)),
-            rel_cost_error=abs(lam - lam_ref) / abs(lam_ref),
+            rel_cost_error=_relative_error(lam, lam_ref),
             lam=lam,
         )
         for tau, (gain, lam) in enumerate(zip(gains, lams))
@@ -193,7 +198,7 @@ def run_experiment(config: ExperimentConfig,
                 "L": result.gains[-1].tolist(),
                 "lambda": result.cost_estimates[-1],
                 "gain_error": float(np.linalg.norm(result.gains[-1] - gain_ref)),
-                "rel_cost_error": abs(result.cost_estimates[-1] - lam_ref) / abs(lam_ref),
+                "rel_cost_error": _relative_error(result.cost_estimates[-1], lam_ref),
             }
         summary["model_free"] = {
             "cost_mode": learner.cost_mode,

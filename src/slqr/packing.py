@@ -93,21 +93,23 @@ def side_from_packed_length(s: int) -> int:
 
 
 def symmetrize(mat: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
-    """Return (M + M^T)/2, rejecting matrices that are asymmetric beyond rtol.
+    """Return (M + M^T)/2, formed as M/2 + M^T/2 so that it cannot overflow,
+    rejecting matrices that are asymmetric beyond rtol.
 
     The tolerance is relative to the matrix magnitude; genuinely asymmetric
     input is an error, not something to silently average away. mat must be
     a square matrix of real numbers (as_matrix), finite or not.
     """
     mat = as_matrix(mat, "matrix", square=True, finite=False)
+    half = mat / 2.0
     scale = max(np.abs(mat).max(), 1.0)
-    asym = np.abs(mat - mat.T).max()
+    asym = 2.0 * float(np.abs(half - half.T).max())   # a Python float: inf on overflow
     if asym > rtol * scale:
         raise ValidationError(
             f"matrix is asymmetric: max |M - M^T| = {asym:.3e} "
             f"exceeds {rtol:.1e} relative to scale {scale:.3e}"
         )
-    return (mat + mat.T) / 2.0
+    return half + half.T
 
 
 def congruence(factors: np.ndarray) -> np.ndarray:

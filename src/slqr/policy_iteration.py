@@ -43,11 +43,10 @@ class QKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", symmetrize(self.matrix))
+        object.__setattr__(self, "state_dim", check_integer(self.state_dim, "state_dim", 1))
         r = self.matrix.shape[0]
-        if not 0 < self.state_dim < r:
-            raise ValidationError(
-                f"state_dim {self.state_dim} must split a {r} x {r} kernel"
-            )
+        if not self.state_dim < r:
+            raise ValidationError(f"state_dim {self.state_dim} must split a {r} x {r} kernel")
 
     @property
     def input_dim(self) -> int:
@@ -87,8 +86,9 @@ def q_kernel_from_value(model: SystemModel, cost: CostModel,
 
 
 def _settled(gain: np.ndarray, gain_next: np.ndarray, tol: float) -> bool:
-    """The loop's stop test: successive gains agree to tol in Frobenius norm."""
-    return np.linalg.norm(gain_next - gain) < tol
+    """The loop's stop test: successive gains agree to tol in Frobenius norm (inf on overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(gain_next - gain) < tol
 
 
 @dataclass
@@ -139,24 +139,20 @@ def evaluate_improve(initial_gain: np.ndarray,
     SolverFailure raised in iteration tau propagates with the same type and
     attributes, its message prefixed with "iteration {tau}: ".
     """
-    gains = [initial_gain]
-    kernels = []
-    costs: list[float] = []
-    converged = False
+    trace = PolicyIterationTrace(gains=[initial_gain], kernels=[], costs=[], converged=False)
     for tau in range(max_iter):
         try:
-            kernel, cost, gain_next = step(tau, gains[-1])
+            kernel, cost, gain_next = step(tau, trace.gains[-1])
         except SolverFailure as exc:
             exc.args = (f"iteration {tau}: {exc}",)
             raise
-        kernels.append(kernel)
-        costs.append(cost)
-        gains.append(gain_next)
-        if _settled(gains[-2], gain_next, tol):
-            converged = True
+        trace.kernels.append(kernel)
+        trace.costs.append(cost)
+        trace.gains.append(gain_next)
+        if _settled(trace.gains[-2], gain_next, tol):
+            trace.converged = True
             break
-    return PolicyIterationTrace(gains=gains, kernels=kernels, costs=costs,
-                                converged=converged)
+    return trace
 
 
 def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarray,
@@ -169,7 +165,7 @@ def policy_iteration(model: SystemModel, cost: CostModel, initial_gain: np.ndarr
     solve_value_kernel), which the kernels' monotone decrease keeps close.
     """
     tol = check_positive(tol, "tol", finite=True)
-    check_integer(max_iter, "max_iter", 1)
+    max_iter = check_integer(max_iter, "max_iter", 1)
     gain = as_matrix(initial_gain, "initial_gain", (model.input_dim, model.state_dim))
     check_admissible(is_admissible(model, gain), "initial gain")
 

@@ -136,8 +136,9 @@ class RlsState:
 def initial_rls_state(dim: int, init_scale: float) -> RlsState:
     """The estimator before any sample: inverse Gram init_scale * I, no costs.
 
-    Raises ValidationError unless init_scale is a finite real number > 0.
+    Raises ValidationError unless dim is an integer >= 1 and init_scale a finite real number > 0.
     """
+    dim = check_integer(dim, "dim", 1)
     init_scale = check_positive(init_scale, "init_scale", finite=True)
     return RlsState(gram_inv=init_scale * np.eye(dim),
                     weighted_costs=np.zeros(dim), samples_seen=0)
@@ -350,8 +351,8 @@ class LearnerConfig:
     from D-hat, the model's intercept. For the plant's stage costs the
     latter is the fit with the average cost as one more coefficient; costs
     with a free constant of their own, which no plant produces, are fitted
-    wrongly. A fit takes at least (n+m)(n+m+1)/2 samples, one more in
-    empirical mode. probe_var, rls_init_scale and gain_tol are held as floats.
+    wrongly. A fit takes at least (n+m)(n+m+1)/2 samples, one more in empirical
+    mode. probe_var, rls_init_scale and gain_tol are held as floats, counts as ints.
     """
 
     initial_gain: np.ndarray
@@ -366,9 +367,8 @@ class LearnerConfig:
     def __post_init__(self):
         object.__setattr__(self, "initial_gain",
                            as_matrix(self.initial_gain, "initial_gain"))
-        check_integer(self.rollout_len, "rollout_len", 1)
-        check_integer(self.max_iterations, "max_iterations", 1)
-        check_integer(self.seed, "seed", 0)
+        for name, minimum in (("rollout_len", 1), ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, minimum))
         for name in ("probe_var", "rls_init_scale", "gain_tol"):
             object.__setattr__(self, name, check_positive(getattr(self, name), name,
                                                           finite=name != "rls_init_scale"))
@@ -397,9 +397,8 @@ class LearningResult:
 
 def iteration_seed(base_seed: int, iteration: int) -> int:
     """Deterministic per-iteration rollout seed on an independent stream, of integers >= 0."""
-    check_integer(base_seed, "base_seed", 0)
-    check_integer(iteration, "iteration", 0)
-    return int(np.random.SeedSequence([base_seed, iteration]).generate_state(1)[0])
+    seeds = [check_integer(base_seed, "base_seed", 0), check_integer(iteration, "iteration", 0)]
+    return int(np.random.SeedSequence(seeds).generate_state(1)[0])
 
 
 def _fit_iteration(traj: Trajectory, gain: np.ndarray,

@@ -66,17 +66,13 @@ def _owned(mat) -> np.ndarray:
     return mat
 
 
-def is_integer(value) -> bool:
-    """Whether value is a Python or numpy integer; a bool is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def check_integer(value, name: str, minimum: int) -> None:
-    """Raise ValidationError unless value is an integer (is_integer) >= minimum."""
-    if not is_integer(value):
+def check_integer(value, name: str, minimum: int) -> int:
+    """value as a Python int; ValidationError unless a Python or numpy integer >= minimum."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {type(value).__name__}")
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def check_positive(value, name: str, finite: bool = False) -> float:
@@ -312,9 +308,9 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     loop = loop_factors(model, gain)
     gain = np.asarray(gain, dtype=float)
     n, m = model.state_dim, model.input_dim
-    check_integer(n_steps, "n_steps", 1)
+    n_steps = check_integer(n_steps, "n_steps", 1)
     probe_var = _variance(probe_var, "probe_var")
-    check_integer(seed, "seed", 0)
+    seed = check_integer(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
     d_factor = noise_factor(model.D)

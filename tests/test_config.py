@@ -241,7 +241,7 @@ def test_scalar_values_are_type_checked():
         from_dict(doc)
     doc = minimal_doc()
     doc["seeds"] = [0, True]
-    with pytest.raises(ConfigError, match="seeds must be a list of integers"):
+    with pytest.raises(ConfigError, match=re.escape("seeds[1] must be an integer, got bool")):
         from_dict(doc)
     doc = minimal_doc()
     doc["output_dir"] = ""
@@ -268,8 +268,8 @@ def test_scalar_values_are_type_checked():
     ("output_dir", None, "output_dir must be a non-empty string"),
     ("pi_max_iter", 0, "pi.max_iter must be >= 1"),
     ("pi_max_iter", 2.5, "pi.max_iter must be an integer"),
-    ("seeds", [0, -1], "seeds must be a list of integers >= 0"),
-    ("seeds", [0, 1.0], "seeds must be a list of integers >= 0"),
+    ("seeds", [0, -1], "seeds[1] must be >= 0, got -1"),
+    ("seeds", [0, 1.0], "seeds[1] must be an integer, got float"),
     ("seeds", (0, 1), "seeds must be a list of integers >= 0"),
 ])
 def test_range_rules_hold_for_a_replaced_config(field, value, message):
@@ -280,10 +280,20 @@ def test_range_rules_hold_for_a_replaced_config(field, value, message):
         replace(config, **{field: value})
 
 
-def test_seeds_are_stored_as_python_integers():
-    config = replace(from_dict(learner_doc()), seeds=[np.int64(3), 4])
+def test_seeds_are_stored_as_python_integers(tmp_path):
+    # So is every other count, and save_config writes them as JSON integers.
+    config = from_dict(learner_doc())
+    learner = replace(config.learner, rollout_len=np.int64(100), max_iterations=np.int32(2),
+                      seed=np.uint8(1))
+    config = replace(config, seeds=[np.int64(3), 4], pi_max_iter=np.int16(50), learner=learner)
     assert config.seeds == [3, 4]
-    assert all(type(seed) is int for seed in config.seeds)
+    counts = [*config.seeds, config.pi_max_iter, learner.rollout_len, learner.max_iterations,
+              learner.seed]
+    assert counts == [3, 4, 50, 100, 2, 1]
+    assert all(type(count) is int for count in counts)
+    path = tmp_path / "counts.json"
+    save_config(config, path)
+    assert to_dict(load_config(path)) == to_dict(config)
 
 
 def test_round_trip_is_stable(sec6_config):

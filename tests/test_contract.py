@@ -2,10 +2,13 @@
 slqr.packing, slqr.qlearning, slqr.policy_iteration and slqr.system that
 takes a matrix, a vector, a factor stack or a real number returns or raises
 SolverFailure or ValidationError, whatever is passed in each such argument,
-and numpy does not warn on the way. Every public callable that takes a
-model and a cost rejects a cost that does not fit the model by name."""
+and numpy does not warn on the way. Every count argument of those functions
+rejects anything but an integer at or above its minimum with a
+ValidationError that names it. Every public callable that takes a model and
+a cost rejects a cost that does not fit the model by name."""
 
 import inspect
+import re
 import warnings
 from dataclasses import replace
 
@@ -118,18 +121,18 @@ LEFT_OUT = {
     "analysis.checked_kernel", "analysis.q_kernel_matrix", "analysis.policy_improvement",
     "analysis.riccati_residual", "policy_iteration.q_kernel_from_value",
     # No matrix argument.
-    "analysis.check_admissible", "packing.packed_length", "packing.packed_indices",
-    "packing.side_from_packed_length", "qlearning.rls_kernel",
-    "qlearning.policy_from_h", "qlearning.iteration_seed", "qlearning.run_online_learning",
-    "qlearning.LearningResult", "policy_iteration.PolicyIterationTrace",
-    # Counts, which is_integer reads and as_matrix does not.
-    "system.is_integer", "system.check_integer",
+    "analysis.check_admissible", "qlearning.policy_from_h", "qlearning.run_online_learning",
+    "qlearning.LearningResult",
     # Its model and cost: test_a_cost_that_does_not_fit_the_model_is_rejected_by_name.
     "system.check_cost",
     # A record with no checks of its own: simulate_closed_loop builds it.
     "system.Trajectory",
-    # The gain goes only to the caller's step, which reads it.
-    "policy_iteration.evaluate_improve",
+    # Counts that their package callers have read already (check_integer):
+    # the packing helpers' sizes and the max_iter of evaluate_improve and of
+    # PolicyIterationTrace.prefix. evaluate_improve's gain goes only to the
+    # caller's step, which reads it.
+    "packing.packed_length", "packing.packed_indices", "packing.side_from_packed_length",
+    "policy_iteration.evaluate_improve", "policy_iteration.PolicyIterationTrace",
 }
 
 # Each takes the well-formed argument as an array: a matrix, a vector, a
@@ -150,6 +153,36 @@ BAD = {
 }
 
 
+# name: (callable, well-formed arguments, each count argument with its minimum).
+COUNT_CASES = {
+    "policy_iteration.QKernel (state_dim)": (QKernel, dict(matrix=np.eye(3), state_dim=2),
+                                             {"state_dim": 1}),
+    "qlearning.rls_kernel": (qlearning.rls_kernel,
+                             dict(state=qlearning.initial_rls_state(3, 1.0), state_dim=1),
+                             {"state_dim": 1}),
+    "qlearning.initial_rls_state (dim)": (qlearning.initial_rls_state,
+                                          dict(dim=3, init_scale=1.0), {"dim": 1}),
+    "qlearning.LearnerConfig (counts)": (
+        lambda **counts: replace(LEARNER, **counts),
+        dict(rollout_len=50, max_iterations=1, seed=0),
+        {"rollout_len": 1, "max_iterations": 1, "seed": 0}),
+    "qlearning.iteration_seed": (qlearning.iteration_seed, dict(base_seed=0, iteration=0),
+                                 {"base_seed": 0, "iteration": 0}),
+    "policy_iteration.policy_iteration (max_iter)": (
+        policy_iteration.policy_iteration,
+        dict(model=MODEL, cost=COST, initial_gain=GAIN, max_iter=1), {"max_iter": 1}),
+    "system.simulate_closed_loop (counts)": (
+        simulate_closed_loop,
+        dict(model=MODEL, cost=COST, gain=GAIN, n_steps=10, probe_var=0.25, seed=0),
+        {"n_steps": 1, "seed": 0}),
+    "system.check_integer": (system.check_integer, dict(value=0, name="value", minimum=0),
+                             {"value": 0}),
+}
+
+# Values that are no count; each case also passes its minimum - 1.
+BAD_COUNTS = {"float": 2.5, "bool": True, "string": "3", "None": None}
+
+
 def test_every_public_callable_is_checked_or_left_out_by_name():
     public = set()
     for module in (analysis, packing, qlearning, policy_iteration, system):
@@ -158,7 +191,7 @@ def test_every_public_callable_is_checked_or_left_out_by_name():
                     and getattr(member, "__module__", None) == module.__name__):
                 public.add(f"{module.__name__.removeprefix('slqr.')}.{name}")
     # A method counts for its class, and a note in brackets names a second case.
-    checked = {".".join(name.split(" ")[0].split(".")[:2]) for name in CASES}
+    checked = {".".join(name.split(" ")[0].split(".")[:2]) for name in {**CASES, **COUNT_CASES}}
     assert public == checked | LEFT_OUT
 
 
@@ -178,6 +211,23 @@ def test_a_malformed_argument_stays_inside_the_error_contract(name, arg, kind):
     # by design.
     if isinstance(result, (float, np.ndarray)) and not passes_non_finite:
         assert np.isfinite(result).all()
+
+
+@pytest.mark.parametrize("kind", [*BAD_COUNTS, "below the minimum"])
+@pytest.mark.parametrize("name, arg", [(name, arg) for name, case in COUNT_CASES.items()
+                                       for arg in case[2]])
+def test_a_malformed_count_is_a_validation_error_naming_it(name, arg, kind):
+    call, args, minimums = COUNT_CASES[name]
+    if kind in BAD_COUNTS:
+        bad = BAD_COUNTS[kind]
+        message = f"{arg} must be an integer, got {type(bad).__name__}"
+    else:
+        bad = minimums[arg] - 1
+        message = f"{arg} must be >= {minimums[arg]}, got {bad}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(**dict(args, **{arg: bad}))
 
 
 # Every public callable with a model and a cost argument, with the rest of

@@ -1,4 +1,6 @@
+import csv
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -343,13 +345,15 @@ def test_cli_output_dir_under_a_file_is_a_config_error(tmp_path, capsys, monkeyp
         assert err == f"config error: output directory {out}: {blocker} is not a directory\n"
 
 
-@pytest.mark.parametrize("seeds", ["-1", "0,-3"])
-def test_cli_negative_seeds_are_a_config_error(tmp_path, capsys, seeds):
+@pytest.mark.parametrize("seeds, message", [
+    pytest.param("-1", "seeds[0] must be >= 0, got -1", id="-1"),
+    pytest.param("0,-3", "seeds[1] must be >= 0, got -3", id="0,-3")])
+def test_cli_negative_seeds_are_a_config_error(tmp_path, capsys, seeds, message):
     # Rejected with the config, before any solve runs or any file is written.
     out = tmp_path / "out"
     assert main(["run", "--config", "scalar_smoke", f"--seeds={seeds}",
                  "--out", str(out)]) == 1
-    assert "seeds must be a list of integers >= 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -364,6 +368,25 @@ def test_cli_rejects_a_non_finite_config_value(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "pi.tol" in capsys.readouterr().err
+
+
+def test_cli_run_with_a_zero_optimal_cost(tmp_path, capsys):
+    # Q = 0 makes lambda* = 0: a relative error is then inf, or 0.0 for an
+    # exact lambda.
+    doc = fixture_doc("scalar_smoke")
+    doc["cost"]["Q"] = [[0]]
+    path, out = tmp_path / "zero_q.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out / "convergence.csv")))
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reference"]["lambda"] == 0.0
+    for row in rows:
+        exact = float(row["lambda"]) == 0.0
+        assert float(row["rel_cost_error"]) == (0.0 if exact else float("inf"))
+    assert {row["method"] for row in rows} == {"model_based", "model_free"}
+    for entry in summary["model_free"]["seeds"].values():
+        assert entry["rel_cost_error"] == (0.0 if entry["lambda"] == 0.0 else float("inf"))
 
 
 def test_cli_mode_override_requires_a_pi_section(tmp_path, capsys):
@@ -396,3 +419,46 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: reference solve: ") and "not admissible" in err
     assert not (tmp_path / "unused").exists()
+
+
+def scalar_leaves(doc, path=()):
+    """The paths of every entry of doc that is neither an object nor a list."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from scalar_leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+CORRUPTIONS = ["x", None, True, [], [[1, 2]], 2.5, 0, -1, 1e308, -1e308, 1e-320, {}]
+
+
+def test_every_corrupted_scalar_leaf_stays_inside_the_cli_contract(tmp_path, capsys):
+    # Each scalar of the fixture replaced in turn by each corruption, with
+    # check and with a run in each mode: an exit code of 0, 1 or 2, and no
+    # exception or RuntimeWarning.
+    doc = fixture_doc("scalar_smoke")
+    path, out = tmp_path / "corrupted.json", str(tmp_path / "out")
+    commands = [["check"], ["run", "--mode", "model_based", "--out", out],
+                ["run", "--mode", "model_free", "--seeds", "0", "--out", out]]
+    breaches = []
+    for leaf in scalar_leaves(doc):
+        for value in CORRUPTIONS:
+            corrupted = json.loads(json.dumps(doc))
+            entry = corrupted
+            for key in leaf[:-1]:
+                entry = entry[key]
+            entry[leaf[-1]] = value
+            path.write_text(json.dumps(corrupted))
+            for command in commands:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        status = main(command[:1] + ["--config", str(path)] + command[1:])
+                except Exception as exc:   # any exception breaks the contract
+                    status = f"{type(exc).__name__}: {exc}"
+                if status not in (0, 1, 2):
+                    breaches.append((leaf, value, command[:3], status))
+    capsys.readouterr()
+    assert breaches == []

@@ -130,6 +130,16 @@ def test_symmetrize_rejects_genuine_asymmetry():
         symmetrize([[1.0, 2.0], [0.5, 3.0]])
     with pytest.raises(ValidationError):
         symmetrize(np.zeros((2, 3)))
+    # Entries near the float maximum: the asymmetry 2e308 does not overflow.
+    with pytest.raises(ValidationError, match=r"max \|M - M\^T\| = inf exceeds"):
+        symmetrize([[0.0, 1e308], [-1e308, 0.0]])
+
+
+@pytest.mark.parametrize("big", [1e308, -1e308, np.finfo(float).max])
+def test_symmetrize_keeps_entries_near_the_float_maximum(big):
+    # M + M^T would overflow; the halves do not, and give M back.
+    mat = np.array([[big, big / 3], [big / 3, 2.0]])
+    assert np.array_equal(symmetrize(mat), mat)
 
 
 @pytest.mark.parametrize("pack", [vech, vecs])

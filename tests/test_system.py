@@ -106,6 +106,16 @@ def test_validate_rejects_zero_r():
 def test_validate_rejects_indefinite_q():
     with pytest.raises(ValidationError, match="Q must be positive semidefinite"):
         CostModel(Q=[[-1.0]], R=[[1.0]]).validate()
+    # Also near the float maximum, where symmetrizing must not overflow to -inf.
+    with pytest.raises(ValidationError, match="Q must be positive semidefinite"):
+        CostModel(Q=[[-1e308]], R=[[1.0]]).validate()
+
+
+def test_entries_near_the_float_maximum_are_held_as_given():
+    model = scalar_model(d=1e308)
+    model.validate()
+    assert model.D.tolist() == [[1e308]]
+    assert CostModel(Q=[[1e308]], R=[[1e308]]).Q.tolist() == [[1e308]]
 
 
 def test_validate_rejects_wrong_b_rows():
