@@ -70,12 +70,14 @@ the margin) is returned; with no such X the solve raises SingularSystemError.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .errors import (
     NotAdmissibleError,
     SingularSystemError,
+    SolverFailure,
     UnreliableKernelError,
 )
 from .packing import as_matrix, congruence as packed, symmetrize, unvech, vech
@@ -459,10 +461,15 @@ def solve_value_kernel(model: SystemModel, cost: CostModel, gain: np.ndarray,
 def average_cost(value_kernel: np.ndarray, additive_cov: np.ndarray) -> float:
     """Steady-state cost per step of the policy whose kernel is given: tr(P D).
     Raises ValidationError unless D is a finite square matrix and P a finite
-    one of D's shape (as_matrix)."""
+    one of D's shape (as_matrix), and SolverFailure when tr(P D) is not
+    finite: it exceeds the float range."""
     additive_cov = as_matrix(additive_cov, "additive covariance", square=True)
     value_kernel = as_matrix(value_kernel, "value kernel", additive_cov.shape)
-    return float(np.trace(value_kernel @ additive_cov))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = float(np.trace(value_kernel @ additive_cov))
+    if not math.isfinite(cost):
+        raise SolverFailure(f"average cost tr(P D) is {cost}: it exceeds the float range")
+    return cost
 
 
 def checked_kernel(model: SystemModel, value_kernel: np.ndarray) -> np.ndarray:

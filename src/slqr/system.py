@@ -28,7 +28,12 @@ states with a contiguous copy of L^T, made once per rollout and written
 straight into the returned array, plus the scaled probe rows of the
 window's draws. Working memory beyond the returned arrays is
 O(ROLLOUT_BLOCK * (n^2 + m + p + q m)) for p state and q input channels,
-whatever the rollout length.
+whatever the rollout length. A RolloutBuffers holds all of those arrays
+and the returned ones across rollouts: a learner run passes one to every
+rollout, which then writes into the memory of the one before instead of
+freeing and faulting in its arrays afresh (about 4.4 MB, or 1030 minor
+page faults, per 42000-step rollout at n = 3). The returned trajectory
+then lives in the buffers until their next rollout.
 
 The scan does O(n^3) work per step where a step-by-step loop over the same
 step maps does O(n^2). On 42000-step rollouts (m = n/2, m = 1 at n = 3; a
@@ -237,6 +242,30 @@ class Trajectory:
         return self.costs.shape[0]
 
 
+class RolloutBuffers:
+    """The arrays a rollout writes, kept for the next rollout to write again.
+
+    simulate_closed_loop(..., buffers=b) takes every array it writes from b:
+    the returned trajectory's states, inputs and costs, and its window
+    arrays (regressors, draws, step maps, the lane scan's composed maps and
+    lifted states, and probe rows). An array is reused while its shape
+    matches and replaced otherwise, so rollouts of one length and plant
+    write into the same memory. The Trajectory that such a call returns
+    lives in b until b's next rollout, which overwrites it.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], make=np.empty) -> np.ndarray:
+        """The array held as name if it has the shape, else make(shape), held
+        in its place."""
+        array = self._arrays.get(name)
+        if array is None or array.shape != shape:
+            array = self._arrays[name] = make(shape)
+        return array
+
+
 def noise_factor(cov: np.ndarray) -> np.ndarray:
     """A factor G with G G^T = cov. Cholesky when PD, eigh square root otherwise."""
     cov = as_matrix(cov, "cov", square=True)
@@ -252,11 +281,23 @@ def noise_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_forms(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """row @ weight @ row for every row, bit-identical to the one-row product."""
+    """row @ weight @ row for every row. Up to n = 3 columns it is bit-identical
+    to the one-row product x @ weight @ x; from n = 4 on the batched
+    rows @ weight runs as a matrix-matrix product where x @ weight runs as a
+    matrix-vector one, and on OpenBLAS a fifth to two fifths of the rows
+    differ in the last bits (below 3e-15 relative at n = 4-8)."""
     return ((rows @ weight)[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
-def _lane_scan(maps: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+def _affine_maps(shape: tuple[int, int, int]) -> np.ndarray:
+    """A stack of (n+1) x (n+1) maps, each zero but for its last row [0 ... 0 1]."""
+    maps = np.zeros(shape)
+    maps[:, -1, -1] = 1.0
+    return maps
+
+
+def _lane_scan(maps: np.ndarray, x: np.ndarray, out: np.ndarray,
+               composed: np.ndarray, lifted: np.ndarray) -> None:
     """Write x_{k+1} = M_k x_k + b_k into out[k] for every k < len(out), from x_0 = x.
 
     maps, read in place, holds the step maps [M_k | b_k] in lanes of width
@@ -269,29 +310,30 @@ def _lane_scan(maps: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
     one (width (n+1)) x (n+1) product of a lane's stacked maps with [x_l; 1]
     gives all its states, each with the 1 appended, and its last one is
     [x_{l+1}; 1]. That is about 2 sqrt(len(out)) Python-level steps in place
-    of len(out), and working memory of one (n+1) x (n+1) map and one
-    (n+1)-vector per step.
+    of len(out). The caller's composed, an (N, n+1, n+1) array whose entries
+    all have the last row [0 ... 0 1], and lifted, an (N, n+1) array, with
+    N >= lanes * width, are the working memory: one map and one vector per
+    step. Only the first n rows of composed's entries are written.
     """
     steps, n = out.shape
     lanes, width = maps.shape[:2]
     # carried[l, j] takes lane l's start state to its state after step j + 1.
-    carried = np.zeros((lanes, width, n + 1, n + 1))
-    carried[:, :, n, n] = 1.0
+    carried = composed[:lanes * width].reshape(lanes, width, n + 1, n + 1)
     carried[:, 0, :n] = maps[:, 0]
     for j in range(1, width):
         np.matmul(maps[:, j], carried[:, j - 1], out=carried[:, j, :n])
     carried = carried.reshape(lanes, width * (n + 1), n + 1)
-    lifted = np.empty((lanes, width * (n + 1)))
+    lanes_lifted = lifted[:lanes * width].reshape(lanes, width * (n + 1))
     start = np.append(x, 1.0)
-    for lane_maps, lane_states in zip(carried, lifted):
+    for lane_maps, lane_states in zip(carried, lanes_lifted):
         np.dot(lane_maps, start, out=lane_states)
         start = lane_states[-(n + 1):]
-    lifted = lifted.reshape(lanes * width, n + 1)
     out[...] = lifted[:steps, :n]
 
 
 def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
-                         n_steps: int, probe_var: float, seed) -> Trajectory:
+                         n_steps: int, probe_var: float, seed,
+                         buffers: RolloutBuffers | None = None) -> Trajectory:
     """Roll out u_k = gain @ x_k + e_k with e_k ~ N(0, probe_var * I).
 
     Draw order is fixed for reproducibility: n draws for x0, then per step the
@@ -299,11 +341,21 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     not depend on the probe setting), p + q channel scalars, and the n-vector
     for the additive noise. Costs are charged on the input actually applied.
     The window size does not change the draws: each window takes the next
-    rows of the same stream. Raises ValidationError unless cost fits the
-    model (check_cost), gain is a finite (m, n) matrix, n_steps an integer
-    >= 1 whose arrays can be allocated, probe_var a real number, finite and
-    >= 0, and seed an integer >= 0.
+    rows of the same stream. Without buffers every array is allocated
+    afresh and the trajectory's arrays are the caller's; with buffers, a
+    RolloutBuffers, every array the rollout writes is taken from it, and the
+    returned trajectory lives in it until its next rollout, which
+    overwrites it. The outputs are the same either way, bit for bit. Raises
+    ValidationError unless cost fits the model (check_cost), gain is a
+    finite (m, n) matrix, n_steps an integer >= 1 whose arrays can be
+    allocated, probe_var a real number, finite and >= 0, seed an integer
+    >= 0 and buffers None or a RolloutBuffers.
     """
+    if buffers is None:
+        buffers = RolloutBuffers()
+    elif not isinstance(buffers, RolloutBuffers):
+        raise ValidationError(
+            f"buffers must be a RolloutBuffers, got {type(buffers).__name__}")
     check_cost(model, cost)
     loop = loop_factors(model, gain)
     gain = np.asarray(gain, dtype=float)
@@ -336,17 +388,27 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
         row = draw_width + 1 + k * m
         map_terms[row:row + m, :, n] = root_probe * channels[c, :, n:].T
     map_terms = map_terms.reshape(len(map_terms), n * (n + 1))
-    regressors = np.empty((len(map_terms), min(n_steps, ROLLOUT_BLOCK)))
-    regressors[draw_width] = 1.0
     gain_t = np.ascontiguousarray(gain.T)
 
     try:
-        states = np.empty((n_steps + 1, n))
-        inputs = np.empty((n_steps + 1, m))
-        costs = np.empty(n_steps)
+        states = buffers.take("states", (n_steps + 1, n))
+        inputs = buffers.take("inputs", (n_steps + 1, m))
+        costs = buffers.take("costs", (n_steps,))
     except (ValueError, MemoryError) as exc:
         raise ValidationError(
             f"n_steps is too large for the rollout's arrays: {exc}") from None
+    # The window arrays, sized by the first window, the longest: a later,
+    # shorter one has at most as many lane entries (lanes * width).
+    block = min(n_steps, ROLLOUT_BLOCK)
+    lane_width = math.isqrt(block)
+    capacity = -(-block // lane_width) * lane_width
+    regressors = buffers.take("regressors", (len(map_terms), block))
+    regressors[draw_width] = 1.0
+    draws = buffers.take("draws", (block, draw_width))
+    step_maps = buffers.take("step_maps", (capacity, n, n + 1))
+    composed = buffers.take("composed", (capacity, n + 1, n + 1), make=_affine_maps)
+    lifted = buffers.take("lifted", (capacity, n + 1))
+    probe_rows = buffers.take("probe_rows", (block, m))
 
     states[0] = x0_factor @ rng.standard_normal(n)
     # A gain that is not mean-square stable overflows the states; they come
@@ -355,23 +417,23 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
         for start in range(0, n_steps, ROLLOUT_BLOCK):
             stop = min(start + ROLLOUT_BLOCK, n_steps)
             steps = stop - start
-            draws = rng.standard_normal((steps, draw_width))
+            rng.standard_normal(out=draws[:steps])
             window = regressors[:, :steps]
-            window[:draw_width] = draws.T
+            window[:draw_width] = draws[:steps].T
             products = window[draw_width + 1:].reshape(len(probed), m, steps)
             for k, c in enumerate(probed):
                 np.multiply(window[m - 1 + c], window[:m], out=products[k])
             width = math.isqrt(steps)
             lanes = -(-steps // width)
-            maps = np.empty((lanes * width, n, n + 1))
+            maps = step_maps[:lanes * width]
             maps[steps:] = 0.0
             np.matmul(window.T, map_terms, out=maps[:steps].reshape(steps, n * (n + 1)))
             block_states = states[start:stop]
             _lane_scan(maps.reshape(lanes, width, n, n + 1), block_states[0],
-                       out=states[start + 1:stop + 1])
+                       out=states[start + 1:stop + 1], composed=composed, lifted=lifted)
             # np.dot: matmul takes a slow path for an (N, 1) by (1, 1) product.
             block_inputs = np.dot(block_states, gain_t, out=inputs[start:stop])
-            block_inputs += root_probe * window[:m].T
+            block_inputs += np.multiply(root_probe, window[:m].T, out=probe_rows[:steps])
             costs[start:stop] = (_quadratic_forms(block_states, cost.Q)
                                  + _quadratic_forms(block_inputs, cost.R))
 

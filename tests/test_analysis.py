@@ -24,6 +24,7 @@ from slqr.analysis import (
 from slqr.errors import (
     NotAdmissibleError,
     SingularSystemError,
+    SolverFailure,
     UnreliableKernelError,
     ValidationError,
 )
@@ -356,6 +357,18 @@ def test_average_cost_examples():
     assert abs(average_cost(p, np.array([[1.0]])) - 4.0 / 3.0) <= 1e-12
     with pytest.raises(ValidationError):
         average_cost(np.eye(3), np.eye(2))
+
+
+@pytest.mark.parametrize("kernel, cov", [
+    (np.eye(2), 1e308 * np.eye(2)),
+    ([[1e308]], [[10.0]]),
+    (np.full((2, 2), 1e308), [[10.0, -10.0], [-10.0, 10.0]])],
+    ids=["sum", "product", "inf - inf"])
+def test_an_average_cost_beyond_the_float_range_is_a_solver_failure(kernel, cov):
+    # tr(P D) overflows to inf, or to nan where two overflows cancel: a
+    # typed failure, not a RuntimeWarning and an infinite cost.
+    with pytest.raises(SolverFailure, match=r"^average cost tr\(P D\) is (inf|nan)"):
+        average_cost(kernel, cov)
 
 
 def test_duality_of_cost_and_covariance_solvers(sec6):

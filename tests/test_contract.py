@@ -127,6 +127,9 @@ LEFT_OUT = {
     "system.check_cost",
     # A record with no checks of its own: simulate_closed_loop builds it.
     "system.Trajectory",
+    # No argument; simulate_closed_loop checks that its buffers are one:
+    # test_system.py::test_simulate_argument_validation.
+    "system.RolloutBuffers",
     # Counts that their package callers have read already (check_integer):
     # the packing helpers' sizes and the max_iter of evaluate_improve and of
     # PolicyIterationTrace.prefix. evaluate_improve's gain goes only to the

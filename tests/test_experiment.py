@@ -421,6 +421,23 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
     assert not (tmp_path / "unused").exists()
 
 
+def test_cli_average_cost_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # D[0][0] = 1e308 keeps D finite, but tr(P D) of the zero gain overflows:
+    # the reference solve fails at its first iteration, without a warning.
+    doc = fixture_doc("example_sec6")
+    doc["model"]["D"][0][0] = 1e308
+    path = tmp_path / "huge_d.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        status = main(["run", "--config", str(path), "--mode", "model_based",
+                       "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: reference solve: iteration 0: average cost tr(P D) is ")
+    assert not (tmp_path / "out").exists()
+
+
 def scalar_leaves(doc, path=()):
     """The paths of every entry of doc that is neither an object nor a list."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)

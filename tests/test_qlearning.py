@@ -34,6 +34,7 @@ from slqr.qlearning import (
 from slqr.system import (
     ROLLOUT_BLOCK,
     CostModel,
+    RolloutBuffers,
     SystemModel,
     Trajectory,
     simulate_closed_loop,
@@ -749,6 +750,45 @@ def test_learn_from_rollouts_sampler_contract(sec6):
     for tau, (gain, seed) in enumerate(calls):
         np.testing.assert_array_equal(gain, result.gains[tau])
         assert seed == iteration_seed(5, tau)
+
+
+@pytest.mark.parametrize("cost_mode", COST_MODES)
+@pytest.mark.parametrize("fixture", ["example_sec6", "scalar_smoke"])
+def test_online_learning_equals_the_loop_over_fresh_rollouts(fixture, cost_mode,
+                                                            monkeypatch):
+    # run_online_learning rolls out through one RolloutBuffers per run, by
+    # keyword, at the module attribute that the benchmark traces; the same
+    # loop over rollouts allocated afresh gives the same gains, kernels and
+    # cost estimates bit for bit.
+    config = load_config(fixture_path(fixture))
+    model, cost = config.model, config.cost
+    noise_cov = model.D if cost_mode == "known_d" else None
+    buffers = []
+
+    def traced(*args, **kwargs):
+        buffers.append(kwargs["buffers"])
+        return simulate_closed_loop(*args, **kwargs)
+
+    monkeypatch.setattr(qlearning, "simulate_closed_loop", traced)
+    for seed in (0, 1, 2):
+        learner = replace(config.learner, seed=seed, cost_mode=cost_mode)
+
+        def fresh(gain, rollout_seed):
+            return simulate_closed_loop(model, cost, gain, learner.rollout_len,
+                                        learner.probe_var, rollout_seed)
+
+        buffers.clear()
+        got = run_online_learning(model, cost, learner)
+        assert len(buffers) == got.iterations
+        assert all(isinstance(b, RolloutBuffers) and b is buffers[0] for b in buffers)
+        want = learn_from_rollouts(fresh, learner, noise_cov)
+        assert got.converged == want.converged
+        assert got.cost_estimates == want.cost_estimates
+        assert len(got.gains) == len(want.gains)
+        for got_gain, want_gain in zip(got.gains, want.gains):
+            np.testing.assert_array_equal(got_gain, want_gain)
+        for got_kernel, want_kernel in zip(got.kernels, want.kernels):
+            np.testing.assert_array_equal(got_kernel.matrix, want_kernel.matrix)
 
 
 def test_learn_known_d_requires_covariance():

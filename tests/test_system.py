@@ -17,6 +17,7 @@ from slqr.errors import ValidationError
 from slqr.system import (
     ROLLOUT_BLOCK,
     CostModel,
+    RolloutBuffers,
     SystemModel,
     noise_factor,
     simulate_closed_loop,
@@ -304,6 +305,18 @@ def test_simulate_costs_charge_the_applied_input(sec6):
         x, u = traj.states[k], traj.inputs[k]
         assert traj.costs[k] == x @ cost.Q @ x + u @ cost.R @ u
     assert np.abs(traj.inputs[:-1]).max() > 0  # probes actually applied
+    # From n = 4 on the batched forms run as matrix-matrix products and the
+    # one-row ones as matrix-vector products: they agree to roundoff only.
+    rng = np.random.default_rng(6)
+    q, r = rng.standard_normal((5, 5)), rng.standard_normal((2, 2))
+    wide = SystemModel(A=0.3 * np.eye(5), B=rng.standard_normal((5, 2)), D=np.eye(5),
+                       X0=np.eye(5))
+    wide_cost = CostModel(Q=q @ q.T, R=r @ r.T + np.eye(2))
+    traj = simulate_closed_loop(wide, wide_cost, np.zeros((2, 5)), 40, 0.64, 6)
+    for k in range(traj.n_steps):
+        x, u = traj.states[k], traj.inputs[k]
+        want = x @ wide_cost.Q @ x + u @ wide_cost.R @ u
+        assert traj.costs[k] == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def replay_closed_loop(model, cost, gain, n_steps, probe_var, seed):
@@ -359,11 +372,65 @@ def test_simulate_matches_per_step_replay(sec6, sec6_reference):
     assert not np.isfinite(replayed[-1]).any()
 
 
+def assert_same_rollout(got, want):
+    for got_array, want_array in zip((got.states, got.inputs, got.costs),
+                                     (want.states, want.inputs, want.costs)):
+        assert got_array.shape == want_array.shape
+        assert got_array.tobytes() == want_array.tobytes()
+
+
+def test_rollouts_through_one_buffer_set_equal_fresh_ones(sec6, sec6_reference):
+    # 4097 steps end in a one-step window, 42000 steps reuse the window
+    # arrays of 4096 and 4097, and 50 steps replace every array. Two rollouts
+    # of one length write the same memory.
+    model, cost = sec6
+    _, l_star, _ = sec6_reference
+    buffers = RolloutBuffers()
+    for n_steps in (ROLLOUT_BLOCK, ROLLOUT_BLOCK + 1, 42000, 50):
+        first = None
+        for gain, seed in ((np.zeros((3, 3)), 1), (l_star, 2)):
+            got = simulate_closed_loop(model, cost, gain, n_steps, 0.64, seed, buffers=buffers)
+            assert_same_rollout(got, simulate_closed_loop(model, cost, gain, n_steps, 0.64,
+                                                          seed))
+            if first is not None:
+                for name in ("states", "inputs", "costs"):
+                    assert np.shares_memory(getattr(got, name), getattr(first, name))
+            first = got
+
+
+def test_a_diverged_rollout_leaves_the_buffers_fit_for_the_next(sec6):
+    # 0.3 I is not mean-square stable: its states overflow to inf and nan.
+    model, cost = sec6
+    long_run = 2 * ROLLOUT_BLOCK + 37
+    buffers = RolloutBuffers()
+    diverged = simulate_closed_loop(model, cost, 0.3 * np.eye(3), long_run, 0.64, 8,
+                                    buffers=buffers)
+    assert not np.isfinite(diverged.states[-1]).any()
+    got = simulate_closed_loop(model, cost, -0.1 * np.eye(3), long_run, 0.64, 9,
+                               buffers=buffers)
+    assert_same_rollout(got, simulate_closed_loop(model, cost, -0.1 * np.eye(3), long_run,
+                                                  0.64, 9))
+    assert np.isfinite(got.states).all()
+
+
+def traced_peak(call):
+    """call() and the peak of the memory it allocated, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffers"])
 @pytest.mark.parametrize("plant", ["example_sec6", "random_both_channels"])
-def test_rollout_working_memory_does_not_grow_with_the_rollout(sec6, plant):
+def test_rollout_working_memory_does_not_grow_with_the_rollout(sec6, plant, buffered):
     # Beyond the returned trajectory the rollout holds one window's draws,
     # step maps and lane maps at a time, O(ROLLOUT_BLOCK * n^2): its traced
     # peak less the returned arrays is the same for a 4x longer rollout.
+    # Through buffers that a rollout of the same length has filled it
+    # allocates none of those arrays: what remains, a window's temporaries,
+    # is a small part of that and does not grow either.
     if plant == "example_sec6":
         model, cost = sec6
     else:
@@ -371,15 +438,18 @@ def test_rollout_working_memory_does_not_grow_with_the_rollout(sec6, plant):
         assert model.state_noise and model.input_noise
     gain = np.zeros((model.input_dim, model.state_dim))
     simulate_closed_loop(model, cost, gain, 100, 0.64, 3)    # one-time set-up, untraced
+    buffers = RolloutBuffers()
     extra = []
     for n_steps in (42000, 168000):
-        tracemalloc.start()
-        try:
-            traj = simulate_closed_loop(model, cost, gain, n_steps, 0.64, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        extra.append(peak - traj.states.nbytes - traj.inputs.nbytes - traj.costs.nbytes)
+        traj, peak = traced_peak(lambda: simulate_closed_loop(model, cost, gain, n_steps,
+                                                              0.64, 3))
+        fresh = peak - traj.states.nbytes - traj.inputs.nbytes - traj.costs.nbytes
+        if buffered:
+            simulate_closed_loop(model, cost, gain, n_steps, 0.64, 4, buffers=buffers)
+            _, peak = traced_peak(lambda: simulate_closed_loop(model, cost, gain, n_steps,
+                                                               0.64, 3, buffers=buffers))
+            assert peak <= 0.25 * fresh
+        extra.append(peak if buffered else fresh)
     assert abs(extra[1] - extra[0]) <= 0.1 * extra[0]
 
 
@@ -410,6 +480,8 @@ def test_simulate_argument_validation(sec6):
         simulate_closed_loop(model, cost, np.full((3, 3), np.nan), 10, 0.0, 0)
     with pytest.raises(ValidationError, match="seed"):
         simulate_closed_loop(model, cost, np.zeros((3, 3)), 10, 0.0, -1)
+    with pytest.raises(ValidationError, match="^buffers must be a RolloutBuffers, got str$"):
+        simulate_closed_loop(model, cost, np.zeros((3, 3)), 10, 0.0, 0, buffers="x")
 
 
 @pytest.mark.parametrize("probe_var, message", [
