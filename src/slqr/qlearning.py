@@ -24,8 +24,9 @@ least-squares temporal-difference learning (Tsitsiklis & Van Roy, 1999) of
 phi(z_k)^T vecs(H) = c_k - lambda + phi(zbar_{k+1})^T vecs(H), zbar_{k+1}
 being the next state with its unprobed feedback input, with instruments
 w_k phi(z_k) (LSTD is plug-in evaluation on the least-squares linear model;
-Parr et al., ICML 2008). The learner adds the ridge 1 / rls_init_scale to
-the model's Gram, which makes its fit the solve
+Parr et al., ICML 2008). Every fit first checks the condition number of
+its Gram sum w phi phi^T against 1e12. The learner then adds the ridge
+1 / rls_init_scale to the Gram, which makes its fit the solve
 
     (I / rls_init_scale + Psi^T G) h = Psi^T c,    h = vecs(H),
 
@@ -33,8 +34,8 @@ with instruments Psi (rows w_k phi(z_k)) and regressors G (rows
 phi(z_k) - phi(zbar_{k+1}) + K_L d): what the recursive least-squares
 update (rls_update, with weight w_k) reaches after folding in every sample
 from the inverse-Gram start rls_init_scale * I. rls_update is kept as that
-streaming form. The paper's plain fit (unit weights, no ridge, and without
-D the costs minus their mean, with d = 0) stays available as bls_estimate.
+streaming form. The paper's plain fit, with unit weights, no ridge and the
+same d, stays available as bls_estimate.
 The leverage weights w_k = (1 + |z_k|^2)^-2 keep the fit consistent,
 because the Bellman residual has zero mean given z_k, and tame the heavy
 tails of the plain instruments phi(z_k) near the edge of fourth-moment
@@ -204,34 +205,31 @@ def _moment_model(traj: Trajectory, noise_cov: np.ndarray | None, weighted: bool
                   ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gain-free moment model of a rollout (module docstring): (B, c, d).
 
-    weighted=False is the paper's plain fit: unit weights, and with
-    noise_cov None the costs minus their whole-rollout mean and d = 0.
-    weighted=True is the learner's: weights w_k = (1 + |z_k|^2)^-2, and with
-    noise_cov None d = vech(D-hat), the last row of the solve of
-    sum w [phi; 1][phi; 1]^T against sum psi psi'^T. With noise_cov given,
-    d = vech(noise_cov). B and c solve
-    (sum w phi phi^T + ridge I) [B | c] = [sum w phi (psi' - d)^T | sum w phi c].
+    weighted=False is the paper's plain fit, with unit weights; weighted=True
+    the learner's, with weights w_k = (1 + |z_k|^2)^-2. With noise_cov None,
+    d = vech(D-hat), the last row of the solve of sum w [phi; 1][phi; 1]^T
+    against sum psi psi'^T; with noise_cov given, d = vech(noise_cov). B and c
+    solve (sum w phi phi^T + ridge I) [B | c] = [sum w phi (psi' - d)^T | sum w phi c].
 
     The pass reuses two arrays over windows of ROLLOUT_BLOCK samples. The
     one takes the window's features, over samples k0..k1 and the row after,
     and below them sqrt(w_k) = 1 / (1 + |z_k|^2), summed from the rows z_i^2;
-    the other takes sqrt(w) [psi'_k | c_k - centre | 1], psi' read as the
-    first n - i entries of feature row run i < n one column on. With the
-    feature rows scaled by sqrt(w) in place, the symmetric rank-k product of
-    the rows sqrt(w) phi gives sum w phi phi^T, and [sqrt(w) phi; sqrt(w)]
-    times the other array sum psi [psi' | c - centre | 1], psi = [w phi; w].
+    the other takes sqrt(w) [psi'_k | c_k | 1], psi' read as the first n - i
+    entries of feature row run i < n one column on. With the feature rows
+    scaled by sqrt(w) in place, the symmetric rank-k product of the rows
+    sqrt(w) phi gives sum w phi phi^T, and [sqrt(w) phi; sqrt(w)] times the
+    other array sum psi [psi' | c | 1], psi = [w phi; w].
 
     Raises ValidationError unless noise_cov is None or a finite (n, n)
     matrix (as_matrix); UnreliableKernelError for non-finite data (a
     diverged rollout, at the first window that holds them), overflowing
     sums, or a D-hat or model that cannot be solved for; and
-    InsufficientExcitationError for fewer samples than unknowns or, without
-    a ridge, a Gram whose condition number exceeds 1e12.
+    InsufficientExcitationError for fewer samples than unknowns or a Gram
+    sum w phi phi^T, before the ridge, whose condition number exceeds 1e12.
     """
     n, m = traj.states.shape[1], traj.inputs.shape[1]
-    noise = (np.zeros(packed_length(n)) if noise_cov is None
-             else vech(as_matrix(noise_cov, "noise_cov", (n, n))))
-    estimate_d = weighted and noise_cov is None
+    estimate_d = noise_cov is None
+    noise = None if estimate_d else vech(as_matrix(noise_cov, "noise_cov", (n, n)))
     n_samples, s = traj.n_steps, packed_length(n + m)
     unknowns = s + estimate_d                     # D-hat's regression has one more
     if n_samples < unknowns:
@@ -245,14 +243,13 @@ def _moment_model(traj: Trajectory, noise_cov: np.ndarray | None, weighted: bool
     runs = [s - packed_length(r - i) for i in range(r)]
     next_runs = [(runs[i], t - packed_length(n - i), n - i) for i in range(n)]
     cross = np.zeros((s, s))                      # sum w phi phi^T
-    sums = np.zeros((s + 1, t + 2))               # sum psi [psi' | c - centre | 1]
+    sums = np.zeros((s + 1, t + 2))               # sum psi [psi' | c | 1]
     # The rows [phi; sqrt(w)] of a window become [sqrt(w) phi; sqrt(w)] in
     # place once the next-state rows are read: each side carries sqrt(w).
     width = min(n_samples, ROLLOUT_BLOCK)
     left = np.empty((s + 1, width + 1))
     right = np.empty((t + 2, width))
     with np.errstate(over="ignore", invalid="ignore"):
-        centre = traj.costs.mean() if not weighted and noise_cov is None else 0.0
         for k0 in range(0, n_samples, ROLLOUT_BLOCK):
             k1 = min(k0 + ROLLOUT_BLOCK, n_samples)
             states, inputs = traj.states[k0:k1 + 1], traj.inputs[k0:k1 + 1]
@@ -277,8 +274,7 @@ def _moment_model(traj: Trajectory, noise_cov: np.ndarray | None, weighted: bool
             for row, at, length in next_runs:
                 np.multiply(feats[row:row + length, 1:], root,
                             out=moments[at:at + length])
-            np.subtract(costs, centre, out=moments[t])
-            moments[t] *= root
+            np.multiply(costs, root, out=moments[t])
             moments[t + 1] = root
             lhs[:s] *= root
             cross += lhs[:s] @ lhs[:s].T               # one symmetric rank-k product
@@ -287,19 +283,20 @@ def _moment_model(traj: Trajectory, noise_cov: np.ndarray | None, weighted: bool
         raise UnreliableKernelError(
             f"{'noise estimate' if estimate_d else 'moment model'}: sums are non-finite")
     totals = sums[:, t + 1]
+    eigs = np.linalg.eigvalsh(cross)              # ascending; lambda_min <= 0 reads as inf
+    with np.errstate(over="ignore"):
+        cond = eigs[-1] / eigs[0] if eigs[0] > 0 else np.inf
+    if cond > 1e12:
+        raise InsufficientExcitationError(
+            f"model Gram condition number {cond:.3e}; use a longer rollout "
+            f"or a larger probe variance"
+        )
     if estimate_d:
         # D-hat: the intercept of the weighted regression of psi' on [phi; 1],
         # whose Gram sum w [phi; 1][phi; 1]^T is cross bordered by the totals.
         bordered = np.column_stack([np.vstack([cross, totals[:s]]), totals])
         noise = _solve(bordered, sums[:, :t], "noise estimate")[s]
     cross[np.diag_indices_from(cross)] += ridge
-    if not ridge:
-        cond = np.linalg.cond(cross)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise InsufficientExcitationError(
-                f"model Gram condition number {cond:.3e}; use a longer rollout "
-                f"or a larger probe variance"
-            )
     targets = np.column_stack([sums[:s, :t] - np.outer(totals[:s], noise), sums[:s, t]])
     model = _solve(cross, targets, "moment model")
     return model[:, :t], model[:, t], noise
@@ -323,9 +320,9 @@ def _evaluate(b: np.ndarray, c: np.ndarray, d: np.ndarray,
 def bls_estimate(traj: Trajectory, gain: np.ndarray,
                  noise_cov: np.ndarray | None = None) -> QKernel:
     """Batch least-squares kernel fit over one rollout, unregularised: the
-    plain moment model evaluated at the gain. With noise_cov given, the
-    average cost is pinned by D; with noise_cov None the empirical mean cost
-    is subtracted from the targets instead.
+    plain moment model evaluated at the gain. Its average cost is pinned by
+    D, or with noise_cov None by D-hat, the intercept of the unit-weight
+    regression of psi' on [phi; 1].
     """
     return _evaluate(*_moment_model(traj, noise_cov, weighted=False), gain)[0]
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slqr import qlearning
-from slqr.analysis import average_cost, policy_improvement, solve_value_kernel
+from slqr.analysis import average_cost, policy_improvement, q_kernel_matrix, solve_value_kernel
 from slqr.config import fixture_path, load_config
 from slqr.errors import (
     IllConditionedUpdateError,
@@ -138,11 +138,9 @@ def _dense_normal_equations(traj, gain, noise_cov, weighted):
     psi = weights[:, None] * phi
     if noise_cov is not None:
         regressors = regressors + noise_correction(gain, noise_cov)
-    elif weighted:
+    else:
         psi = np.hstack([psi, weights[:, None]])
         regressors = np.hstack([regressors, np.ones((len(costs), 1))])
-    else:
-        costs = costs - costs.mean()
     return psi.T @ regressors, psi.T @ costs
 
 
@@ -166,18 +164,14 @@ FIT_MODES = {"known_d": (True, True), "empirical": (True, False),
 
 def _dense_moment_sums(traj, noise, weighted, ridge):
     # The model's Gram sum w phi phi^T + ridge I and its columns
-    # [sum w phi (psi' - d)^T | sum w phi c] from whole-rollout arrays, with
-    # the costs centred for the plain fit without D (noise None).
+    # [sum w phi (psi' - d)^T | sum w phi c] from whole-rollout arrays.
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     next_moments = feature_matrix(traj.states[1:], np.empty((len(phi), 0)))
     z = np.hstack([traj.states[:-1], traj.inputs[:-1]])
     weights = (1.0 + (z ** 2).sum(axis=1)) ** -2 if weighted else np.ones(len(phi))
-    costs = traj.costs - (traj.costs.mean() if noise is None else 0.0)
-    if noise is None:
-        noise = np.zeros(next_moments.shape[1])
     psi = weights[:, None] * phi
     gram = psi.T @ phi + ridge * np.eye(phi.shape[1])
-    return gram, psi.T @ np.column_stack([next_moments - noise, costs])
+    return gram, psi.T @ np.column_stack([next_moments - noise, traj.costs])
 
 
 @pytest.mark.parametrize("mode", sorted(FIT_MODES))
@@ -187,12 +181,12 @@ def test_streamed_normal_equations_match_the_dense_form(sec6, feature_builds, mo
                                                         n_steps):
     # The windowed pass must give the model of the whole-rollout sums at every
     # window boundary, building each window's features once: the model solves
-    # the dense normal equations to a backward error of roundoff. 21 = s at
-    # n = m = 3 is the shortest rollout the fit accepts, but for empirical's
-    # D-hat, whose regression has s + 1 unknowns. The second plant has n = 4
-    # states, m = 2 inputs and both channel kinds, so s = 21 again but the
-    # next-state block is 10 wide. A small ridge keeps the 21-sample Grams
-    # solvable, and every mode takes it.
+    # the dense normal equations to a backward error of roundoff, and without
+    # D its D-hat is the dense regression's intercept. 21 = s at n = m = 3 is
+    # the shortest rollout the fit accepts, but for D-hat, whose regression
+    # has s + 1 unknowns. The second plant has n = 4 states, m = 2 inputs and
+    # both channel kinds, so s = 21 again but the next-state block is 10 wide.
+    # A small ridge keeps the 21-sample Grams solvable, and every mode takes it.
     weighted, known_d = FIT_MODES[mode]
     plant, plant_cost = random_admissible_system(np.random.default_rng(22), max_state_dim=4,
                                                  max_input_dim=3)
@@ -203,18 +197,19 @@ def test_streamed_normal_equations_match_the_dense_form(sec6, feature_builds, mo
         feature_builds.clear()
         traj = simulate_closed_loop(model, cost, gain, n_steps, 0.64, 31)
         noise_cov = model.D if known_d else None
-        if mode == "empirical" and n_steps == 21:
+        if not known_d and n_steps == 21:
             with pytest.raises(InsufficientExcitationError, match="21 samples cannot identify 22"):
                 qlearning._moment_model(traj, noise_cov, weighted, 1e-8)
             continue
         moments, costs, noise = qlearning._moment_model(traj, noise_cov, weighted, 1e-8)
         if known_d:
             np.testing.assert_array_equal(noise, vech(model.D))
-        elif not weighted:
-            np.testing.assert_array_equal(noise, 0.0)
-        # The weighted fit without D is known_d's with the pass's D-hat.
-        gram, columns = _dense_moment_sums(traj, noise if weighted or known_d else None,
-                                           weighted, 1e-8)
+        else:
+            intercept = _dense_noise_regression(traj, weighted)[1][-1]
+            gap = np.linalg.norm(noise - intercept) / np.linalg.norm(intercept)
+            assert gap <= 1e-9          # 1.7e-11 measured, unweighted on the n = 4 plant
+        # The fit without D is known_d's with the pass's D-hat.
+        gram, columns = _dense_moment_sums(traj, noise, weighted, 1e-8)
         model_coef = np.column_stack([moments, costs])
         residual = np.linalg.norm(gram @ model_coef - columns)
         scale = np.linalg.norm(gram) * np.linalg.norm(model_coef) + np.linalg.norm(columns)
@@ -224,13 +219,13 @@ def test_streamed_normal_equations_match_the_dense_form(sec6, feature_builds, mo
         assert sum(feature_builds) == n_steps + windows     # each window reads one row more
 
 
-def _dense_noise_regression(traj):
-    # M = sum w [phi; 1][phi; 1]^T and the coefficients of the weighted
-    # regression of vech(x_{k+1} x_{k+1}^T) on [phi(z_k); 1], from whole-rollout
-    # arrays; the last row is vech(D-hat).
+def _dense_noise_regression(traj, weighted=True):
+    # M = sum w [phi; 1][phi; 1]^T and the coefficients of the regression of
+    # vech(x_{k+1} x_{k+1}^T) on [phi(z_k); 1] with the learner's weights or
+    # unit ones, from whole-rollout arrays; the last row is vech(D-hat).
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     z = np.hstack([traj.states[:-1], traj.inputs[:-1]])
-    weights = (1.0 + (z ** 2).sum(axis=1)) ** -2
+    weights = (1.0 + (z ** 2).sum(axis=1)) ** -2 if weighted else np.ones(len(phi))
     regressors = np.hstack([phi, np.ones((len(weights), 1))])
     instruments = weights[:, None] * regressors
     next_moments = feature_matrix(traj.states[1:], np.empty((len(weights), 0)))
@@ -300,7 +295,8 @@ def test_fit_is_the_dense_textbook_solve(plant, policy, mode):
     # Plug-in evaluation on the moment model is the textbook solve
     # (eps I + Psi^T G) h = Psi^T c on whole-rollout arrays, eps =
     # 1/rls_init_scale for the learner's fit and 0 for the plain one, with
-    # lambda = (K_L d)^T h; empirical mode is known_d's with the fit's D-hat.
+    # lambda = (K_L d)^T h; each fit without D is its known_d form with the
+    # fit's D-hat.
     # The bounds are the dense solve's own roundoff: at most 2.7e-14 was
     # measured on the weighted fits and 8.2e-15 on the plain fixture ones,
     # and 2.7e-10 on the plain n = 4 ones, whose Gram is worse conditioned.
@@ -310,14 +306,14 @@ def test_fit_is_the_dense_textbook_solve(plant, policy, mode):
     if policy == "off":
         gain = off_policy
     noise_cov = model.D if known_d else None
+    ridge = 1.0 / scale if weighted else 0.0
     if weighted:
         kernel, lam = qlearning._fit_iteration(traj, gain, noise_cov, scale)
-        if not known_d:
-            noise_cov = unvech(qlearning._moment_model(traj, None, True, 1.0 / scale)[2])
     else:
         kernel = bls_estimate(traj, gain, noise_cov)
+    if not known_d:
+        noise_cov = unvech(qlearning._moment_model(traj, None, weighted, ridge)[2])
     gram, rhs = _dense_normal_equations(traj, gain, noise_cov, weighted)
-    ridge = 1.0 / scale if weighted else 0.0
     dense = np.linalg.solve(gram + ridge * np.eye(len(rhs)), rhs)
     bound = 1e-9 if plant == "n4" and not weighted else 1e-13
     assert np.linalg.norm(vecs(kernel.matrix) - dense) <= bound * np.linalg.norm(dense)
@@ -345,7 +341,7 @@ FITS = {
     "known_d": lambda traj, d: qlearning._fit_iteration(traj, L0_3, d, 1e8),
     "empirical": lambda traj, d: qlearning._fit_iteration(traj, L0_3, None, 1e8),
     "bls_known_d": lambda traj, d: bls_estimate(traj, L0_3, d),
-    "bls_centred": lambda traj, d: bls_estimate(traj, L0_3, None),
+    "bls_empirical": lambda traj, d: bls_estimate(traj, L0_3, None),
 }
 
 
@@ -589,8 +585,11 @@ def test_bls_empirical_mode_solves_its_normal_equations(sec6):
     costs = (phi - phi_next) @ vecs(h_true.matrix) + 7.3
     synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs)
     h_hat = bls_estimate(synth, L0_3, noise_cov=None)
-    lhs = (phi.T @ (phi - phi_next)) @ vecs(h_hat.matrix)
-    rhs = phi.T @ (costs - costs.mean())
+    # Without D the plain fit is its known_d form with the unit-weight D-hat.
+    d_hat = _dense_noise_regression(traj, weighted=False)[1][-1]
+    correction = noise_correction(L0_3, unvech(d_hat))
+    lhs = (phi.T @ (phi - phi_next + correction)) @ vecs(h_hat.matrix)
+    rhs = phi.T @ costs
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) <= 1e-8
 
 
@@ -647,6 +646,49 @@ def test_bls_estimate_paper_scale_recovery(sec6, sec6_reference):
             / np.linalg.norm(p_star_gain)) <= 0.15
 
 
+def _fixture(name):
+    config = load_config(fixture_path(name))
+    return config.model, config.cost, config.learner
+
+
+def test_plain_fit_without_d_is_consistent():
+    # Without D the plain fit takes D-hat, its model's intercept, so its
+    # error falls with the rollout: 0.013-0.019 on seeds 0-2 at 42000 steps.
+    # An estimator that subtracts the mean cost instead stays biased (about
+    # 0.33 here at any length): the probe lifts the mean cost above the
+    # gain's own average cost, and no feature is constant to absorb it.
+    model, cost, learner = _fixture("scalar_smoke")
+    reference = policy_iteration(model, cost, np.zeros((1, 1)), tol=1e-10, max_iter=200)
+    l_star = reference.gains[-1]
+    exact = q_kernel_from_value(model, cost, reference.kernels[-1]).matrix
+    traj = simulate_closed_loop(model, cost, l_star, 42000, learner.probe_var, 0)
+    estimate = bls_estimate(traj, l_star, None).matrix
+    assert np.linalg.norm(estimate - exact) <= 0.05 * np.linalg.norm(exact)
+
+
+def test_exact_plant_is_an_instance_of_the_moment_model():
+    # The plant's own moments are a moment model (module docstring):
+    # E[psi' | z] = B^T phi(z) + d with B = congruence(E)^T over its channel
+    # factors E_c and d = vech(D), and c(z) = c^T phi(z) with
+    # c = vecs(diag(Q, R)). Evaluating a gain on that model gives the
+    # model-based kernel and average cost: 5.4e-14 relative at worst.
+    rng = np.random.default_rng(17)
+    plants = [_fixture(name)[:2] for name in ("example_sec6", "scalar_smoke")]
+    plants += [random_admissible_system(rng) for _ in range(20)]
+    for model, cost in plants:
+        n, m = model.state_dim, model.input_dim
+        stage = np.block([[cost.Q, np.zeros((n, m))], [np.zeros((m, n)), cost.R]])
+        b, c, d = congruence(model.channels).T, vecs(stage), vech(model.D)
+        for _ in range(5):
+            gain = random_admissible_gain(model, rng)
+            kernel, lam = qlearning._evaluate(b, c, d, gain)
+            value = solve_value_kernel(model, cost, gain)
+            exact = q_kernel_matrix(model, cost, value)
+            assert np.linalg.norm(kernel.matrix - exact) <= 1e-10 * np.linalg.norm(exact)
+            exact_lam = average_cost(value, model.D)
+            assert abs(lam - exact_lam) <= 1e-10 * exact_lam
+
+
 def test_bls_needs_enough_samples(sec6):
     model, cost = sec6
     traj = simulate_closed_loop(model, cost, L0_3, 10, 0.64, 0)  # 10 < 21
@@ -664,14 +706,30 @@ def test_bls_rejects_unexcited_data():
 
 
 def test_empirical_fit_rejects_unexcited_data():
-    # A rollout that never moves leaves the regression for D-hat singular.
+    # A rollout that never moves has a zero Gram: the excitation check stops
+    # the fit before the D-hat solve, whatever the ridge.
     model = SystemModel(A=[[0.5]], B=[[1.0]], D=[[0.0]], X0=[[0.0]])
     cost = CostModel(Q=[[1.0]], R=[[1.0]])
     traj = simulate_closed_loop(model, cost, np.zeros((1, 1)), 10, 0.0, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UnreliableKernelError, match="^noise estimate cannot be solved"):
+        with pytest.raises(InsufficientExcitationError,
+                           match="^model Gram condition number inf;"):
             qlearning._fit_iteration(traj, np.zeros((1, 1)), None, 1e8)
+
+
+@pytest.mark.parametrize("cost_mode", COST_MODES)
+def test_learner_rejects_an_unexcited_fit(cost_mode):
+    # A probe of variance 1e-320 leaves the input direction unexcited. The
+    # Gram check comes before the ridge, which makes any Gram solvable, so
+    # the run stops at iteration 0 before an unexcited fit becomes a gain.
+    model, cost, learner = _fixture("scalar_smoke")
+    learner = replace(learner, probe_var=1e-320, cost_mode=cost_mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientExcitationError,
+                           match="^iteration 0: model Gram condition number"):
+            run_online_learning(model, cost, learner)
 
 
 def test_policy_from_h_examples(sec6, sec6_reference):
