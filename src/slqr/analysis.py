@@ -79,6 +79,7 @@ from .errors import (
     SingularSystemError,
     SolverFailure,
     UnreliableKernelError,
+    ValidationError,
 )
 from .packing import as_matrix, congruence as packed, symmetrize, unvech, vech
 from .system import CostModel, SystemModel, check_cost, loop_factors
@@ -502,13 +503,15 @@ def greedy_gain(curvature: np.ndarray, cross: np.ndarray,
                 max_condition: float = np.inf) -> np.ndarray:
     """Minimiser L = -W^-1 C of u^T W u + 2 u^T C x over u = L x.
 
-    W must be a square and C a matrix with W's rows, both of real numbers
-    (as_matrix), else ValidationError. They must be finite, and W positive
+    W must be a nonempty square and C a matrix with W's rows, both of real
+    numbers (as_matrix), else ValidationError. They must be finite, and W positive
     definite with condition number at most max_condition; anything else means
     the kernel they came from is not trustworthy, and raises
     UnreliableKernelError.
     """
     curvature = as_matrix(curvature, "curvature", square=True, finite=False)
+    if not curvature.size:
+        raise ValidationError("curvature must not be empty")
     cross = as_matrix(cross, "cross", (len(curvature), None), finite=False)
     if not (np.isfinite(curvature).all() and np.isfinite(cross).all()):
         raise UnreliableKernelError("input curvature or cross term has non-finite entries")

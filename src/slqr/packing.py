@@ -98,12 +98,12 @@ def symmetrize(mat: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
 
     The tolerance is relative to the matrix magnitude; genuinely asymmetric
     input is an error, not something to silently average away. mat must be
-    a square matrix of real numbers (as_matrix), finite or not.
+    a square matrix of real numbers (as_matrix), finite or not, or empty.
     """
     mat = as_matrix(mat, "matrix", square=True, finite=False)
     half = mat / 2.0
-    scale = max(np.abs(mat).max(), 1.0)
-    asym = 2.0 * float(np.abs(half - half.T).max())   # a Python float: inf on overflow
+    scale = max(np.abs(mat).max(initial=0.0), 1.0)
+    asym = 2.0 * float(np.abs(half - half.T).max(initial=0.0))   # a Python float: inf on overflow
     if asym > rtol * scale:
         raise ValidationError(
             f"matrix is asymmetric: max |M - M^T| = {asym:.3e} "

@@ -3,7 +3,8 @@
 evaluate_improve is the loop both solvers share: evaluate the gain, improve
 it greedily, stop when the gain stops moving. policy_iteration evaluates
 exactly (the value-kernel linear solve); the learner,
-qlearning.learn_from_rollouts, fits a kernel to one rollout. From any
+qlearning.learn_from_rollouts, fits the state-input kernel to one rollout.
+Either records its kernels as plain symmetric arrays. From any
 admissible gain the exact kernels decrease monotonically in the semidefinite
 order down to the optimal kernel, so policy_iteration is also the reference
 solver for the optimality equation.
@@ -21,68 +22,11 @@ from .analysis import (
     check_admissible,
     is_admissible,
     policy_improvement,
-    q_kernel_matrix,
     solve_value_kernel,
 )
-from .errors import SolverFailure, ValidationError
-from .packing import as_matrix, symmetrize
+from .errors import SolverFailure
+from .packing import as_matrix
 from .system import CostModel, SystemModel, check_integer, check_positive
-
-
-@dataclass(frozen=True)
-class QKernel:
-    """Kernel of the quadratic state-input value form z^T H z, z = [x; u].
-
-    Block accessors follow the usual xx/xu/uu split at state_dim. matrix
-    is read by packing.symmetrize: a square matrix of real numbers, finite
-    or not (policy_from_h rejects a non-finite one).
-    """
-
-    matrix: np.ndarray
-    state_dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", symmetrize(self.matrix))
-        object.__setattr__(self, "state_dim", check_integer(self.state_dim, "state_dim", 1))
-        r = self.matrix.shape[0]
-        if not self.state_dim < r:
-            raise ValidationError(f"state_dim {self.state_dim} must split a {r} x {r} kernel")
-
-    @property
-    def input_dim(self) -> int:
-        return self.matrix.shape[0] - self.state_dim
-
-    @property
-    def xx(self) -> np.ndarray:
-        return self.matrix[:self.state_dim, :self.state_dim]
-
-    @property
-    def xu(self) -> np.ndarray:
-        return self.matrix[:self.state_dim, self.state_dim:]
-
-    @property
-    def ux(self) -> np.ndarray:
-        return self.matrix[self.state_dim:, :self.state_dim]
-
-    @property
-    def uu(self) -> np.ndarray:
-        return self.matrix[self.state_dim:, self.state_dim:]
-
-    def value_kernel(self, gain: np.ndarray) -> np.ndarray:
-        """Contract back to the state-value kernel: [I; L]^T H [I; L], for a
-        finite (m, n) gain (as_matrix)."""
-        gain = as_matrix(gain, "gain", (self.input_dim, self.state_dim))
-        basis = np.vstack([np.eye(self.state_dim), gain])
-        return symmetrize(basis.T @ self.matrix @ basis)
-
-
-def q_kernel_from_value(model: SystemModel, cost: CostModel,
-                        value_kernel: np.ndarray) -> QKernel:
-    """Lift a state-value kernel P to the state-input kernel H
-    (analysis.q_kernel_matrix). A kernel that is not a finite n x n matrix
-    raises ValidationError.
-    """
-    return QKernel(q_kernel_matrix(model, cost, value_kernel), model.state_dim)
 
 
 def _settled(gain: np.ndarray, gain_next: np.ndarray, tol: float) -> bool:

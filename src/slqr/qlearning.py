@@ -1,8 +1,8 @@
 """Online model-free learning of the optimal gain from rollout data.
 
 Each iteration rolls the current gain out with an exploration probe, fits
-the quadratic state-input value kernel H of that gain, and takes the
-improved gain from the uu/ux blocks of H.
+the quadratic state-input value kernel H of that gain, a symmetric
+(n+m) x (n+m) array, and takes the improved gain from its uu/ux blocks.
 
 The fit is plug-in policy evaluation on a gain-free least-squares model of
 the second-moment dynamics. With the s features phi(z) = vech(z z^T) of
@@ -65,8 +65,9 @@ from .errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from .packing import as_matrix, congruence, packed_length, side_from_packed_length, unvecs, vech
-from .policy_iteration import QKernel, evaluate_improve
+from .packing import (as_matrix, congruence, packed_length, side_from_packed_length,
+                      symmetrize, unvecs, vech)
+from .policy_iteration import evaluate_improve
 from .system import (
     ROLLOUT_BLOCK,
     CostModel,
@@ -182,12 +183,12 @@ def rls_update(state: RlsState, feats: np.ndarray, next_feats: np.ndarray,
     )
 
 
-def rls_kernel(state: RlsState, state_dim: int) -> QKernel:
-    """Current kernel estimate held by the recursive state."""
+def rls_kernel(state: RlsState) -> np.ndarray:
+    """Current kernel estimate held by the recursive state, a symmetric array."""
     vec = state.gram_inv @ state.weighted_costs
     if not np.all(np.isfinite(vec)):
         raise UnreliableKernelError("kernel estimate contains non-finite entries")
-    return QKernel(matrix=unvecs(vec), state_dim=state_dim)
+    return unvecs(vec)
 
 
 def _solve(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -225,7 +226,8 @@ def _moment_model(traj: Trajectory, noise_cov: np.ndarray | None, weighted: bool
     diverged rollout, at the first window that holds them), overflowing
     sums, or a D-hat or model that cannot be solved for; and
     InsufficientExcitationError for fewer samples than unknowns or a Gram
-    sum w phi phi^T, before the ridge, whose condition number exceeds 1e12.
+    sum w phi phi^T, before the ridge, whose condition number exceeds 1e12
+    (with the rollout's largest state norm, large if it diverged).
     """
     n, m = traj.states.shape[1], traj.inputs.shape[1]
     estimate_d = noise_cov is None
@@ -287,10 +289,11 @@ def _moment_model(traj: Trajectory, noise_cov: np.ndarray | None, weighted: bool
     with np.errstate(over="ignore"):
         cond = eigs[-1] / eigs[0] if eigs[0] > 0 else np.inf
     if cond > 1e12:
+        with np.errstate(over="ignore"):
+            peak = np.linalg.norm(traj.states, axis=1).max()
         raise InsufficientExcitationError(
-            f"model Gram condition number {cond:.3e}; use a longer rollout "
-            f"or a larger probe variance"
-        )
+            f"model Gram condition number {cond:.3e}; use a longer rollout or a larger "
+            f"probe variance, unless the rollout diverged (largest state norm {peak:.3e})")
     if estimate_d:
         # D-hat: the intercept of the weighted regression of psi' on [phi; 1],
         # whose Gram sum w [phi; 1][phi; 1]^T is cross bordered by the totals.
@@ -303,9 +306,9 @@ def _moment_model(traj: Trajectory, noise_cov: np.ndarray | None, weighted: bool
 
 
 def _evaluate(b: np.ndarray, c: np.ndarray, d: np.ndarray,
-              gain: np.ndarray) -> tuple[QKernel, float]:
+              gain: np.ndarray) -> tuple[np.ndarray, float]:
     """Plug-in evaluation of a gain on the moment model (B, c, d) of
-    _moment_model (module docstring): (kernel, average cost d^T v).
+    _moment_model (module docstring): (H, average cost d^T v).
 
     Raises ValidationError unless gain is a finite (m, n) matrix
     (as_matrix), and UnreliableKernelError when I - K_L^T B is singular.
@@ -314,11 +317,11 @@ def _evaluate(b: np.ndarray, c: np.ndarray, d: np.ndarray,
     gain = as_matrix(gain, "gain", (side_from_packed_length(len(c)) - n, n))
     gain_map = congruence(np.vstack([np.eye(n), gain])[None]).T   # K_L^T
     value = _solve(np.eye(len(d)) - gain_map @ b, gain_map @ c, "kernel estimate")   # vecs(P)
-    return QKernel(matrix=unvecs(c + b @ value), state_dim=n), float(d @ value)
+    return unvecs(c + b @ value), float(d @ value)
 
 
 def bls_estimate(traj: Trajectory, gain: np.ndarray,
-                 noise_cov: np.ndarray | None = None) -> QKernel:
+                 noise_cov: np.ndarray | None = None) -> np.ndarray:
     """Batch least-squares kernel fit over one rollout, unregularised: the
     plain moment model evaluated at the gain. Its average cost is pinned by
     D, or with noise_cov None by D-hat, the intercept of the unit-weight
@@ -327,12 +330,21 @@ def bls_estimate(traj: Trajectory, gain: np.ndarray,
     return _evaluate(*_moment_model(traj, noise_cov, weighted=False), gain)[0]
 
 
-def policy_from_h(kernel: QKernel) -> np.ndarray:
-    """Greedy gain encoded by a state-input kernel: L = -H_uu^-1 H_ux, with
-    the condition number of H_uu capped at MAX_KERNEL_CONDITION."""
-    if not np.isfinite(kernel.matrix).all():
+def policy_from_h(kernel: np.ndarray, state_dim: int) -> np.ndarray:
+    """Greedy gain L = -H_uu^-1 H_ux of a state-input kernel H split at
+    state_dim, with the condition number of H_uu capped at MAX_KERNEL_CONDITION.
+
+    kernel is read by packing.symmetrize (finite or not) and state_dim must be
+    an integer >= 1 below its size, else ValidationError; a kernel with
+    non-finite entries raises UnreliableKernelError.
+    """
+    kernel = symmetrize(kernel)
+    n = check_integer(state_dim, "state_dim", 1)
+    if not n < len(kernel):
+        raise ValidationError(f"state_dim {n} must split a {len(kernel)} x {len(kernel)} kernel")
+    if not np.isfinite(kernel).all():
         raise UnreliableKernelError("kernel contains non-finite entries")
-    return greedy_gain(kernel.uu, kernel.ux, MAX_KERNEL_CONDITION)
+    return greedy_gain(kernel[n:, n:], kernel[n:, :n], MAX_KERNEL_CONDITION)
 
 
 @dataclass(frozen=True)
@@ -379,12 +391,13 @@ class LearnerConfig:
 @dataclass
 class LearningResult:
     """gains includes the initial gain, so it is one longer than kernels.
+    kernels[t] is iteration t's fitted H; gains[t + 1] = policy_from_h(kernels[t], n).
     cost_estimates[t] is the average-cost estimate of iteration t's policy,
     tr(P_t D-hat) for the value kernel P_t of its fit, with D-hat = D in
     known_d mode."""
 
     gains: list[np.ndarray]
-    kernels: list[QKernel]
+    kernels: list[np.ndarray]
     cost_estimates: list[float]
     converged: bool
 
@@ -401,7 +414,7 @@ def iteration_seed(base_seed: int, iteration: int) -> int:
 
 def _fit_iteration(traj: Trajectory, gain: np.ndarray,
                    noise_cov: np.ndarray | None,
-                   init_scale: float) -> tuple[QKernel, float]:
+                   init_scale: float) -> tuple[np.ndarray, float]:
     """The learner's fit over a rollout: the weighted moment model, ridge
     1 / init_scale, evaluated at the gain; (kernel, cost estimate tr(P D-hat)),
     with D-hat = noise_cov when it is given."""
@@ -430,7 +443,7 @@ def learn_from_rollouts(sampler: Callable[[np.ndarray, int], Trajectory],
         traj = sampler(gain, iteration_seed(config.seed, tau))
         kernel, cost_estimate = _fit_iteration(traj, gain, noise_cov,
                                                config.rls_init_scale)
-        return kernel, cost_estimate, policy_from_h(kernel)
+        return kernel, cost_estimate, policy_from_h(kernel, gain.shape[1])
 
     trace = evaluate_improve(config.initial_gain, step, config.gain_tol,
                              config.max_iterations)

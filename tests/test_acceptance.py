@@ -18,13 +18,14 @@ from slqr.analysis import (
     is_admissible,
     moment_operator,
     policy_improvement,
+    q_kernel_matrix,
     riccati_residual,
     solve_value_kernel,
     stationary_covariance,
 )
 from slqr.errors import SolverFailure
 from slqr.packing import congruence, vech, vecs
-from slqr.policy_iteration import policy_iteration, q_kernel_from_value
+from slqr.policy_iteration import policy_iteration
 from slqr.qlearning import (
     LearnerConfig,
     bls_estimate,
@@ -146,12 +147,13 @@ def test_criterion_4_action_kernel_identities(sec6, sec6_reference):
     for _ in range(50):
         gain = random_admissible_gain(model, rng)
         kernel = solve_value_kernel(model, cost, gain)
-        action = q_kernel_from_value(model, cost, kernel)
-        recon = action.value_kernel(gain)
+        action = q_kernel_matrix(model, cost, kernel)
+        basis = np.vstack([np.eye(3), gain])
+        recon = basis.T @ action @ basis
         worst_recon = max(worst_recon,
                           float(np.abs(recon - kernel).max()))
-    action_star = q_kernel_from_value(model, cost, p_star)
-    greedy = policy_from_h(action_star)
+    action_star = q_kernel_matrix(model, cost, p_star)
+    greedy = policy_from_h(action_star, 3)
     improved = policy_improvement(model, cost, p_star)
     greedy_gap = float(np.abs(greedy - improved).max())
     ok = worst_recon <= 1e-9 and greedy_gap <= 1e-9
@@ -172,10 +174,9 @@ def test_criterion_5_recursive_estimate_matches_batch(sec6):
     for k in range(phi.shape[0]):
         state = rls_update(state, phi[k], phi_next[k], correction,
                            traj.costs[k])
-    recursive = rls_kernel(state, 3)
+    recursive = rls_kernel(state)
     batch = bls_estimate(traj, gain, model.D)
-    rel = float(np.linalg.norm(recursive.matrix - batch.matrix)
-                / np.linalg.norm(batch.matrix))
+    rel = float(np.linalg.norm(recursive - batch) / np.linalg.norm(batch))
     ok = rel <= 1e-6
     report(5, "recursive least squares equals the batch solve", ok,
            f"5000 samples, relative gap {rel:.1e}")

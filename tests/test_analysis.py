@@ -29,7 +29,7 @@ from slqr.errors import (
     ValidationError,
 )
 from slqr.packing import unvech, vech
-from slqr.policy_iteration import policy_iteration, q_kernel_from_value
+from slqr.policy_iteration import policy_iteration
 from slqr.system import CostModel, SystemModel
 from slqr.testing import random_admissible_gain, random_admissible_system
 
@@ -411,7 +411,6 @@ KERNEL_ENTRY_POINTS = {
     "q_kernel_matrix": q_kernel_matrix,
     "policy_improvement": policy_improvement,
     "riccati_residual": riccati_residual,
-    "q_kernel_from_value": q_kernel_from_value,
 }
 
 
@@ -454,7 +453,8 @@ def test_greedy_gain_rejects_non_finite_input(curvature, cross):
     (np.ones((2, 3)), np.ones((2, 3)), r"^curvature must be square, got shape \(2, 3\)$"),
     (np.eye(2), np.ones((3, 3)), r"^cross must have shape \(2, 3\), got \(3, 3\)$"),
     (np.eye(2), "ab", r"^cross must be a matrix of real numbers$"),
-], ids=["1-d curvature", "3x2 curvature", "3-row cross", "string cross"])
+    (np.zeros((0, 0)), np.zeros((0, 3)), r"^curvature must not be empty$"),
+], ids=["1-d curvature", "3x2 curvature", "3-row cross", "string cross", "empty curvature"])
 def test_greedy_gain_names_a_malformed_argument(curvature, cross, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

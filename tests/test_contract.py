@@ -17,7 +17,6 @@ import pytest
 
 from slqr import analysis, experiment, packing, policy_iteration, qlearning, system
 from slqr.errors import SolverFailure, ValidationError
-from slqr.policy_iteration import QKernel
 from slqr.qlearning import LearnerConfig
 from slqr.system import CostModel, SystemModel, simulate_closed_loop
 
@@ -82,11 +81,9 @@ CASES = {
     "qlearning.RlsState": (qlearning.RlsState,
                            dict(gram_inv=np.eye(2), weighted_costs=np.zeros(2)),
                            ["gram_inv"], True),
-    # policy_from_h rejects a kernel with non-finite entries.
-    "policy_iteration.QKernel": (policy_iteration.QKernel,
-                                 dict(matrix=np.eye(3), state_dim=2), ["matrix"], True),
-    "policy_iteration.QKernel.value_kernel": (
-        lambda gain: QKernel(np.eye(3), 2).value_kernel(gain), dict(gain=GAIN), ["gain"], False),
+    # A non-finite kernel passes symmetrize and raises UnreliableKernelError.
+    "qlearning.policy_from_h": (qlearning.policy_from_h, dict(kernel=np.eye(3), state_dim=2),
+                                ["kernel"], False),
     "policy_iteration.policy_iteration": (policy_iteration.policy_iteration,
                                           dict(model=MODEL, cost=COST, initial_gain=GAIN,
                                                tol=1e-9),
@@ -119,10 +116,11 @@ CASES = {
 LEFT_OUT = {
     # Their value kernel: test_analysis.py::test_malformed_kernel_is_a_validation_error.
     "analysis.checked_kernel", "analysis.q_kernel_matrix", "analysis.policy_improvement",
-    "analysis.riccati_residual", "policy_iteration.q_kernel_from_value",
+    "analysis.riccati_residual",
     # No matrix argument.
-    "analysis.check_admissible", "qlearning.policy_from_h", "qlearning.run_online_learning",
-    "qlearning.LearningResult",
+    "analysis.check_admissible", "qlearning.run_online_learning", "qlearning.LearningResult",
+    # Its state, which the estimator's functions build: RlsState's case above.
+    "qlearning.rls_kernel",
     # Its model and cost: test_a_cost_that_does_not_fit_the_model_is_rejected_by_name.
     "system.check_cost",
     # A record with no checks of its own: simulate_closed_loop builds it.
@@ -153,16 +151,16 @@ BAD = {
     # As nested lists, or the bare value for a number.
     "bool": lambda good: np.full(good.shape, True).tolist(),
     "int beyond the float range": lambda good: np.full(good.shape, 10**400).tolist(),
+    # No entry on any axis; a number as an empty list.
+    "empty": lambda good: np.zeros((0,) * good.ndim) if good.ndim else [],
 }
 
 
 # name: (callable, well-formed arguments, each count argument with its minimum).
 COUNT_CASES = {
-    "policy_iteration.QKernel (state_dim)": (QKernel, dict(matrix=np.eye(3), state_dim=2),
-                                             {"state_dim": 1}),
-    "qlearning.rls_kernel": (qlearning.rls_kernel,
-                             dict(state=qlearning.initial_rls_state(3, 1.0), state_dim=1),
-                             {"state_dim": 1}),
+    "qlearning.policy_from_h (state_dim)": (qlearning.policy_from_h,
+                                            dict(kernel=np.eye(3), state_dim=2),
+                                            {"state_dim": 1}),
     "qlearning.initial_rls_state (dim)": (qlearning.initial_rls_state,
                                           dict(dim=3, init_scale=1.0), {"dim": 1}),
     "qlearning.LearnerConfig (counts)": (
@@ -240,7 +238,6 @@ PAIRED = {
     analysis.q_kernel_matrix: dict(value_kernel=np.eye(2)),
     analysis.policy_improvement: dict(value_kernel=np.eye(2)),
     analysis.riccati_residual: dict(value_kernel=np.eye(2)),
-    policy_iteration.q_kernel_from_value: dict(value_kernel=np.eye(2)),
     policy_iteration.policy_iteration: dict(initial_gain=GAIN),
     qlearning.run_online_learning: dict(config=LEARNER),
     system.check_cost: {},

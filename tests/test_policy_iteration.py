@@ -8,16 +8,12 @@ from slqr.analysis import (
     average_cost,
     is_admissible,
     policy_improvement,
+    q_kernel_matrix,
     riccati_residual,
     solve_value_kernel,
 )
 from slqr.errors import NotAdmissibleError, SingularSystemError, ValidationError
-from slqr.policy_iteration import (
-    QKernel,
-    evaluate_improve,
-    policy_iteration,
-    q_kernel_from_value,
-)
+from slqr.policy_iteration import evaluate_improve, policy_iteration
 from slqr.qlearning import LearnerConfig
 from slqr.system import CostModel, SystemModel, simulate_closed_loop
 from slqr.testing import random_admissible_gain, random_admissible_system
@@ -281,37 +277,12 @@ def test_monotone_convergence_on_random_systems():
         assert np.linalg.norm(res) / np.linalg.norm(trace.kernels[-1]) <= 1e-8
 
 
-def test_qkernel_blocks_and_contraction():
-    mat = np.array([[4.0, 1.0, 0.5],
-                    [1.0, 3.0, 0.2],
-                    [0.5, 0.2, 2.0]])
-    kernel = QKernel(matrix=mat, state_dim=2)
-    assert kernel.input_dim == 1
-    np.testing.assert_array_equal(kernel.xx, mat[:2, :2])
-    np.testing.assert_array_equal(kernel.xu, mat[:2, 2:])
-    np.testing.assert_array_equal(kernel.ux, kernel.xu.T)
-    np.testing.assert_array_equal(kernel.uu, mat[2:, 2:])
-    gain = np.array([[0.3, -0.4]])
-    basis = np.vstack([np.eye(2), gain])
-    np.testing.assert_allclose(kernel.value_kernel(gain),
-                               basis.T @ mat @ basis, atol=1e-14)
-
-
-def test_qkernel_validation():
-    with pytest.raises(ValidationError):
-        QKernel(matrix=np.eye(3), state_dim=3)
-    with pytest.raises(ValidationError):
-        QKernel(matrix=np.eye(3), state_dim=0)
-    with pytest.raises(ValidationError):
-        QKernel(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]), state_dim=1)
-
-
 def test_q_kernel_from_zero_value_is_block_diagonal(sec6):
     model, cost = sec6
-    kernel = q_kernel_from_value(model, cost, np.zeros((3, 3)))
-    np.testing.assert_array_equal(kernel.xx, cost.Q)
-    np.testing.assert_array_equal(kernel.uu, cost.R)
-    np.testing.assert_array_equal(kernel.xu, np.zeros((3, 3)))
+    kernel = q_kernel_matrix(model, cost, np.zeros((3, 3)))
+    np.testing.assert_array_equal(kernel[:3, :3], cost.Q)
+    np.testing.assert_array_equal(kernel[3:, 3:], cost.R)
+    np.testing.assert_array_equal(kernel[:3, 3:], np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("seed", [0, 2, 3, 7, 8])
@@ -324,7 +295,8 @@ def test_q_kernel_blocks_match_direct_formulas(seed):
     gain = random_admissible_gain(model, rng)
     assert gain.any()
     p = solve_value_kernel(model, cost, gain)
-    kernel = q_kernel_from_value(model, cost, p)
+    kernel = q_kernel_matrix(model, cost, p)
+    n = model.state_dim
     xx = cost.Q + model.A.T @ p @ model.A
     for mat, var in model.state_noise:
         xx = xx + var * (mat.T @ p @ mat)
@@ -333,9 +305,9 @@ def test_q_kernel_blocks_match_direct_formulas(seed):
         uu = uu + var * (mat.T @ p @ mat)
     xu = model.A.T @ p @ model.B
     scale = 1e-12 * np.linalg.norm(p)
-    np.testing.assert_allclose(kernel.xx, xx, rtol=0, atol=scale)
-    np.testing.assert_allclose(kernel.xu, xu, rtol=0, atol=scale)
-    np.testing.assert_allclose(kernel.uu, uu, rtol=0, atol=scale)
+    np.testing.assert_allclose(kernel[:n, :n], xx, rtol=0, atol=scale)
+    np.testing.assert_allclose(kernel[:n, n:], xu, rtol=0, atol=scale)
+    np.testing.assert_allclose(kernel[n:, n:], uu, rtol=0, atol=scale)
     np.testing.assert_allclose(policy_improvement(model, cost, p),
                                -np.linalg.solve(uu, xu.T), rtol=0, atol=1e-10)
     np.testing.assert_allclose(riccati_residual(model, cost, p),
@@ -350,15 +322,16 @@ def test_q_kernel_contracts_back_to_value_kernel(sec6):
     for _ in range(10):
         gain = random_admissible_gain(model, rng, scale=0.4)
         p = solve_value_kernel(model, cost, gain)
-        kernel = q_kernel_from_value(model, cost, p)
-        back = kernel.value_kernel(gain)
+        kernel = q_kernel_matrix(model, cost, p)
+        basis = np.vstack([np.eye(3), gain])
+        back = basis.T @ kernel @ basis
         assert np.linalg.norm(back - p) / np.linalg.norm(p) <= 1e-9
 
 
 def test_q_kernel_greedy_gain_matches_policy_improvement(sec6, sec6_reference):
     model, cost = sec6
     p_star, _, _ = sec6_reference
-    kernel = q_kernel_from_value(model, cost, p_star)
+    kernel = q_kernel_matrix(model, cost, p_star)
     direct = policy_improvement(model, cost, p_star)
-    from_h = -np.linalg.solve(kernel.uu, kernel.ux)
+    from_h = -np.linalg.solve(kernel[3:, 3:], kernel[3:, :3])
     np.testing.assert_allclose(from_h, direct, atol=1e-9)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slqr import qlearning
+from slqr import packing, qlearning
 from slqr.analysis import average_cost, policy_improvement, q_kernel_matrix, solve_value_kernel
 from slqr.config import fixture_path, load_config
 from slqr.errors import (
@@ -16,7 +16,7 @@ from slqr.errors import (
     ValidationError,
 )
 from slqr.packing import congruence, unvech, unvecs, vech, vecs
-from slqr.policy_iteration import QKernel, policy_iteration, q_kernel_from_value
+from slqr.policy_iteration import policy_iteration
 from slqr.qlearning import (
     COST_MODES,
     LearnerConfig,
@@ -281,7 +281,7 @@ def test_empirical_fit_is_the_lambda_column_fit(plant, policy):
     delta = -np.linalg.solve(moments, reference)[-1] / scale
     lam_shift, h_shift = delta * (1.0 - correction @ lift), -delta * lift
     assert abs(reference[-1] - lam - lam_shift) <= 1e-2 * abs(lam_shift)
-    h_gap = reference[:-1] - vecs(kernel.matrix)
+    h_gap = reference[:-1] - vecs(kernel)
     assert np.linalg.norm(h_gap - h_shift) <= 1e-2 * np.linalg.norm(h_shift)
     # The ridge's share is far below any estimation error.
     assert abs(reference[-1] - lam) <= 1e-8 * abs(lam)
@@ -316,7 +316,7 @@ def test_fit_is_the_dense_textbook_solve(plant, policy, mode):
     gram, rhs = _dense_normal_equations(traj, gain, noise_cov, weighted)
     dense = np.linalg.solve(gram + ridge * np.eye(len(rhs)), rhs)
     bound = 1e-9 if plant == "n4" and not weighted else 1e-13
-    assert np.linalg.norm(vecs(kernel.matrix) - dense) <= bound * np.linalg.norm(dense)
+    assert np.linalg.norm(vecs(kernel) - dense) <= bound * np.linalg.norm(dense)
     if weighted:
         dense_lam = noise_correction(gain, noise_cov) @ dense
         assert abs(lam - dense_lam) <= bound * abs(dense_lam)
@@ -476,7 +476,7 @@ def test_rls_state_validation_and_nonfinite_guard():
     from slqr.qlearning import RlsState
     bad = RlsState(gram_inv=np.eye(3), weighted_costs=np.array([1.0, np.inf, 0.0]))
     with np.errstate(invalid="ignore"), pytest.raises(UnreliableKernelError):
-        rls_kernel(bad, 1)
+        rls_kernel(bad)
 
 
 def test_recursive_matches_batch_on_one_rollout(sec6):
@@ -489,10 +489,9 @@ def test_recursive_matches_batch_on_one_rollout(sec6):
     state = initial_rls_state(phi.shape[1], 1e8)
     for k in range(phi.shape[0]):
         state = rls_update(state, phi[k], phi_next[k], correction, traj.costs[k])
-    recursive = rls_kernel(state, 3)
+    recursive = rls_kernel(state)
     batch = bls_estimate(traj, L0_3, model.D)
-    rel = (np.linalg.norm(recursive.matrix - batch.matrix)
-           / np.linalg.norm(batch.matrix))
+    rel = np.linalg.norm(recursive - batch) / np.linalg.norm(batch)
     assert rel <= 1e-6
 
 
@@ -514,7 +513,7 @@ def test_learner_kernel_equals_a_fold_of_rls_update(sec6, sec6_config, monkeypat
         return rollouts[-1]
 
     # Take whatever kernel the fit produces, even one without a usable gain.
-    monkeypatch.setattr(qlearning, "policy_from_h", lambda kernel: L0_3)
+    monkeypatch.setattr(qlearning, "policy_from_h", lambda kernel, state_dim: L0_3)
     noise_cov = model.D if cost_mode == "known_d" else None
     learned = learn_from_rollouts(sampler, config, noise_cov)
 
@@ -540,7 +539,7 @@ def test_learner_kernel_equals_a_fold_of_rls_update(sec6, sec6_config, monkeypat
         assert abs(learned.cost_estimates[0] - lam) <= 1e-8 * abs(lam)
         folded = folded[:-1]
     folded = unvecs(folded)
-    kernel = learned.kernels[0].matrix
+    kernel = learned.kernels[0]
     assert np.linalg.norm(kernel - folded) <= 1e-8 * np.linalg.norm(folded)
 
 
@@ -560,35 +559,35 @@ def test_bls_recovers_kernel_from_synthetic_costs(sec6):
     # identity must reproduce that kernel to solver precision.
     model, cost = sec6
     p0 = solve_value_kernel(model, cost, L0_3)
-    h_true = q_kernel_from_value(model, cost, p0)
+    h_true = q_kernel_matrix(model, cost, p0)
     traj = simulate_closed_loop(model, cost, L0_3, 200, 0.64, 11)
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ L0_3.T)
     kappa = noise_correction(L0_3, model.D)
-    costs = (phi - phi_next + kappa) @ vecs(h_true.matrix)
+    costs = (phi - phi_next + kappa) @ vecs(h_true)
     synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs)
     h_hat = bls_estimate(synth, L0_3, model.D)
-    rel = np.linalg.norm(h_hat.matrix - h_true.matrix) / np.linalg.norm(h_true.matrix)
+    rel = np.linalg.norm(h_hat - h_true) / np.linalg.norm(h_true)
     assert rel <= 1e-8
     # One improvement from the recovered kernel equals the exact improvement.
     gain_exact = policy_improvement(model, cost, p0)
-    assert np.linalg.norm(policy_from_h(h_hat) - gain_exact) <= 1e-8
+    assert np.linalg.norm(policy_from_h(h_hat, 3) - gain_exact) <= 1e-8
 
 
 def test_bls_empirical_mode_solves_its_normal_equations(sec6):
     model, cost = sec6
     p0 = solve_value_kernel(model, cost, L0_3)
-    h_true = q_kernel_from_value(model, cost, p0)
+    h_true = q_kernel_matrix(model, cost, p0)
     traj = simulate_closed_loop(model, cost, L0_3, 200, 0.64, 11)
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ L0_3.T)
-    costs = (phi - phi_next) @ vecs(h_true.matrix) + 7.3
+    costs = (phi - phi_next) @ vecs(h_true) + 7.3
     synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs)
     h_hat = bls_estimate(synth, L0_3, noise_cov=None)
     # Without D the plain fit is its known_d form with the unit-weight D-hat.
     d_hat = _dense_noise_regression(traj, weighted=False)[1][-1]
     correction = noise_correction(L0_3, unvech(d_hat))
-    lhs = (phi.T @ (phi - phi_next + correction)) @ vecs(h_hat.matrix)
+    lhs = (phi.T @ (phi - phi_next + correction)) @ vecs(h_hat)
     rhs = phi.T @ costs
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) <= 1e-8
 
@@ -602,7 +601,7 @@ def test_learner_fit_recovers_kernel_and_cost_from_synthetic_costs(sec6, sec6_co
     # cost, so that fit is covered by test_empirical_fit_is_the_lambda_column_fit.
     model, cost = sec6
     p0 = solve_value_kernel(model, cost, L0_3)
-    h_true = q_kernel_from_value(model, cost, p0)
+    h_true = q_kernel_matrix(model, cost, p0)
     lam_true = average_cost(p0, model.D)
     # The 1/rls_init_scale regularisation biases the fit by O(1/N): about
     # 1e-8 relative at 200 samples, so take 2000.
@@ -610,11 +609,11 @@ def test_learner_fit_recovers_kernel_and_cost_from_synthetic_costs(sec6, sec6_co
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ L0_3.T)
     kappa = noise_correction(L0_3, model.D)
-    costs = (phi - phi_next + kappa) @ vecs(h_true.matrix)
+    costs = (phi - phi_next + kappa) @ vecs(h_true)
     synth = Trajectory(states=traj.states, inputs=traj.inputs, costs=costs)
     h_hat, lam_hat = qlearning._fit_iteration(synth, L0_3, model.D,
                                               sec6_config.learner.rls_init_scale)
-    rel = np.linalg.norm(h_hat.matrix - h_true.matrix) / np.linalg.norm(h_true.matrix)
+    rel = np.linalg.norm(h_hat - h_true) / np.linalg.norm(h_true)
     assert rel <= 1e-8
     assert abs(lam_hat - lam_true) <= 1e-8 * lam_true
 
@@ -626,22 +625,23 @@ def test_bls_estimate_paper_scale_recovery(sec6, sec6_reference):
     model, cost = sec6
     _, l_star, _ = sec6_reference
     p0 = solve_value_kernel(model, cost, L0_3)
-    h0 = q_kernel_from_value(model, cost, p0)
+    h0 = q_kernel_matrix(model, cost, p0)
     traj = simulate_closed_loop(model, cost, L0_3, 42000, 0.64, 77)
     h_hat = bls_estimate(traj, L0_3, model.D)
-    rel0 = np.linalg.norm(h_hat.matrix - h0.matrix) / np.linalg.norm(h0.matrix)
+    rel0 = np.linalg.norm(h_hat - h0) / np.linalg.norm(h0)
     assert rel0 <= 0.35
 
     p_star_gain = solve_value_kernel(model, cost, l_star)
-    h_opt = q_kernel_from_value(model, cost, p_star_gain)
+    h_opt = q_kernel_matrix(model, cost, p_star_gain)
     traj_opt = simulate_closed_loop(model, cost, l_star, 42000, 0.64, 42)
     h_hat_opt = bls_estimate(traj_opt, l_star, model.D)
-    rel_opt = (np.linalg.norm(h_hat_opt.matrix - h_opt.matrix)
-               / np.linalg.norm(h_opt.matrix))
+    rel_opt = (np.linalg.norm(h_hat_opt - h_opt)
+               / np.linalg.norm(h_opt))
     assert rel_opt <= 0.10
     # Contracting the accepted estimate reproduces the value kernel within
     # the statistical band.
-    back = h_hat_opt.value_kernel(l_star)
+    basis = np.vstack([np.eye(3), l_star])
+    back = basis.T @ h_hat_opt @ basis
     assert (np.linalg.norm(back - p_star_gain)
             / np.linalg.norm(p_star_gain)) <= 0.15
 
@@ -660,9 +660,9 @@ def test_plain_fit_without_d_is_consistent():
     model, cost, learner = _fixture("scalar_smoke")
     reference = policy_iteration(model, cost, np.zeros((1, 1)), tol=1e-10, max_iter=200)
     l_star = reference.gains[-1]
-    exact = q_kernel_from_value(model, cost, reference.kernels[-1]).matrix
+    exact = q_kernel_matrix(model, cost, reference.kernels[-1])
     traj = simulate_closed_loop(model, cost, l_star, 42000, learner.probe_var, 0)
-    estimate = bls_estimate(traj, l_star, None).matrix
+    estimate = bls_estimate(traj, l_star, None)
     assert np.linalg.norm(estimate - exact) <= 0.05 * np.linalg.norm(exact)
 
 
@@ -684,7 +684,7 @@ def test_exact_plant_is_an_instance_of_the_moment_model():
             kernel, lam = qlearning._evaluate(b, c, d, gain)
             value = solve_value_kernel(model, cost, gain)
             exact = q_kernel_matrix(model, cost, value)
-            assert np.linalg.norm(kernel.matrix - exact) <= 1e-10 * np.linalg.norm(exact)
+            assert np.linalg.norm(kernel - exact) <= 1e-10 * np.linalg.norm(exact)
             exact_lam = average_cost(value, model.D)
             assert abs(lam - exact_lam) <= 1e-10 * exact_lam
 
@@ -734,28 +734,78 @@ def test_learner_rejects_an_unexcited_fit(cost_mode):
 
 def test_policy_from_h_examples(sec6, sec6_reference):
     model, cost = sec6
-    block = QKernel(matrix=np.diag([2.0, 3.0, 5.0, 7.0]), state_dim=2)
-    np.testing.assert_array_equal(policy_from_h(block), np.zeros((2, 2)))
+    block = np.diag([2.0, 3.0, 5.0, 7.0])
+    np.testing.assert_array_equal(policy_from_h(block, 2), np.zeros((2, 2)))
 
-    scalar = QKernel(matrix=np.array([[3.0, 1.0], [1.0, 2.0]]), state_dim=1)
-    np.testing.assert_allclose(policy_from_h(scalar), [[-0.5]], atol=1e-15)
+    scalar = np.array([[3.0, 1.0], [1.0, 2.0]])
+    np.testing.assert_allclose(policy_from_h(scalar, 1), [[-0.5]], atol=1e-15)
+    # An asymmetry within rtol 1e-8 is averaged away before the blocks are read.
+    skewed = scalar + [[0.0, 0.0], [1e-12, 0.0]]
+    np.testing.assert_array_equal(policy_from_h(skewed, 1),
+                                  policy_from_h(packing.symmetrize(skewed), 1))
 
     p_star, _, _ = sec6_reference
-    h_star = q_kernel_from_value(model, cost, p_star)
-    np.testing.assert_allclose(policy_from_h(h_star),
+    h_star = q_kernel_matrix(model, cost, p_star)
+    np.testing.assert_allclose(policy_from_h(h_star, 3),
                                policy_improvement(model, cost, p_star), atol=1e-9)
 
 
 def test_policy_from_h_guards():
-    indefinite = QKernel(matrix=np.diag([1.0, -2.0]), state_dim=1)
     with pytest.raises(UnreliableKernelError, match="not positive definite"):
-        policy_from_h(indefinite)
-    stretched = QKernel(matrix=np.diag([1.0, 1e-6, 1e6]), state_dim=1)
+        policy_from_h(np.diag([1.0, -2.0]), 1)
     with pytest.raises(UnreliableKernelError, match="condition number"):
-        policy_from_h(stretched)
-    nan = QKernel(matrix=np.full((2, 2), np.nan), state_dim=1)
+        policy_from_h(np.diag([1.0, 1e-6, 1e6]), 1)
     with pytest.raises(UnreliableKernelError, match="non-finite"):
-        policy_from_h(nan)
+        policy_from_h(np.full((2, 2), np.nan), 1)
+
+
+@pytest.mark.parametrize("kernel, state_dim, message", [
+    (np.eye(3), 3, r"^state_dim 3 must split a 3 x 3 kernel$"),
+    (np.zeros((0, 0)), 1, r"^state_dim 1 must split a 0 x 0 kernel$"),
+    (np.eye(3), 0, r"^state_dim must be >= 1, got 0$"),
+    (np.array([[1.0, 2.0], [0.0, 1.0]]), 1, r"^matrix is asymmetric"),
+], ids=["no input rows", "empty", "no state rows", "asymmetric"])
+def test_policy_from_h_rejects_a_kernel_it_cannot_split(kernel, state_dim, message):
+    # The kernel's symmetry, its split at state_dim and the count itself are
+    # read before any block.
+    with pytest.raises(ValidationError, match=message):
+        policy_from_h(kernel, state_dim)
+
+
+def test_excitation_error_of_a_diverging_rollout_gives_its_state_norm(sec6_config):
+    # The plain fit of seed 35's zero-gain rollout gives a gain whose moment
+    # operator has spectral radius 1.348: its rollout stays finite but
+    # reaches a state norm of 5.06e5, and the plain fit on it stops at the
+    # excitation check. The message says how large the states grew.
+    model, cost, learner = sec6_config.model, sec6_config.cost, sec6_config.learner
+
+    def rollout(gain, iteration):
+        return simulate_closed_loop(model, cost, gain, learner.rollout_len,
+                                    learner.probe_var, iteration_seed(35, iteration))
+
+    gain = policy_from_h(bls_estimate(rollout(L0_3, 0), L0_3, None), 3)
+    traj = rollout(gain, 1)
+    assert np.isfinite(traj.states).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientExcitationError,
+                           match=r"^model Gram condition number inf; .*"
+                                 r"\(largest state norm 5\.060e\+05\)$"):
+            bls_estimate(traj, gain, None)
+
+
+@pytest.mark.parametrize("cost_mode", COST_MODES)
+@pytest.mark.parametrize("fixture", ["example_sec6", "scalar_smoke"])
+def test_learned_kernels_are_symmetric_arrays_that_give_the_next_gain(fixture, cost_mode):
+    model, cost, learner = _fixture(fixture)
+    result = run_online_learning(model, cost, replace(learner, seed=0, cost_mode=cost_mode))
+    r = model.state_dim + model.input_dim
+    assert result.iterations >= 1
+    for t, kernel in enumerate(result.kernels):
+        assert type(kernel) is np.ndarray and kernel.shape == (r, r)
+        np.testing.assert_array_equal(kernel, kernel.T)
+        np.testing.assert_array_equal(policy_from_h(kernel, model.state_dim),
+                                      result.gains[t + 1])
 
 
 def test_learner_config_validation():
@@ -846,7 +896,7 @@ def test_online_learning_equals_the_loop_over_fresh_rollouts(fixture, cost_mode,
         for got_gain, want_gain in zip(got.gains, want.gains):
             np.testing.assert_array_equal(got_gain, want_gain)
         for got_kernel, want_kernel in zip(got.kernels, want.kernels):
-            np.testing.assert_array_equal(got_kernel.matrix, want_kernel.matrix)
+            np.testing.assert_array_equal(got_kernel, want_kernel)
 
 
 def test_learn_known_d_requires_covariance():
@@ -891,7 +941,7 @@ def test_deterministic_limit_batch_step_equals_exact_iteration(sec6):
     for seed in (0, 1, 2):
         traj = simulate_closed_loop(twin, cost, L0_3, 300, 0.3, seed)
         h_hat = bls_estimate(traj, L0_3, twin.D)
-        assert np.linalg.norm(policy_from_h(h_hat) - exact.gains[1]) <= 1e-6
+        assert np.linalg.norm(policy_from_h(h_hat, 3) - exact.gains[1]) <= 1e-6
 
 
 def test_deterministic_limit_recursive_run_tracks_exact_iteration(sec6):
