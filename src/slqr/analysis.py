@@ -479,23 +479,21 @@ def checked_kernel(model: SystemModel, value_kernel: np.ndarray) -> np.ndarray:
     return symmetrize(as_matrix(value_kernel, "value kernel", (n, n)), rtol=1e-6)
 
 
-def q_kernel_matrix(model: SystemModel, cost: CostModel, value_kernel: np.ndarray,
-                    inputs_only: bool = False) -> np.ndarray:
+def q_kernel_matrix(model: SystemModel, cost: CostModel, value_kernel: np.ndarray) -> np.ndarray:
     """The state-input kernel H = diag(Q, R) + sum_c E_c^T P E_c of a value
-    kernel P (checked_kernel) over the model's channel factors E_c, or with
-    inputs_only its input rows [H_ux H_uu] alone. Two products: the batch
-    P E_c, stacked to (c n) x r rows, times the E_c stacked the same way.
-    A cost that does not fit the model raises ValidationError (check_cost).
-    Entries that overflow come back non-finite, for greedy_gain to reject."""
+    kernel P (checked_kernel) over the model's channel factors E_c. Two
+    products: the batch P E_c, stacked to (c n) x r rows, times the E_c
+    stacked the same way. A cost that does not fit the model raises
+    ValidationError (check_cost). Entries that overflow come back
+    non-finite, for greedy_gain to reject."""
     check_cost(model, cost)
     p = checked_kernel(model, value_kernel)
     n, channels = model.state_dim, model.channels
     flat = channels.reshape(-1, channels.shape[2])
     with np.errstate(over="ignore", invalid="ignore"):
-        h = (flat[:, n:] if inputs_only else flat).T @ (p @ channels).reshape(flat.shape)
-        h[-model.input_dim:, n:] += cost.R
-        if not inputs_only:
-            h[:n, :n] += cost.Q
+        h = flat.T @ (p @ channels).reshape(flat.shape)
+        h[n:, n:] += cost.R
+        h[:n, :n] += cost.Q
     return h
 
 
@@ -531,10 +529,10 @@ def greedy_gain(curvature: np.ndarray, cross: np.ndarray,
 def policy_improvement(model: SystemModel, cost: CostModel,
                        value_kernel: np.ndarray) -> np.ndarray:
     """One-step greedy gain L = -H_uu^-1 H_ux for a value kernel P, through
-    greedy_gain, from the input rows of its kernel H (q_kernel_matrix)."""
-    rows = q_kernel_matrix(model, cost, value_kernel, inputs_only=True)
+    greedy_gain, from the blocks of its kernel H (q_kernel_matrix)."""
+    h = q_kernel_matrix(model, cost, value_kernel)
     n = model.state_dim
-    return greedy_gain(rows[:, n:], rows[:, :n])
+    return greedy_gain(h[n:, n:], h[n:, :n])
 
 
 def riccati_residual(model: SystemModel, cost: CostModel,

@@ -118,9 +118,9 @@ def run_experiment(config: ExperimentConfig,
     anything is written, its message prefixed "reference solve: "; that run
     starts from the zero gain, so it is also the check of a zero
     learner.initial_gain. Learner failures abort with the original exception
-    after flushing whatever records were collected; the message names the
-    method, seed, and iteration (an inadmissible nonzero initial gain:
-    "method model_free: ").
+    after flushing the rows and summaries of the seeds that finished; the
+    message names the method, seed, and iteration (an inadmissible nonzero
+    initial gain: "method model_free: ").
     """
     out = Path(output_dir if output_dir is not None else config.output_dir)
     model, cost = config.model, config.cost
@@ -183,6 +183,7 @@ def run_experiment(config: ExperimentConfig,
             with aborting("model_free"):
                 check_admissible(is_admissible(model, learner.initial_gain), "initial gain")
         per_seed: dict = {}
+        summary["model_free"] = {"cost_mode": learner.cost_mode, "seeds": per_seed}
         for seed in config.seeds:
             with aborting(f"model_free, seed {seed}"):
                 result = run_online_learning(model, cost,
@@ -200,10 +201,6 @@ def run_experiment(config: ExperimentConfig,
                 "gain_error": float(np.linalg.norm(result.gains[-1] - gain_ref)),
                 "rel_cost_error": _relative_error(result.cost_estimates[-1], lam_ref),
             }
-        summary["model_free"] = {
-            "cost_mode": learner.cost_mode,
-            "seeds": per_seed,
-        }
 
     flush(partial=False)
     return summary

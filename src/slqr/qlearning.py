@@ -455,8 +455,8 @@ def run_online_learning(model: SystemModel, cost: CostModel,
                         config: LearnerConfig) -> LearningResult:
     """Wire the learner to a plant simulator and run it.
 
-    The model is used only to build the rollout sampler (and to hand over D
-    in known_d mode); the learning loop itself never reads the plant matrices.
+    The model is used only to build the rollout sampler and to hand over D
+    (read in known_d mode); the learning loop never reads the plant matrices.
     The sampler rolls out through one RolloutBuffers per run, so every
     rollout after the first writes into the memory of the one before, which
     learn_from_rollouts has used up and dropped by then. Only the first
@@ -469,5 +469,4 @@ def run_online_learning(model: SystemModel, cost: CostModel,
         return simulate_closed_loop(model, cost, gain, config.rollout_len,
                                     config.probe_var, seed, buffers=buffers)
 
-    noise_cov = model.D if config.cost_mode == "known_d" else None
-    return learn_from_rollouts(sampler, config, noise_cov)
+    return learn_from_rollouts(sampler, config, model.D)

@@ -97,6 +97,15 @@ def test_negative_variance_names_the_channel():
         from_dict(doc)
 
 
+@pytest.mark.parametrize("side", ["state_noise", "input_noise"])
+@pytest.mark.parametrize("value", [{}, "ab", None, 3], ids=["object", "string", "null", "number"])
+def test_a_channel_list_that_is_no_list_names_the_side(side, value):
+    doc = minimal_doc()
+    doc["model"][side] = value
+    with pytest.raises(ConfigError, match=rf"^model\.{side} must be a list of channel objects$"):
+        from_dict(doc)
+
+
 def test_unknown_keys_are_rejected():
     doc = minimal_doc()
     doc["extra"] = 1

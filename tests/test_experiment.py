@@ -138,6 +138,29 @@ def test_learner_failure_aborts_with_context_and_partial_artifacts(tmp_path):
     assert read_lines(tmp_path / "convergence.csv") == [",".join(CSV_HEADER)]
 
 
+def test_aborted_summary_lists_the_seeds_whose_rows_were_written(tmp_path, monkeypatch):
+    doc = to_dict(load_config(fixture_path("scalar_smoke")))
+    doc["mode"] = "model_free"
+    doc["seeds"] = [0, 1, 2]
+    config = from_dict(doc)
+    learn = experiment_module.run_online_learning
+
+    def failing_on_seed_2(model, cost, learner):
+        if learner.seed == 2:
+            raise SolverFailure("seed 2 fails")
+        return learn(model, cost, learner)
+
+    monkeypatch.setattr(experiment_module, "run_online_learning", failing_on_seed_2)
+    with pytest.raises(SolverFailure, match="^method model_free, seed 2: seed 2 fails$"):
+        run_experiment(config, output_dir=tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert sorted(summary) == ["aborted", "model_free", "reference"]
+    assert summary["model_free"]["cost_mode"] == config.learner.cost_mode
+    rows = [line.split(",") for line in read_lines(tmp_path / "convergence.csv")[1:]]
+    assert rows and {row[1] for row in rows} == {"0", "1"}
+    assert sorted(summary["model_free"]["seeds"]) == ["0", "1"]
+
+
 def test_inadmissible_initial_gain_is_reported_before_any_rollout(tmp_path):
     doc = to_dict(load_config(fixture_path("scalar_smoke")))
     doc["mode"] = "model_free"
@@ -378,7 +401,8 @@ def test_cli_run_with_a_zero_optimal_cost(tmp_path, capsys):
     path, out = tmp_path / "zero_q.json", tmp_path / "out"
     path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out / "convergence.csv")))
+    with open(out / "convergence.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     summary = json.loads((out / "summary.json").read_text())
     assert summary["reference"]["lambda"] == 0.0
     for row in rows:
