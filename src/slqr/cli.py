@@ -82,7 +82,10 @@ def _cmd_run(args) -> int:
     out = args.out or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir
     _check_output_dir(out)
 
-    summary = run_experiment(config, output_dir=out)
+    try:
+        summary = run_experiment(config, output_dir=out)
+    except OSError as exc:   # the outputs, written after every solve
+        raise ConfigError(f"output directory {out}: {exc}") from None
     print(f"wrote {out}/convergence.csv and {out}/summary.json")
     ref = summary["reference"]
     print(f"reference lambda* = {ref['lambda']:.6f}")

@@ -34,7 +34,7 @@ pi.tol (> 0), pi.max_iter (>= 1) and the seeds (integers >= 0), so that a
 config changed with dataclasses.replace, as by the CLI's --mode and --seeds,
 is held to them too. Every error names the dotted path of its entry. The
 types hold every real-valued setting as a float (1 loads as 1.0) and every
-count as an int, so load_config(save_config(cfg)) reproduces it exactly.
+count as an int.
 """
 
 from __future__ import annotations
@@ -180,28 +180,6 @@ def from_dict(doc: dict) -> ExperimentConfig:
                             output_dir=doc.get("output_dir", "results"))
 
 
-def to_dict(config: ExperimentConfig) -> dict:
-    """Plain-data form of a config; inverse of from_dict."""
-    model = config.model
-    doc: dict = {
-        "mode": config.mode,
-        "model": {key: getattr(model, key).tolist() for key in ("A", "B", "D", "X0")},
-        "cost": {"Q": config.cost.Q.tolist(), "R": config.cost.R.tolist()},
-        "seeds": list(config.seeds),
-        "output_dir": config.output_dir,
-    }
-    for side in ("state_noise", "input_noise"):
-        doc["model"][side] = [{"matrix": mat.tolist(), "variance": var}
-                              for mat, var in getattr(model, side)]
-    if config.pi_tol is not None:
-        doc["pi"] = {"tol": config.pi_tol, "max_iter": config.pi_max_iter}
-    if config.learner is not None:
-        required, optional = _fields(LearnerConfig, skip="seed")
-        doc["learner"] = {key: getattr(config.learner, key) for key in required + optional}
-        doc["learner"]["initial_gain"] = config.learner.initial_gain.tolist()
-    return doc
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
@@ -218,10 +196,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from None
     return from_dict(doc)
-
-
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n")
 
 
 def fixture_names() -> list[str]:

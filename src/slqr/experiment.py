@@ -144,7 +144,6 @@ def run_experiment(config: ExperimentConfig,
         emit_convergence_csv(records, out / "convergence.csv")
         if partial:
             summary["aborted"] = True
-        out.mkdir(parents=True, exist_ok=True)
         with open(out / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

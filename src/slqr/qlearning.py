@@ -85,18 +85,11 @@ MAX_KERNEL_CONDITION = 1e8
 COST_MODES = ("known_d", "empirical")
 
 
-def features(z: np.ndarray) -> np.ndarray:
-    """Quadratic feature vector: vech of the outer product of z with itself.
-    z must be a vector of real numbers (as_matrix), finite or not."""
-    z = as_matrix(z, "z", (None,), finite=False)
-    return vech(np.outer(z, z))
-
-
 def feature_matrix(states: np.ndarray, inputs: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Rows of quadratic features for a batch of stacked (state, input) pairs.
 
-    Returns the (N, s) matrix whose row k is features(z_k), as the transpose
+    Returns the (N, s) matrix whose row k is vech(z_k z_k^T), as the transpose
     view of an (s, N) array: each feature z_i z_j is written as one
     contiguous run along the sample axis. Given out, the transpose view of
     an (s, N) array with contiguous rows, the features are written into it

@@ -1,11 +1,11 @@
-"""Randomized admissible problem instances for tests and benchmarks."""
+"""Randomized admissible problem instances for the tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .analysis import is_admissible
-from .system import CostModel, SystemModel
+from slqr.analysis import is_admissible
+from slqr.system import CostModel, SystemModel
 
 
 def random_admissible_system(rng: np.random.Generator,

@@ -37,7 +37,8 @@ from slqr.qlearning import (
     run_online_learning,
 )
 from slqr.system import SystemModel, simulate_closed_loop
-from slqr.testing import random_admissible_gain, random_admissible_system
+
+from random_instances import random_admissible_gain, random_admissible_system
 
 # Known solution of the example_sec6 fixture, accurate to the digits shown.
 EXPECTED_P = np.array([

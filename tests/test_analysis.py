@@ -31,7 +31,8 @@ from slqr.errors import (
 from slqr.packing import unvech, vech
 from slqr.policy_iteration import policy_iteration
 from slqr.system import CostModel, SystemModel
-from slqr.testing import random_admissible_gain, random_admissible_system
+
+from random_instances import random_admissible_gain, random_admissible_system
 
 analysis_module = importlib.import_module("slqr.analysis")
 # is_admissible's size gate as shipped, and the Perron bracket tried at every

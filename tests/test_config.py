@@ -12,8 +12,6 @@ from slqr.config import (
     from_dict,
     load_config,
     resolve_config,
-    save_config,
-    to_dict,
 )
 from slqr.errors import ConfigError
 
@@ -83,6 +81,27 @@ def test_scalar_fixture_parses():
     assert len(config.seeds) == 3
 
 
+@pytest.mark.parametrize("name", ["example_sec6", "scalar_smoke"])
+def test_a_fixture_loads_every_value_its_json_holds(name):
+    doc = json.loads(fixture_path(name).read_text())
+    config = load_config(fixture_path(name))
+    assert (config.mode, config.seeds, config.output_dir) == (
+        doc["mode"], doc["seeds"], doc["output_dir"])
+    assert (config.pi_tol, config.pi_max_iter) == (doc["pi"]["tol"], doc["pi"]["max_iter"])
+    for key in ("A", "B", "D", "X0"):
+        np.testing.assert_array_equal(getattr(config.model, key), doc["model"][key])
+    for side in ("state_noise", "input_noise"):
+        channels = getattr(config.model, side)
+        assert len(channels) == len(doc["model"][side])
+        for (matrix, variance), entry in zip(channels, doc["model"][side]):
+            np.testing.assert_array_equal(matrix, entry["matrix"])
+            assert variance == entry["variance"]
+    for key in ("Q", "R"):
+        np.testing.assert_array_equal(getattr(config.cost, key), doc["cost"][key])
+    for key, value in doc["learner"].items():
+        np.testing.assert_array_equal(getattr(config.learner, key), value)
+
+
 def test_missing_cost_entry_names_the_field():
     doc = minimal_doc()
     del doc["cost"]["R"]
@@ -149,15 +168,11 @@ def test_model_based_requires_pi_section():
         from_dict(doc)
 
 
-def test_a_learner_config_without_pi_has_no_pi_settings(tmp_path):
+def test_a_learner_config_without_pi_has_no_pi_settings():
     doc = learner_doc()
     del doc["pi"]
     config = from_dict(doc)
     assert (config.pi_tol, config.pi_max_iter) == (None, None)
-    path = tmp_path / "no_pi.json"
-    save_config(config, path)
-    assert "pi" not in json.loads(path.read_text())
-    assert to_dict(load_config(path)) == to_dict(config)
     # The rule holds for a config changed after loading, as by the CLI's --mode.
     with pytest.raises(ConfigError, match="pi section"):
         replace(config, mode="both")
@@ -167,8 +182,8 @@ def test_a_learner_config_without_pi_has_no_pi_settings(tmp_path):
 @pytest.mark.parametrize("key", ["tol", "max_iter"])
 def test_a_null_pi_value_is_an_error_in_every_mode(mode, key):
     # A null value is not an absent pi section: in model_free mode it would
-    # load and then vanish from to_dict, in both mode it would be reported
-    # as a missing section.
+    # load as an absent section, in both mode it would be reported as a
+    # missing section.
     doc = learner_doc()
     doc["mode"] = mode
     doc["pi"][key] = None
@@ -289,8 +304,8 @@ def test_range_rules_hold_for_a_replaced_config(field, value, message):
         replace(config, **{field: value})
 
 
-def test_seeds_are_stored_as_python_integers(tmp_path):
-    # So is every other count, and save_config writes them as JSON integers.
+def test_seeds_are_stored_as_python_integers():
+    # So is every other count.
     config = from_dict(learner_doc())
     learner = replace(config.learner, rollout_len=np.int64(100), max_iterations=np.int32(2),
                       seed=np.uint8(1))
@@ -300,30 +315,22 @@ def test_seeds_are_stored_as_python_integers(tmp_path):
               learner.seed]
     assert counts == [3, 4, 50, 100, 2, 1]
     assert all(type(count) is int for count in counts)
-    path = tmp_path / "counts.json"
-    save_config(config, path)
-    assert to_dict(load_config(path)) == to_dict(config)
 
 
-def test_round_trip_is_stable(sec6_config):
-    doc = to_dict(sec6_config)
-    assert to_dict(from_dict(doc)) == doc
-    doc2 = to_dict(from_dict(to_dict(from_dict(learner_doc()))))
-    assert doc2 == to_dict(from_dict(learner_doc()))
-    # Real-valued settings load as floats, also when written as integers.
+def test_settings_written_as_integers_load_as_floats_and_counts_as_ints():
     doc = learner_doc()
     doc["learner"]["probe_var"] = doc["pi"]["tol"] = doc["model"]["state_noise"][0]["variance"] = 1
-    saved = to_dict(from_dict(doc))
-    assert all(type(value) is float for value in (
-        saved["learner"]["probe_var"], saved["pi"]["tol"],
-        saved["model"]["state_noise"][0]["variance"]))
-
-
-def test_save_and_load_round_trip(tmp_path, sec6_config):
-    path = tmp_path / "roundtrip.json"
-    save_config(sec6_config, path)
-    loaded = load_config(path)
-    assert to_dict(loaded) == to_dict(sec6_config)
+    doc["learner"]["rls_init_scale"] = doc["learner"]["gain_tol"] = 1
+    doc["seeds"] = [0, 2]
+    config = from_dict(doc)
+    learner = config.learner
+    settings = [learner.probe_var, learner.rls_init_scale, learner.gain_tol, config.pi_tol,
+                config.model.state_noise[0][1]]
+    assert settings == [1.0] * 5
+    assert all(type(value) is float for value in settings)
+    counts = [*config.seeds, config.pi_max_iter, learner.rollout_len, learner.max_iterations]
+    assert counts == [0, 2, 100, 100, 5]
+    assert all(type(count) is int for count in counts)
 
 
 def test_load_reports_parse_position(tmp_path):
@@ -341,7 +348,7 @@ def test_load_reports_parse_position(tmp_path):
 def test_resolve_config_accepts_paths_and_fixture_names(tmp_path):
     assert resolve_config("example_sec6") == fixture_path("example_sec6")
     path = tmp_path / "cfg.json"
-    save_config(from_dict(minimal_doc()), path)
+    path.write_text(json.dumps(minimal_doc()))
     assert resolve_config(str(path)) == path
     with pytest.raises(ConfigError, match="not found"):
         resolve_config(str(tmp_path / "missing.json"))

@@ -59,7 +59,6 @@ CASES = {
     "packing.unvecs": (packing.unvecs, dict(vec=np.ones(3)), ["vec"], True),
     "packing.congruence": (packing.congruence, dict(factors=np.ones((2, 2, 3))), ["factors"],
                            True),
-    "qlearning.features": (qlearning.features, dict(z=np.ones(3)), ["z"], True),
     "qlearning.feature_matrix": (qlearning.feature_matrix,
                                  dict(states=np.ones((5, 2)), inputs=np.ones((5, 1))),
                                  ["states", "inputs"], True),

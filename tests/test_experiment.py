@@ -10,7 +10,7 @@ import slqr.config as config_module
 import slqr.experiment as experiment_module
 from slqr.analysis import average_cost, solve_value_kernel
 from slqr.cli import main
-from slqr.config import fixture_path, from_dict, load_config, to_dict
+from slqr.config import fixture_path, from_dict, load_config
 from slqr.errors import InsufficientExcitationError, NotAdmissibleError, SolverFailure
 from slqr.experiment import (
     CSV_HEADER,
@@ -24,6 +24,10 @@ from slqr.policy_iteration import policy_iteration
 
 def read_lines(path):
     return path.read_text().splitlines()
+
+
+def fixture_doc(name):
+    return json.loads(fixture_path(name).read_text())
 
 
 def test_reference_solution_on_the_example_system(sec6, sec6_reference):
@@ -125,7 +129,7 @@ def test_model_based_trace_contracts_monotonically(tmp_path, sec6_config):
 
 
 def test_learner_failure_aborts_with_context_and_partial_artifacts(tmp_path):
-    doc = to_dict(load_config(fixture_path("scalar_smoke")))
+    doc = fixture_doc("scalar_smoke")
     doc["mode"] = "model_free"
     doc["learner"]["rollout_len"] = 2  # two samples cannot identify 3 parameters
     config = from_dict(doc)
@@ -139,7 +143,7 @@ def test_learner_failure_aborts_with_context_and_partial_artifacts(tmp_path):
 
 
 def test_aborted_summary_lists_the_seeds_whose_rows_were_written(tmp_path, monkeypatch):
-    doc = to_dict(load_config(fixture_path("scalar_smoke")))
+    doc = fixture_doc("scalar_smoke")
     doc["mode"] = "model_free"
     doc["seeds"] = [0, 1, 2]
     config = from_dict(doc)
@@ -162,7 +166,7 @@ def test_aborted_summary_lists_the_seeds_whose_rows_were_written(tmp_path, monke
 
 
 def test_inadmissible_initial_gain_is_reported_before_any_rollout(tmp_path):
-    doc = to_dict(load_config(fixture_path("scalar_smoke")))
+    doc = fixture_doc("scalar_smoke")
     doc["mode"] = "model_free"
     doc["learner"]["initial_gain"] = [[5.0]]
     config = from_dict(doc)
@@ -319,7 +323,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 def test_cli_rollout_too_long_to_allocate_exits_2(tmp_path, capsys):
     # A rollout_len of 10**300 passes the loader; the rollout's allocation
     # fails numpy's size check and ends in one line and exit code 2.
-    doc = to_dict(load_config(fixture_path("scalar_smoke")))
+    doc = fixture_doc("scalar_smoke")
     doc["learner"]["rollout_len"] = 10**300
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
@@ -368,6 +372,19 @@ def test_cli_output_dir_under_a_file_is_a_config_error(tmp_path, capsys, monkeyp
         assert err == f"config error: output directory {out}: {blocker} is not a directory\n"
 
 
+@pytest.mark.parametrize("name", ["summary.json", "convergence.csv"])
+def test_cli_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys, name):
+    # The outputs are written after every solve has run: an output file that
+    # is a directory ends the run with one line and exit code 1.
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["run", "--config", "scalar_smoke", "--mode", "model_based",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output directory {out}: ") and str(out / name) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("seeds, message", [
     pytest.param("-1", "seeds[0] must be >= 0, got -1", id="-1"),
     pytest.param("0,-3", "seeds[1] must be >= 0, got -3", id="0,-3")])
@@ -378,10 +395,6 @@ def test_cli_negative_seeds_are_a_config_error(tmp_path, capsys, seeds, message)
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
-
-
-def fixture_doc(name):
-    return json.loads(fixture_path(name).read_text())
 
 
 def test_cli_rejects_a_non_finite_config_value(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -11,6 +12,55 @@ from slqr import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+
+
+# Public module-level functions and classes of slqr that nothing in src/slqr
+# or perfbench/ calls, each with the reason it ships.
+KEPT = {
+    "analysis.stationary_covariance": "the covariance side of the solve gate",
+    "packing.vecs": "the packing that unvecs inverts",
+    "qlearning.bls_estimate": "the paper's plain fit, criterion 5's batch side",
+    "qlearning.initial_rls_state": "the paper's recursive scheme, criterion 5",
+    "qlearning.rls_update": "the paper's recursive scheme, criterion 5",
+    "qlearning.rls_kernel": "the paper's recursive scheme, criterion 5",
+}
+
+
+def test_every_public_name_has_a_caller_or_a_kept_reason():
+    # A name counts as called where a Name or Attribute node of src/slqr or
+    # of the benchmark (perfbench/, its tests left out) spells it, outside
+    # the name's own definition; docstrings and comments do not count.
+    sources = [*sorted((ROOT / "src" / "slqr").glob("*.py")),
+               *sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                       if not p.name.startswith("test_"))]
+    defined, called = {}, set()
+    for path in sources:
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)   # a def's or a class's name
+            if path.parent.name == "slqr" and own and not own.startswith("_"):
+                defined[f"{path.stem}.{own}"] = own
+            called |= {node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(stmt)
+                       if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    uncalled = {key for key, name in defined.items() if name not in called}
+    assert uncalled == set(KEPT)
+
+
+def test_every_kept_name_is_called_by_the_tests():
+    # A kept name ships for what the tests check with it; one they no longer
+    # call is dead code.
+    called = {node.id if isinstance(node, ast.Name) else node.attr
+              for path in (ROOT / "tests").glob("test_*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.Name, ast.Attribute))}
+    assert {key for key in KEPT if key.split(".")[1] not in called} == set()
+
+
+def test_the_test_helpers_are_not_in_the_package():
+    # The random instances the tests draw live in tests/random_instances.py.
+    assert importlib.util.find_spec("slqr.testing") is None
+    for path in (ROOT / "src" / "slqr").glob("*.py"):
+        assert "random_instances" not in path.read_text(), path.name
 
 
 def test_top_level_surface_matches_the_readme():

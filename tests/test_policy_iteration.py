@@ -16,7 +16,8 @@ from slqr.errors import NotAdmissibleError, SingularSystemError, ValidationError
 from slqr.policy_iteration import evaluate_improve, policy_iteration
 from slqr.qlearning import LearnerConfig
 from slqr.system import CostModel, SystemModel, simulate_closed_loop
-from slqr.testing import random_admissible_gain, random_admissible_system
+
+from random_instances import random_admissible_gain, random_admissible_system
 
 SCALAR = SystemModel(A=[[0.5]], B=[[1.0]], D=[[1.0]], X0=[[1.0]])
 SCALAR_COST = CostModel(Q=[[1.0]], R=[[1.0]])

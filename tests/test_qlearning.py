@@ -22,7 +22,6 @@ from slqr.qlearning import (
     LearnerConfig,
     bls_estimate,
     feature_matrix,
-    features,
     initial_rls_state,
     iteration_seed,
     learn_from_rollouts,
@@ -39,7 +38,8 @@ from slqr.system import (
     Trajectory,
     simulate_closed_loop,
 )
-from slqr.testing import random_admissible_gain, random_admissible_system
+
+from random_instances import random_admissible_gain, random_admissible_system
 
 L0_3 = np.zeros((3, 3))
 
@@ -56,41 +56,33 @@ def noise_correction(gain, cov):
     return congruence(np.vstack([np.eye(len(cov)), gain])[None]) @ vech(cov)
 
 
-def test_features_examples():
-    np.testing.assert_array_equal(features([1.0, 2.0]), [1.0, 2.0, 4.0])
-    np.testing.assert_array_equal(features(np.zeros(3)), np.zeros(6))
+def test_feature_matrix_examples():
+    np.testing.assert_array_equal(feature_matrix([[1.0]], [[2.0]]), [[1.0, 2.0, 4.0]])
+    np.testing.assert_array_equal(feature_matrix(np.zeros((1, 2)), np.zeros((1, 1))),
+                                  np.zeros((1, 6)))
 
 
-@pytest.mark.parametrize("z, message", [
-    ("ab", "must be a vector of real numbers"),
-    ([[1.0], [1.0, 2.0]], "must be a vector of real numbers"),
-    (np.eye(2), r"must be a 1-d vector, got shape \(2, 2\)"),
-], ids=["string", "ragged", "matrix"])
-def test_features_of_anything_but_a_vector_is_a_validation_error(z, message):
-    with pytest.raises(ValidationError, match=rf"^z {message}$"):
-        features(z)
-
-
-def test_features_evaluate_quadratic_forms():
+def test_feature_rows_evaluate_quadratic_forms():
     rng = np.random.default_rng(12)
     for _ in range(100):
-        r = int(rng.integers(1, 7))
+        r = int(rng.integers(2, 8))
+        k = int(rng.integers(1, r))   # z's first k entries are the state
         z = rng.normal(size=r)
         s = rng.normal(size=(r, r))
         s = s + s.T
-        lhs = features(z) @ vecs(s)
+        lhs = feature_matrix(z[None, :k], z[None, k:])[0] @ vecs(s)
         rhs = z @ s @ z
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
-def test_feature_matrix_matches_per_row_features():
+def test_feature_matrix_rows_are_vech_of_outer_products():
     rng = np.random.default_rng(13)
     states = rng.normal(size=(9, 3))
     inputs = rng.normal(size=(9, 2))
     batch = feature_matrix(states, inputs)
     for k in range(9):
-        np.testing.assert_array_equal(
-            batch[k], features(np.concatenate([states[k], inputs[k]])))
+        z = np.concatenate([states[k], inputs[k]])
+        np.testing.assert_array_equal(batch[k], vech(np.outer(z, z)))
 
 
 def test_feature_matrix_names_inputs_of_another_length():
@@ -98,6 +90,18 @@ def test_feature_matrix_names_inputs_of_another_length():
         feature_matrix(np.ones((5, 2)), np.ones((4, 1)))
     with pytest.raises(ValidationError, match=r"^states must be a 2-d matrix, got shape \(5,\)$"):
         feature_matrix(np.ones(5), np.ones((5, 1)))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("ab", "must be a matrix of real numbers"),
+    ([[1.0], [1.0, 2.0]], "must be a matrix of real numbers"),
+    (np.ones(2), r"must be a 2-d matrix, got shape \(2,\)"),
+], ids=["string", "ragged", "vector"])
+@pytest.mark.parametrize("arg", ["states", "inputs"])
+def test_feature_matrix_of_anything_but_rows_is_a_validation_error(arg, bad, message):
+    args = {"states": np.ones((2, 1)), "inputs": np.ones((2, 1)), arg: bad}
+    with pytest.raises(ValidationError, match=rf"^{arg} {message}$"):
+        feature_matrix(**args)
 
 
 def test_feature_matrix_keeps_non_finite_rows():
@@ -122,7 +126,7 @@ def test_gain_map_gives_the_on_policy_features():
         assert kmap.shape == ((n + m) * (n + m + 1) // 2, n * (n + 1) // 2)
         for _ in range(5):
             x = rng.normal(size=n)
-            expected = features(np.r_[x, gain @ x])
+            expected = feature_matrix(x[None], (gain @ x)[None])[0]
             got = kmap @ vech(np.outer(x, x))
             assert np.abs(got - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
 

@@ -22,7 +22,8 @@ from slqr.system import (
     noise_factor,
     simulate_closed_loop,
 )
-from slqr.testing import random_admissible_gain, random_admissible_system
+
+from random_instances import random_admissible_gain, random_admissible_system
 
 
 def scalar_model(a=0.5, b=1.0, d=1.0, state_noise=(), input_noise=()):
