@@ -31,11 +31,11 @@ its Gram sum w phi phi^T against 1e12. The learner then adds the ridge
     (I / rls_init_scale + Psi^T G) h = Psi^T c,    h = vecs(H),
 
 with instruments Psi (rows w_k phi(z_k)) and regressors G (rows
-phi(z_k) - phi(zbar_{k+1}) + K_L d): what the recursive least-squares
-update (rls_update, with weight w_k) reaches after folding in every sample
-from the inverse-Gram start rls_init_scale * I. rls_update is kept as that
-streaming form. The paper's plain fit, with unit weights, no ridge and the
-same d, stays available as bls_estimate.
+phi(z_k) - phi(zbar_{k+1}) + K_L d): what the paper's recursive least
+squares (rls_estimate, with weights w_k) reaches after folding in every
+sample from the inverse-Gram start rls_init_scale * I. The paper's plain
+fit, with unit weights, no ridge and the same d, stays available as
+bls_estimate.
 The leverage weights w_k = (1 + |z_k|^2)^-2 keep the fit consistent,
 because the Bellman residual has zero mean given z_k, and tame the heavy
 tails of the plain instruments phi(z_k) near the edge of fourth-moment
@@ -114,74 +114,48 @@ def feature_matrix(states: np.ndarray, inputs: np.ndarray,
     return out
 
 
-@dataclass
-class RlsState:
-    """Running state of the recursive estimator.
+def rls_estimate(feats: np.ndarray, next_feats: np.ndarray, noise_correction: np.ndarray,
+                 costs: np.ndarray, init_scale: float,
+                 weights: np.ndarray | None = None) -> np.ndarray:
+    """The paper's recursive least-squares estimate of vecs(H) (unvecs gives H).
 
-    gram_inv tracks the inverse of (init_scale^-1 I + sum_k psi_k g_k^T); the
-    instrument psi_k = w_k phi_k and regressor g differ, so it is not
-    symmetric in general. weighted_costs accumulates sum_k psi_k c_k. The
-    kernel estimate at any point is unvecs(gram_inv @ weighted_costs).
+    From the inverse Gram init_scale * I, the rows k are folded in order, each
+    a rank-one update for the regressor feats[k] - next_feats[k] +
+    noise_correction against the instrument weights[k] * feats[k]. Unit
+    weights (None) are the paper's plain fit, w_k = (1 + |z_k|^2)^-2 the
+    learner's; a gain L's noise correction is congruence([I; L]) @ vech(D).
+    Raises ValidationError unless feats is a matrix with columns, next_feats
+    of its shape, noise_correction one entry per column and costs and weights
+    one per row (as_matrix, finite or not) and init_scale finite and > 0;
+    IllConditionedUpdateError for a numerically zero update denominator; and
+    UnreliableKernelError for a non-finite estimate.
     """
-
-    gram_inv: np.ndarray
-    weighted_costs: np.ndarray
-    samples_seen: int = 0
-
-
-def initial_rls_state(dim: int, init_scale: float) -> RlsState:
-    """The estimator before any sample: inverse Gram init_scale * I, no costs.
-
-    Raises ValidationError unless dim is an integer >= 1 and init_scale a finite real number > 0.
-    """
-    dim = check_integer(dim, "dim", 1)
-    init_scale = check_positive(init_scale, "init_scale", finite=True)
-    return RlsState(gram_inv=init_scale * np.eye(dim),
-                    weighted_costs=np.zeros(dim), samples_seen=0)
-
-
-def rls_update(state: RlsState, feats: np.ndarray, next_feats: np.ndarray,
-               noise_correction: np.ndarray, cost: float,
-               weight: float = 1.0) -> RlsState:
-    """Fold one transition into the estimator.
-
-    The rank-one inverse update for the regressor g = feats - next_feats +
-    noise_correction against the instrument weight * feats. weight = 1 is the
-    paper's plain fit; the learner's weight is w_k = (1 + |z_k|^2)^-2. A
-    gain L's noise correction is congruence([I; L]) @ vech(D). Raises
-    ValidationError unless feats, next_feats and noise_correction are vectors
-    of real numbers of the estimator's dimension and cost and weight real
-    numbers (as_matrix), finite or not, and IllConditionedUpdateError when
-    the update denominator is numerically zero.
-    """
-    dim = state.weighted_costs.shape[0]
-    feats, next_feats, noise_correction, cost, weight = (
-        as_matrix(value, name, shape, finite=False) for name, value, shape in (
-            ("feats", feats, (dim,)), ("next_feats", next_feats, (dim,)),
-            ("noise_correction", noise_correction, (dim,)), ("cost", cost, ()),
-            ("weight", weight, ())))
-    instrument = weight * feats
-    g = feats - next_feats + noise_correction
-    gram_feats = state.gram_inv @ instrument
-    g_gram = g @ state.gram_inv
-    denom = 1.0 + g_gram @ instrument
-    if abs(denom) < 1e-12:
-        raise IllConditionedUpdateError(
-            f"update denominator {denom:.3e} at sample {state.samples_seen}"
-        )
-    return RlsState(
-        gram_inv=state.gram_inv - np.outer(gram_feats, g_gram) / denom,
-        weighted_costs=state.weighted_costs + instrument * cost,
-        samples_seen=state.samples_seen + 1,
-    )
-
-
-def rls_kernel(state: RlsState) -> np.ndarray:
-    """Current kernel estimate held by the recursive state, a symmetric array."""
-    vec = state.gram_inv @ state.weighted_costs
-    if not np.all(np.isfinite(vec)):
+    feats = as_matrix(feats, "feats", finite=False)
+    n_samples, dim = feats.shape
+    if dim == 0:
+        raise ValidationError(f"feats must have at least one column, got shape {feats.shape}")
+    next_feats = as_matrix(next_feats, "next_feats", feats.shape, finite=False)
+    noise_correction = as_matrix(noise_correction, "noise_correction", (dim,), finite=False)
+    costs = as_matrix(costs, "costs", (n_samples,), finite=False)
+    weights = (np.ones(n_samples) if weights is None
+               else as_matrix(weights, "weights", (n_samples,), finite=False))
+    gram_inv = check_positive(init_scale, "init_scale", finite=True) * np.eye(dim)
+    weighted_costs = np.zeros(dim)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite estimate raises
+        for k in range(n_samples):
+            instrument = weights[k] * feats[k]
+            g = feats[k] - next_feats[k] + noise_correction
+            gram_feats = gram_inv @ instrument
+            g_gram = g @ gram_inv
+            denom = 1.0 + g_gram @ instrument
+            if abs(denom) < 1e-12:
+                raise IllConditionedUpdateError(f"update denominator {denom:.3e} at sample {k}")
+            gram_inv = gram_inv - np.outer(gram_feats, g_gram) / denom
+            weighted_costs = weighted_costs + instrument * costs[k]
+        vec = gram_inv @ weighted_costs
+    if not np.isfinite(vec).all():
         raise UnreliableKernelError("kernel estimate contains non-finite entries")
-    return unvecs(vec)
+    return vec
 
 
 def _solve(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:

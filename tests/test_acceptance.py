@@ -24,16 +24,13 @@ from slqr.analysis import (
     stationary_covariance,
 )
 from slqr.errors import SolverFailure
-from slqr.packing import congruence, vech, vecs
+from slqr.packing import congruence, unvecs, vech, vecs
 from slqr.policy_iteration import policy_iteration
 from slqr.qlearning import (
-    LearnerConfig,
     bls_estimate,
     feature_matrix,
-    initial_rls_state,
     policy_from_h,
-    rls_kernel,
-    rls_update,
+    rls_estimate,
     run_online_learning,
 )
 from slqr.system import SystemModel, simulate_closed_loop
@@ -171,11 +168,7 @@ def test_criterion_5_recursive_estimate_matches_batch(sec6):
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ gain.T)
     correction = congruence(np.vstack([np.eye(3), gain])[None]) @ vech(model.D)
-    state = initial_rls_state(phi.shape[1], 1e8)
-    for k in range(phi.shape[0]):
-        state = rls_update(state, phi[k], phi_next[k], correction,
-                           traj.costs[k])
-    recursive = rls_kernel(state)
+    recursive = unvecs(rls_estimate(phi, phi_next, correction, traj.costs, 1e8))
     batch = bls_estimate(traj, gain, model.D)
     rel = float(np.linalg.norm(recursive - batch) / np.linalg.norm(batch))
     ok = rel <= 1e-6

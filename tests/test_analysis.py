@@ -1,5 +1,6 @@
 import contextlib
 import importlib
+import re
 import warnings
 from collections import Counter
 
@@ -327,6 +328,15 @@ def test_stationary_covariance_rejects_inadmissible_gain():
     with pytest.raises(NotAdmissibleError) as err:
         stationary_covariance(model, L0_1)
     assert abs(err.value.spectral_radius - 1.01) <= 1e-12
+
+
+def test_stationary_covariance_rejects_an_indefinite_fixed_point():
+    # Construction checks shapes only, so an indefinite D gets this far and
+    # gives X = D / (1 - 0.25) = -4/3.
+    model = SystemModel(A=[[0.5]], B=[[1.0]], D=[[-1.0]], X0=[[1.0]])
+    message = "stationary covariance came out indefinite (min eig -1.333e+00)"
+    with pytest.raises(SingularSystemError, match=f"^{re.escape(message)}$"):
+        stationary_covariance(model, L0_1)
 
 
 @pytest.mark.parametrize("solve", [

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from slqr.config import (
-    ExperimentConfig,
     fixture_names,
     fixture_path,
     from_dict,

@@ -70,16 +70,12 @@ CASES = {
                                            noise_cov=np.eye(2)), ["noise_cov"], False),
     "qlearning.LearnerConfig": (lambda initial_gain: replace(LEARNER, initial_gain=initial_gain),
                                 dict(initial_gain=GAIN), ["initial_gain"], False),
-    # A non-finite estimate is caught by rls_kernel.
-    "qlearning.rls_update": (qlearning.rls_update,
-                             dict(state=qlearning.initial_rls_state(3, 1.0), feats=np.ones(3),
-                                  next_feats=np.zeros(3), noise_correction=np.zeros(3),
-                                  cost=1.0, weight=1.0),
-                             ["feats", "next_feats", "noise_correction", "cost", "weight"], True),
-    # A record with no checks of its own: the estimator's functions build it.
-    "qlearning.RlsState": (qlearning.RlsState,
-                           dict(gram_inv=np.eye(2), weighted_costs=np.zeros(2)),
-                           ["gram_inv"], True),
+    "qlearning.rls_estimate": (qlearning.rls_estimate,
+                               dict(feats=np.ones((2, 3)), next_feats=np.zeros((2, 3)),
+                                    noise_correction=np.zeros(3), costs=np.ones(2),
+                                    weights=np.ones(2), init_scale=1.0),
+                               ["feats", "next_feats", "noise_correction", "costs", "weights",
+                                "init_scale"], False),
     # A non-finite kernel passes symmetrize and raises UnreliableKernelError.
     "qlearning.policy_from_h": (qlearning.policy_from_h, dict(kernel=np.eye(3), state_dim=2),
                                 ["kernel"], False),
@@ -87,8 +83,6 @@ CASES = {
                                           dict(model=MODEL, cost=COST, initial_gain=GAIN,
                                                tol=1e-9),
                                           ["initial_gain", "tol"], False),
-    "qlearning.initial_rls_state": (qlearning.initial_rls_state, dict(dim=3, init_scale=1.0),
-                                    ["init_scale"], False),
     "qlearning.LearnerConfig (numbers)": (
         lambda probe_var, rls_init_scale, gain_tol: replace(
             LEARNER, probe_var=probe_var, rls_init_scale=rls_init_scale, gain_tol=gain_tol),
@@ -118,8 +112,6 @@ LEFT_OUT = {
     "analysis.riccati_residual",
     # No matrix argument.
     "analysis.check_admissible", "qlearning.run_online_learning", "qlearning.LearningResult",
-    # Its state, which the estimator's functions build: RlsState's case above.
-    "qlearning.rls_kernel",
     # Its model and cost: test_a_cost_that_does_not_fit_the_model_is_rejected_by_name.
     "system.check_cost",
     # A record with no checks of its own: simulate_closed_loop builds it.
@@ -160,8 +152,6 @@ COUNT_CASES = {
     "qlearning.policy_from_h (state_dim)": (qlearning.policy_from_h,
                                             dict(kernel=np.eye(3), state_dim=2),
                                             {"state_dim": 1}),
-    "qlearning.initial_rls_state (dim)": (qlearning.initial_rls_state,
-                                          dict(dim=3, init_scale=1.0), {"dim": 1}),
     "qlearning.LearnerConfig (counts)": (
         lambda **counts: replace(LEARNER, **counts),
         dict(rollout_len=50, max_iterations=1, seed=0),

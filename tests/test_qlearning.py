@@ -22,12 +22,10 @@ from slqr.qlearning import (
     LearnerConfig,
     bls_estimate,
     feature_matrix,
-    initial_rls_state,
     iteration_seed,
     learn_from_rollouts,
     policy_from_h,
-    rls_kernel,
-    rls_update,
+    rls_estimate,
     run_online_learning,
 )
 from slqr.system import (
@@ -425,62 +423,114 @@ def test_fit_reads_its_covariance_and_gain_by_name(sec6, fit):
             call(traj, gain, model.D)
 
 
+def test_model_evaluation_reports_a_failed_solve():
+    # n = m = 1 at gain 0.5: K_L^T = [1, 0.5, 0.25], so B = e_1 makes
+    # I - K_L^T B singular, and a NaN in c gives a non-finite value kernel.
+    gain, d = [[0.5]], np.ones(1)
+    with pytest.raises(UnreliableKernelError,
+                       match="^kernel estimate cannot be solved for: Singular matrix$"):
+        qlearning._evaluate(np.array([[1.0], [0.0], [0.0]]), np.ones(3), d, gain)
+    with pytest.raises(UnreliableKernelError,
+                       match="^kernel estimate contains non-finite entries$"):
+        qlearning._evaluate(np.zeros((3, 1)), np.array([1.0, np.nan, 0.0]), d, gain)
+
+
 def test_rls_one_dimensional_hand_values():
-    state = initial_rls_state(1, 1.0)
-    state = rls_update(state, np.array([1.0]), np.array([0.0]),
-                       np.array([0.0]), 2.0)
-    np.testing.assert_allclose(state.gram_inv, [[0.5]], atol=1e-15)
-    np.testing.assert_allclose(state.weighted_costs, [2.0], atol=1e-15)
-    np.testing.assert_allclose(state.gram_inv @ state.weighted_costs, [1.0],
-                               atol=1e-15)
-    assert state.samples_seen == 1
+    # Inverse Gram 1 / (1 + 1) = 0.5 after one sample, weighted cost 2.
+    estimate = rls_estimate([[1.0]], [[0.0]], [0.0], [2.0], 1.0)
+    np.testing.assert_allclose(estimate, [1.0], atol=1e-15)
 
 
 def test_rls_zero_instrument_changes_nothing():
-    state = initial_rls_state(3, 10.0)
-    before_gram = state.gram_inv.copy()
-    after = rls_update(state, np.zeros(3), np.array([1.0, 2.0, 3.0]),
-                       np.zeros(3), 5.0)
-    np.testing.assert_array_equal(after.gram_inv, before_gram)
-    np.testing.assert_array_equal(after.weighted_costs, np.zeros(3))
-    assert after.samples_seen == 1
+    # A sample with zero features leaves the inverse Gram and the weighted
+    # costs as they were, whatever its next features and cost.
+    real = ([1.0, 0.5, 0.2], [0.3, 0.1, 0.0], 2.0)    # features, next features, cost
+    zero = ([0.0] * 3, [1.0, 2.0, 3.0], 5.0)
+
+    def fold(*samples):
+        feats, next_feats, costs = zip(*samples)
+        return rls_estimate(feats, next_feats, np.zeros(3), costs, 10.0)
+
+    np.testing.assert_array_equal(fold(zero, real), fold(real))
 
 
-def test_rls_update_names_a_malformed_argument():
-    state = initial_rls_state(3, 1.0)
-    good = np.zeros(3)
-    for name, args, message in [
-            ("feats", (np.zeros(2), good, good, 1.0), r"must have shape \(3,\), got \(2,\)"),
-            ("next_feats", (good, np.zeros(4), good, 1.0),
-             r"must have shape \(3,\), got \(4,\)"),
-            ("noise_correction", (good, good, np.zeros((3, 1)), 1.0),
-             r"must be a 1-d vector, got shape \(3, 1\)"),
-            ("feats", ("ab", good, good, 1.0), "must be a vector of real numbers"),
-            ("next_feats", (good, [[1.0], [1.0, 2.0]], good, 1.0),
-             "must be a vector of real numbers"),
-            ("cost", (good, good, good, "ab"), "must be a real number"),
-            ("cost", (good, good, good, np.ones(1)), r"must be a real number, got shape \(1,\)")]:
+def test_rls_estimate_names_a_malformed_argument():
+    good = dict(feats=np.zeros((2, 3)), next_feats=np.zeros((2, 3)),
+                noise_correction=np.zeros(3), costs=np.ones(2), init_scale=1.0)
+    for name, bad, message in [
+            ("feats", np.zeros(3), r"must be a 2-d matrix, got shape \(3,\)"),
+            ("feats", np.zeros((2, 0)), r"must have at least one column, got shape \(2, 0\)"),
+            ("next_feats", np.zeros((2, 4)), r"must have shape \(2, 3\), got \(2, 4\)"),
+            ("noise_correction", np.zeros((3, 1)), r"must be a 1-d vector, got shape \(3, 1\)"),
+            ("feats", "ab", "must be a matrix of real numbers"),
+            ("next_feats", [[1.0], [1.0, 2.0]], "must be a matrix of real numbers"),
+            ("costs", "ab", "must be a vector of real numbers"),
+            ("costs", np.ones(3), r"must have shape \(2,\), got \(3,\)"),
+            ("weights", np.ones((2, 1)), r"must be a 1-d vector, got shape \(2, 1\)"),
+            ("weights", "ab", "must be a vector of real numbers")]:
         with pytest.raises(ValidationError, match=rf"^{name} {message}$"):
-            rls_update(state, *args)
-    with pytest.raises(ValidationError, match="^weight must be a real number$"):
-        rls_update(state, good, good, good, 1.0, weight="ab")
+            rls_estimate(**dict(good, **{name: bad}))
 
 
-def test_rls_update_rejects_zero_denominator():
-    state = initial_rls_state(1, 1.0)
-    # g = feats - next + correction = -1 makes 1 + g xi phi vanish.
-    with pytest.raises(IllConditionedUpdateError):
-        rls_update(state, np.array([1.0]), np.array([2.0]), np.array([0.0]), 1.0)
+@pytest.mark.parametrize("sample", [0, 1, 2])
+def test_rls_estimate_rejects_zero_denominator(sample):
+    # g = feats - next + correction = -1 makes 1 + g xi phi vanish; the
+    # zero-feature samples before it leave xi = 1, so the error names it.
+    feats, next_feats = [[0.0]] * sample + [[1.0]], [[0.0]] * sample + [[2.0]]
+    with pytest.raises(IllConditionedUpdateError, match=f"at sample {sample}$"):
+        rls_estimate(feats, next_feats, [0.0], [1.0] * (sample + 1), 1.0)
 
 
-def test_rls_state_validation_and_nonfinite_guard():
+def test_rls_estimate_init_scale_and_nonfinite_guard():
     for bad in (0.0, np.nan, np.inf):
-        with pytest.raises(ValidationError, match="init_scale"):
-            initial_rls_state(3, bad)
-    from slqr.qlearning import RlsState
-    bad = RlsState(gram_inv=np.eye(3), weighted_costs=np.array([1.0, np.inf, 0.0]))
-    with np.errstate(invalid="ignore"), pytest.raises(UnreliableKernelError):
-        rls_kernel(bad)
+        with pytest.raises(ValidationError, match="^init_scale"):
+            rls_estimate(np.eye(3), np.zeros((3, 3)), np.zeros(3), np.ones(3), bad)
+    with pytest.raises(UnreliableKernelError, match="non-finite"):
+        rls_estimate(np.eye(3), np.zeros((3, 3)), np.zeros(3), [1.0, np.inf, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("name", ["feats", "next_feats", "noise_correction", "costs",
+                                  "weights"])
+def test_rls_estimate_turns_a_nan_argument_into_an_unreliable_kernel(name):
+    # The arrays are read finite or not; a NaN anywhere reaches the estimate,
+    # which raises without a numpy warning on the way.
+    args = dict(feats=np.eye(3), next_feats=np.zeros((3, 3)), noise_correction=np.zeros(3),
+                costs=np.ones(3), weights=np.ones(3))
+    args[name] = args[name].copy()
+    args[name].flat[0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnreliableKernelError, match="^kernel estimate contains non-finite"):
+            rls_estimate(init_scale=1.0, **args)
+
+
+@pytest.mark.parametrize("init_scale", [1.0, 1e8])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit weights", "leverage weights"])
+def test_rls_estimate_is_the_regularised_batch_solve(weighted, init_scale):
+    # Folding every sample from init_scale * I reaches
+    # (I / init_scale + Psi^T G)^-1 Psi^T c, Psi = w phi and G = phi - phi' + d.
+    rng = np.random.default_rng(7)
+    feats, next_feats = rng.standard_normal((40, 4)), 0.5 * rng.standard_normal((40, 4))
+    correction, costs = 0.1 * rng.standard_normal(4), rng.standard_normal(40)
+    weights = 1.0 / (1.0 + np.sum(feats ** 2, axis=1)) ** 2 if weighted else None
+    psi = feats if weights is None else weights[:, None] * feats
+    gram = np.eye(4) / init_scale + psi.T @ (feats - next_feats + correction)
+    np.testing.assert_allclose(
+        rls_estimate(feats, next_feats, correction, costs, init_scale, weights),
+        np.linalg.solve(gram, psi.T @ costs), rtol=1e-9, atol=1e-12)
+
+
+def test_rls_estimate_without_weights_is_the_unit_weighted_fold():
+    rng = np.random.default_rng(3)
+    feats, next_feats = rng.standard_normal((10, 3)), rng.standard_normal((10, 3))
+    args = (feats, next_feats, np.zeros(3), rng.standard_normal(10), 10.0)
+    np.testing.assert_array_equal(rls_estimate(*args), rls_estimate(*args, np.ones(10)))
+
+
+def test_rls_estimate_over_no_samples_is_zero():
+    np.testing.assert_array_equal(
+        rls_estimate(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(3), np.zeros(0), 1.0),
+        np.zeros(3))
 
 
 def test_recursive_matches_batch_on_one_rollout(sec6):
@@ -490,18 +540,15 @@ def test_recursive_matches_batch_on_one_rollout(sec6):
     phi = feature_matrix(traj.states[:-1], traj.inputs[:-1])
     phi_next = feature_matrix(traj.states[1:], traj.states[1:] @ L0_3.T)
     correction = noise_correction(L0_3, model.D)
-    state = initial_rls_state(phi.shape[1], 1e8)
-    for k in range(phi.shape[0]):
-        state = rls_update(state, phi[k], phi_next[k], correction, traj.costs[k])
-    recursive = rls_kernel(state)
+    recursive = unvecs(rls_estimate(phi, phi_next, correction, traj.costs, 1e8))
     batch = bls_estimate(traj, L0_3, model.D)
     rel = np.linalg.norm(recursive - batch) / np.linalg.norm(batch)
     assert rel <= 1e-6
 
 
 @pytest.mark.parametrize("cost_mode", COST_MODES)
-def test_learner_kernel_equals_a_fold_of_rls_update(sec6, sec6_config, monkeypatch,
-                                                    cost_mode):
+def test_learner_kernel_equals_a_fold_of_rls_estimate(sec6, sec6_config, monkeypatch,
+                                                      cost_mode):
     # The learner's one regularised solve is the recursive estimator started
     # from rls_init_scale * I, folded over every sample of the same rollout
     # with the instrument weights w_k = (1 + |z_k|^2)^-2. Without D the fold
@@ -533,11 +580,8 @@ def test_learner_kernel_equals_a_fold_of_rls_update(sec6, sec6_config, monkeypat
         correction = np.zeros(phi.shape[1])
     else:
         correction = noise_correction(L0_3, noise_cov)
-    state = initial_rls_state(phi.shape[1], config.rls_init_scale)
-    for k in range(phi.shape[0]):
-        state = rls_update(state, phi[k], phi_next[k], correction, traj.costs[k],
-                           weight=weights[k])
-    folded = state.gram_inv @ state.weighted_costs
+    folded = rls_estimate(phi, phi_next, correction, traj.costs, config.rls_init_scale,
+                          weights)
     if noise_cov is None:
         lam = folded[-1]
         assert abs(learned.cost_estimates[0] - lam) <= 1e-8 * abs(lam)
