@@ -82,7 +82,8 @@ from .errors import (
     ValidationError,
 )
 from .packing import as_matrix, congruence as packed, symmetrize, unvech, vech
-from .system import CostModel, SystemModel, check_cost, loop_factors
+from .system import (CostModel, SystemModel, check_cost, check_integer, check_positive,
+                     loop_factors)
 
 # A gain is admissible when rho(T) < 1 - ADMISSIBILITY_MARGIN.
 ADMISSIBILITY_MARGIN = 1e-9
@@ -497,22 +498,27 @@ def q_kernel_matrix(model: SystemModel, cost: CostModel, value_kernel: np.ndarra
     return h
 
 
-def greedy_gain(curvature: np.ndarray, cross: np.ndarray,
+def greedy_gain(kernel: np.ndarray, state_dim: int,
                 max_condition: float = np.inf) -> np.ndarray:
-    """Minimiser L = -W^-1 C of u^T W u + 2 u^T C x over u = L x.
+    """Greedy gain L = -H_uu^-1 H_ux of a state-input kernel H split at
+    state_dim: the minimiser of [x; u]^T H [x; u] over u = L x. The one
+    function that splits an H.
 
-    W must be a nonempty square and C a matrix with W's rows, both of real
-    numbers (as_matrix), else ValidationError. They must be finite, and W positive
-    definite with condition number at most max_condition; anything else means
-    the kernel they came from is not trustworthy, and raises
-    UnreliableKernelError.
+    kernel must be a square matrix of real numbers (as_matrix, finite or
+    not), state_dim an integer >= 1 below its size and max_condition a real
+    number > 0 (inf allowed), else ValidationError. H must be finite, and
+    H_uu positive definite with condition number at most max_condition;
+    anything else means the kernel is not trustworthy, and raises
+    UnreliableKernelError. Only the uu and ux blocks are used.
     """
-    curvature = as_matrix(curvature, "curvature", square=True, finite=False)
-    if not curvature.size:
-        raise ValidationError("curvature must not be empty")
-    cross = as_matrix(cross, "cross", (len(curvature), None), finite=False)
-    if not (np.isfinite(curvature).all() and np.isfinite(cross).all()):
-        raise UnreliableKernelError("input curvature or cross term has non-finite entries")
+    kernel = as_matrix(kernel, "kernel", square=True, finite=False)
+    n = check_integer(state_dim, "state_dim", 1)
+    if not n < len(kernel):
+        raise ValidationError(f"state_dim {n} must split a {len(kernel)} x {len(kernel)} kernel")
+    max_condition = check_positive(max_condition, "max_condition")
+    if not np.isfinite(kernel).all():
+        raise UnreliableKernelError("kernel contains non-finite entries")
+    curvature = kernel[n:, n:]
     eigs = np.linalg.eigvalsh(curvature)
     if eigs.min() <= 0:
         raise UnreliableKernelError(
@@ -523,16 +529,14 @@ def greedy_gain(curvature: np.ndarray, cross: np.ndarray,
             f"input curvature condition number {eigs.max() / eigs.min():.3e} "
             f"exceeds {max_condition:.1e}"
         )
-    return -np.linalg.solve(curvature, cross)
+    return -np.linalg.solve(curvature, kernel[n:, :n])
 
 
 def policy_improvement(model: SystemModel, cost: CostModel,
                        value_kernel: np.ndarray) -> np.ndarray:
-    """One-step greedy gain L = -H_uu^-1 H_ux for a value kernel P, through
-    greedy_gain, from the blocks of its kernel H (q_kernel_matrix)."""
-    h = q_kernel_matrix(model, cost, value_kernel)
-    n = model.state_dim
-    return greedy_gain(h[n:, n:], h[n:, :n])
+    """One-step greedy gain L = -H_uu^-1 H_ux for a value kernel P: greedy_gain
+    of its kernel H (q_kernel_matrix)."""
+    return greedy_gain(q_kernel_matrix(model, cost, value_kernel), model.state_dim)
 
 
 def riccati_residual(model: SystemModel, cost: CostModel,
@@ -545,5 +549,4 @@ def riccati_residual(model: SystemModel, cost: CostModel,
     p = checked_kernel(model, value_kernel)
     h = q_kernel_matrix(model, cost, p)
     n = model.state_dim
-    gain = greedy_gain(h[n:, n:], h[n:, :n])
-    return p - (h[:n, :n] + h[:n, n:] @ gain)
+    return p - (h[:n, :n] + h[:n, n:] @ greedy_gain(h, n))

@@ -30,11 +30,11 @@ beyond the float range). The types that hold the values check them:
 SystemModel, CostModel and LearnerConfig, whose ValidationError comes back as
 a ConfigError prefixed with the section ("model.A must be ..."), and
 ExperimentConfig, which checks the mode, the rules above and the ranges of
-pi.tol (> 0), pi.max_iter (>= 1) and the seeds (integers >= 0), so that a
-config changed with dataclasses.replace, as by the CLI's --mode and --seeds,
-is held to them too. Every error names the dotted path of its entry. The
-types hold every real-valued setting as a float (1 loads as 1.0) and every
-count as an int.
+pi.tol (> 0), pi.max_iter (>= 1) and the seeds (distinct integers >= 0),
+so that a config changed with dataclasses.replace, as by the CLI's --mode
+and --seeds, is held to them too. Every error names the dotted path of its
+entry. The types hold every real-valued setting as a float (1 loads as 1.0)
+and every count as an int.
 """
 
 from __future__ import annotations
@@ -86,6 +86,9 @@ class ExperimentConfig:
             self.seeds = [check_integer(s, f"seeds[{i}]", 0) for i, s in enumerate(self.seeds)]
         except ValidationError as exc:
             raise ConfigError(str(exc)) from None
+        for i, seed in enumerate(self.seeds):
+            if seed in self.seeds[:i]:
+                raise ConfigError(f"seeds[{i}] repeats seed {seed}")
 
     def runs_model_based(self) -> bool:
         return self.mode in ("model_based", "both")

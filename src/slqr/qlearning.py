@@ -298,20 +298,10 @@ def bls_estimate(traj: Trajectory, gain: np.ndarray,
 
 
 def policy_from_h(kernel: np.ndarray, state_dim: int) -> np.ndarray:
-    """Greedy gain L = -H_uu^-1 H_ux of a state-input kernel H split at
-    state_dim, with the condition number of H_uu capped at MAX_KERNEL_CONDITION.
-
-    kernel is read by packing.symmetrize (finite or not) and state_dim must be
-    an integer >= 1 below its size, else ValidationError; a kernel with
-    non-finite entries raises UnreliableKernelError.
-    """
-    kernel = symmetrize(kernel)
-    n = check_integer(state_dim, "state_dim", 1)
-    if not n < len(kernel):
-        raise ValidationError(f"state_dim {n} must split a {len(kernel)} x {len(kernel)} kernel")
-    if not np.isfinite(kernel).all():
-        raise UnreliableKernelError("kernel contains non-finite entries")
-    return greedy_gain(kernel[n:, n:], kernel[n:, :n], MAX_KERNEL_CONDITION)
+    """Greedy gain of a fitted state-input kernel: greedy_gain of H read by
+    packing.symmetrize (finite or not), split at state_dim, with the
+    condition number of H_uu capped at MAX_KERNEL_CONDITION."""
+    return greedy_gain(symmetrize(kernel), state_dim, MAX_KERNEL_CONDITION)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ from slqr.errors import (
     UnreliableKernelError,
     ValidationError,
 )
-from slqr.packing import unvech, vech
+from slqr.packing import symmetrize, unvech, vech
 from slqr.policy_iteration import policy_iteration
+from slqr.qlearning import MAX_KERNEL_CONDITION, policy_from_h
 from slqr.system import CostModel, SystemModel
 
 from random_instances import random_admissible_gain, random_admissible_system
@@ -467,31 +468,58 @@ def test_malformed_kernel_is_a_validation_error(sec6, entry, kernel, message):
             KERNEL_ENTRY_POINTS[entry](model, cost, kernel)
 
 
-@pytest.mark.parametrize("curvature, cross", [
-    (np.full((2, 2), np.nan), np.ones((2, 3))),
-    (np.diag([1.0, np.inf]), np.ones((2, 3))),
-    (np.eye(2), np.where(np.eye(2, 3) > 0, np.nan, 1.0)),
-    (np.eye(2), np.full((2, 3), -np.inf)),
-], ids=["nan curvature", "inf curvature", "nan cross", "inf cross"])
-def test_greedy_gain_rejects_non_finite_input(curvature, cross):
+@pytest.mark.parametrize("entry, value", [((2, 2), np.nan), ((2, 0), np.inf),
+                                          ((0, 1), np.nan), ((1, 2), -np.inf)],
+                         ids=["nan uu", "inf ux", "nan xx", "-inf xu"])
+def test_greedy_gain_rejects_non_finite_input(entry, value):
+    # Any non-finite entry, in whichever block, marks the whole kernel.
+    kernel = np.eye(3)
+    kernel[entry] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UnreliableKernelError, match="non-finite"):
-            greedy_gain(curvature, cross)
+        with pytest.raises(UnreliableKernelError, match="^kernel contains non-finite entries$"):
+            greedy_gain(kernel, 2)
 
 
-@pytest.mark.parametrize("curvature, cross, message", [
-    (np.ones(2), np.ones((2, 3)), r"^curvature must be a 2-d matrix, got shape \(2,\)$"),
-    (np.ones((2, 3)), np.ones((2, 3)), r"^curvature must be square, got shape \(2, 3\)$"),
-    (np.eye(2), np.ones((3, 3)), r"^cross must have shape \(2, 3\), got \(3, 3\)$"),
-    (np.eye(2), "ab", r"^cross must be a matrix of real numbers$"),
-    (np.zeros((0, 0)), np.zeros((0, 3)), r"^curvature must not be empty$"),
-], ids=["1-d curvature", "3x2 curvature", "3-row cross", "string cross", "empty curvature"])
-def test_greedy_gain_names_a_malformed_argument(curvature, cross, message):
+@pytest.mark.parametrize("args, message", [
+    (dict(kernel=np.ones(3), state_dim=1), r"^kernel must be a 2-d matrix, got shape \(3,\)$"),
+    (dict(kernel=np.ones((2, 3)), state_dim=1), r"^kernel must be square, got shape \(2, 3\)$"),
+    (dict(kernel="ab", state_dim=1), r"^kernel must be a matrix of real numbers$"),
+    (dict(kernel=np.eye(3), state_dim=3), r"^state_dim 3 must split a 3 x 3 kernel$"),
+    (dict(kernel=np.zeros((0, 0)), state_dim=1), r"^state_dim 1 must split a 0 x 0 kernel$"),
+    (dict(kernel=np.eye(3), state_dim=2, max_condition=np.nan),
+     r"^max_condition must be > 0, got nan$"),
+    (dict(kernel=np.eye(3), state_dim=2, max_condition=0.0),
+     r"^max_condition must be > 0, got 0.0$"),
+], ids=["1-d kernel", "2x3 kernel", "string kernel", "state_dim too large", "empty kernel",
+        "nan max_condition", "zero max_condition"])
+def test_greedy_gain_names_a_malformed_argument(args, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=message):
-            greedy_gain(curvature, cross)
+            greedy_gain(**args)
+
+
+def test_greedy_gain_caps_the_condition_number_it_is_given():
+    kernel = np.diag([1.0, 1e-6, 1e6])
+    with pytest.raises(UnreliableKernelError, match="condition number 1.000e[+]12 exceeds 1.0e[+]08"):
+        greedy_gain(kernel, 1, 1e8)
+    np.testing.assert_array_equal(greedy_gain(kernel, 1), np.zeros((2, 1)))
+
+
+def test_every_greedy_step_is_greedy_gain(sec6):
+    # Both solvers' improvement steps are greedy_gain of a whole H, bit for
+    # bit: the exact one of q_kernel_matrix's H as it comes, the learner's of
+    # the symmetrized fit with the learner's condition cap.
+    rng = np.random.default_rng(11)
+    instances = [sec6] + [random_admissible_system(rng) for _ in range(5)]
+    for model, cost in instances:
+        n = model.state_dim
+        p = solve_value_kernel(model, cost, random_admissible_gain(model, rng))
+        h = q_kernel_matrix(model, cost, p)
+        assert np.array_equal(policy_improvement(model, cost, p), greedy_gain(h, n))
+        assert np.array_equal(policy_from_h(h, n),
+                              greedy_gain(symmetrize(h), n, MAX_KERNEL_CONDITION))
 
 
 def test_input_weight_includes_input_channels(sec6):

@@ -293,6 +293,7 @@ def test_scalar_values_are_type_checked():
     ("pi_max_iter", 2.5, "pi.max_iter must be an integer"),
     ("seeds", [0, -1], "seeds[1] must be >= 0, got -1"),
     ("seeds", [0, 1.0], "seeds[1] must be an integer, got float"),
+    ("seeds", [0, 1, 0], "seeds[2] repeats seed 0"),
     ("seeds", (0, 1), "seeds must be a list of integers >= 0"),
 ])
 def test_range_rules_hold_for_a_replaced_config(field, value, message):

@@ -49,8 +49,8 @@ CASES = {
                               dict(value_kernel=np.eye(2), additive_cov=np.eye(2)),
                               ["value_kernel", "additive_cov"], False),
     "analysis.greedy_gain": (analysis.greedy_gain,
-                             dict(curvature=np.eye(2), cross=np.ones((2, 3))),
-                             ["curvature", "cross"], False),
+                             dict(kernel=np.eye(3), state_dim=2, max_condition=1e8),
+                             ["kernel", "max_condition"], False),
     "packing.as_matrix": (packing.as_matrix, dict(mat=np.eye(2), name="mat"), ["mat"], False),
     "packing.symmetrize": (packing.symmetrize, dict(mat=np.eye(2)), ["mat"], True),
     "packing.vech": (packing.vech, dict(mat=np.eye(2)), ["mat"], True),
@@ -149,6 +149,9 @@ BAD = {
 
 # name: (callable, well-formed arguments, each count argument with its minimum).
 COUNT_CASES = {
+    "analysis.greedy_gain (state_dim)": (analysis.greedy_gain,
+                                         dict(kernel=np.eye(3), state_dim=2),
+                                         {"state_dim": 1}),
     "qlearning.policy_from_h (state_dim)": (qlearning.policy_from_h,
                                             dict(kernel=np.eye(3), state_dim=2),
                                             {"state_dim": 1}),

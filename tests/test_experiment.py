@@ -397,6 +397,15 @@ def test_cli_negative_seeds_are_a_config_error(tmp_path, capsys, seeds, message)
     assert not out.exists()
 
 
+def test_cli_repeated_seed_is_a_config_error(tmp_path, capsys):
+    # A repeated seed would run the learner twice and write its rows twice.
+    out = tmp_path / "out"
+    assert main(["run", "--config", "scalar_smoke", "--mode", "model_free",
+                 "--seeds", "0,0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: seeds[1] repeats seed 0\n"
+    assert not out.exists()
+
+
 def test_cli_rejects_a_non_finite_config_value(tmp_path, capsys):
     doc = fixture_doc("scalar_smoke")
     doc["pi"]["tol"] = float("nan")
