@@ -9,7 +9,6 @@ from .errors import (
     ConfigError,
     IllConditionedUpdateError,
     InsufficientExcitationError,
-    MalformedVectorError,
     NotAdmissibleError,
     SingularSystemError,
     SolverFailure,
@@ -29,7 +28,6 @@ __all__ = [
     "ConfigError",
     "IllConditionedUpdateError",
     "InsufficientExcitationError",
-    "MalformedVectorError",
     "NotAdmissibleError",
     "SingularSystemError",
     "SolverFailure",

@@ -16,10 +16,6 @@ class ValidationError(ValueError):
     """A model, cost, or argument violates a structural invariant."""
 
 
-class MalformedVectorError(ValidationError):
-    """A packed vector is not 1-d, or has a length that is not n*(n+1)/2."""
-
-
 class SolverFailure(RuntimeError):
     """Base class for numerical failures in solvers and learners."""
 

@@ -26,7 +26,7 @@ import functools
 
 import numpy as np
 
-from .errors import MalformedVectorError, ValidationError
+from .errors import ValidationError
 
 
 def as_matrix(mat, name: str, shape: tuple[int | None, ...] | None = None,
@@ -83,12 +83,10 @@ def packed_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def side_from_packed_length(s: int) -> int:
-    """Inverse of packed_length; raises MalformedVectorError if s is not triangular."""
+    """Inverse of packed_length; raises ValidationError if s is not triangular."""
     n = int((np.sqrt(8 * s + 1) - 1) / 2 + 0.5)
     if n * (n + 1) // 2 != s:
-        raise MalformedVectorError(
-            f"length {s} is not n*(n+1)/2 for any integer n"
-        )
+        raise ValidationError(f"length {s} is not n*(n+1)/2 for any integer n")
     return n
 
 
@@ -157,10 +155,8 @@ def vecs(mat: np.ndarray) -> np.ndarray:
 
 def unvech(vec: np.ndarray) -> np.ndarray:
     """Invert vech: the symmetric matrix whose upper triangle is packed in vec,
-    a 1-d vector of real numbers (as_matrix), finite or not."""
-    shape = np.shape(np.asarray(vec, dtype=object))   # a ragged list is 1-d as objects
-    if len(shape) != 1:
-        raise MalformedVectorError(f"expected a 1-d packed vector, got shape {shape}")
+    a 1-d vector of real numbers (as_matrix, named "packed vector"), finite
+    or not, of a triangular length (side_from_packed_length)."""
     vec = as_matrix(vec, "packed vector", (None,), finite=False)
     n = side_from_packed_length(len(vec))
     rows, cols = packed_indices(n)

@@ -298,9 +298,11 @@ def bls_estimate(traj: Trajectory, gain: np.ndarray,
 
 
 def policy_from_h(kernel: np.ndarray, state_dim: int) -> np.ndarray:
-    """Greedy gain of a fitted state-input kernel: greedy_gain of H read by
-    packing.symmetrize (finite or not), split at state_dim, with the
-    condition number of H_uu capped at MAX_KERNEL_CONDITION."""
+    """Greedy gain of a fitted state-input kernel: greedy_gain of H, a square
+    matrix of real numbers (as_matrix, finite or not) made symmetric by
+    packing.symmetrize, split at state_dim, with the condition number of
+    H_uu capped at MAX_KERNEL_CONDITION."""
+    kernel = as_matrix(kernel, "kernel", square=True, finite=False)
     return greedy_gain(symmetrize(kernel), state_dim, MAX_KERNEL_CONDITION)
 
 

@@ -206,7 +206,7 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("Q", "R"):
-            mat = _nonempty(as_matrix(getattr(self, name), name), name)
+            mat = _nonempty(as_matrix(getattr(self, name), name, square=True), name)
             object.__setattr__(self, name, _owned(symmetrize(mat)))
 
     def validate(self, model: SystemModel | None = None) -> None:

@@ -124,6 +124,14 @@ def test_a_channel_list_that_is_no_list_names_the_side(side, value):
         from_dict(doc)
 
 
+@pytest.mark.parametrize("name", ["Q", "R"])
+def test_a_cost_matrix_that_is_not_square_names_the_entry(name):
+    doc = minimal_doc()
+    doc["cost"][name] = [[1.0, 2.0]]
+    with pytest.raises(ConfigError, match=rf"^cost\.{name} must be square, got shape \(1, 2\)$"):
+        from_dict(doc)
+
+
 def test_unknown_keys_are_rejected():
     doc = minimal_doc()
     doc["extra"] = 1

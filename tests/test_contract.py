@@ -2,10 +2,12 @@
 slqr.packing, slqr.qlearning, slqr.policy_iteration and slqr.system that
 takes a matrix, a vector, a factor stack or a real number returns or raises
 SolverFailure or ValidationError, whatever is passed in each such argument,
-and numpy does not warn on the way. Every count argument of those functions
-rejects anything but an integer at or above its minimum with a
-ValidationError that names it. Every public callable that takes a model and
-a cost rejects a cost that does not fit the model by name."""
+and numpy does not warn on the way; a ValidationError's message starts with
+the argument's name, or that of the other argument of a shape relation it
+breaks. Every count argument of those functions rejects anything but an
+integer at or above its minimum with a ValidationError that names it. Every
+public callable that takes a model and a cost rejects a cost that does not
+fit the model by name."""
 
 import inspect
 import re
@@ -105,6 +107,33 @@ CASES = {
                               ["value"], False),
 }
 
+# The name an argument's ValidationError starts with, where it is not the
+# argument's own name.
+LABELS = {
+    ("analysis.average_cost", "value_kernel"): "value kernel",
+    ("analysis.average_cost", "additive_cov"): "additive covariance",
+    ("packing.symmetrize", "mat"): "matrix",
+    ("packing.vech", "mat"): "matrix",
+    ("packing.vecs", "mat"): "matrix",
+    ("packing.unvech", "vec"): "packed vector",
+    ("packing.unvecs", "vec"): "packed vector",
+    ("system.SystemModel", "variance"): "state_noise[0] variance",
+}
+
+# (case, argument, bad kind): the start of a message that names the other
+# argument of a shape relation, or the length of a packed vector, which
+# packing.side_from_packed_length reads as a number.
+OTHER_NAMES = {
+    ("analysis.average_cost", "additive_cov", "empty"): "value kernel",
+    ("analysis.greedy_gain", "kernel", "empty"): "state_dim",
+    ("qlearning.policy_from_h", "kernel", "empty"): "state_dim",
+    ("qlearning.feature_matrix", "states", "empty"): "inputs",
+    ("qlearning.feature_matrix", "states", "wrong shape"): "inputs",
+    ("qlearning.rls_estimate", "feats", "wrong shape"): "next_feats",
+    ("packing.unvech", "vec", "wrong shape"): "length 4 is not",
+    ("packing.unvecs", "vec", "wrong shape"): "length 4 is not",
+}
+
 # Public callables left out, and why.
 LEFT_OUT = {
     # Their value kernel: test_analysis.py::test_malformed_kernel_is_a_validation_error.
@@ -194,11 +223,15 @@ def test_every_public_callable_is_checked_or_left_out_by_name():
 def test_a_malformed_argument_stays_inside_the_error_contract(name, arg, kind):
     call, args, _, passes_non_finite = CASES[name]
     args = dict(args, **{arg: BAD[kind](np.asarray(args[arg]))})
+    start = OTHER_NAMES.get((name, arg, kind), LABELS.get((name, arg), arg))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             result = call(**args)
-        except (SolverFailure, ValidationError):
+        except SolverFailure:
+            return
+        except ValidationError as exc:
+            assert str(exc).startswith(f"{start} ")
             return
     # A returned number is finite, unless a non-finite input passes through
     # by design.

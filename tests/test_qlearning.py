@@ -817,7 +817,8 @@ def test_policy_from_h_guards():
     (np.zeros((0, 0)), 1, r"^state_dim 1 must split a 0 x 0 kernel$"),
     (np.eye(3), 0, r"^state_dim must be >= 1, got 0$"),
     (np.array([[1.0, 2.0], [0.0, 1.0]]), 1, r"^matrix is asymmetric"),
-], ids=["no input rows", "empty", "no state rows", "asymmetric"])
+    (np.ones((2, 3)), 1, r"^kernel must be square, got shape \(2, 3\)$"),
+], ids=["no input rows", "empty", "no state rows", "asymmetric", "rectangular"])
 def test_policy_from_h_rejects_a_kernel_it_cannot_split(kernel, state_dim, message):
     # The kernel's symmetry, its split at state_dim and the count itself are
     # read before any block.
