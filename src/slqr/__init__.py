@@ -7,7 +7,6 @@ rest is reached through its submodule, e.g. slqr.analysis."""
 from .config import ExperimentConfig, load_config
 from .errors import (
     ConfigError,
-    IllConditionedUpdateError,
     InsufficientExcitationError,
     NotAdmissibleError,
     SingularSystemError,
@@ -26,7 +25,6 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "ConfigError",
-    "IllConditionedUpdateError",
     "InsufficientExcitationError",
     "NotAdmissibleError",
     "SingularSystemError",

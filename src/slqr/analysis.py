@@ -475,9 +475,11 @@ def average_cost(value_kernel: np.ndarray, additive_cov: np.ndarray) -> float:
 
 
 def checked_kernel(model: SystemModel, value_kernel: np.ndarray) -> np.ndarray:
-    """value_kernel symmetrized (rtol 1e-6); ValidationError unless a finite n x n matrix."""
+    """value_kernel symmetrized (packing.symmetrize, named "value kernel"):
+    ValidationError unless a finite n x n matrix, symmetric to 1e-8 of its
+    scale."""
     n = model.state_dim
-    return symmetrize(as_matrix(value_kernel, "value kernel", (n, n)), rtol=1e-6)
+    return symmetrize(value_kernel, "value kernel", (n, n), finite=True)
 
 
 def q_kernel_matrix(model: SystemModel, cost: CostModel, value_kernel: np.ndarray) -> np.ndarray:

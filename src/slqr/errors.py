@@ -32,10 +32,6 @@ class SingularSystemError(SolverFailure):
     """A linear solve hit a (numerically) singular operator."""
 
 
-class IllConditionedUpdateError(SolverFailure):
-    """A recursive update denominator is too close to zero to trust."""
-
-
 class InsufficientExcitationError(SolverFailure):
     """Collected data does not excite enough directions to identify a kernel."""
 

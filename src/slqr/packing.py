@@ -90,22 +90,23 @@ def side_from_packed_length(s: int) -> int:
     return n
 
 
-def symmetrize(mat: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
-    """Return (M + M^T)/2, formed as M/2 + M^T/2 so that it cannot overflow,
-    rejecting matrices that are asymmetric beyond rtol.
-
-    The tolerance is relative to the matrix magnitude; genuinely asymmetric
-    input is an error, not something to silently average away. mat must be
-    a square matrix of real numbers (as_matrix), finite or not, or empty.
+def symmetrize(mat, name: str = "matrix", shape: tuple[int, int] | None = None,
+               finite: bool = False) -> np.ndarray:
+    """(M + M^T)/2, formed as M/2 + M^T/2 so that it cannot overflow, of mat
+    read by as_matrix under name: a matrix of the given shape, else a square
+    one (empty allowed), finite if finite is set. The one read of a
+    symmetric argument: its asymmetry max |M - M^T| above 1e-8 of its scale
+    (max |entry|, at least 1) is a ValidationError that starts with name,
+    not something to silently average away.
     """
-    mat = as_matrix(mat, "matrix", square=True, finite=False)
+    mat = as_matrix(mat, name, shape, square=shape is None, finite=finite)
     half = mat / 2.0
     scale = max(np.abs(mat).max(initial=0.0), 1.0)
     asym = 2.0 * float(np.abs(half - half.T).max(initial=0.0))   # a Python float: inf on overflow
-    if asym > rtol * scale:
+    if asym > 1e-8 * scale:
         raise ValidationError(
-            f"matrix is asymmetric: max |M - M^T| = {asym:.3e} "
-            f"exceeds {rtol:.1e} relative to scale {scale:.3e}"
+            f"{name} is asymmetric: max |M - M^T| = {asym:.3e} "
+            f"exceeds 1.0e-08 relative to scale {scale:.3e}"
         )
     return half + half.T
 

@@ -59,12 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import greedy_gain
-from .errors import (
-    IllConditionedUpdateError,
-    InsufficientExcitationError,
-    UnreliableKernelError,
-    ValidationError,
-)
+from .errors import InsufficientExcitationError, UnreliableKernelError, ValidationError
 from .packing import (as_matrix, congruence, packed_length, side_from_packed_length,
                       symmetrize, unvecs, vech)
 from .policy_iteration import evaluate_improve
@@ -126,9 +121,9 @@ def rls_estimate(feats: np.ndarray, next_feats: np.ndarray, noise_correction: np
     learner's; a gain L's noise correction is congruence([I; L]) @ vech(D).
     Raises ValidationError unless feats is a matrix with columns, next_feats
     of its shape, noise_correction one entry per column and costs and weights
-    one per row (as_matrix, finite or not) and init_scale finite and > 0;
-    IllConditionedUpdateError for a numerically zero update denominator; and
-    UnreliableKernelError for a non-finite estimate.
+    one per row (as_matrix, finite or not) and init_scale finite and > 0,
+    and UnreliableKernelError for a numerically zero update denominator or a
+    non-finite estimate.
     """
     feats = as_matrix(feats, "feats", finite=False)
     n_samples, dim = feats.shape
@@ -149,7 +144,7 @@ def rls_estimate(feats: np.ndarray, next_feats: np.ndarray, noise_correction: np
             g_gram = g @ gram_inv
             denom = 1.0 + g_gram @ instrument
             if abs(denom) < 1e-12:
-                raise IllConditionedUpdateError(f"update denominator {denom:.3e} at sample {k}")
+                raise UnreliableKernelError(f"update denominator {denom:.3e} at sample {k}")
             gram_inv = gram_inv - np.outer(gram_feats, g_gram) / denom
             weighted_costs = weighted_costs + instrument * costs[k]
         vec = gram_inv @ weighted_costs
@@ -299,11 +294,10 @@ def bls_estimate(traj: Trajectory, gain: np.ndarray,
 
 def policy_from_h(kernel: np.ndarray, state_dim: int) -> np.ndarray:
     """Greedy gain of a fitted state-input kernel: greedy_gain of H, a square
-    matrix of real numbers (as_matrix, finite or not) made symmetric by
-    packing.symmetrize, split at state_dim, with the condition number of
-    H_uu capped at MAX_KERNEL_CONDITION."""
-    kernel = as_matrix(kernel, "kernel", square=True, finite=False)
-    return greedy_gain(symmetrize(kernel), state_dim, MAX_KERNEL_CONDITION)
+    matrix of real numbers, finite or not, made symmetric by
+    packing.symmetrize (named "kernel"), split at state_dim, with the
+    condition number of H_uu capped at MAX_KERNEL_CONDITION."""
+    return greedy_gain(symmetrize(kernel, "kernel"), state_dim, MAX_KERNEL_CONDITION)
 
 
 @dataclass(frozen=True)

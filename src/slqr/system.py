@@ -149,8 +149,8 @@ class SystemModel:
         object.__setattr__(self, "A", _owned(a))
         object.__setattr__(self, "B", _owned(b))
         for name in ("D", "X0"):
-            mat = as_matrix(getattr(self, name), name, (n, n))
-            object.__setattr__(self, name, _owned(symmetrize(mat)))
+            mat = symmetrize(getattr(self, name), name, (n, n), finite=True)
+            object.__setattr__(self, name, _owned(mat))
         factors = [np.hstack([a, b])]
         for name, part in (("state_noise", slice(None, n)), ("input_noise", slice(n, None))):
             if not isinstance(getattr(self, name), (list, tuple)):
@@ -206,8 +206,8 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("Q", "R"):
-            mat = _nonempty(as_matrix(getattr(self, name), name, square=True), name)
-            object.__setattr__(self, name, _owned(symmetrize(mat)))
+            mat = _nonempty(symmetrize(getattr(self, name), name, finite=True), name)
+            object.__setattr__(self, name, _owned(mat))
 
     def validate(self, model: SystemModel | None = None) -> None:
         _check_psd(self.Q, "Q")
@@ -266,16 +266,18 @@ class RolloutBuffers:
         return array
 
 
-def noise_factor(cov: np.ndarray) -> np.ndarray:
-    """A factor G with G G^T = cov. Cholesky when PD, eigh square root otherwise."""
-    cov = as_matrix(cov, "cov", square=True)
+def noise_factor(cov: np.ndarray, name: str = "cov") -> np.ndarray:
+    """A factor G with G G^T = cov: Cholesky when PD, eigh square root otherwise.
+    ValidationError naming cov by name unless a finite square matrix without
+    a negative eigenvalue."""
+    cov = as_matrix(cov, name, square=True)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         eigs, vecs_ = np.linalg.eigh(cov)
         if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
             raise ValidationError(
-                f"covariance has negative eigenvalue {eigs.min():.3e}"
+                f"{name} has negative eigenvalue {eigs.min():.3e}"
             ) from None
         return vecs_ * np.sqrt(np.clip(eigs, 0.0, None))
 
@@ -349,7 +351,8 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     ValidationError unless cost fits the model (check_cost), gain is a
     finite (m, n) matrix, n_steps an integer >= 1 whose arrays can be
     allocated, probe_var a real number, finite and >= 0, seed an integer
-    >= 0 and buffers None or a RolloutBuffers.
+    >= 0, buffers None or a RolloutBuffers and the model's D and X0 free of
+    negative eigenvalues (noise_factor names the one that is not).
     """
     if buffers is None:
         buffers = RolloutBuffers()
@@ -365,8 +368,8 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     seed = check_integer(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
-    d_factor = noise_factor(model.D)
-    x0_factor = noise_factor(model.X0)
+    d_factor = noise_factor(model.D, "D")
+    x0_factor = noise_factor(model.X0, "X0")
     channels = model.channels
     draw_width = m + len(channels) - 1 + n
     root_probe = math.sqrt(probe_var)

@@ -457,7 +457,8 @@ KERNEL_ENTRY_POINTS = {
     (np.ones(3), r"must be a 2-d matrix, got shape \(3,\)"),
     (np.eye(3, 4), r"must have shape \(3, 3\), got \(3, 4\)"),
     ("abc", r"must be a matrix of real numbers"),
-], ids=["nan", "inf", "-inf", "2x2", "4x4", "1-d", "3x4", "string"])
+    (np.triu(np.ones((3, 3))), r"is asymmetric: max \|M - M\^T\| = 1.000e\+00 exceeds 1.0e-08 .*"),
+], ids=["nan", "inf", "-inf", "2x2", "4x4", "1-d", "3x4", "string", "asymmetric"])
 def test_malformed_kernel_is_a_validation_error(sec6, entry, kernel, message):
     # A kernel that is not a finite n x n matrix is rejected before any
     # product or eigenvalue problem, and numpy does not warn.
@@ -466,6 +467,20 @@ def test_malformed_kernel_is_a_validation_error(sec6, entry, kernel, message):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=rf"^value kernel {message}$"):
             KERNEL_ENTRY_POINTS[entry](model, cost, kernel)
+
+
+def test_checked_kernel_rejects_asymmetry_above_1e_8_of_its_scale(sec6):
+    # Every value kernel the package makes is exactly symmetric, so a
+    # relative asymmetry of 1e-7 is no roundoff; one of 1e-12 is.
+    model, _ = sec6
+    kernel = 1e3 * np.eye(3)
+    kernel[0, 1] = 1e-9
+    np.testing.assert_allclose(checked_kernel(model, kernel), (kernel + kernel.T) / 2,
+                               rtol=0, atol=1e-25)
+    kernel[0, 1] = 1e-4
+    with pytest.raises(ValidationError, match=r"^value kernel is asymmetric: .* 1.0e-08 relative "
+                                              r"to scale 1.000e\+03$"):
+        checked_kernel(model, kernel)
 
 
 @pytest.mark.parametrize("entry, value", [((2, 2), np.nan), ((2, 0), np.inf),

@@ -132,6 +132,18 @@ def test_a_cost_matrix_that_is_not_square_names_the_entry(name):
         from_dict(doc)
 
 
+@pytest.mark.parametrize("section, name", [("cost", "Q"), ("cost", "R"), ("model", "D"),
+                                           ("model", "X0")])
+def test_an_asymmetric_matrix_names_the_entry(section, name):
+    doc = minimal_doc()
+    eye = np.eye(2).tolist()
+    doc["model"].update(A=eye, B=eye, D=eye, X0=eye, state_noise=[])
+    doc["cost"].update(Q=eye, R=eye)
+    doc[section][name] = [[1.0, 0.5], [0.0, 1.0]]
+    with pytest.raises(ConfigError, match=rf"^{section}\.{name} is asymmetric: "):
+        from_dict(doc)
+
+
 def test_unknown_keys_are_rejected():
     doc = minimal_doc()
     doc["extra"] = 1

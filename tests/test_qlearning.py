@@ -9,12 +9,7 @@ import pytest
 from slqr import packing, qlearning
 from slqr.analysis import average_cost, policy_improvement, q_kernel_matrix, solve_value_kernel
 from slqr.config import fixture_path, load_config
-from slqr.errors import (
-    IllConditionedUpdateError,
-    InsufficientExcitationError,
-    UnreliableKernelError,
-    ValidationError,
-)
+from slqr.errors import InsufficientExcitationError, UnreliableKernelError, ValidationError
 from slqr.packing import congruence, unvech, unvecs, vech, vecs
 from slqr.policy_iteration import policy_iteration
 from slqr.qlearning import (
@@ -477,7 +472,7 @@ def test_rls_estimate_rejects_zero_denominator(sample):
     # g = feats - next + correction = -1 makes 1 + g xi phi vanish; the
     # zero-feature samples before it leave xi = 1, so the error names it.
     feats, next_feats = [[0.0]] * sample + [[1.0]], [[0.0]] * sample + [[2.0]]
-    with pytest.raises(IllConditionedUpdateError, match=f"at sample {sample}$"):
+    with pytest.raises(UnreliableKernelError, match=f"^update denominator .* at sample {sample}$"):
         rls_estimate(feats, next_feats, [0.0], [1.0] * (sample + 1), 1.0)
 
 
@@ -792,7 +787,7 @@ def test_policy_from_h_examples(sec6, sec6_reference):
 
     scalar = np.array([[3.0, 1.0], [1.0, 2.0]])
     np.testing.assert_allclose(policy_from_h(scalar, 1), [[-0.5]], atol=1e-15)
-    # An asymmetry within rtol 1e-8 is averaged away before the blocks are read.
+    # An asymmetry within 1e-8 of the scale is averaged away before the blocks are read.
     skewed = scalar + [[0.0, 0.0], [1e-12, 0.0]]
     np.testing.assert_array_equal(policy_from_h(skewed, 1),
                                   policy_from_h(packing.symmetrize(skewed), 1))
@@ -816,7 +811,7 @@ def test_policy_from_h_guards():
     (np.eye(3), 3, r"^state_dim 3 must split a 3 x 3 kernel$"),
     (np.zeros((0, 0)), 1, r"^state_dim 1 must split a 0 x 0 kernel$"),
     (np.eye(3), 0, r"^state_dim must be >= 1, got 0$"),
-    (np.array([[1.0, 2.0], [0.0, 1.0]]), 1, r"^matrix is asymmetric"),
+    (np.array([[1.0, 2.0], [0.0, 1.0]]), 1, r"^kernel is asymmetric"),
     (np.ones((2, 3)), 1, r"^kernel must be square, got shape \(2, 3\)$"),
 ], ids=["no input rows", "empty", "no state rows", "asymmetric", "rectangular"])
 def test_policy_from_h_rejects_a_kernel_it_cannot_split(kernel, state_dim, message):

@@ -100,6 +100,17 @@ def test_empty_models_are_rejected_by_name(build, message):
         build()
 
 
+@pytest.mark.parametrize("name", ["Q", "R", "D", "X0"])
+def test_an_asymmetric_matrix_is_rejected_by_name(name):
+    # Each symmetric argument is read once, by symmetrize, under its own name.
+    skewed = [[1.0, 0.5], [0.0, 1.0]]
+    args = dict(A=np.eye(2), B=np.eye(2), D=np.eye(2), X0=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    args[name] = skewed
+    with pytest.raises(ValidationError, match=rf"^{name} is asymmetric: max \|M - M\^T\|"):
+        SystemModel(A=args["A"], B=args["B"], D=args["D"], X0=args["X0"])
+        CostModel(Q=args["Q"], R=args["R"])
+
+
 def test_validate_rejects_zero_r():
     with pytest.raises(ValidationError, match="R must be positive definite"):
         CostModel(Q=[[1.0]], R=[[0.0]]).validate()
@@ -234,6 +245,16 @@ def test_noise_factor_reproduces_covariance():
     np.testing.assert_allclose(fac @ fac.T, cov, atol=1e-12)
     with pytest.raises(ValidationError):
         noise_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+@pytest.mark.parametrize("name", ["D", "X0"])
+def test_a_rollout_names_the_covariance_with_a_negative_eigenvalue(name):
+    # A model that was never validated: its D or X0 reaches noise_factor.
+    args = dict(A=[[0.5]], B=[[1.0]], D=[[1.0]], X0=[[1.0]])
+    args[name] = [[-1.0]]
+    model = SystemModel(**args)
+    with pytest.raises(ValidationError, match=rf"^{name} has negative eigenvalue -1.000e\+00$"):
+        simulate_closed_loop(model, CostModel(Q=[[1.0]], R=[[1.0]]), [[0.0]], 1, 0.0, 0)
 
 
 @pytest.mark.parametrize("cov, message", [
