@@ -82,8 +82,8 @@ from .errors import (
     ValidationError,
 )
 from .packing import as_matrix, congruence as packed, symmetrize, unvech, vech
-from .system import (CostModel, SystemModel, check_cost, check_integer, check_positive,
-                     loop_factors)
+from .system import (CostModel, SystemModel, _definite, check_cost, check_integer,
+                     check_positive, loop_factors)
 
 # A gain is admissible when rho(T) < 1 - ADMISSIBILITY_MARGIN.
 ADMISSIBILITY_MARGIN = 1e-9
@@ -421,13 +421,14 @@ def _fixed_point(model: SystemModel, gain: np.ndarray, equation, name: str,
 
 
 def stationary_covariance(model: SystemModel, gain: np.ndarray) -> np.ndarray:
-    """Fixed point X = T(X) + D of the covariance propagation."""
+    """Fixed point X = T(X) + D of the covariance propagation; SingularSystemError
+    unless X is positive semidefinite (system._definite)."""
     x = _fixed_point(model, gain, lambda stack: (stack, model.D), "covariance")
-    eigs = np.linalg.eigvalsh(x)
-    if eigs.min() < -1e-10 * max(1.0, eigs.max()):
-        raise SingularSystemError(
-            f"stationary covariance came out indefinite (min eig {eigs.min():.3e})"
-        )
+    try:
+        _definite(x, "stationary covariance", strict=False)
+    except ValidationError:
+        raise SingularSystemError(f"stationary covariance came out indefinite "
+                                  f"(min eig {np.linalg.eigvalsh(x)[0]:.3e})") from None
     return x
 
 

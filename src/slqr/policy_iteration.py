@@ -24,7 +24,7 @@ from .analysis import (
     policy_improvement,
     solve_value_kernel,
 )
-from .errors import SolverFailure
+from .errors import SolverFailure, ValidationError
 from .packing import as_matrix
 from .system import CostModel, SystemModel, check_integer, check_positive
 
@@ -57,14 +57,17 @@ class PolicyIterationTrace:
         tol or a larger max_iter takes the same first steps. The prefix ends
         at the first step that passes the loop's own stop test at tol, or
         after max_iter steps, and sets converged the same way. Raises
-        ValueError when this trace stopped too early to tell.
+        ValidationError unless tol is a finite real number > 0 and max_iter
+        an integer >= 1, and when this trace stopped too early to tell.
         """
+        tol = check_positive(tol, "tol", finite=True)
+        max_iter = check_integer(max_iter, "max_iter", 1)
         for k in range(min(max_iter, self.iterations)):
             if _settled(self.gains[k], self.gains[k + 1], tol):
                 return self._head(k + 1, converged=True)
         if self.iterations < max_iter:
-            raise ValueError(f"a {self.iterations}-step trace cannot be cut to "
-                             f"tol {tol:g}, max_iter {max_iter}")
+            raise ValidationError(f"a {self.iterations}-step trace cannot be cut to "
+                                  f"tol {tol:g}, max_iter {max_iter}")
         return self._head(max_iter, converged=False)
 
     def _head(self, steps: int, converged: bool) -> PolicyIterationTrace:

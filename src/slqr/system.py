@@ -56,9 +56,6 @@ import numpy as np
 from .errors import ValidationError
 from .packing import as_matrix, symmetrize
 
-# Definiteness margin: smallest eigenvalue must exceed this for a PD check.
-PD_EIG_FLOOR = 1e-12
-
 # Steps per window of a closed-loop rollout (see the module docstring).
 ROLLOUT_BLOCK = 4096
 
@@ -105,20 +102,20 @@ def _nonempty(mat: np.ndarray, name: str) -> np.ndarray:
     return mat
 
 
-def _check_psd(mat: np.ndarray, name: str) -> None:
-    eigs = np.linalg.eigvalsh(mat)
-    if eigs.min() < -PD_EIG_FLOOR * max(1.0, abs(eigs.max())):
-        raise ValidationError(
-            f"{name} must be positive semidefinite, smallest eigenvalue {eigs.min():.3e}"
-        )
-
-
-def _check_pd(mat: np.ndarray, name: str) -> None:
-    eigs = np.linalg.eigvalsh(mat)
-    if eigs.min() <= PD_EIG_FLOOR:
-        raise ValidationError(
-            f"{name} must be positive definite, smallest eigenvalue {eigs.min():.3e}"
-        )
+def _definite(mat: np.ndarray, name: str, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """eigh's (eigenvalues, eigenvectors) of the symmetric mat if it meets the
+    one definiteness rule, free of scale: its smallest eigenvalue is at least
+    -1e-12 times its largest magnitude (positive semidefinite), or above 1e-12
+    times it (positive definite, strict); a NaN eigenvalue fails. Else a
+    ValidationError naming mat by name, with both numbers."""
+    eigs, vectors = np.linalg.eigh(mat)
+    low, scale = eigs.min(), np.abs(eigs).max()
+    if not (low > 1e-12 * scale if strict else low >= -1e-12 * scale):
+        kind = "definite" if strict else "semidefinite"
+        limit = "not above 1e-12" if strict else "below -1e-12"
+        raise ValidationError(f"{name} must be positive {kind}: smallest eigenvalue {low:.3e} "
+                              f"is {limit} times the largest magnitude, {scale:.3e}")
+    return eigs, vectors
 
 
 @dataclass(frozen=True)
@@ -180,10 +177,10 @@ class SystemModel:
         return self.B.shape[1]
 
     def validate(self) -> None:
-        """Check that D is positive definite and X0 positive semidefinite;
-        construction has checked the shapes and variances."""
-        _check_pd(self.D, "D")
-        _check_psd(self.X0, "X0")
+        """Check that D is positive definite and X0 positive semidefinite
+        (_definite); construction has checked the shapes and variances."""
+        _definite(self.D, "D", strict=True)
+        _definite(self.X0, "X0", strict=False)
 
 
 def loop_factors(model: SystemModel, gain: np.ndarray) -> np.ndarray:
@@ -199,7 +196,8 @@ def loop_factors(model: SystemModel, gain: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CostModel:
     """Quadratic stage cost x^T Q x + u^T R u with Q >= 0 and R > 0, held
-    as read-only copies; an empty Q or R is a ValidationError."""
+    as read-only copies; an empty Q or R is a ValidationError. validate checks
+    Q >= 0 and R > 0 (_definite) and, given a model, the sizes (check_cost)."""
 
     Q: np.ndarray
     R: np.ndarray
@@ -210,8 +208,8 @@ class CostModel:
             object.__setattr__(self, name, _owned(mat))
 
     def validate(self, model: SystemModel | None = None) -> None:
-        _check_psd(self.Q, "Q")
-        _check_pd(self.R, "R")
+        _definite(self.Q, "Q", strict=False)
+        _definite(self.R, "R", strict=True)
         if model is not None:
             check_cost(model, self)
 
@@ -267,19 +265,16 @@ class RolloutBuffers:
 
 
 def noise_factor(cov: np.ndarray, name: str = "cov") -> np.ndarray:
-    """A factor G with G G^T = cov: Cholesky when PD, eigh square root otherwise.
-    ValidationError naming cov by name unless a finite square matrix without
-    a negative eigenvalue."""
-    cov = as_matrix(cov, name, square=True)
+    """A factor G with G G^T = cov: Cholesky when it succeeds, else the eigh
+    square root. cov is read by symmetrize(cov, name, finite=True), and the
+    eigh path checks it positive semidefinite by the one rule of _definite,
+    so a ValidationError names cov by name."""
+    cov = symmetrize(cov, name, finite=True)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        eigs, vecs_ = np.linalg.eigh(cov)
-        if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
-            raise ValidationError(
-                f"{name} has negative eigenvalue {eigs.min():.3e}"
-            ) from None
-        return vecs_ * np.sqrt(np.clip(eigs, 0.0, None))
+        eigs, vectors = _definite(cov, name, strict=False)
+        return vectors * np.sqrt(np.clip(eigs, 0.0, None))
 
 
 def _quadratic_forms(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -351,8 +346,8 @@ def simulate_closed_loop(model: SystemModel, cost: CostModel, gain: np.ndarray,
     ValidationError unless cost fits the model (check_cost), gain is a
     finite (m, n) matrix, n_steps an integer >= 1 whose arrays can be
     allocated, probe_var a real number, finite and >= 0, seed an integer
-    >= 0, buffers None or a RolloutBuffers and the model's D and X0 free of
-    negative eigenvalues (noise_factor names the one that is not).
+    >= 0, buffers None or a RolloutBuffers and the model's D and X0
+    positive semidefinite (noise_factor names the one that is not).
     """
     if buffers is None:
         buffers = RolloutBuffers()

@@ -340,6 +340,15 @@ def test_stationary_covariance_rejects_an_indefinite_fixed_point():
         stationary_covariance(model, L0_1)
 
 
+def test_stationary_covariance_rejects_a_tiny_indefinite_fixed_point():
+    # X = -1.33e-14 is as indefinite as -4/3: the rule is relative to X's
+    # own scale, with no floor at 1.
+    model = SystemModel(A=[[0.5]], B=[[1.0]], D=[[-1e-14]], X0=[[1.0]])
+    message = "stationary covariance came out indefinite (min eig -1.333e-14)"
+    with pytest.raises(SingularSystemError, match=f"^{re.escape(message)}$"):
+        stationary_covariance(model, L0_1)
+
+
 @pytest.mark.parametrize("solve", [
     lambda model: stationary_covariance(model, L0_1),
     lambda model: solve_value_kernel(model, SCALAR_COST, L0_1),

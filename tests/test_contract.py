@@ -34,6 +34,9 @@ def sampler(gain, seed):
     return simulate_closed_loop(MODEL, COST, gain, LEARNER.rollout_len, LEARNER.probe_var, seed)
 
 
+TRACE = policy_iteration.policy_iteration(MODEL, COST, GAIN)
+
+
 # name: (callable, well-formed arguments, the array and number arguments,
 # whether a non-finite argument passes through by design).
 CASES = {
@@ -85,6 +88,8 @@ CASES = {
                                           dict(model=MODEL, cost=COST, initial_gain=GAIN,
                                                tol=1e-9),
                                           ["initial_gain", "tol"], False),
+    "policy_iteration.PolicyIterationTrace.prefix": (
+        lambda tol: TRACE.prefix(tol, TRACE.iterations), dict(tol=1e-9), ["tol"], False),
     "qlearning.LearnerConfig (numbers)": (
         lambda probe_var, rls_init_scale, gain_tol: replace(
             LEARNER, probe_var=probe_var, rls_init_scale=rls_init_scale, gain_tol=gain_tol),
@@ -149,11 +154,10 @@ LEFT_OUT = {
     # test_system.py::test_simulate_argument_validation.
     "system.RolloutBuffers",
     # Counts that their package callers have read already (check_integer):
-    # the packing helpers' sizes and the max_iter of evaluate_improve and of
-    # PolicyIterationTrace.prefix. evaluate_improve's gain goes only to the
-    # caller's step, which reads it.
+    # the packing helpers' sizes and the max_iter of evaluate_improve.
+    # evaluate_improve's gain goes only to the caller's step, which reads it.
     "packing.packed_length", "packing.packed_indices", "packing.side_from_packed_length",
-    "policy_iteration.evaluate_improve", "policy_iteration.PolicyIterationTrace",
+    "policy_iteration.evaluate_improve",
 }
 
 # Each takes the well-formed argument as an array: a matrix, a vector, a
@@ -193,6 +197,8 @@ COUNT_CASES = {
     "policy_iteration.policy_iteration (max_iter)": (
         policy_iteration.policy_iteration,
         dict(model=MODEL, cost=COST, initial_gain=GAIN, max_iter=1), {"max_iter": 1}),
+    "policy_iteration.PolicyIterationTrace.prefix (max_iter)": (
+        TRACE.prefix, dict(tol=1e-9, max_iter=TRACE.iterations), {"max_iter": 1}),
     "system.simulate_closed_loop (counts)": (
         simulate_closed_loop,
         dict(model=MODEL, cost=COST, gain=GAIN, n_steps=10, probe_var=0.25, seed=0),

@@ -468,10 +468,11 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
 
 
 def test_cli_average_cost_beyond_the_float_range_exits_2(tmp_path, capsys):
-    # D[0][0] = 1e308 keeps D finite, but tr(P D) of the zero gain overflows:
-    # the reference solve fails at its first iteration, without a warning.
+    # D = 1e308 I is finite and perfectly conditioned, but tr(P D) of the zero
+    # gain overflows: the reference solve fails at its first iteration,
+    # without a warning.
     doc = fixture_doc("example_sec6")
-    doc["model"]["D"][0][0] = 1e308
+    doc["model"]["D"] = (1e308 * np.eye(3)).tolist()
     path = tmp_path / "huge_d.json"
     path.write_text(json.dumps(doc))
     with warnings.catch_warnings():
@@ -481,6 +482,50 @@ def test_cli_average_cost_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error: reference solve: iteration 0: average cost tr(P D) is ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_numerically_singular_d_is_a_config_error(tmp_path, capsys):
+    # D = diag(1e308, 0.5, 0.5) has condition number 2e308: its smallest
+    # eigenvalue is not above 1e-12 of its largest, so D is not positive
+    # definite at its own scale.
+    doc = fixture_doc("example_sec6")
+    doc["model"]["D"][0][0] = 1e308
+    path = tmp_path / "ill_d.json"
+    path.write_text(json.dumps(doc))
+    status = main(["run", "--config", str(path), "--mode", "model_based",
+                   "--out", str(tmp_path / "out")])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model.D must be positive definite: smallest eigenvalue "
+                          "5.000e-01 is not above 1e-12 times the largest magnitude, 1.000e+308")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_tiny_well_conditioned_d_runs(tmp_path):
+    # D = 1e-13 I is positive definite at its own scale; an absolute floor
+    # of 1e-12 rejected it.
+    doc = fixture_doc("example_sec6")
+    doc["model"]["D"] = (1e-13 * np.eye(3)).tolist()
+    path = tmp_path / "tiny_d.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["run", "--config", str(path), "--mode", "model_based",
+                       "--out", str(tmp_path / "out")])
+    assert status == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["model_based"]["converged"] and 0 < summary["reference"]["lambda"] < 1e-11
+
+
+def test_a_reference_solve_that_does_not_converge_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiment_module, "REFERENCE_MAX_ITER", 1)
+    config = load_config(fixture_path("example_sec6"))
+    with pytest.raises(SolverFailure, match="^reference solve did not converge in 1 iterations$"):
+        experiment_module.reference_solution(config.model, config.cost)
+    assert main(["run", "--config", "example_sec6", "--mode", "model_based",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: reference solve did not converge in 1 iterations\n"
     assert not (tmp_path / "out").exists()
 
 

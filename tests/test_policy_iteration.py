@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -237,6 +238,23 @@ def test_a_cut_uses_the_loops_stop_test_and_refuses_to_extend():
     short = evaluate_improve(np.array([[2.0]]), step, tol=1e-2, max_iter=2)
     with pytest.raises(ValueError, match="cannot be cut"):
         short.prefix(1e-2, 3)
+
+
+@pytest.mark.parametrize("tol, max_iter, message", [
+    ("a", 5, "tol must be a real number"),
+    (1e-9, 2.5, "max_iter must be an integer, got float"),
+    (np.nan, 3, "tol must be > 0, got nan"),
+    (-1.0, 3, "tol must be > 0, got -1.0"),
+    (1e-9, -1, "max_iter must be >= 1, got -1"),
+    (1e-9, 6, "a 5-step trace cannot be cut to tol 1e-09, max_iter 6")])
+def test_a_cut_reads_its_arguments(tol, max_iter, message):
+    # A NaN or negative tol would cut an unconverged trace, and a negative
+    # max_iter one with no gains; each is a ValidationError that names it.
+    step = scripted_step([1.0, 0.5, 0.25, 0.125, 0.0625])
+    trace = evaluate_improve(np.array([[2.0]]), step, tol=1e-9, max_iter=5)
+    assert trace.iterations == 5 and not trace.converged
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        trace.prefix(tol, max_iter)
 
 
 def test_iterations_is_derived_from_the_kernels():

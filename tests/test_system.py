@@ -154,6 +154,37 @@ def test_validate_rejects_degenerate_d_without_flag():
         model.validate()
 
 
+def test_validate_rejects_a_singular_d_at_any_scale():
+    # Rank-2 D = 1e6 g g^T: its smallest eigenvalue is rounding error, far
+    # below 1e-12 of the largest but not always below an absolute 1e-12.
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        g = rng.standard_normal((3, 2))
+        model = SystemModel(A=np.eye(3) * 0.5, B=np.ones((3, 1)), D=1e6 * g @ g.T, X0=np.eye(3))
+        with pytest.raises(ValidationError, match="^D must be positive definite: smallest "):
+            model.validate()
+
+
+def test_validate_accepts_tiny_well_conditioned_d_and_r():
+    # The rule is relative: 1e-13 I is as definite as I.
+    SystemModel(A=np.eye(2) * 0.5, B=np.ones((2, 1)), D=1e-13 * np.eye(2),
+                X0=np.eye(2)).validate()
+    CostModel(Q=[[1.0]], R=[[1e-13]]).validate()
+
+
+@pytest.mark.parametrize("name", ["Q", "X0"])
+def test_validate_rejects_a_tiny_indefinite_matrix(name):
+    # -5e-15 next to 1e-14 is indefinite at the matrix's own scale.
+    tiny = 1e-14 * np.diag([1.0, -0.5])
+    message = (rf"^{name} must be positive semidefinite: smallest eigenvalue -5\.000e-15 "
+               rf"is below -1e-12 times the largest magnitude, 1\.000e-14$")
+    with pytest.raises(ValidationError, match=message):
+        if name == "Q":
+            CostModel(Q=tiny, R=[[1.0]]).validate()
+        else:
+            SystemModel(A=np.eye(2) * 0.5, B=np.ones((2, 1)), D=np.eye(2), X0=tiny).validate()
+
+
 def test_validate_rejects_negative_variance():
     with pytest.raises(ValidationError, match=r"state_noise\[0\] variance"):
         scalar_model(state_noise=[([[1.0]], -0.1)])
@@ -253,8 +284,31 @@ def test_a_rollout_names_the_covariance_with_a_negative_eigenvalue(name):
     args = dict(A=[[0.5]], B=[[1.0]], D=[[1.0]], X0=[[1.0]])
     args[name] = [[-1.0]]
     model = SystemModel(**args)
-    with pytest.raises(ValidationError, match=rf"^{name} has negative eigenvalue -1.000e\+00$"):
+    message = (rf"^{name} must be positive semidefinite: smallest eigenvalue -1\.000e\+00 "
+               rf"is below -1e-12 times the largest magnitude, 1\.000e\+00$")
+    with pytest.raises(ValidationError, match=message):
         simulate_closed_loop(model, CostModel(Q=[[1.0]], R=[[1.0]]), [[0.0]], 1, 0.0, 0)
+
+
+def test_a_rollout_and_validate_agree_on_a_slightly_indefinite_x0():
+    # One rule decides in both places: an eigenvalue of -5e-11 next to 1 is
+    # below -1e-12 of the largest.
+    model = SystemModel(A=np.eye(2) * 0.5, B=np.ones((2, 1)), D=np.eye(2),
+                        X0=np.diag([1.0, -5e-11]))
+    message = (r"^X0 must be positive semidefinite: smallest eigenvalue -5\.000e-11 "
+               r"is below -1e-12 times the largest magnitude, 1\.000e\+00$")
+    with pytest.raises(ValidationError, match=message):
+        model.validate()
+    with pytest.raises(ValidationError, match=message):
+        simulate_closed_loop(model, CostModel(Q=np.eye(2), R=[[1.0]]), np.zeros((1, 2)), 1, 0.0, 0)
+
+
+def test_noise_factor_reads_its_covariance_as_a_symmetric_matrix():
+    # Cholesky reads one triangle only; the asymmetric matrix is not a
+    # covariance, whatever its lower triangle says.
+    message = r"^cov is asymmetric: max \|M - M\^T\| = 5\.000e\+00"
+    with pytest.raises(ValidationError, match=message):
+        noise_factor([[1.0, 5.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("cov, message", [
