@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from .analysis import average_cost, check_admissible, is_admissible, solve_value_kernel
 from .config import ExperimentConfig
 from .errors import SolverFailure
-from .policy_iteration import policy_iteration
+from .policy_iteration import PolicyIterationTrace, policy_iteration
 from .qlearning import run_online_learning
 from .system import CostModel, SystemModel
 
@@ -37,16 +37,6 @@ REFERENCE_TOL = 1e-10
 REFERENCE_MAX_ITER = 500
 
 CSV_HEADER = ("method", "seed", "tau", "gain_error", "rel_cost_error", "lambda")
-
-
-@dataclass(frozen=True)
-class ConvergenceRecord:
-    method: str
-    seed: int
-    tau: int
-    gain_error: float
-    rel_cost_error: float
-    lam: float
 
 
 def _solve(model: SystemModel, cost: CostModel, tol: float = REFERENCE_TOL,
@@ -81,32 +71,16 @@ def _relative_error(lam: float, lam_ref: float) -> float:
     return abs(lam - lam_ref) / abs(lam_ref) if lam_ref else (np.inf if lam else 0.0)
 
 
-def _records(method: str, seed: int, gains: list[np.ndarray], lams: list[float],
-             gain_ref: np.ndarray, lam_ref: float) -> list[ConvergenceRecord]:
-    """One row per gain of a run, lams[tau] being the cost given for gains[tau]."""
-    return [
-        ConvergenceRecord(
-            method=method, seed=seed, tau=tau,
-            gain_error=float(np.linalg.norm(gain - gain_ref)),
-            rel_cost_error=_relative_error(lam, lam_ref),
-            lam=lam,
-        )
-        for tau, (gain, lam) in enumerate(zip(gains, lams))
-    ]
-
-
-def emit_convergence_csv(records: list[ConvergenceRecord], path: str | Path) -> None:
-    """Write records sorted by (method, seed, tau), full-precision floats."""
-    ordered = sorted(records, key=lambda r: (r.method, r.seed, r.tau))
+def emit_convergence_csv(rows: list[tuple], path: str | Path) -> None:
+    """Write rows, tuples in CSV_HEADER order, sorted by (method, seed, tau),
+    with full-precision floats."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for rec in ordered:
-            writer.writerow([rec.method, rec.seed, rec.tau,
-                             repr(rec.gain_error), repr(rec.rel_cost_error),
-                             repr(rec.lam)])
+        for row in sorted(rows, key=lambda row: row[:3]):
+            writer.writerow((*row[:3], *map(repr, row[3:])))
 
 
 def run_experiment(config: ExperimentConfig,
@@ -131,7 +105,7 @@ def run_experiment(config: ExperimentConfig,
         run, optimum = _solve(model, cost)
     kernel_ref, gain_ref, lam_ref = optimum
 
-    records: list[ConvergenceRecord] = []
+    rows: list[tuple] = []
     summary: dict = {
         "reference": {
             "P": kernel_ref.tolist(),
@@ -141,7 +115,7 @@ def run_experiment(config: ExperimentConfig,
     }
 
     def flush(partial: bool):
-        emit_convergence_csv(records, out / "convergence.csv")
+        emit_convergence_csv(rows, out / "convergence.csv")
         if partial:
             summary["aborted"] = True
         with open(out / "summary.json", "w") as fh:
@@ -158,21 +132,24 @@ def run_experiment(config: ExperimentConfig,
             exc.args = (f"method {method}: {exc}",)
             raise
 
+    def record(method: str, seed: int, trace: PolicyIterationTrace, final_cost: float) -> dict:
+        """Add one row per gain of trace, final_cost being the cost given for
+        its last gain, and return the summary keys both methods share."""
+        errors = [float(np.linalg.norm(gain - gain_ref)) for gain in trace.gains]
+        lams = trace.costs + [final_cost]
+        rows.extend((method, seed, tau, error, _relative_error(lam, lam_ref), lam)
+                    for tau, (error, lam) in enumerate(zip(errors, lams)))
+        return {"converged": trace.converged, "iterations": trace.iterations,
+                "L": trace.gains[-1].tolist(), "lambda": trace.costs[-1],
+                "gain_error": errors[-1]}
+
     if config.runs_model_based():
         trace = run.prefix(config.pi_tol, config.pi_max_iter)
         # Give the final improved gain its own row, with its exactly evaluated cost.
         final_cost = average_cost(solve_value_kernel(model, cost, trace.gains[-1]),
                                   model.D)
-        records.extend(_records("model_based", 0, trace.gains,
-                                trace.costs + [final_cost], gain_ref, lam_ref))
-        summary["model_based"] = {
-            "converged": trace.converged,
-            "iterations": trace.iterations,
-            "P": trace.kernels[-1].tolist(),
-            "L": trace.gains[-1].tolist(),
-            "lambda": trace.costs[-1],
-            "gain_error": float(np.linalg.norm(trace.gains[-1] - gain_ref)),
-        }
+        summary["model_based"] = {**record("model_based", 0, trace, final_cost),
+                                  "P": trace.kernels[-1].tolist()}
 
     if config.runs_model_free():
         learner = config.learner
@@ -189,17 +166,9 @@ def run_experiment(config: ExperimentConfig,
                                              replace(learner, seed=seed))
             # The returned gain never gets its own evaluation pass; repeat the
             # last estimate so the trace ends at the gain the learner returns.
-            lams = result.cost_estimates + result.cost_estimates[-1:]
-            records.extend(_records("model_free", seed, result.gains, lams,
-                                    gain_ref, lam_ref))
-            per_seed[str(seed)] = {
-                "converged": result.converged,
-                "iterations": result.iterations,
-                "L": result.gains[-1].tolist(),
-                "lambda": result.cost_estimates[-1],
-                "gain_error": float(np.linalg.norm(result.gains[-1] - gain_ref)),
-                "rel_cost_error": _relative_error(result.cost_estimates[-1], lam_ref),
-            }
+            per_seed[str(seed)] = {**record("model_free", seed, result, result.costs[-1]),
+                                   "rel_cost_error": _relative_error(result.costs[-1],
+                                                                     lam_ref)}
 
     flush(partial=False)
     return summary

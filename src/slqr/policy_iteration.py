@@ -37,9 +37,10 @@ def _settled(gain: np.ndarray, gain_next: np.ndarray, tol: float) -> bool:
 
 @dataclass
 class PolicyIterationTrace:
-    """Per-iteration history. gains has one more entry than kernels/costs
-    (the initial gain), and costs[t] is the cost of gains[t]; policy_iteration
-    gives tr(kernels[t] @ D)."""
+    """Per-iteration history of evaluate_improve. gains has one more entry
+    than kernels/costs (the initial gain), and costs[t] is the cost of
+    gains[t]; policy_iteration gives tr(kernels[t] @ D). The learner returns
+    the subclass qlearning.LearningResult; prefix keeps the trace's type."""
 
     gains: list[np.ndarray]
     kernels: list[np.ndarray]
@@ -71,9 +72,8 @@ class PolicyIterationTrace:
         return self._head(max_iter, converged=False)
 
     def _head(self, steps: int, converged: bool) -> PolicyIterationTrace:
-        return PolicyIterationTrace(gains=self.gains[:steps + 1],
-                                    kernels=self.kernels[:steps],
-                                    costs=self.costs[:steps], converged=converged)
+        return type(self)(gains=self.gains[:steps + 1], kernels=self.kernels[:steps],
+                          costs=self.costs[:steps], converged=converged)
 
 
 def evaluate_improve(initial_gain: np.ndarray,

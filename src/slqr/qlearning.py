@@ -62,7 +62,7 @@ from .analysis import greedy_gain
 from .errors import InsufficientExcitationError, UnreliableKernelError, ValidationError
 from .packing import (as_matrix, congruence, packed_length, side_from_packed_length,
                       symmetrize, unvecs, vech)
-from .policy_iteration import evaluate_improve
+from .policy_iteration import PolicyIterationTrace, evaluate_improve
 from .system import (
     ROLLOUT_BLOCK,
     CostModel,
@@ -341,22 +341,16 @@ class LearnerConfig:
             )
 
 
-@dataclass
-class LearningResult:
-    """gains includes the initial gain, so it is one longer than kernels.
+class LearningResult(PolicyIterationTrace):
+    """The learner's evaluate_improve trace, cut by prefix like any other.
     kernels[t] is iteration t's fitted H; gains[t + 1] = policy_from_h(kernels[t], n).
-    cost_estimates[t] is the average-cost estimate of iteration t's policy,
-    tr(P_t D-hat) for the value kernel P_t of its fit, with D-hat = D in
-    known_d mode."""
-
-    gains: list[np.ndarray]
-    kernels: list[np.ndarray]
-    cost_estimates: list[float]
-    converged: bool
+    costs[t], also read as cost_estimates[t], is the average-cost estimate of
+    iteration t's policy, tr(P_t D-hat) for the value kernel P_t of its fit,
+    with D-hat = D in known_d mode."""
 
     @property
-    def iterations(self) -> int:
-        return len(self.kernels)
+    def cost_estimates(self) -> list[float]:
+        return self.costs
 
 
 def iteration_seed(base_seed: int, iteration: int) -> int:
@@ -400,8 +394,7 @@ def learn_from_rollouts(sampler: Callable[[np.ndarray, int], Trajectory],
 
     trace = evaluate_improve(config.initial_gain, step, config.gain_tol,
                              config.max_iterations)
-    return LearningResult(gains=trace.gains, kernels=trace.kernels,
-                          cost_estimates=trace.costs, converged=trace.converged)
+    return LearningResult(**vars(trace))
 
 
 def run_online_learning(model: SystemModel, cost: CostModel,

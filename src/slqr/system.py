@@ -106,12 +106,18 @@ def _definite(mat: np.ndarray, name: str, strict: bool) -> tuple[np.ndarray, np.
     """eigh's (eigenvalues, eigenvectors) of the symmetric mat if it meets the
     one definiteness rule, free of scale: its smallest eigenvalue is at least
     -1e-12 times its largest magnitude (positive semidefinite), or above 1e-12
-    times it (positive definite, strict); a NaN eigenvalue fails. Else a
-    ValidationError naming mat by name, with both numbers."""
+    times it (positive definite, strict). Else a ValidationError naming mat by
+    name, with both numbers. A spectrum that leaves the float range (an inf or
+    NaN eigenvalue) fails either rule, since inf bounds nothing: that rejects
+    the indefinite [[a, a], [a, -a]] and also the semidefinite [[a, a], [a, a]]
+    for a = 1.5e308 (eigenvalues 0 and inf), whose quadratic form overflows."""
     eigs, vectors = np.linalg.eigh(mat)
     low, scale = eigs.min(), np.abs(eigs).max()
+    kind = "definite" if strict else "semidefinite"
+    if not np.isfinite(scale):
+        raise ValidationError(f"{name} must be positive {kind}: its spectrum exceeds the "
+                              f"float range, eigenvalues {low:.3e} to {eigs.max():.3e}")
     if not (low > 1e-12 * scale if strict else low >= -1e-12 * scale):
-        kind = "definite" if strict else "semidefinite"
         limit = "not above 1e-12" if strict else "below -1e-12"
         raise ValidationError(f"{name} must be positive {kind}: smallest eigenvalue {low:.3e} "
                               f"is {limit} times the largest magnitude, {scale:.3e}")

@@ -915,6 +915,29 @@ def test_capped_splitting_returns_the_packed_answer(monkeypatch):
         assert np.linalg.norm(lifted - x) <= 1e-12 * np.linalg.norm(x)
 
 
+def test_a_splitting_out_of_sweeps_gives_up_to_the_packed_solve(monkeypatch):
+    # With a cap of one sweep past the first, the splitting runs out of
+    # sweeps before its stop rule can hold and gives up; the packed solve
+    # then returns the kernel an unpatched solve gives.
+    model, cost = wide_system(np.random.default_rng(5))
+    gain = np.zeros((model.input_dim, model.state_dim))
+    want = solve_value_kernel(model, cost, gain)
+    splitting, answers = analysis_module._splitting_solve, []
+
+    def recorded(*args):
+        answers.append(splitting(*args))
+        return answers[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis_module, "SPLITTING_MAX_SWEEPS", 1)
+        patch.setattr(analysis_module, "_splitting_solve", recorded)
+        calls = count_sweeps(patch)
+        builds = count_packed_builds(patch)
+        got = solve_value_kernel(model, cost, gain)
+    assert answers == [None] and calls["sweeps"] == 2 and builds["packed"] == 1
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def scale_to_radius(model, direction, target):
     """A gain t * direction with rho(T) = target, bisected on is_admissible."""
     def rho(t):

@@ -14,12 +14,12 @@ from slqr.config import fixture_path, from_dict, load_config
 from slqr.errors import InsufficientExcitationError, NotAdmissibleError, SolverFailure
 from slqr.experiment import (
     CSV_HEADER,
-    ConvergenceRecord,
     emit_convergence_csv,
     reference_solution,
     run_experiment,
 )
 from slqr.policy_iteration import policy_iteration
+from slqr.qlearning import run_online_learning
 
 
 def read_lines(path):
@@ -47,7 +47,7 @@ def test_csv_header_only_for_empty_records(tmp_path):
 
 def test_csv_single_record_has_two_lines(tmp_path):
     path = tmp_path / "convergence.csv"
-    emit_convergence_csv([ConvergenceRecord("model_based", 0, 0, 0.5, 0.25, 2.0)],
+    emit_convergence_csv([("model_based", 0, 0, 0.5, 0.25, 2.0)],
                          path)
     lines = read_lines(path)
     assert len(lines) == 2
@@ -56,11 +56,11 @@ def test_csv_single_record_has_two_lines(tmp_path):
 
 def test_csv_rows_are_sorted_and_full_precision(tmp_path):
     records = [
-        ConvergenceRecord("model_free", 2, 1, 0.1, 0.1, 2.0),
-        ConvergenceRecord("model_based", 0, 1, 1.0 / 3.0, 0.2, 2.0),
-        ConvergenceRecord("model_free", 0, 0, 0.3, 0.3, 2.0),
-        ConvergenceRecord("model_based", 0, 0, 0.9, 0.4, 2.0),
-        ConvergenceRecord("model_free", 2, 0, 0.2, 0.5, 2.0),
+        ("model_free", 2, 1, 0.1, 0.1, 2.0),
+        ("model_based", 0, 1, 1.0 / 3.0, 0.2, 2.0),
+        ("model_free", 0, 0, 0.3, 0.3, 2.0),
+        ("model_based", 0, 0, 0.9, 0.4, 2.0),
+        ("model_free", 2, 0, 0.2, 0.5, 2.0),
     ]
     path = tmp_path / "convergence.csv"
     emit_convergence_csv(records, path)
@@ -246,6 +246,43 @@ def test_one_run_gives_what_two_separate_runs_give(tmp_path, fixture):
             assert (json.dumps(summary[name], sort_keys=True)
                     == json.dumps(block, sort_keys=True)), (tol, max_iter, name)
         assert read_lines(tmp_path / str(k) / "convergence.csv")[1:] == rows, (tol, max_iter)
+
+
+def separate_learner_runs(config):
+    """The model_free summary entry and CSV rows that one run_online_learning
+    call per seed gives, against the reference of a separate policy-iteration
+    run: the last estimate is repeated for the gain the learner returns."""
+    model, cost = config.model, config.cost
+    zero = np.zeros((model.input_dim, model.state_dim))
+    ref = policy_iteration(model, cost, zero, tol=1e-10, max_iter=500)
+    gain_ref, lam_ref = ref.gains[-1], ref.costs[-1]
+    seeds, rows = {}, []
+    for seed in sorted(config.seeds):
+        result = run_online_learning(model, cost, replace(config.learner, seed=seed))
+        lams = result.cost_estimates + result.cost_estimates[-1:]
+        rows += [f"model_free,{seed},{tau},{float(np.linalg.norm(gain - gain_ref))!r},"
+                 f"{abs(lam - lam_ref) / abs(lam_ref)!r},{lam!r}"
+                 for tau, (gain, lam) in enumerate(zip(result.gains, lams))]
+        seeds[str(seed)] = {
+            "converged": result.converged, "iterations": result.iterations,
+            "L": result.gains[-1].tolist(), "lambda": result.cost_estimates[-1],
+            "gain_error": float(np.linalg.norm(result.gains[-1] - gain_ref)),
+            "rel_cost_error": abs(result.cost_estimates[-1] - lam_ref) / abs(lam_ref),
+        }
+    return {"cost_mode": config.learner.cost_mode, "seeds": seeds}, rows
+
+
+@pytest.mark.parametrize("fixture", ["scalar_smoke", "example_sec6"])
+@pytest.mark.parametrize("cost_mode", ["known_d", "empirical"])
+def test_model_free_output_is_what_separate_learner_runs_give(tmp_path, fixture, cost_mode):
+    base = load_config(fixture_path(fixture))
+    config = replace(base, mode="model_free", seeds=[2, 0, 1],
+                     learner=replace(base.learner, cost_mode=cost_mode))
+    block, rows = separate_learner_runs(config)
+    run_experiment(config, output_dir=tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert json.dumps(summary["model_free"], sort_keys=True) == json.dumps(block, sort_keys=True)
+    assert read_lines(tmp_path / "convergence.csv")[1:] == rows
 
 
 @pytest.mark.parametrize("mode", ["model_based", "model_free", "both"])
@@ -500,6 +537,19 @@ def test_cli_numerically_singular_d_is_a_config_error(tmp_path, capsys):
     assert err.startswith("config error: model.D must be positive definite: smallest eigenvalue "
                           "5.000e-01 is not above 1e-12 times the largest magnitude, 1.000e+308")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_cost_q_whose_spectrum_overflows_is_a_config_error(tmp_path, capsys):
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    doc = {"model": {"A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [0.0]], "D": eye, "X0": eye},
+           "cost": {"Q": [[1.5e308, 1.5e308], [1.5e308, -1.5e308]], "R": [[1.0]]},
+           "mode": "model_based", "pi": {"tol": 1e-9, "max_iter": 100}}
+    path = tmp_path / "overflowing_q.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cost.Q must be positive semidefinite: its spectrum "
+                          "exceeds the float range")
 
 
 def test_cli_tiny_well_conditioned_d_runs(tmp_path):

@@ -15,6 +15,7 @@ from slqr.policy_iteration import policy_iteration
 from slqr.qlearning import (
     COST_MODES,
     LearnerConfig,
+    LearningResult,
     bls_estimate,
     feature_matrix,
     iteration_seed,
@@ -946,6 +947,27 @@ def test_online_learning_equals_the_loop_over_fresh_rollouts(fixture, cost_mode,
             np.testing.assert_array_equal(got_gain, want_gain)
         for got_kernel, want_kernel in zip(got.kernels, want.kernels):
             np.testing.assert_array_equal(got_kernel, want_kernel)
+
+
+def test_a_learner_trace_cuts_like_a_policy_iteration_trace(sec6_config):
+    # Each learner step depends only on the gain before it and the seed of
+    # its own iteration, so a cut of a tight run is the looser run itself.
+    model, cost = sec6_config.model, sec6_config.cost
+    for seed in (0, 1, 2):
+        learner = replace(sec6_config.learner, seed=seed)
+        run = run_online_learning(model, cost, replace(learner, gain_tol=1e-6,
+                                                       max_iterations=6))
+        for tol, max_iter in [(0.05, 10), (0.2, 10), (1e-6, 2)]:
+            got = run.prefix(tol, max_iter)
+            want = run_online_learning(model, cost, replace(learner, gain_tol=tol,
+                                                            max_iterations=max_iter))
+            assert type(got) is LearningResult, (seed, tol)
+            assert got.converged == want.converged, (seed, tol)
+            assert got.cost_estimates == want.cost_estimates, (seed, tol)
+            assert len(got.gains) == len(want.gains), (seed, tol)
+            for got_array, want_array in zip(got.gains + got.kernels,
+                                             want.gains + want.kernels):
+                np.testing.assert_array_equal(got_array, want_array)
 
 
 def test_learn_known_d_requires_covariance():

@@ -124,6 +124,18 @@ def test_validate_rejects_indefinite_q():
         CostModel(Q=[[-1e308]], R=[[1.0]]).validate()
 
 
+@pytest.mark.parametrize("corner, low", [(-1.5e308, "-inf"), (1.5e308, r"0\.000e\+00")],
+                         ids=["indefinite", "semidefinite"])
+def test_validate_rejects_a_spectrum_beyond_the_float_range(corner, low):
+    # eigh gives [-inf, inf] for the indefinite matrix and [0, inf] for the
+    # semidefinite one: an inf eigenvalue bounds nothing, so both fail.
+    q = [[1.5e308, 1.5e308], [1.5e308, corner]]
+    message = (r"^Q must be positive semidefinite: its spectrum exceeds the float range, "
+               rf"eigenvalues {low} to inf$")
+    with pytest.raises(ValidationError, match=message):
+        CostModel(Q=q, R=[[1.0]]).validate()
+
+
 def test_entries_near_the_float_maximum_are_held_as_given():
     model = scalar_model(d=1e308)
     model.validate()
